@@ -17,6 +17,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,9 +30,13 @@ from .core import (
     SearchParams,
     format_float,
     load_platform,
+    load_table,
     make_grid,
+    read_columns,
     read_manifest,
     save_platform,
+    write_lines,
+    write_pairs,
 )
 from .designer import (
     design,
@@ -45,7 +50,7 @@ from .designer import (
     transfer_coefficient,
 )
 from .simulator import SimConfig, simulate
-from .solver import SolverConfig, solve_dse, dse_residuals
+from .solver import SolverConfig, solve_dse
 from .verifier import audit, prop4_oracle
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
@@ -199,17 +204,22 @@ def _validate(cfg: RunConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _reading(path: str):
+    """Report a missing or malformed input artifact as a config error."""
+    try:
+        yield
+    except (OSError, KeyError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
 def _production(cfg: RunConfig, grid) -> ProductionFunction:
     if cfg.f == "xy":
         return ProductionFunction.multiplicative()
     if cfg.f == "xy+c":
         return ProductionFunction.multiplicative_plus_constant(cfg.c)
-    table = np.zeros((grid.n, grid.n))
-    import csv as _csv
-    with open(cfg.table, newline="") as fh:
-        for row in _csv.DictReader(fh):
-            table[int(row["i"]), int(row["j"])] = float(row["f"])
-    return ProductionFunction.tabulated(grid, table)
+    with _reading(cfg.table):
+        return load_table(cfg.table, grid)
 
 
 def _cutoff_index(cfg: RunConfig, grid) -> int:
@@ -225,7 +235,8 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 def _resolve_platform(cfg: RunConfig):
     """(platform, production, grid) from a directory or the built-in family."""
     if cfg.platform:
-        platform, production = load_platform(cfg.platform)
+        with _reading(cfg.platform):
+            platform, production = load_platform(cfg.platform)
         grid = platform.grid
     else:
         grid = make_grid(cfg.n)
@@ -234,11 +245,6 @@ def _resolve_platform(cfg: RunConfig):
     if cfg.epsilon:
         platform = glitch(platform, float(cfg.epsilon))
     return platform, production, grid
-
-
-def _write_lines(path: str, lines: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _write_manifest(cfg: RunConfig, outdir: str, extra: dict | None = None) -> None:
@@ -266,7 +272,7 @@ def _write_manifest(cfg: RunConfig, outdir: str, extra: dict | None = None) -> N
         merged[renames.get(field.name, field.name)] = str(value)
     for key, value in (extra or {}).items():
         merged[key] = str(value)
-    _write_lines(path, [f"{key}={merged[key]}" for key in sorted(merged)])
+    write_lines(path, [f"{key}={merged[key]}" for key in sorted(merged)])
 
 
 def _write_dse(outdir: str, grid, state: DSEState) -> None:
@@ -274,14 +280,12 @@ def _write_dse(outdir: str, grid, state: DSEState) -> None:
     for i in range(grid.n):
         lines.append(f"{i},{format_float(grid.nodes[i])},"
                      f"{format_float(state.w[i])},{format_float(state.u[i])}")
-    _write_lines(os.path.join(outdir, "dse.csv"), lines)
+    write_lines(os.path.join(outdir, "dse.csv"), lines)
 
 
 def _write_acceptance(outdir: str, state: DSEState) -> None:
-    lines = ["i,j"]
     rows, cols = np.nonzero(state.M)
-    lines.extend(f"{a},{b}" for a, b in zip(rows.tolist(), cols.tolist()))
-    _write_lines(os.path.join(outdir, "acceptance.csv"), lines)
+    write_pairs(os.path.join(outdir, "acceptance.csv"), "i,j", rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +329,12 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                                format_float(outcome.se_unmatched_by_node[i]),
                                format_float(outcome.mean_discounted_payoff_by_node[i]),
                                format_float(outcome.se_payoff_by_node[i])]))
-    _write_lines(os.path.join(outdir, "sim.csv"), lines)
+    write_lines(os.path.join(outdir, "sim.csv"), lines)
     if cfg.event_log:
         lines = ["t,type,agent_a,agent_b"]
         for t, kind, a, b in outcome.event_log:
             lines.append(f"{format_float(t)},{kind},{a},{b}")
-        _write_lines(os.path.join(outdir, "events.csv"), lines)
+        write_lines(os.path.join(outdir, "events.csv"), lines)
     tallies = {
         "match_formation_count": outcome.match_formation_count,
         "divorce_count": outcome.divorce_count,
@@ -366,14 +370,14 @@ def _cmd_design(cfg: RunConfig) -> int:
                                format_float(result.platform.transfers[i]),
                                format_float(rent[i]),
                                "1" if i >= cutoff else "0"]))
-    _write_lines(os.path.join(outdir, "design.csv"), lines)
+    write_lines(os.path.join(outdir, "design.csv"), lines)
 
     lines = ["k,x_tilde,profit,phi"]
     for k in range(grid.n):
         lines.append(",".join([str(k), format_float(grid.nodes[k]),
                                format_float(exclusion.profit_curve[k]),
                                format_float(exclusion.phi[k])]))
-    _write_lines(os.path.join(outdir, "exclusion_curve.csv"), lines)
+    write_lines(os.path.join(outdir, "exclusion_curve.csv"), lines)
 
     _write_dse(outdir, grid, result.dse)
     save_platform(result.platform, production, outdir)
@@ -392,24 +396,23 @@ def _cmd_verify(cfg: RunConfig) -> int:
     target = cfg.platform or cfg.out
     if not os.path.isdir(target):
         raise ConfigError(f"verify needs an artifact directory, got {target!r}")
-    platform, production = load_platform(target)
-    manifest = read_manifest(os.path.join(target, "manifest.txt"))
-    params = SearchParams(rho=float(manifest["rho"]), alpha=float(manifest["alpha"]),
-                          r=float(manifest["r"]))
-    grid = platform.grid
+    with _reading(target):
+        platform, production = load_platform(target)
+        manifest = read_manifest(os.path.join(target, "manifest.txt"))
+        params = SearchParams(rho=float(manifest["rho"]), alpha=float(manifest["alpha"]),
+                              r=float(manifest["r"]))
+        grid = platform.grid
+        i, _, w_i, u_i = read_columns(os.path.join(target, "dse.csv"), 4, 1, 0, grid.n)
 
     w = np.zeros(grid.n)
     u = np.ones(grid.n)
-    import csv as _csv
-    with open(os.path.join(target, "dse.csv"), newline="") as fh:
-        for row in _csv.DictReader(fh):
-            w[int(row["i"])] = float(row["w"])
-            u[int(row["i"])] = float(row["u"])
+    w[i] = w_i
+    u[i] = u_i
     F = production.values(grid)
     M = (F - w[:, None] - w[None, :]) >= 0.0
-    state = DSEState(w=w, u=u, M=M, bellman_residual=0.0, balance_residual=0.0)
-    bell, bal, violations = dse_residuals(platform, production, params, state)
-    state = DSEState(w=w, u=u, M=M, bellman_residual=bell, balance_residual=bal)
+    # the residuals are unknown until audit() recomputes them from w, u and M
+    state = DSEState(w=w, u=u, M=M, bellman_residual=float("nan"),
+                     balance_residual=float("nan"))
 
     report = audit(platform, production, params, state)
     outdir = cfg.out
@@ -475,7 +478,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     for (idx, rho, alpha, r, sub) in jobs:
         lines.append(f"{idx},{format_float(rho)},{format_float(alpha)},"
                      f"{format_float(r)},{os.path.basename(sub)}")
-    _write_lines(os.path.join(cfg.out, "sweep_manifest.csv"), lines)
+    write_lines(os.path.join(cfg.out, "sweep_manifest.csv"), lines)
     _write_manifest(cfg, cfg.out)
     return max(statuses) if statuses else 0
 

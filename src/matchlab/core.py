@@ -10,10 +10,9 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,11 @@ __all__ = [
     "surplus",
     "save_platform",
     "load_platform",
+    "load_table",
     "format_float",
+    "write_lines",
+    "write_pairs",
+    "read_columns",
 ]
 
 #: Row sums of a kernel must match 1 this tightly.
@@ -281,6 +284,8 @@ class Platform:
         kernel = np.asarray(self.kernel, dtype=float)
         if kernel.shape != (m, m):
             raise ValueError(f"kernel shape {kernel.shape} does not match {m} included nodes")
+        if not np.all(np.isfinite(kernel)):
+            raise ValueError("kernel entries must be finite")
         if np.any(kernel < 0):
             raise ValueError("kernel entries must be nonnegative")
         row_err = float(np.max(np.abs(kernel.sum(axis=1) - 1.0)))
@@ -289,6 +294,8 @@ class Platform:
         transfers = np.asarray(self.transfers, dtype=float)
         if transfers.shape != (n,):
             raise ValueError(f"transfers must have length {n}")
+        if not np.all(np.isfinite(transfers)):
+            raise ValueError("transfers must be finite")
         if np.any(transfers[: self.cutoff] != 0.0):
             raise ValueError("transfers must be zero on excluded nodes")
         kernel.setflags(write=False)
@@ -363,43 +370,44 @@ def surplus(f: ProductionFunction, grid: TypeGrid, w: np.ndarray, i: int, j: int
 # ---------------------------------------------------------------------------
 # Platform serialization
 #
-# platform.csv   header i,j,G     one row per nonzero kernel entry, global ids
+# platform.csv   header i,j,G     one row per nonzero kernel entry, row-major, global ids
 # transfers.csv  header i,t       one row per node
 # manifest.txt   key=value lines  n, cutoff, f.kind, f.c
-# table.csv      header i,j,f     only for tabulated production
+# table.csv      header i,j,f     only for tabulated production, every entry, row-major
 # ---------------------------------------------------------------------------
+
+#: Lines ``write_pairs`` builds and writes at a time.
+_BLOCK_ROWS = 1 << 16
 
 
 def save_platform(platform: Platform, production: ProductionFunction, outdir: str) -> None:
     """Write a platform and its production function as CSV artifacts."""
     os.makedirs(outdir, exist_ok=True)
     n, k = platform.grid.n, platform.cutoff
-    lines = ["i,j,G"]
     rows, cols = np.nonzero(platform.kernel)
-    for a, b in zip(rows, cols):
-        lines.append(f"{a + k},{b + k},{format_float(platform.kernel[a, b])}")
-    _write_lines(os.path.join(outdir, "platform.csv"), lines)
+    write_pairs(os.path.join(outdir, "platform.csv"), "i,j,G", rows + k, cols + k,
+                platform.kernel[rows, cols])
 
     lines = ["i,t"]
     for i in range(n):
         lines.append(f"{i},{format_float(platform.transfers[i])}")
-    _write_lines(os.path.join(outdir, "transfers.csv"), lines)
+    write_lines(os.path.join(outdir, "transfers.csv"), lines)
 
     manifest = [f"n={n}", f"cutoff={k}", f"f.kind={production.kind}",
                 f"f.c={format_float(production.c)}"]
-    _write_lines(os.path.join(outdir, "manifest.txt"), manifest)
+    write_lines(os.path.join(outdir, "manifest.txt"), manifest)
 
     if production.kind == "table":
-        lines = ["i,j,f"]
-        tbl = production._table
-        for a in range(n):
-            for b in range(n):
-                lines.append(f"{a},{b},{format_float(tbl[a, b])}")
-        _write_lines(os.path.join(outdir, "table.csv"), lines)
+        rows, cols = np.indices((n, n)).reshape(2, -1)
+        write_pairs(os.path.join(outdir, "table.csv"), "i,j,f", rows, cols,
+                    production._table.ravel())
 
 
 def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
-    """Rebuild a platform and production function from ``save_platform`` output."""
+    """Rebuild a platform and production function from ``save_platform`` output.
+
+    Raises ``ValueError`` naming the file when an artifact is malformed.
+    """
     manifest = read_manifest(os.path.join(outdir, "manifest.txt"))
     n = int(manifest["n"])
     k = int(manifest["cutoff"])
@@ -407,14 +415,12 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
     m = n - k
 
     kernel = np.zeros((m, m))
-    with open(os.path.join(outdir, "platform.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            kernel[int(row["i"]) - k, int(row["j"]) - k] = float(row["G"])
+    i, j, g = read_columns(os.path.join(outdir, "platform.csv"), 3, 2, k, n)
+    kernel[i - k, j - k] = g
 
     transfers = np.zeros(n)
-    with open(os.path.join(outdir, "transfers.csv"), newline="") as fh:
-        for row in csv.DictReader(fh):
-            transfers[int(row["i"])] = float(row["t"])
+    i, t = read_columns(os.path.join(outdir, "transfers.csv"), 2, 1, 0, n)
+    transfers[i] = t
 
     kind = manifest["f.kind"]
     if kind == "xy":
@@ -422,13 +428,17 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
     elif kind == "xy+c":
         production = ProductionFunction.multiplicative_plus_constant(float(manifest["f.c"]))
     else:
-        table = np.zeros((n, n))
-        with open(os.path.join(outdir, "table.csv"), newline="") as fh:
-            for row in csv.DictReader(fh):
-                table[int(row["i"]), int(row["j"])] = float(row["f"])
-        production = ProductionFunction.tabulated(grid, table)
+        production = load_table(os.path.join(outdir, "table.csv"), grid)
 
     return Platform(grid=grid, cutoff=k, kernel=kernel, transfers=transfers), production
+
+
+def load_table(path: str, grid: TypeGrid) -> ProductionFunction:
+    """Tabulated production from an ``i,j,f`` CSV on ``grid``."""
+    table = np.zeros((grid.n, grid.n))
+    i, j, f = read_columns(path, 3, 2, 0, grid.n)
+    table[i, j] = f
+    return ProductionFunction.tabulated(grid, table)
 
 
 def read_manifest(path: str) -> dict:
@@ -444,7 +454,57 @@ def read_manifest(path: str) -> dict:
     return out
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    # LF endings regardless of platform so artifacts are byte-reproducible.
-    with io.open(path, "w", newline="\n") as fh:
+def read_columns(path: str, ncols: int, nindex: int, lo: int, hi: int) -> list[np.ndarray]:
+    """The columns of a CSV artifact with one header line.
+
+    The first ``nindex`` columns are node indices: each must be an integer in
+    ``[lo, hi)`` and comes back as int64.  The other columns come back as
+    float64, parsed exactly (``format_float`` text reads back bit for bit).
+    Raises ``ValueError`` naming ``path`` for a malformed file.
+    """
+    try:
+        with warnings.catch_warnings():
+            # a header-only file is a table with no rows, not a problem
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if data.size == 0:
+        data = data.reshape(0, ncols)
+    if data.shape[1] != ncols:
+        raise ValueError(f"{path}: expected {ncols} columns per row, found {data.shape[1]}")
+    index = data[:, :nindex]
+    if not np.all((index == np.trunc(index)) & (index >= lo) & (index < hi)):
+        raise ValueError(f"{path}: node indices must be integers in [{lo}, {hi})")
+    return [*index.T.astype(np.int64), *data[:, nindex:].T]
+
+
+def write_lines(path: str, lines: list[str]) -> None:
+    """Write ``lines`` with LF endings on every platform, so artifacts are byte-reproducible."""
+    with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_pairs(path: str, header: str, rows: np.ndarray, cols: np.ndarray,
+                values: np.ndarray | None = None) -> None:
+    """Write ``header``, then one ``row,col[,value]`` line per entry, in order.
+
+    The bytes equal those of formatting each line with ``format_float``;
+    each distinct value is formatted once, and lines are built and written
+    in blocks so the whole file never sits in memory.
+    """
+    top = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
+    labels = np.array([str(i) for i in range(top)], dtype=object)
+    if values is not None:
+        # distinct by bit pattern, so -0.0 keeps its own "-0"
+        bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
+                                  return_inverse=True)
+        text = np.array([format_float(v) for v in bits.view(np.float64)], dtype=object)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            fields = [labels[rows[block]].tolist(), labels[cols[block]].tolist()]
+            if values is not None:
+                fields.append(text[inverse[block]].tolist())
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")

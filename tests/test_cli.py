@@ -2,9 +2,11 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
-from matchlab.cli import main
+from matchlab.cli import _write_acceptance, main
+from matchlab.core import DSEState
 
 
 def read_dir_bytes(path):
@@ -185,6 +187,47 @@ def test_verify_flags_corrupted_transfers(tmp_path):
     assert main(["verify", "--platform", str(d), "--out", str(v)]) == 1
     report = json.loads((v / "audit.json").read_text())
     assert report["ic_max_violation"] > 1e-3
+
+
+def _corrupt_platform_csv(d):
+    (d / "platform.csv").write_text("i,j,G\n0,0,1\n1,1\n")
+
+
+def _drop_dse_csv(d):
+    (d / "dse.csv").unlink()
+
+
+@pytest.mark.parametrize("command, damage", [
+    ("verify", _corrupt_platform_csv),
+    ("verify", _drop_dse_csv),
+    ("solve", _corrupt_platform_csv),
+    ("simulate", _corrupt_platform_csv),
+])
+def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, damage):
+    d = tmp_path / "d"
+    assert main(["solve", "--n", "6", "--out", str(d)]) == 0
+    damage(d)
+    capsys.readouterr()
+    assert main([command, "--platform", str(d), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("matchlab: config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _state(M):
+    n = len(M)
+    return DSEState(w=np.zeros(n), u=np.ones(n), M=M, bellman_residual=0.0,
+                    balance_residual=0.0)
+
+
+@pytest.mark.parametrize("M", [np.zeros((4, 4), dtype=bool),
+                               np.ones((5, 5), dtype=bool),
+                               np.triu(np.ones((12, 12), dtype=bool))],
+                         ids=["empty", "full", "upper"])
+def test_acceptance_csv_golden(tmp_path, M):
+    _write_acceptance(str(tmp_path), _state(M))
+    expected = "i,j\n" + "".join(f"{a},{b}\n" for a, b in zip(*np.nonzero(M)))
+    assert (tmp_path / "acceptance.csv").read_bytes() == expected.encode()
 
 
 # ---------------------------------------------------------------------------

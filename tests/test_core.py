@@ -13,7 +13,8 @@ from matchlab import (
     save_platform,
     surplus,
 )
-from matchlab.core import format_float
+from matchlab.core import format_float, read_columns, write_pairs
+from matchlab.designer import first_best_platform, glitch
 
 from conftest import mixture_kernel
 
@@ -199,6 +200,18 @@ def test_platform_rejects_negative_entries():
         Platform(grid=g, cutoff=0, kernel=bad, transfers=np.zeros(2))
 
 
+def test_platform_rejects_non_finite_kernel():
+    g = make_grid(3)
+    with pytest.raises(ValueError, match="finite"):
+        Platform(grid=g, cutoff=0, kernel=np.full((3, 3), np.nan), transfers=np.zeros(3))
+
+
+def test_platform_rejects_non_finite_transfers():
+    g = make_grid(3)
+    with pytest.raises(ValueError, match="finite"):
+        Platform(grid=g, cutoff=0, kernel=np.eye(3), transfers=np.array([0.0, np.nan, np.inf]))
+
+
 def test_platform_transfers_zero_on_excluded():
     g = make_grid(3)
     t = np.array([0.1, 0.0, 0.0])
@@ -300,3 +313,98 @@ def test_roundtrip_property(tmp_path_factory, a, b, n):
 @settings(max_examples=200)
 def test_float_format_roundtrips(x):
     assert float(format_float(x)) == x
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: the writer against a line-by-line reference
+# ---------------------------------------------------------------------------
+
+
+def reference_pairs(header, rows, cols, values=None):
+    """The artifact bytes of one formatted line per entry."""
+    lines = [header]
+    for t, (a, b) in enumerate(zip(rows, cols)):
+        lines.append(f"{a},{b}" if values is None else f"{a},{b},{format_float(values[t])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_platform_csv_golden_all_distinct_with_cutoff(tmp_path, f_xy):
+    g = make_grid(9)
+    k = 3
+    kernel = np.random.default_rng(7).random((6, 6))
+    kernel[1, 4] = 0.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    p = Platform(grid=g, cutoff=k, kernel=kernel, transfers=np.zeros(9))
+    save_platform(p, f_xy, str(tmp_path))
+    rows, cols = np.nonzero(p.kernel)
+    assert len(np.unique(p.kernel[rows, cols])) == len(rows) == 35
+    expected = reference_pairs("i,j,G", rows + k, cols + k, p.kernel[rows, cols])
+    assert (tmp_path / "platform.csv").read_bytes() == expected
+
+
+def test_platform_csv_golden_glitched(tmp_path, f_xy):
+    # 90 000 rows: more than one write block
+    p = glitch(first_best_platform(make_grid(300), 0), 0.5)
+    save_platform(p, f_xy, str(tmp_path))
+    rows, cols = np.nonzero(p.kernel)
+    expected = reference_pairs("i,j,G", rows, cols, p.kernel[rows, cols])
+    assert (tmp_path / "platform.csv").read_bytes() == expected
+
+
+def test_table_csv_golden_with_zero_entries(tmp_path):
+    g = make_grid(7)
+    table = np.maximum(np.outer(g.nodes, g.nodes) - 0.1, 0.0)
+    table[0, 0] = -0.0
+    assert np.count_nonzero(table == 0.0) > 1
+    ft = ProductionFunction.tabulated(g, table)
+    p = Platform(grid=g, cutoff=0, kernel=np.eye(7), transfers=np.zeros(7))
+    save_platform(p, ft, str(tmp_path))
+    stored = ft._table
+    rows, cols = np.indices((7, 7)).reshape(2, -1)
+    expected = reference_pairs("i,j,f", rows, cols, stored.ravel())
+    assert b"\n0,0,-0\n" in expected
+    assert (tmp_path / "table.csv").read_bytes() == expected
+    _, production = load_platform(str(tmp_path))
+    assert np.array_equal(production._table.view(np.int64), stored.view(np.int64))
+
+
+@given(values=st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
+@settings(max_examples=200)
+def test_reader_returns_every_written_value_bit_exact(tmp_path_factory, values):
+    values = np.array(values + [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0])
+    path = tmp_path_factory.mktemp("cols") / "v.csv"
+    rows = np.arange(len(values))
+    write_pairs(str(path), "i,j,v", rows, rows[::-1].copy(), values)
+    assert path.read_bytes() == reference_pairs("i,j,v", rows, rows[::-1], values)
+    i, j, back = read_columns(str(path), 3, 2, 0, len(values))
+    assert i.dtype == j.dtype == np.int64
+    assert np.array_equal(i, rows) and np.array_equal(j, rows[::-1])
+    assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# malformed platform artifacts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, text", [
+    ("platform.csv", "i,j,G\n2,2,0.5\n2.5,3,0.5\n"),      # index not an integer
+    ("platform.csv", "i,j,G\n1,2,1\n2,2,1\n3,3,1\n4,4,1\n"),  # below the cutoff
+    ("platform.csv", "i,j,G\n2,5,1\n3,3,1\n4,4,1\n"),     # at n
+    ("platform.csv", "i,j,G\n2,2,1\n3,3\n4,4,1\n"),       # short row
+    ("platform.csv", "i,j\n2,2\n3,3\n4,4\n"),             # a column missing throughout
+    ("platform.csv", "i,j,G\n2,x,1\n"),                    # not a number
+    ("transfers.csv", "i,t\n-1,0\n"),
+    ("transfers.csv", "i,t\n5,0\n"),
+    ("transfers.csv", "i,t\n0,0,0\n"),
+    ("table.csv", "i,j,f\n0,5,0\n"),
+    ("table.csv", "i,j,f\n0,0\n"),
+])
+def test_load_platform_rejects_bad_rows(tmp_path, name, text):
+    g = make_grid(5)
+    p = Platform(grid=g, cutoff=2, kernel=mixture_kernel(3, 0.5, 0.2), transfers=np.zeros(5))
+    save_platform(p, ProductionFunction.tabulated(g, np.outer(g.nodes, g.nodes)), str(tmp_path))
+    load_platform(str(tmp_path))
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError, match=name):
+        load_platform(str(tmp_path))
