@@ -49,7 +49,7 @@ from .designer import (
     optimal_exclusion,
     transfer_coefficient,
 )
-from .simulator import SimConfig, simulate
+from .simulator import SimConfig, check_discount_window, simulate
 from .solver import SolverConfig, solve_dse
 from .verifier import audit, prop4_oracle
 
@@ -166,9 +166,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.n < 2:
         raise ConfigError(f"n must be at least 2, got {cfg.n}")
-    for key in ("rho", "alpha", "r"):
-        if getattr(cfg, key) <= 0:
-            raise ConfigError(f"{key} must be positive")
+    _search_params(cfg.rho, cfg.alpha, cfg.r)
     if cfg.f not in ("xy", "xy+c", "table"):
         raise ConfigError(f"f must be one of xy, xy+c, table; got {cfg.f!r}")
     if cfg.f == "table" and not cfg.table:
@@ -222,14 +220,38 @@ def _production(cfg: RunConfig, grid) -> ProductionFunction:
         return load_table(cfg.table, grid)
 
 
+def _search_params(rho: float, alpha: float, r: float) -> SearchParams:
+    """The rates as :class:`SearchParams`; rates it refuses are a config error."""
+    try:
+        return SearchParams(rho=rho, alpha=alpha, r=r)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _sim_config(cfg: RunConfig, params: SearchParams) -> SimConfig:
+    """The simulation plan; a plan the simulator refuses is a config error."""
+    try:
+        sim_cfg = SimConfig(agents_per_node=cfg.agents_per_node, horizon=cfg.horizon,
+                            burn_in=cfg.burn_in, seed=cfg.seed,
+                            replications=cfg.replications, collect_events=cfg.event_log)
+        check_discount_window(params, sim_cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return sim_cfg
+
+
 def _cutoff_index(cfg: RunConfig, grid) -> int:
     value = float(cfg.cutoff)
     return int(np.searchsorted(grid.nodes, value, side="left"))
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
-    return SolverConfig(tol_w=cfg.tol_w, tol_u=cfg.tol_u, max_outer=cfg.max_outer,
-                        max_inner=cfg.max_inner, damping=cfg.damping, w_init=cfg.w_init)
+    """The solver settings; settings the solver refuses are a config error."""
+    try:
+        return SolverConfig(tol_w=cfg.tol_w, tol_u=cfg.tol_u, max_outer=cfg.max_outer,
+                            max_inner=cfg.max_inner, damping=cfg.damping, w_init=cfg.w_init)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _resolve_platform(cfg: RunConfig):
@@ -237,6 +259,9 @@ def _resolve_platform(cfg: RunConfig):
     if cfg.platform:
         with _reading(cfg.platform):
             platform, production = load_platform(cfg.platform)
+        if not platform.is_consistent:
+            raise ConfigError(f"{cfg.platform}: platform is not consistent "
+                              f"(defect {platform.consistency_defect():g})")
         grid = platform.grid
     else:
         grid = make_grid(cfg.n)
@@ -295,7 +320,7 @@ def _write_acceptance(outdir: str, state: DSEState) -> None:
 
 def _cmd_solve(cfg: RunConfig) -> int:
     platform, production, grid = _resolve_platform(cfg)
-    params = SearchParams(rho=cfg.rho, alpha=cfg.alpha, r=cfg.r)
+    params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     state = solve_dse(platform, production, params, _solver_config(cfg))
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
@@ -312,12 +337,10 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    params = _search_params(cfg.rho, cfg.alpha, cfg.r)
+    sim_cfg = _sim_config(cfg, params)
     platform, production, grid = _resolve_platform(cfg)
-    params = SearchParams(rho=cfg.rho, alpha=cfg.alpha, r=cfg.r)
     state = solve_dse(platform, production, params, _solver_config(cfg))
-    sim_cfg = SimConfig(agents_per_node=cfg.agents_per_node, horizon=cfg.horizon,
-                        burn_in=cfg.burn_in, seed=cfg.seed,
-                        replications=cfg.replications, collect_events=cfg.event_log)
     outcome = simulate(platform, production, params, state.w, sim_cfg)
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
@@ -355,7 +378,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_design(cfg: RunConfig) -> int:
     grid = make_grid(cfg.n)
     production = _production(cfg, grid)
-    params = SearchParams(rho=cfg.rho, alpha=cfg.alpha, r=cfg.r)
+    params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     exclusion = optimal_exclusion(grid, production)
     cutoff = exclusion.cutoff_index if cfg.cutoff == "auto" else _cutoff_index(cfg, grid)
     result = design(grid, production, params, cutoff)
@@ -458,6 +481,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     alphas = _sweep_values(cfg.sweep_alpha, cfg.alpha)
     rs = _sweep_values(cfg.sweep_r, cfg.r)
     points = [(rho, alpha, r) for rho in rhos for alpha in alphas for r in rs]
+    # a bad point or solver setting fails the sweep before anything is written
+    for point in points:
+        _search_params(*point)
+    _solver_config(cfg)
     os.makedirs(cfg.out, exist_ok=True)
 
     jobs = []
@@ -486,7 +513,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _cmd_oracle(cfg: RunConfig) -> int:
     grid = make_grid(max(cfg.involution_block, 2))
     production = _production(cfg, grid)
-    params = SearchParams(rho=cfg.rho, alpha=cfg.alpha, r=cfg.r)
+    params = _search_params(cfg.rho, cfg.alpha, cfg.r)
 
     prop4_ok = prop4_oracle(cfg.oracle_n, _production(cfg, make_grid(cfg.oracle_n)), params)
 

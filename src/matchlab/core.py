@@ -316,6 +316,13 @@ class Platform:
         """Type value of the lowest included node."""
         return float(self.grid.nodes[self.cutoff])
 
+    @property
+    def is_diagonal(self) -> bool:
+        """Every nonzero kernel entry sits on the diagonal: each node meets
+        only its own type (with rows summing to one, the identity kernel)."""
+        return bool(np.count_nonzero(self.kernel)
+                    == np.count_nonzero(np.diagonal(self.kernel)))
+
     def consistency_defect(self) -> float:
         """Max asymmetry of the kernel; zero means meetings balance exactly."""
         return float(np.max(np.abs(self.kernel - self.kernel.T)))

@@ -38,12 +38,22 @@ two ways:
 
 Replications run sequentially on seeds spawned from the master seed via
 ``numpy.random.SeedSequence(seed).spawn(replications)``; identical seed and
-config reproduce the event stream bit for bit.
+config reproduce the event stream bit for bit.  Each replication takes its
+draws from its own generator in blocks of 65 536: standard exponentials for
+the waiting times, uniforms for the event type, the partner node and the
+partner within that node's pool.  A block is refilled exactly when a draw
+finds it spent, so the sequence of block requests follows the events.  That
+order, and the floating-point operations that turn draws into events, are
+part of the reproducibility contract: a change to either moves every
+simulation artifact, and ``tests/test_simulator.py`` pins digests of the
+event stream.  (numpy does not promise ``Generator`` streams across its own
+versions, NEP 19.)
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +65,10 @@ from .core import (
     SearchParams,
 )
 
-__all__ = ["SimConfig", "SimOutcome", "PayoffCheck", "simulate", "payoff_check"]
+__all__ = ["SimConfig", "SimOutcome", "PayoffCheck", "simulate", "payoff_check",
+           "check_discount_window"]
+
+_BLOCK = 1 << 16  # random draws fetched per refill
 
 
 @dataclass(frozen=True)
@@ -72,8 +85,8 @@ class SimConfig:
     def __post_init__(self):
         if self.agents_per_node < 1:
             raise ValueError("agents_per_node must be at least 1")
-        if not 0.0 <= self.burn_in < self.horizon:
-            raise ValueError("need horizon > burn_in >= 0")
+        if not (0.0 <= self.burn_in < self.horizon and math.isfinite(self.horizon)):
+            raise ValueError("need a finite horizon > burn_in >= 0")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
 
@@ -112,42 +125,13 @@ class SimOutcome:
     event_log: tuple = ()
 
 
-class _Draws:
-    """Buffered random streams; list access beats numpy scalar indexing."""
-
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 16):
-        self._rng = rng
-        self._block = block
-        self._uniforms: list = []
-        self._exps: list = []
-        self._iu = 0
-        self._ie = 0
-
-    def uniform(self) -> float:
-        if self._iu == len(self._uniforms):
-            self._uniforms = self._rng.random(self._block).tolist()
-            self._iu = 0
-        value = self._uniforms[self._iu]
-        self._iu += 1
-        return value
-
-    def exponential(self) -> float:
-        if self._ie == len(self._exps):
-            self._exps = self._rng.standard_exponential(self._block).tolist()
-            self._ie = 0
-        value = self._exps[self._ie]
-        self._ie += 1
-        return value
-
-
 def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
              w: np.ndarray, cfg: SimConfig) -> SimOutcome:
     """Run the event simulation and collect steady-state statistics.
 
     ``w`` is the equilibrium wage vector of the platform (full grid length);
     it fixes the acceptance rule and the matched flow split.  The discount
-    window must satisfy ``r * (horizon - burn_in) >= 7`` so that tail
-    truncation biases discounted payoffs by less than one part in a thousand.
+    window must pass :func:`check_discount_window`.
     """
     if not platform.is_consistent:
         raise ValueError(
@@ -160,13 +144,8 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"wage vector must have length {n}")
-    window = cfg.horizon - cfg.burn_in
-    if params.r * window < 7.0:
-        raise ValueError(
-            f"r * (horizon - burn_in) = {params.r * window:g} < 7; "
-            "discounted payoffs would carry a truncation bias above 1e-3")
+    check_discount_window(params, cfg)
 
-    x = grid.nodes
     Fb = f.values(grid)[k:, k:]
     wb = w[k:]
     accept = (Fb - wb[:, None] - wb[None, :]) >= 0.0
@@ -174,9 +153,8 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     accept_rows = [row.tolist() for row in accept]
     flow_rows = [row.tolist() for row in flow]
 
-    G = platform.kernel
-    identity_kernel = (np.count_nonzero(G) == np.count_nonzero(np.diagonal(G)))
-    cum_rows = None if identity_kernel else [np.cumsum(row) for row in G]
+    cum_rows = (None if platform.is_diagonal
+                else [np.cumsum(row).tolist() for row in platform.kernel])
 
     apn = cfg.agents_per_node
     reps = cfg.replications
@@ -229,6 +207,17 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     )
 
 
+def check_discount_window(params: SearchParams, cfg: SimConfig) -> None:
+    """Refuse a statistics window with ``r * (horizon - burn_in) < 7``: tail
+    truncation would bias discounted payoffs by more than one part in a
+    thousand (``e^-7 < 1e-3``)."""
+    window = cfg.horizon - cfg.burn_in
+    if params.r * window < 7.0:
+        raise ValueError(
+            f"r * (horizon - burn_in) = {params.r * window:g} < 7; "
+            "discounted payoffs would carry a truncation bias above 1e-3")
+
+
 def _mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error over the replications (rows) of ``samples``;
     the standard error is zero for a single replication."""
@@ -246,86 +235,70 @@ def _run_replication(m, apn, cum_rows, accept_rows, flow_rows, params, cfg, rng,
     rho, alpha, r = params.rho, params.alpha, params.r
     T, burn = cfg.horizon, cfg.burn_in
     n_agents = m * apn
-    draws = _Draws(rng)
     identity_kernel = cum_rows is None
+    exp = math.exp
 
     node_of = [a // apn for a in range(n_agents)]
-    partner = [-1] * n_agents
+    # the unmatched agents of each node, and each agent's place in its pool
+    # (-1 while matched)
     pools = [list(range(nd * apn, (nd + 1) * apn)) for nd in range(m)]
     pos = list(range(apn)) * m
-    pairs_a: list = []
-    pairs_b: list = []
+    # standing matches as (a, b, start, flow of a, flow of b); a divorce
+    # moves the last match into the dissolved one's slot
+    pairs: list = []
 
-    # lazily accumulated per-node unmatched time and per-agent discounted flow
-    ucount = [apn] * m
+    # per-node unmatched time, accrued whenever a node's pool changes size,
+    # and per-agent discounted flow, accrued when a match dissolves
     utime = [0.0] * m
     ulast = [0.0] * m
-    seg_flow = [0.0] * n_agents
-    seg_start = [0.0] * n_agents
     payoff = [0.0] * n_agents
 
-    matches = divorces = meetings = failed = rejected = 0
+    # buffered draws: a block is refilled exactly when a draw finds it spent
+    uniforms = exps = None
+    iu = ie = _BLOCK
+
+    matches = divorces = failed = rejected = 0
+    n_matches = 0
     rate_meet = 0.5 * rho * n_agents
+    total_rate = rate_meet + alpha * n_matches
     t = 0.0
     # the loop first runs to burn-in, where it records who is unmatched, and
     # then to the horizon; one comparison per event serves both stops
     stop = burn
     unmatched_at_burn = None
-    exp = math.exp
-    next_exp = draws.exponential
-    next_uniform = draws.uniform
-
-    def accrue_node(nd, now):
-        lo = ulast[nd] if ulast[nd] > burn else burn
-        hi = now if now < T else T
-        if hi > lo:
-            utime[nd] += ucount[nd] * (hi - lo)
-        ulast[nd] = now
-
-    def accrue_agent(a, now):
-        lo = seg_start[a] if seg_start[a] > burn else burn
-        hi = now if now < T else T
-        if hi > lo:
-            payoff[a] += seg_flow[a] * (exp(-r * (lo - burn)) - exp(-r * (hi - burn))) / r
-
-    def remove_from_pool(a):
-        pool = pools[node_of[a]]
-        p = pos[a]
-        last = pool[-1]
-        pool[p] = last
-        pos[last] = p
-        pool.pop()
-        pos[a] = -1
-
-    def add_to_pool(a):
-        nd = node_of[a]
-        pos[a] = len(pools[nd])
-        pools[nd].append(a)
 
     while True:
-        n_matches = len(pairs_a)
-        total_rate = rate_meet + alpha * n_matches
-        t += next_exp() / total_rate
+        if ie == _BLOCK:
+            exps = rng.standard_exponential(_BLOCK).tolist()
+            ie = 0
+        t += exps[ie] / total_rate
+        ie += 1
         if t >= stop:
             if unmatched_at_burn is None:
-                unmatched_at_burn = [p < 0 for p in partner]
+                # statistics cover [burn_in, horizon]: drop the unmatched time
+                # accrued so far and count tallies from here on
+                unmatched_at_burn = [p >= 0 for p in pos]
+                utime = [0.0] * m
+                ulast = [burn] * m
+                at_burn = (matches, divorces, failed, rejected)
                 stop = T
             if t >= T:
                 break
-        in_window = t >= burn
 
         # one uniform selects the event type; its conditional remainder is
         # itself uniform and reused to pick the caller / the dissolving match
-        v = next_uniform() * total_rate
+        if iu == _BLOCK:
+            uniforms = rng.random(_BLOCK).tolist()
+            iu = 0
+        v = uniforms[iu] * total_rate
+        iu += 1
         if v < rate_meet:
-            if in_window:
-                meetings += 2
             caller = int(v / rate_meet * n_agents)
             if caller >= n_agents:  # guards the one-ulp rounding corner
                 caller = n_agents - 1
-            if partner[caller] >= 0:
-                if in_window:
-                    failed += 1
+            p_caller = pos[caller]
+            if p_caller < 0:
+                failed += 1
                 if log is not None:
                     log.append((t, "miss", caller, -1))
                 continue
@@ -333,80 +306,98 @@ def _run_replication(m, apn, cum_rows, accept_rows, flow_rows, params, cfg, rng,
             if identity_kernel:
                 nj = ni
             else:
+                if iu == _BLOCK:
+                    uniforms = rng.random(_BLOCK).tolist()
+                    iu = 0
                 cum = cum_rows[ni]
-                nj = int(np.searchsorted(cum, next_uniform() * cum[-1]))
+                nj = bisect_left(cum, uniforms[iu] * cum[-1])
+                iu += 1
                 if nj >= m:
                     nj = m - 1
             pool = pools[nj]
             avail = len(pool) - 1 if nj == ni else len(pool)
             if avail <= 0:
-                if in_window:
-                    failed += 1
+                failed += 1
                 if log is not None:
                     log.append((t, "fail", caller, -1))
                 continue
-            idx = int(next_uniform() * avail)
-            if nj == ni and idx >= pos[caller]:
+            if iu == _BLOCK:
+                uniforms = rng.random(_BLOCK).tolist()
+                iu = 0
+            idx = int(uniforms[iu] * avail)
+            iu += 1
+            if nj == ni and idx >= p_caller:
                 idx += 1
             other = pool[idx]
             if not accept_rows[ni][nj]:
-                if in_window:
-                    rejected += 1
+                rejected += 1
                 if log is not None:
                     log.append((t, "reject", caller, other))
                 continue
-            # match forms
-            remove_from_pool(caller)
-            remove_from_pool(other)
-            partner[caller] = other
-            partner[other] = caller
-            pairs_a.append(caller)
-            pairs_b.append(other)
-            accrue_node(ni, t)
-            ucount[ni] -= 1
-            accrue_node(nj, t)
-            ucount[nj] -= 1
-            seg_flow[caller] = flow_rows[ni][nj]
-            seg_flow[other] = flow_rows[nj][ni]
-            seg_start[caller] = t
-            seg_start[other] = t
-            if in_window:
-                matches += 1
+            # match forms: accrue unmatched time at the old pool sizes, then
+            # take both agents out of their pools
+            pool_i = pools[ni]
+            utime[ni] += len(pool_i) * (t - ulast[ni])
+            ulast[ni] = t
+            if nj != ni:
+                utime[nj] += len(pool) * (t - ulast[nj])
+                ulast[nj] = t
+            last = pool_i.pop()
+            if last != caller:
+                pool_i[p_caller] = last
+                pos[last] = p_caller
+            pos[caller] = -1
+            p = pos[other]
+            last = pool.pop()
+            if last != other:
+                pool[p] = last
+                pos[last] = p
+            pos[other] = -1
+            pairs.append((caller, other, t, flow_rows[ni][nj], flow_rows[nj][ni]))
+            n_matches += 1
+            total_rate = rate_meet + alpha * n_matches
+            matches += 1
             if log is not None:
                 log.append((t, "match", caller, other))
         else:
             idx = int((v - rate_meet) / (total_rate - rate_meet) * n_matches)
             if idx >= n_matches:
                 idx = n_matches - 1
-            a = pairs_a[idx]
-            b = pairs_b[idx]
-            pairs_a[idx] = pairs_a[-1]
-            pairs_b[idx] = pairs_b[-1]
-            pairs_a.pop()
-            pairs_b.pop()
-            accrue_agent(a, t)
-            accrue_agent(b, t)
-            seg_flow[a] = 0.0
-            seg_flow[b] = 0.0
-            partner[a] = -1
-            partner[b] = -1
-            add_to_pool(a)
-            add_to_pool(b)
+            a, b, start, flow_a, flow_b = pairs[idx]
+            pairs[idx] = pairs[-1]
+            pairs.pop()
+            n_matches -= 1
+            total_rate = rate_meet + alpha * n_matches
+            lo = start if start > burn else burn
+            if t > lo:
+                span = exp(-r * (lo - burn)) - exp(-r * (t - burn))
+                payoff[a] += flow_a * span / r
+                payoff[b] += flow_b * span / r
+            # accrue unmatched time at the old pool sizes, then return both
+            # agents to their pools
             na, nb = node_of[a], node_of[b]
-            accrue_node(na, t)
-            ucount[na] += 1
-            accrue_node(nb, t)
-            ucount[nb] += 1
-            if in_window:
-                divorces += 1
+            pool = pools[na]
+            utime[na] += len(pool) * (t - ulast[na])
+            ulast[na] = t
+            pos[a] = len(pool)
+            pool.append(a)
+            if nb != na:
+                pool = pools[nb]
+                utime[nb] += len(pool) * (t - ulast[nb])
+                ulast[nb] = t
+            pos[b] = len(pool)
+            pool.append(b)
+            divorces += 1
             if log is not None:
                 log.append((t, "divorce", a, b))
 
     for nd in range(m):
-        accrue_node(nd, T)
-    for a in range(n_agents):
-        if seg_flow[a]:
-            accrue_agent(a, T)
+        utime[nd] += len(pools[nd]) * (T - ulast[nd])
+    for a, b, start, flow_a, flow_b in pairs:
+        lo = start if start > burn else burn
+        span = exp(-r * (lo - burn)) - exp(-r * (T - burn))
+        payoff[a] += flow_a * span / r
+        payoff[b] += flow_b * span / r
 
     window = T - burn
     rep_u = np.array(utime) / (apn * window)
@@ -417,6 +408,12 @@ def _run_replication(m, apn, cum_rows, accept_rows, flow_rows, params, cfg, rng,
     rep_search = np.full(m, np.nan)
     has = n_searching > 0
     rep_search[has] = r * (searching * pay).sum(axis=1)[has] / n_searching[has]
+    matches, divorces, failed, rejected = (
+        matches - at_burn[0], divorces - at_burn[1],
+        failed - at_burn[2], rejected - at_burn[3])
+    # every meeting call ends in exactly one miss, failure, rejection or
+    # match, and is tallied once per participant
+    meetings = 2 * (matches + failed + rejected)
     return rep_u, rep_pay, rep_search, np.array(
         [matches, divorces, meetings, failed, rejected], dtype=np.int64)
 

@@ -50,7 +50,7 @@ class SolverConfig:
     w_init: str = "zeros"
 
     def __post_init__(self):
-        if self.tol_w <= 0 or self.tol_u <= 0:
+        if not (self.tol_w > 0 and self.tol_u > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
@@ -105,7 +105,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     Fb = F[k:, k:]
     fdiag = np.diagonal(Fb).copy()
     G = platform.kernel
-    diagonal_kernel = (np.count_nonzero(G) == np.count_nonzero(np.diagonal(G)))
+    diagonal_kernel = platform.is_diagonal
 
     if w_start is not None:
         w = np.asarray(w_start, dtype=float)[k:].copy()

@@ -197,11 +197,18 @@ def _drop_dse_csv(d):
     (d / "dse.csv").unlink()
 
 
+def _asymmetric_platform_csv(d):
+    rows = ["0,0,0.999", "0,1,0.001", "1,1,1"] + [f"{i},{i},1" for i in range(2, 6)]
+    (d / "platform.csv").write_text("i,j,G\n" + "\n".join(rows) + "\n")
+
+
 @pytest.mark.parametrize("command, damage", [
     ("verify", _corrupt_platform_csv),
     ("verify", _drop_dse_csv),
     ("solve", _corrupt_platform_csv),
     ("simulate", _corrupt_platform_csv),
+    ("solve", _asymmetric_platform_csv),
+    ("simulate", _asymmetric_platform_csv),
 ])
 def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, damage):
     d = tmp_path / "d"
@@ -212,6 +219,32 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     err = capsys.readouterr().err
     assert err.startswith("matchlab: config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flags, keys", [
+    ("solve", ["--rho", "nan"], {}),
+    ("solve", ["--alpha", "inf"], {}),
+    ("design", ["--r", "-1"], {}),
+    ("sweep", [], {"sweep_rho": "-1,1"}),
+    ("sweep", [], {"sweep_r": "0.05,nan"}),
+    ("simulate", ["--r", "0.001"], {}),
+    ("simulate", [], {"horizon": "10", "burn_in": "20"}),
+    ("simulate", [], {"horizon": "inf"}),
+    ("simulate", [], {"agents_per_node": "0"}),
+    ("solve", [], {"damping": "nan"}),
+    ("solve", [], {"tol_w": "nan"}),
+    ("sweep", [], {"sweep_rho": "1,2", "damping": "2"}),
+], ids=["rho-nan", "alpha-inf", "r-negative", "sweep-rho-negative", "sweep-r-nan",
+        "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
+        "simulate-no-agents", "damping-nan", "tol-w-nan", "sweep-damping-out-of-range"])
+def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
+    cfg = write_config(tmp_path / "c.cfg", n=4, **keys)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("matchlab: config error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def _state(M):

@@ -231,6 +231,22 @@ def test_consistency_defect_reads_asymmetry():
                     transfers=np.zeros(4)).consistency_defect() == 0.0
 
 
+def test_is_diagonal_reads_kernel_support():
+    g = make_grid(4)
+    assert first_best_platform(g, 1).is_diagonal
+    assert not glitch(first_best_platform(g, 0), 0.5).is_diagonal
+    # nodes 0 and 1 meet each other and node 2 meets itself: a zero diagonal
+    # entry with every nonzero entry but one off the diagonal
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    assert not Platform(grid=make_grid(3), cutoff=0, kernel=swap,
+                        transfers=np.zeros(3)).is_diagonal
+    # a diagonal kernel with a zero diagonal entry has a zero row, so it is
+    # never a platform kernel
+    with pytest.raises(ValueError, match="sum to 1"):
+        Platform(grid=make_grid(3), cutoff=0, kernel=np.diag([1.0, 0.0, 1.0]),
+                 transfers=np.zeros(3))
+
+
 def test_inclusion_is_an_upper_set_by_construction():
     g = make_grid(5)
     p = Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=np.zeros(5))

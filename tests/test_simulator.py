@@ -1,20 +1,24 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from matchlab import (
+    Platform,
     ProductionFunction,
     SearchParams,
     SimConfig,
     first_best_dse,
     first_best_platform,
+    glitch,
     make_grid,
     payoff_check,
     simulate,
+    solve_dse,
 )
 
-from conftest import pooled_deviation, search_value
+from conftest import mixture_kernel, pooled_deviation, search_value
 
 
 @pytest.fixture
@@ -245,3 +249,70 @@ def test_payoff_check_shape_guard(fast_params, f_xy):
     out = simulate(platform, f_xy, fast_params, w, small_cfg())
     with pytest.raises(ValueError):
         payoff_check(out, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# golden event streams
+# ---------------------------------------------------------------------------
+
+
+def _golden_runs():
+    """An identity kernel; a glitched kernel with an odd population and no
+    burn-in; a kernel whose rows hold zeros, so the cumulative rows that
+    partner draws search have plateaus; and a run long enough to refill both
+    blocks of buffered draws.  At the reference discount rate the second and
+    third reject some meetings."""
+    fast = SearchParams(rho=1.0, alpha=0.5, r=1.0)
+    reference = SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    yield "identity", first_best_platform(make_grid(4), 0), fast, small_cfg()
+    yield ("glitch0.3", glitch(first_best_platform(make_grid(5), 0), 0.3), reference,
+           small_cfg(agents_per_node=21, horizon=150.0, burn_in=0.0, seed=5))
+    mixture = Platform(grid=make_grid(6), cutoff=0, kernel=mixture_kernel(6, 0.5, 0.0),
+                       transfers=np.zeros(6))
+    yield ("mixture", mixture, reference,
+           small_cfg(agents_per_node=15, horizon=160.0, burn_in=20.0, seed=9))
+    yield ("refill", glitch(first_best_platform(make_grid(3), 0), 0.5), fast,
+           small_cfg(agents_per_node=20, horizon=2000.0, burn_in=10.0, seed=13,
+                     replications=1, collect_events=False))
+
+
+def _outcome_digest(out):
+    h = hashlib.sha256()
+    for name in ("unmatched_fraction_by_node", "se_unmatched_by_node",
+                 "mean_discounted_payoff_by_node", "se_payoff_by_node",
+                 "mean_search_payoff_by_node", "se_search_payoff_by_node"):
+        h.update(np.asarray(getattr(out, name), dtype="<f8").tobytes())
+    h.update(repr((out.match_formation_count, out.divorce_count, out.meeting_count,
+                   out.failed_meeting_count, out.rejected_meeting_count)).encode())
+    return h.hexdigest()
+
+
+# (event log, outcome) digests per run: a run that moves them would also
+# move every stored simulation artifact
+GOLDEN = {
+    "identity": ("7000770400a362864f4f00da70b3527a6da4e04dcca24ded67dc53f7010ec7f6",
+                 "97f2053d8cd2559fdaf8942d9b26bafb7a4de279137f12201dc22def2b064c1f"),
+    "glitch0.3": ("bf1b5e5143b8964572b51d230decd82f3973cb7396cdf8e8c2d98ac8b9d8803b",
+                  "69350e38c44393bfe90da5cbde8d4578f05aa8162ffa2ec50d881feff89698e7"),
+    "mixture": ("f58e5cac89146b1e5908920b7d091e8e7b5a887b1104f459a3ab38f561734f18",
+                "b2f50e7ca327e0682f48e8f32fcd21a26dbab63442cd42458fa608167d4d75b0"),
+    "refill": ("2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+               "e8612528bd6b2fa05a99cec7977756b9a9eea3a8a5f39aeb8cbd86295d015448"),
+}
+
+
+def test_event_stream_matches_golden_digests(f_xy):
+    """The event stream and every statistic are pinned bit for bit: a change
+    to the order of random draws or to any floating-point operation of the
+    event loop shows up here.  numpy's ``Generator`` streams are not promised
+    across numpy versions (NEP 19), so a numpy upgrade may move these."""
+    seen = {}
+    kinds = set()
+    for name, platform, params, cfg in _golden_runs():
+        w = solve_dse(platform, f_xy, params).w
+        out = simulate(platform, f_xy, params, w, cfg)
+        seen[name] = (hashlib.sha256(repr(out.event_log).encode()).hexdigest(),
+                      _outcome_digest(out))
+        kinds |= {event[1] for event in out.event_log}
+    assert kinds == {"miss", "fail", "reject", "match", "divorce"}
+    assert seen == GOLDEN
