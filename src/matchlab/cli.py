@@ -35,8 +35,8 @@ from .core import (
     read_columns,
     read_manifest,
     save_platform,
+    write_columns,
     write_lines,
-    write_pairs,
 )
 from .designer import (
     design,
@@ -44,7 +44,6 @@ from .designer import (
     first_best_platform,
     first_best_wage_coefficient,
     glitch,
-    informational_rent,
     involution_rent,
     optimal_exclusion,
     transfer_coefficient,
@@ -82,9 +81,6 @@ class RunConfig:
     tol_w: float = 1e-10
     tol_u: float = 1e-12
     max_outer: int = 100_000
-    max_inner: int = 10_000
-    damping: float = 0.5
-    w_init: str = "zeros"
     # simulation overrides
     agents_per_node: int = 100
     horizon: float = 500.0
@@ -102,10 +98,9 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _BOOL_KEYS = {"event_log"}
-_INT_KEYS = {"n", "seed", "jobs", "max_outer", "max_inner", "agents_per_node",
+_INT_KEYS = {"n", "seed", "jobs", "max_outer", "agents_per_node",
              "replications", "oracle_n", "involution_block"}
-_FLOAT_KEYS = {"rho", "alpha", "r", "c", "tol_w", "tol_u", "damping",
-               "horizon", "burn_in"}
+_FLOAT_KEYS = {"rho", "alpha", "r", "c", "tol_w", "tol_u", "horizon", "burn_in"}
 
 
 def parse_config_file(path: str) -> dict:
@@ -248,8 +243,7 @@ def _cutoff_index(cfg: RunConfig, grid) -> int:
 def _solver_config(cfg: RunConfig) -> SolverConfig:
     """The solver settings; settings the solver refuses are a config error."""
     try:
-        return SolverConfig(tol_w=cfg.tol_w, tol_u=cfg.tol_u, max_outer=cfg.max_outer,
-                            max_inner=cfg.max_inner, damping=cfg.damping, w_init=cfg.w_init)
+        return SolverConfig(tol_w=cfg.tol_w, tol_u=cfg.tol_u, max_outer=cfg.max_outer)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -300,17 +294,19 @@ def _write_manifest(cfg: RunConfig, outdir: str, extra: dict | None = None) -> N
     write_lines(path, [f"{key}={merged[key]}" for key in sorted(merged)])
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_dse(outdir: str, grid, state: DSEState) -> None:
-    lines = ["i,x,w,u"]
-    for i in range(grid.n):
-        lines.append(f"{i},{format_float(grid.nodes[i])},"
-                     f"{format_float(state.w[i])},{format_float(state.u[i])}")
-    write_lines(os.path.join(outdir, "dse.csv"), lines)
+    write_columns(os.path.join(outdir, "dse.csv"), "i,x,w,u",
+                  [np.arange(grid.n), grid.nodes, state.w, state.u])
 
 
 def _write_acceptance(outdir: str, state: DSEState) -> None:
-    rows, cols = np.nonzero(state.M)
-    write_pairs(os.path.join(outdir, "acceptance.csv"), "i,j", rows, cols)
+    write_columns(os.path.join(outdir, "acceptance.csv"), "i,j", np.nonzero(state.M))
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +324,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
     _write_acceptance(outdir, state)
     summary = {"bellman": state.bellman_residual, "balance": state.balance_residual,
                "iterations": state.iterations, "seed": cfg.seed}
-    with open(os.path.join(outdir, "residuals.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "residuals.json"), summary)
     save_platform(platform, production, outdir)
     _write_manifest(cfg, outdir)
     return 0
@@ -345,19 +339,15 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
     _write_dse(outdir, grid, state)
-    lines = ["i,x,u_hat,se_u,payoff_hat,se_payoff"]
-    for i in range(grid.n):
-        lines.append(",".join([str(i), format_float(grid.nodes[i]),
-                               format_float(outcome.unmatched_fraction_by_node[i]),
-                               format_float(outcome.se_unmatched_by_node[i]),
-                               format_float(outcome.mean_discounted_payoff_by_node[i]),
-                               format_float(outcome.se_payoff_by_node[i])]))
-    write_lines(os.path.join(outdir, "sim.csv"), lines)
+    write_columns(os.path.join(outdir, "sim.csv"), "i,x,u_hat,se_u,payoff_hat,se_payoff",
+                  [np.arange(grid.n), grid.nodes, outcome.unmatched_fraction_by_node,
+                   outcome.se_unmatched_by_node, outcome.mean_discounted_payoff_by_node,
+                   outcome.se_payoff_by_node])
     if cfg.event_log:
-        lines = ["t,type,agent_a,agent_b"]
-        for t, kind, a, b in outcome.event_log:
-            lines.append(f"{format_float(t)},{kind},{a},{b}")
-        write_lines(os.path.join(outdir, "events.csv"), lines)
+        t, kind, a, b = zip(*outcome.event_log) if outcome.event_log else ([], [], [], [])
+        write_columns(os.path.join(outdir, "events.csv"), "t,type,agent_a,agent_b",
+                      [np.array(t, dtype=float), np.array(kind, dtype=str),
+                       np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)])
     tallies = {
         "match_formation_count": outcome.match_formation_count,
         "divorce_count": outcome.divorce_count,
@@ -367,9 +357,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         "seed": outcome.seed,
         "replications": outcome.replications,
     }
-    with open(os.path.join(outdir, "sim_summary.json"), "w") as fh:
-        json.dump(tallies, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "sim_summary.json"), tallies)
     save_platform(platform, production, outdir)
     _write_manifest(cfg, outdir)
     return 0
@@ -382,25 +370,15 @@ def _cmd_design(cfg: RunConfig) -> int:
     exclusion = optimal_exclusion(grid, production)
     cutoff = exclusion.cutoff_index if cfg.cutoff == "auto" else _cutoff_index(cfg, grid)
     result = design(grid, production, params, cutoff)
-    rent, _ = informational_rent(result.platform, production, params, result.dse)
 
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
-    lines = ["i,x,w,t,m,included"]
-    for i in range(grid.n):
-        lines.append(",".join([str(i), format_float(grid.nodes[i]),
-                               format_float(result.dse.w[i]),
-                               format_float(result.platform.transfers[i]),
-                               format_float(rent[i]),
-                               "1" if i >= cutoff else "0"]))
-    write_lines(os.path.join(outdir, "design.csv"), lines)
-
-    lines = ["k,x_tilde,profit,phi"]
-    for k in range(grid.n):
-        lines.append(",".join([str(k), format_float(grid.nodes[k]),
-                               format_float(exclusion.profit_curve[k]),
-                               format_float(exclusion.phi[k])]))
-    write_lines(os.path.join(outdir, "exclusion_curve.csv"), lines)
+    nodes = np.arange(grid.n)
+    write_columns(os.path.join(outdir, "design.csv"), "i,x,w,t,m,included",
+                  [nodes, grid.nodes, result.dse.w, result.platform.transfers, result.rent,
+                   (nodes >= cutoff).astype(int)])
+    write_columns(os.path.join(outdir, "exclusion_curve.csv"), "k,x_tilde,profit,phi",
+                  [nodes, grid.nodes, exclusion.profit_curve, exclusion.phi])
 
     _write_dse(outdir, grid, result.dse)
     save_platform(result.platform, production, outdir)
@@ -448,14 +426,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "bellman_residual": report.bellman_residual,
         "balance_residual": report.balance_residual,
         "acceptance_violations": report.acceptance_violations,
-        "upper_set_ok": report.upper_set_ok,
         "row_smoothness": report.row_smoothness,
         "certified": report.certified(),
         "seed": cfg.seed,
     }
-    with open(os.path.join(outdir, "audit.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "audit.json"), payload)
     _write_manifest(cfg, outdir)
     return 0 if report.certified() else 1
 
@@ -487,25 +462,20 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     _solver_config(cfg)
     os.makedirs(cfg.out, exist_ok=True)
 
-    jobs = []
-    for idx, (rho, alpha, r) in enumerate(points):
-        sub = os.path.join(cfg.out, f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}")
-        jobs.append((idx, rho, alpha, r, sub))
+    dirs = [f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}"
+            for idx, (rho, alpha, r) in enumerate(points)]
+    jobs = [(cfg, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)]
 
     if cfg.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_sweep_point, cfg, rho, alpha, r, sub)
-                       for _, rho, alpha, r, sub in jobs]
+            futures = [pool.submit(_run_sweep_point, *job) for job in jobs]
             statuses = [fut.result() for fut in futures]
     else:
-        statuses = [_run_sweep_point(cfg, rho, alpha, r, sub)
-                    for _, rho, alpha, r, sub in jobs]
+        statuses = [_run_sweep_point(*job) for job in jobs]
 
-    lines = ["point,rho,alpha,r,dir"]
-    for (idx, rho, alpha, r, sub) in jobs:
-        lines.append(f"{idx},{format_float(rho)},{format_float(alpha)},"
-                     f"{format_float(r)},{os.path.basename(sub)}")
-    write_lines(os.path.join(cfg.out, "sweep_manifest.csv"), lines)
+    rates = np.array(points, dtype=float).reshape(-1, 3).T
+    write_columns(os.path.join(cfg.out, "sweep_manifest.csv"), "point,rho,alpha,r,dir",
+                  [np.arange(len(points)), *rates, np.array(dirs, dtype=str)])
     _write_manifest(cfg, cfg.out)
     return max(statuses) if statuses else 0
 
@@ -536,9 +506,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         "identity_rent": rent_identity,
         "seed": cfg.seed,
     }
-    with open(os.path.join(outdir, "oracle.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outdir, "oracle.json"), payload)
     _write_manifest(cfg, outdir)
     return 0 if (prop4_ok and minimal) else 1
 

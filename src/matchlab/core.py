@@ -34,7 +34,7 @@ __all__ = [
     "load_table",
     "format_float",
     "write_lines",
-    "write_pairs",
+    "write_columns",
     "read_columns",
 ]
 
@@ -383,7 +383,7 @@ def surplus(f: ProductionFunction, grid: TypeGrid, w: np.ndarray, i: int, j: int
 # table.csv      header i,j,f     only for tabulated production, every entry, row-major
 # ---------------------------------------------------------------------------
 
-#: Lines ``write_pairs`` builds and writes at a time.
+#: Lines ``write_columns`` builds and writes at a time.
 _BLOCK_ROWS = 1 << 16
 
 
@@ -392,13 +392,10 @@ def save_platform(platform: Platform, production: ProductionFunction, outdir: st
     os.makedirs(outdir, exist_ok=True)
     n, k = platform.grid.n, platform.cutoff
     rows, cols = np.nonzero(platform.kernel)
-    write_pairs(os.path.join(outdir, "platform.csv"), "i,j,G", rows + k, cols + k,
-                platform.kernel[rows, cols])
-
-    lines = ["i,t"]
-    for i in range(n):
-        lines.append(f"{i},{format_float(platform.transfers[i])}")
-    write_lines(os.path.join(outdir, "transfers.csv"), lines)
+    write_columns(os.path.join(outdir, "platform.csv"), "i,j,G",
+                  [rows + k, cols + k, platform.kernel[rows, cols]])
+    write_columns(os.path.join(outdir, "transfers.csv"), "i,t",
+                  [np.arange(n), platform.transfers])
 
     manifest = [f"n={n}", f"cutoff={k}", f"f.kind={production.kind}",
                 f"f.c={format_float(production.c)}"]
@@ -406,8 +403,8 @@ def save_platform(platform: Platform, production: ProductionFunction, outdir: st
 
     if production.kind == "table":
         rows, cols = np.indices((n, n)).reshape(2, -1)
-        write_pairs(os.path.join(outdir, "table.csv"), "i,j,f", rows, cols,
-                    production._table.ravel())
+        write_columns(os.path.join(outdir, "table.csv"), "i,j,f",
+                      [rows, cols, production._table.ravel()])
 
 
 def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
@@ -492,26 +489,44 @@ def write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_pairs(path: str, header: str, rows: np.ndarray, cols: np.ndarray,
-                values: np.ndarray | None = None) -> None:
-    """Write ``header``, then one ``row,col[,value]`` line per entry, in order.
+def write_columns(path: str, header: str, columns) -> None:
+    """Write ``header``, then line ``r`` joining entry ``r`` of every column with commas.
 
-    The bytes equal those of formatting each line with ``format_float``;
-    each distinct value is formatted once, and lines are built and written
-    in blocks so the whole file never sits in memory.
+    Integer columns are written with ``str``, float columns with
+    ``format_float`` and string columns as they are, so the bytes equal those
+    of formatting each line by hand.  Each distinct entry is formatted once,
+    and lines are built and written in blocks so the whole file never sits
+    in memory.
     """
-    top = int(max(rows.max(), cols.max())) + 1 if rows.size else 0
-    labels = np.array([str(i) for i in range(top)], dtype=object)
-    if values is not None:
-        # distinct by bit pattern, so -0.0 keeps its own "-0"
-        bits, inverse = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64),
-                                  return_inverse=True)
-        text = np.array([format_float(v) for v in bits.view(np.float64)], dtype=object)
+    tables = [_distinct_text(np.asarray(column)) for column in columns]
+    nrows = len(tables[0][1])
+    if any(len(index) != nrows for _, index in tables):
+        raise ValueError(f"{path}: columns differ in length")
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, rows.size, _BLOCK_ROWS):
+        for start in range(0, nrows, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            fields = [labels[rows[block]].tolist(), labels[cols[block]].tolist()]
-            if values is not None:
-                fields.append(text[inverse[block]].tolist())
+            fields = [text[index[block]].tolist() for text, index in tables]
             fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
+def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(text of each distinct entry, position of every entry in that text)."""
+    if column.dtype.kind == "i" and column.size:
+        # ids and indices span short ranges: label the range from zero (or
+        # a negative minimum), so nonnegative ids index it without a copy
+        lo, hi = min(int(column.min()), 0), int(column.max())
+        if hi - lo <= column.size:
+            text = [str(v) for v in range(lo, hi + 1)]
+            return np.array(text, dtype=object), column - lo if lo else column
+    if column.dtype.kind == "f":
+        # distinct by bit pattern, so -0.0 keeps its own "-0"
+        bits, index = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64),
+                                return_inverse=True)
+        text = [format_float(v) for v in bits.view(np.float64)]
+    elif column.dtype.kind in "iuU":
+        values, index = np.unique(column, return_inverse=True)
+        text = [str(v) for v in values.tolist()]
+    else:
+        raise TypeError(f"cannot write a column of dtype {column.dtype}")
+    return np.array(text, dtype=object), index.reshape(-1)

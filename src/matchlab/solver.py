@@ -31,31 +31,29 @@ from .core import (
 
 __all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density"]
 
+#: Weight of each closed-form row update in the next iterate; one half
+#: stabilizes acceptance-set flips.
+_DAMPING = 0.5
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and iteration limits for :func:`solve_dse`.
+    """Tolerances and the iteration limit for :func:`solve_dse`.
 
     ``tol_w`` bounds the max-norm Bellman residual of the returned wage,
-    ``tol_u`` the scaled balance residual of the returned density.  Damping
-    ``0 < damping <= 1`` mixes each closed-form row update into the iterate;
-    the default 0.5 stabilizes acceptance-set flips.
+    ``tol_u`` the scaled balance residual of the returned density, and
+    ``max_outer`` the number of sweeps before the solve gives up.
     """
 
     tol_w: float = 1e-10
     tol_u: float = 1e-12
     max_outer: int = 100_000
-    max_inner: int = 10_000
-    damping: float = 0.5
-    w_init: str = "zeros"
 
     def __post_init__(self):
         if not (self.tol_w > 0 and self.tol_u > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
-        if self.w_init not in ("zeros", "first-best-guess"):
-            raise ValueError(f"unknown w_init {self.w_init!r}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
 def steady_state_density(A: np.ndarray, params: SearchParams) -> np.ndarray:
@@ -82,9 +80,8 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     """Compute a steady-state search equilibrium on ``platform``.
 
     Returns a full-grid state: zero wage and density one on excluded nodes,
-    acceptance matrix over all node pairs.  ``w_start`` (full-length wage
-    vector) overrides the configured initial guess, which is how warm restarts
-    are expressed.
+    acceptance matrix over all node pairs.  Iteration starts from zero wages,
+    or from ``w_start`` (full-length wage vector) for a warm restart.
 
     Raises ``ValueError`` for inconsistent platforms and
     :class:`NonConvergenceError` when ``max_outer`` sweeps do not reach
@@ -107,13 +104,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     G = platform.kernel
     diagonal_kernel = platform.is_diagonal
 
-    if w_start is not None:
-        w = np.asarray(w_start, dtype=float)[k:].copy()
-    elif cfg.w_init == "first-best-guess":
-        coeff = rho * alpha / (2.0 * ((params.r + alpha) * (alpha + rho) + rho * alpha))
-        w = coeff * fdiag
-    else:
-        w = np.zeros(m)
+    w = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
 
     u_included = alpha / (alpha + rho)
     w_out = w
@@ -144,7 +135,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
         if bell <= cfg.tol_w:
             w_out = w
             break
-        w = (1.0 - cfg.damping) * w + cfg.damping * w_new
+        w = (1.0 - _DAMPING) * w + _DAMPING * w_new
     else:
         bal = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
         raise NonConvergenceError(

@@ -1,10 +1,11 @@
 """Independent certification of platform / equilibrium pairs.
 
 Checks are recomputed from raw inputs: kernel consistency, participation
-(IR), truth-telling (IC) through deviation values, upper-set inclusion and a
-kernel-row smoothness diagnostic.  A small-grid brute-force scan over
-inclusion masks and deterministic pairings backs the structural claim that
-certified inclusion sets are upper sets.
+(IR), truth-telling (IC) through deviation values and a kernel-row
+smoothness diagnostic.  Inclusion is an upper set by construction of
+``Platform``; a small-grid brute-force scan over inclusion masks and
+deterministic pairings backs the structural claim that certified inclusion
+sets are upper sets.
 
 Deviation values come in two flavors.  An included type reporting another
 included type is valued by the non-recursive expression
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DSEState, Platform, ProductionFunction, SearchParams, make_grid
+from .designer import enumerate_involutions, pairing_wage
 from .solver import dse_residuals
 
 __all__ = ["AuditReport", "misreport_value", "deviation_gains", "audit",
@@ -43,7 +45,6 @@ class AuditReport:
     bellman_residual: float
     balance_residual: float
     acceptance_violations: int
-    upper_set_ok: bool
     row_smoothness: float
 
     def certified(self, ic_tol: float = 1e-8, ir_tol: float = 1e-12,
@@ -54,8 +55,7 @@ class AuditReport:
                 and self.ic_max_violation <= ic_tol
                 and self.bellman_residual <= residual_tol
                 and self.balance_residual <= residual_tol
-                and self.acceptance_violations == 0
-                and self.upper_set_ok)
+                and self.acceptance_violations == 0)
 
 
 def misreport_value(platform: Platform, f: ProductionFunction, params: SearchParams,
@@ -167,7 +167,6 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
         bellman_residual=bell,
         balance_residual=bal,
         acceptance_violations=violations,
-        upper_set_ok=True,  # cutoff storage cannot express anything else
         row_smoothness=_row_smoothness(platform),
     )
 
@@ -206,8 +205,7 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
     partner_pos = list(perm)
     partner_nodes = [nodes[p] for p in partner_pos]
 
-    f_pair = np.array([F[nodes[a], partner_nodes[a]] for a in range(m)])
-    w_mask = theta * alpha * f_pair / (alpha + rho + 2.0 * theta * alpha)
+    w_mask = pairing_wage(params, np.array([F[nodes[a], partner_nodes[a]] for a in range(m)]))
     w = np.zeros(len(x))
     w[nodes] = w_mask
 
@@ -286,8 +284,6 @@ def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams,
     x = grid.nodes
     F = f.values(grid)
     Fx = f.dx_values(grid)
-
-    from .designer import enumerate_involutions
 
     for size in range(1, n_small + 1):
         for mask in itertools.combinations(range(n_small), size):

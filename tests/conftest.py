@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from matchlab import ProductionFunction, SearchParams
+from matchlab.core import format_float
 
 
 @pytest.fixture
@@ -19,6 +20,14 @@ def mixture_kernel(n: int, a: float, b: float) -> np.ndarray:
     """Symmetric row-stochastic kernel: identity + uniform + reversal mix."""
     c = max(0.0, 1.0 - a - b)  # guard roundoff when a + b lands on 1
     return a * np.eye(n) + (b / n) * np.ones((n, n)) + c * np.eye(n)[::-1]
+
+
+def reference_csv(header, rows):
+    """Artifact text of ``rows``, one line each: floats through ``format_float``,
+    everything else through ``str``."""
+    lines = [header] + [",".join(format_float(v) if isinstance(v, float) else str(v)
+                                 for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def search_value(hazard, phi, params):

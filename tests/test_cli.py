@@ -5,8 +5,22 @@ import os
 import numpy as np
 import pytest
 
-from matchlab.cli import _write_acceptance, main
-from matchlab.core import DSEState
+from matchlab import (
+    SearchParams,
+    SimConfig,
+    design,
+    first_best_platform,
+    glitch,
+    informational_rent,
+    make_grid,
+    optimal_exclusion,
+    simulate,
+    solve_dse,
+)
+from matchlab.cli import _write_acceptance, _write_dse, main
+from matchlab.core import DSEState, ProductionFunction
+
+from conftest import reference_csv
 
 
 def read_dir_bytes(path):
@@ -39,6 +53,17 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.cfg", bogus_key=3)
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("max_inner", "10"), ("damping", "0.5"),
+                                        ("w_init", "zeros")])
+def test_removed_solver_keys_rejected(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path / "c.cfg", n=4, **{key: value})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("matchlab: config error: ") and f"unknown key {key!r}" in err
+    assert not out.exists()
 
 
 def test_malformed_line_diagnoses_position(tmp_path, capsys):
@@ -231,12 +256,14 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     ("simulate", [], {"horizon": "10", "burn_in": "20"}),
     ("simulate", [], {"horizon": "inf"}),
     ("simulate", [], {"agents_per_node": "0"}),
-    ("solve", [], {"damping": "nan"}),
+    ("solve", [], {"tol_u": "nan"}),
     ("solve", [], {"tol_w": "nan"}),
-    ("sweep", [], {"sweep_rho": "1,2", "damping": "2"}),
+    ("sweep", [], {"sweep_rho": "1,2", "tol_w": "-1"}),
+    ("solve", [], {"max_outer": "0"}),
 ], ids=["rho-nan", "alpha-inf", "r-negative", "sweep-rho-negative", "sweep-r-nan",
         "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
-        "simulate-no-agents", "damping-nan", "tol-w-nan", "sweep-damping-out-of-range"])
+        "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
+        "max-outer-zero"])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
     cfg = write_config(tmp_path / "c.cfg", n=4, **keys)
     out = tmp_path / "o"
@@ -264,6 +291,68 @@ def test_acceptance_csv_golden(tmp_path, M):
 
 
 # ---------------------------------------------------------------------------
+# golden bytes: each CSV against one formatted line per row
+# ---------------------------------------------------------------------------
+
+
+def test_dse_csv_golden_with_negative_zero_and_nan(tmp_path):
+    g = make_grid(4)
+    w = np.array([-0.0, 0.0, 0.125, np.nan])
+    u = np.array([1.0, np.nan, 1.0 / 3.0, -0.0])
+    _write_dse(str(tmp_path), g, DSEState(w=w, u=u, M=np.zeros((4, 4), dtype=bool),
+                                         bellman_residual=0.0, balance_residual=0.0))
+    expected = reference_csv("i,x,w,u", zip(range(4), g.nodes, w, u))
+    assert "\n0,0.125,-0,1\n" in expected and "nan" in expected
+    assert (tmp_path / "dse.csv").read_text() == expected
+
+
+def test_design_csvs_golden(tmp_path, params, f_xy):
+    out = tmp_path / "d"
+    assert main(["design", "--n", "40", "--cutoff", "auto", "--out", str(out)]) == 0
+    g = make_grid(40)
+    exclusion = optimal_exclusion(g, f_xy)
+    k = exclusion.cutoff_index
+    result = design(g, f_xy, params, k)
+    rent, _ = informational_rent(result.platform, f_xy, params, result.dse)
+    w, t = result.dse.w, result.platform.transfers
+    expected = {
+        "design.csv": reference_csv("i,x,w,t,m,included", (
+            (i, g.nodes[i], w[i], t[i], rent[i], "1" if i >= k else "0") for i in range(40))),
+        "exclusion_curve.csv": reference_csv("k,x_tilde,profit,phi", zip(
+            range(40), g.nodes, exclusion.profit_curve, exclusion.phi)),
+        "dse.csv": reference_csv("i,x,w,u", zip(range(40), g.nodes, w, result.dse.u)),
+        "transfers.csv": reference_csv("i,t", zip(range(40), t)),
+    }
+    for name, text in expected.items():
+        assert (out / name).read_text() == text, name
+
+
+def test_simulate_csvs_golden(tmp_path):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path / "c.cfg", n=4, r=1.0, agents_per_node=20, horizon=15.0,
+                       burn_in=1.0, replications=2, event_log="true")
+    assert main(["simulate", "--config", cfg, "--seed", "11", "--epsilon", "0.3",
+                 "--out", str(out)]) == 0
+    g = make_grid(4)
+    params = SearchParams(rho=1.0, alpha=0.5, r=1.0)
+    f = ProductionFunction.multiplicative()
+    platform = glitch(first_best_platform(g, 0), 0.3)
+    state = solve_dse(platform, f, params)
+    outcome = simulate(platform, f, params, state.w,
+                       SimConfig(agents_per_node=20, horizon=15.0, burn_in=1.0, seed=11,
+                                 replications=2, collect_events=True))
+    kinds = {kind for _, kind, _, _ in outcome.event_log}
+    assert {"miss", "match", "divorce"} <= kinds
+    assert (out / "sim.csv").read_text() == reference_csv(
+        "i,x,u_hat,se_u,payoff_hat,se_payoff",
+        zip(range(4), g.nodes, outcome.unmatched_fraction_by_node,
+            outcome.se_unmatched_by_node, outcome.mean_discounted_payoff_by_node,
+            outcome.se_payoff_by_node))
+    assert (out / "events.csv").read_text() == reference_csv(
+        "t,type,agent_a,agent_b", outcome.event_log)
+
+
+# ---------------------------------------------------------------------------
 # sweep and oracle
 # ---------------------------------------------------------------------------
 
@@ -281,6 +370,18 @@ def test_sweep_creates_isolated_points(tmp_path):
         manifest = dict(line.split("=", 1) for line in
                         (sub / "manifest.txt").read_text().splitlines())
         assert float(manifest["rho"]) == float(row["rho"])
+
+
+@pytest.mark.parametrize("sweep_rho, rhos", [("0.5,1", [0.5, 1.0]), (",", [])],
+                         ids=["two-points", "no-points"])
+def test_sweep_manifest_csv_golden(tmp_path, sweep_rho, rhos):
+    cfg = write_config(tmp_path / "c.cfg", n=6, sweep_rho=sweep_rho, sweep_alpha="0.3")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = [(idx, rho, 0.3, 0.05, f"point_{idx:04d}_rho{rho:g}_alpha0.3_r0.05")
+            for idx, rho in enumerate(rhos)]
+    assert (out / "sweep_manifest.csv").read_text() == reference_csv(
+        "point,rho,alpha,r,dir", rows)
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -13,10 +13,10 @@ from matchlab import (
     save_platform,
     surplus,
 )
-from matchlab.core import format_float, read_columns, write_pairs
+from matchlab.core import format_float, read_columns, write_columns
 from matchlab.designer import first_best_platform, glitch
 
-from conftest import mixture_kernel
+from conftest import mixture_kernel, reference_csv
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +390,41 @@ def test_reader_returns_every_written_value_bit_exact(tmp_path_factory, values):
     values = np.array(values + [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, -0.0])
     path = tmp_path_factory.mktemp("cols") / "v.csv"
     rows = np.arange(len(values))
-    write_pairs(str(path), "i,j,v", rows, rows[::-1].copy(), values)
+    write_columns(str(path), "i,j,v", [rows, rows[::-1], values])
     assert path.read_bytes() == reference_pairs("i,j,v", rows, rows[::-1], values)
     i, j, back = read_columns(str(path), 3, 2, 0, len(values))
     assert i.dtype == j.dtype == np.int64
     assert np.array_equal(i, rows) and np.array_equal(j, rows[::-1])
     assert np.array_equal(back.view(np.int64), values.view(np.int64))
+
+
+def test_columns_golden_mixed_kinds(tmp_path):
+    ints = np.array([3, -1, 0, 3, 7, -1])
+    wide = np.array([0, 10 ** 12, -5, 10 ** 12, 2, 2])   # too wide to label by range
+    floats = np.array([-0.0, 0.0, np.nan, -np.inf, 5e-324, 0.1])
+    text = ["match", "miss", "", "divorce", "miss", "a_b"]
+    write_columns(str(tmp_path / "m.csv"), "a,b,c,d", [ints, wide, floats, text])
+    expected = reference_csv("a,b,c,d", zip(ints.tolist(), wide.tolist(), floats, text))
+    assert "\n3,0,-0,match\n" in expected and "\n0,-5,nan,\n" in expected
+    assert (tmp_path / "m.csv").read_text() == expected
+
+
+def test_columns_header_only_and_length_mismatch(tmp_path):
+    write_columns(str(tmp_path / "e.csv"), "i,x,s",
+                  [np.arange(0), np.zeros(0), np.array([], dtype=str)])
+    assert (tmp_path / "e.csv").read_bytes() == b"i,x,s\n"
+    with pytest.raises(ValueError, match="length"):
+        write_columns(str(tmp_path / "bad.csv"), "i,x", [np.arange(3), np.zeros(2)])
+
+
+def test_transfers_csv_golden_with_negative_zero(tmp_path, f_xy):
+    g = make_grid(5)
+    transfers = np.array([-0.0, 0.0, 0.1, 1.0 / 3.0, 0.1])
+    p = Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=transfers)
+    save_platform(p, f_xy, str(tmp_path))
+    expected = reference_csv("i,t", enumerate(transfers))
+    assert expected.startswith("i,t\n0,-0\n")
+    assert (tmp_path / "transfers.csv").read_text() == expected
 
 
 # ---------------------------------------------------------------------------

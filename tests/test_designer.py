@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlab import (
     GlitchSpec,
@@ -18,6 +22,7 @@ from matchlab import (
     involution_rent,
     make_grid,
     optimal_exclusion,
+    pairing_wage,
     perfect_info_transfers,
     private_info_transfers,
     solve_dse,
@@ -140,6 +145,36 @@ def test_private_info_binds_at_cutoff(params, f_xy):
     t = private_info_transfers(g, f_xy, params, 2)
     w_cut = first_best_wage_coefficient(params) * 0.25
     assert t[2] == pytest.approx(w_cut, abs=1e-16)
+
+
+rates = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@given(rho=rates, alpha=rates, r=rates, k=st.integers(min_value=0, max_value=11))
+@settings(max_examples=200, deadline=None)
+def test_private_info_is_mean_of_wage_and_cutoff_wage(rho, alpha, r, k):
+    """t(x) = (w(x) + w(x_tilde)) / 2 with the assortative wage w."""
+    params = SearchParams(rho, alpha, r)
+    g = make_grid(12)
+    f = ProductionFunction.multiplicative_plus_constant(0.1)
+    w = first_best_dse(g, f, params, k).w
+    t = private_info_transfers(g, f, params, k)
+    np.testing.assert_allclose(t[k:], 0.5 * (w[k:] + w[k]), rtol=1e-12, atol=0.0)
+    assert np.all(t[:k] == 0.0)
+
+
+def test_wage_coefficient_is_the_unit_pairing_wage():
+    # The two forms are equal in exact arithmetic but round differently: on
+    # this grid about half the triples differ in the last bits.  Assortative
+    # wages (and so design.csv) use first_best_wage_coefficient's rounding,
+    # and involution_rent and the oracle use the pairing form, so neither
+    # replaces the other without changing written results.
+    values = np.logspace(-3, 3, 14)
+    for rho, alpha, r in itertools.product(values, repeat=3):
+        params = SearchParams(float(rho), float(alpha), float(r))
+        a = first_best_wage_coefficient(params)
+        b = pairing_wage(params, 1.0)
+        assert abs(a - b) <= 4 * np.spacing(max(a, b)), (rho, alpha, r)
 
 
 def test_private_info_zero_production(params):
@@ -358,6 +393,8 @@ def test_design_accounting(params, f_xy):
     k = result.platform.cutoff
     assert result.profit == float(np.sum(result.platform.transfers[k:]) * g.mass)
     assert result.rent_total >= 0.0
+    rent, total = informational_rent(result.platform, f_xy, params, result.dse)
+    assert np.array_equal(result.rent, rent) and result.rent_total == total
 
 
 def test_design_fixed_cutoff(params, f_xy):
