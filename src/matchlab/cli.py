@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import (
     NonConvergenceError,
     ProductionFunction,
     SearchParams,
+    acceptance,
     format_float,
     load_platform,
     load_table,
@@ -96,11 +98,8 @@ class RunConfig:
     sweep_r: str = ""
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_BOOL_KEYS = {"event_log"}
-_INT_KEYS = {"n", "seed", "jobs", "max_outer", "agents_per_node",
-             "replications", "oracle_n", "involution_block"}
-_FLOAT_KEYS = {"rho", "alpha", "r", "c", "tol_w", "tol_u", "horizon", "burn_in"}
+#: Each key's type, read from the annotations of ``RunConfig``.
+_FIELD_TYPES = get_type_hints(RunConfig)
 
 
 def parse_config_file(path: str) -> dict:
@@ -123,19 +122,16 @@ def parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, value: str, where: str):
+    kind = _FIELD_TYPES[key]
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = value.lower()
             if lowered in ("1", "true", "yes", "on"):
                 return True
             if lowered in ("0", "false", "no", "off"):
                 return False
             raise ValueError(value)
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
+        return kind(value)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {key}={value!r}") from None
 
@@ -144,12 +140,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if args.config:
         cfg = replace(cfg, **parse_config_file(args.config))
-    flag_overrides = {}
-    for key in ("out", "seed", "jobs", "n", "rho", "alpha", "r", "f", "c",
-                "cutoff", "epsilon", "platform"):
-        value = getattr(args, key, None)
-        if value is not None:
-            flag_overrides[key] = value
+    # every parser option other than command and config is a RunConfig key
+    flag_overrides = {key: value for key, value in vars(args).items()
+                      if key not in ("command", "config") and value is not None}
     if flag_overrides:
         cfg = replace(cfg, **flag_overrides)
     _validate(cfg)
@@ -409,11 +402,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     u = np.ones(grid.n)
     w[i] = w_i
     u[i] = u_i
-    F = production.values(grid)
-    M = (F - w[:, None] - w[None, :]) >= 0.0
     # the residuals are unknown until audit() recomputes them from w, u and M
-    state = DSEState(w=w, u=u, M=M, bellman_residual=float("nan"),
-                     balance_residual=float("nan"))
+    state = DSEState(w=w, u=u, M=acceptance(production.values(grid), w),
+                     bellman_residual=float("nan"), balance_residual=float("nan"))
 
     report = audit(platform, production, params, state)
     outdir = cfg.out

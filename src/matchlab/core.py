@@ -29,6 +29,7 @@ __all__ = [
     "DSEState",
     "GlitchSpec",
     "surplus",
+    "acceptance",
     "save_platform",
     "load_platform",
     "load_table",
@@ -95,6 +96,12 @@ class SearchParams:
     @property
     def theta(self) -> float:
         return self.rho / (2.0 * (self.r + self.alpha))
+
+    @property
+    def u_star(self) -> float:
+        """Unmatched density ``alpha / (alpha + rho)`` of a type whose every
+        meeting forms a match, as under a deterministic pairing."""
+        return self.alpha / (self.alpha + self.rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,8 +345,9 @@ class DSEState:
 
     ``w`` and ``u`` cover every node (zero wage / density one on excluded
     nodes).  ``M[i, j]`` is True exactly when the pair covers both
-    reservation wages.  Residual fields certify how tightly the state
-    satisfies the defining fixed-point conditions.
+    reservation wages, the rule :func:`acceptance` spells out.  Residual
+    fields certify how tightly the state satisfies the defining fixed-point
+    conditions.
     """
 
     w: np.ndarray
@@ -372,6 +380,13 @@ def surplus(f: ProductionFunction, grid: TypeGrid, w: np.ndarray, i: int, j: int
         raise IndexError(f"node indices ({i}, {j}) out of range for n={n}")
     x = grid.nodes
     return float(f.eval(x[i], x[j])) - float(w[i]) - float(w[j])
+
+
+def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The acceptance sets at wages ``w``: pair ``(i, j)`` matches exactly
+    when its output ``F[i, j]`` covers both reservation wages,
+    ``F[i, j] - w[i] - w[j] >= 0``; a pair with zero surplus accepts."""
+    return (F - w[:, None] - w[None, :]) >= 0.0
 
 
 # ---------------------------------------------------------------------------

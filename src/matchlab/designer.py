@@ -20,6 +20,7 @@ from .core import (
     ProductionFunction,
     SearchParams,
     TypeGrid,
+    acceptance,
 )
 from .solver import dse_residuals
 
@@ -92,7 +93,7 @@ def first_best_dse(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
     x = grid.nodes
     rho, alpha, theta = params.rho, params.alpha, params.theta
     coeff = first_best_wage_coefficient(params)
-    u_star = alpha / (alpha + rho)
+    u_star = params.u_star
 
     w = np.zeros(n)
     u = np.ones(n)
@@ -101,7 +102,7 @@ def first_best_dse(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
     u[cutoff_index:] = u_star
 
     F = f.values(grid)
-    M = (F - w[:, None] - w[None, :]) >= 0.0
+    M = acceptance(F, w)
 
     wb = w[cutoff_index:]
     bell = float(np.max(np.abs(wb - theta * (fdiag[cutoff_index:] - 2.0 * wb) * u_star)))
@@ -289,15 +290,13 @@ def involution_rent(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
     if len(nu.perm) != m:
         raise ValueError(f"involution acts on {len(nu.perm)} nodes, platform has {m}")
 
-    rho, alpha, theta = params.rho, params.alpha, params.theta
     x = grid.nodes[cutoff_index:]
     partner = x[list(nu.perm)]
     w = pairing_wage(params, np.asarray(f.eval(x, partner), dtype=float))
     fx = np.asarray(f.d_dx(x, partner), dtype=float)
-    u_star = alpha / (alpha + rho)
     marginal_term = float(np.sum((1.0 - x) * fx) * grid.mass)
     wage_term = float(np.sum(w) * grid.mass) - (1.0 - x[0]) * float(w[0])
-    return theta * u_star * (marginal_term - wage_term)
+    return params.theta * params.u_star * (marginal_term - wage_term)
 
 
 # ---------------------------------------------------------------------------

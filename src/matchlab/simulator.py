@@ -63,9 +63,10 @@ from .core import (
     Platform,
     ProductionFunction,
     SearchParams,
+    acceptance,
 )
 
-__all__ = ["SimConfig", "SimOutcome", "PayoffCheck", "simulate", "payoff_check",
+__all__ = ["SimConfig", "SimOutcome", "simulate", "pooled_deviations",
            "check_discount_window"]
 
 _BLOCK = 1 << 16  # random draws fetched per refill
@@ -148,7 +149,7 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     Fb = f.values(grid)[k:, k:]
     wb = w[k:]
-    accept = (Fb - wb[:, None] - wb[None, :]) >= 0.0
+    accept = acceptance(Fb, wb)
     flow = 0.5 * (Fb + wb[:, None] - wb[None, :])
     accept_rows = [row.tolist() for row in accept]
     flow_rows = [row.tolist() for row in flow]
@@ -418,29 +419,20 @@ def _run_replication(m, apn, cum_rows, accept_rows, flow_rows, params, cfg, rng,
         [matches, divorces, meetings, failed, rejected], dtype=np.int64)
 
 
-@dataclass(frozen=True, eq=False)
-class PayoffCheck:
-    """Per-node comparison of the all-agent discounted payoff against a target."""
+def pooled_deviations(mean, se, target) -> np.ndarray:
+    """Signed per-node ``mean - target`` in pooled relative standard errors.
 
-    passed: bool
-    node_ok: np.ndarray
-    deviations: np.ndarray
-    tol_se: float
-
-
-def payoff_check(outcome: SimOutcome, target: np.ndarray, tol_se: float = 4.0) -> PayoffCheck:
-    """Check that ``mean_discounted_payoff_by_node`` sits within ``tol_se`` of
-    its own per-node standard errors of ``target``.
-
-    The statistic estimates ``(1 - u_i)`` times the mean matched flow, not a
-    wage (see the module notes).  Nodes with a zero standard error
-    (degenerate flows or one replication) pass only on exact agreement.
+    ``mean`` and ``se`` are a simulated statistic and its standard error at
+    each node, and ``target`` is the value the equilibrium predicts for it.
+    Every node of an assortative platform runs the same dynamics scaled by
+    its flow, so the statistic has the same relative standard error at every
+    node.  Pooling the squared relative errors over the nodes gives a scale
+    with far more degrees of freedom than each node's own error from a
+    handful of replications, whose chance misses would fail sound runs.
+    ``target`` must be nonzero at every node.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape != outcome.mean_discounted_payoff_by_node.shape:
-        raise ValueError("target vector length does not match the outcome")
-    dev = outcome.mean_discounted_payoff_by_node - target
-    se = outcome.se_payoff_by_node
-    node_ok = np.where(se > 0, np.abs(dev) <= tol_se * se, dev == 0.0)
-    return PayoffCheck(passed=bool(np.all(node_ok)), node_ok=node_ok,
-                       deviations=dev, tol_se=tol_se)
+    mean, se, target = (np.asarray(a, dtype=float) for a in (mean, se, target))
+    if not mean.shape == se.shape == target.shape:
+        raise ValueError("mean, standard error and target differ in shape")
+    rel = float(np.sqrt(np.mean((se / target) ** 2)))
+    return (mean - target) / (rel * np.abs(target))

@@ -6,7 +6,7 @@ unmatched densities ``u`` induced by ``w``:
 
 * Bellman:   ``w_i = theta * sum_j M_ij (f_ij - w_i - w_j) G_ij u_j``
 * balance:   ``alpha (1 - u_i) = rho * sum_j M_ij G_ij u_j``
-* optimality: ``M_ij = 1  iff  f_ij - w_i - w_j >= 0``
+* optimality: ``M_ij = 1  iff  f_ij - w_i - w_j >= 0`` (:func:`~matchlab.core.acceptance`)
 
 The outer loop updates ``w`` by the closed-form row solution of the Bellman
 equation (damped), recomputing ``M`` each sweep.  The inner steady state is a
@@ -27,6 +27,7 @@ from .core import (
     Platform,
     ProductionFunction,
     SearchParams,
+    acceptance,
 )
 
 __all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density"]
@@ -106,15 +107,11 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     w = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
 
-    u_included = alpha / (alpha + rho)
-    w_out = w
-    u = np.full(m, u_included)
-    bell = np.inf
-    iterations = 0
-
+    # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
     for iterations in range(1, cfg.max_outer + 1):
         if diagonal_kernel:
             gdiag = np.diagonal(G)
+            # acceptance(Fb, w) on the diagonal, the only pairs that meet
             acc = (fdiag - 2.0 * w) >= 0.0
             a = np.where(acc, gdiag, 0.0)
             # balance is node-by-node here and solves exactly
@@ -122,28 +119,24 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
             au = a * u
             numer = theta * acc * (fdiag - w) * gdiag * u
         else:
-            S = Fb - w[:, None] - w[None, :]
-            M = S >= 0.0
-            A = np.where(M, G, 0.0)
+            A = np.where(acceptance(Fb, w), G, 0.0)
             u = steady_state_density(A, params)
             au = A @ u
             numer = theta * ((A * Fb) @ u - A @ (w * u))
         denom = 1.0 + theta * au
         w_new = numer / denom
         # |denom * (w - w_new)| is exactly the Bellman residual at w given (M, u)
-        bell = float(np.max(np.abs(denom * (w - w_new)))) if m else 0.0
+        bell = float(np.max(np.abs(denom * (w - w_new))))
         if bell <= cfg.tol_w:
-            w_out = w
             break
         w = (1.0 - _DAMPING) * w + _DAMPING * w_new
-    else:
-        bal = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
-        raise NonConvergenceError(
-            f"no convergence after {cfg.max_outer} sweeps "
-            f"(bellman residual {bell:g}, balance residual {bal:g})",
-            bellman_residual=bell, balance_residual=bal, iterations=cfg.max_outer)
 
     balance = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
+    if not bell <= cfg.tol_w:  # the last sweep missed; a NaN residual misses too
+        raise NonConvergenceError(
+            f"no convergence after {cfg.max_outer} sweeps "
+            f"(bellman residual {bell:g}, balance residual {balance:g})",
+            bellman_residual=bell, balance_residual=balance, iterations=cfg.max_outer)
     if balance > cfg.tol_u * alpha:
         raise NonConvergenceError(
             f"steady-state solve left balance residual {balance:g} above "
@@ -160,12 +153,11 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     np.clip(u, 0.0, 1.0, out=u)
 
     w_full = np.zeros(n)
-    w_full[k:] = w_out
+    w_full[k:] = w
     u_full = np.ones(n)
     u_full[k:] = u
-    M_full = (F - w_full[:, None] - w_full[None, :]) >= 0.0
 
-    return DSEState(w=w_full, u=u_full, M=M_full,
+    return DSEState(w=w_full, u=u_full, M=acceptance(F, w_full),
                     bellman_residual=bell, balance_residual=balance,
                     iterations=iterations)
 
@@ -191,9 +183,7 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     wb, ub = w[k:], u[k:]
     au = A @ ub
     total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
-    bellman = float(np.max(np.abs(wb - theta * total))) if n - k else 0.0
-    balance = float(np.max(np.abs(alpha * (1.0 - ub) - rho * au))) if n - k else 0.0
-
-    expected = (F - w[:, None] - w[None, :]) >= 0.0
-    violations = int(np.sum(state.M != expected))
+    bellman = float(np.max(np.abs(wb - theta * total)))
+    balance = float(np.max(np.abs(alpha * (1.0 - ub) - rho * au)))
+    violations = int(np.sum(state.M != acceptance(F, w)))
     return bellman, balance, violations

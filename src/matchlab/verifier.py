@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DSEState, Platform, ProductionFunction, SearchParams, make_grid
+from .core import DSEState, Platform, ProductionFunction, SearchParams, acceptance, make_grid
 from .designer import enumerate_involutions, pairing_wage
 from .solver import dse_residuals
 
@@ -197,8 +197,7 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
     the local truth-telling condition integrated over the mask nodes with the
     participation constraint binding at the lowest one.
     """
-    theta, rho, alpha = params.theta, params.rho, params.alpha
-    u_star = alpha / (alpha + rho)
+    theta, u_star = params.theta, params.u_star
     nodes = list(mask)
     m = len(nodes)
     xm = x[nodes]
@@ -209,7 +208,7 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
     w = np.zeros(len(x))
     w[nodes] = w_mask
 
-    accept = (F - w[:, None] - w[None, :]) >= 0.0
+    accept = acceptance(F, w)
 
     wprime = _nonuniform_derivative(w_mask, xm)
     slope = np.array([

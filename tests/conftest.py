@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -30,25 +32,17 @@ def reference_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def csv_rows(path):
+    """The rows of a CSV artifact as dicts keyed by its header line."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def search_value(hazard, phi, params):
     """r times the value of an unmatched agent who meets acceptable partners
     at ``hazard``, earns flow ``phi`` while matched and divorces at rate
     ``alpha``: ``hazard * phi / (r + alpha + hazard)``."""
     return hazard * phi / (params.r + params.alpha + hazard)
-
-
-def pooled_deviation(mean, se, target):
-    """Largest per-node ``|mean - target|`` in pooled relative standard errors.
-
-    Every node of an assortative platform runs the same dynamics scaled by
-    its flow, so a payoff estimate has the same relative standard error at
-    every node.  Pooling the squared relative errors over the nodes gives a
-    scale with far more degrees of freedom than each node's own error from a
-    handful of replications (the pooling criterion 3 applies to densities).
-    ``target`` must be nonzero at every node.
-    """
-    rel = float(np.sqrt(np.mean((se / target) ** 2)))
-    return float(np.max(np.abs(mean - target) / (rel * np.abs(target))))
 
 
 def cubic_production(grid):

@@ -29,13 +29,14 @@ from matchlab import (
     make_grid,
     optimal_exclusion,
     perfect_info_transfers,
+    pooled_deviations,
     private_info_transfers,
     prop4_oracle,
     simulate,
     solve_dse,
 )
 
-from conftest import cubic_production, pooled_deviation, search_value
+from conftest import cubic_production, search_value
 
 RATE_LATTICE = [0.5, 1.0, 2.0]
 REFERENCE = SearchParams(rho=1.0, alpha=0.5, r=0.05)
@@ -101,9 +102,9 @@ def test_criterion_02_closed_form_wage():
 
 def test_criterion_03_simulation_density(reference_simulation):
     outcome, _, elapsed = reference_simulation
-    pooled = float(np.sqrt(np.mean(outcome.se_unmatched_by_node ** 2)))
-    devs = np.abs(outcome.unmatched_fraction_by_node - 1.0 / 3.0)
-    worst = float(np.max(devs) / pooled)
+    worst = float(np.max(np.abs(pooled_deviations(
+        outcome.unmatched_fraction_by_node, outcome.se_unmatched_by_node,
+        np.full_like(outcome.unmatched_fraction_by_node, 1.0 / 3.0)))))
     ok = (worst <= 3.0 and outcome.rejected_meeting_count == 0 and elapsed < 60.0)
     report(3, ok, f"worst node {worst:.2f} pooled SEs (tol 3), "
                   f"{outcome.rejected_meeting_count} rejected meetings, "
@@ -133,10 +134,10 @@ def test_criterion_04_payoff_recovery(reference_simulation):
     u = state.u
     mean_flow = (1.0 - u) * phi
     search = search_value(REFERENCE.alpha * (1.0 - u) / u, phi, REFERENCE)
-    worst_all = pooled_deviation(outcome.mean_discounted_payoff_by_node,
-                                 outcome.se_payoff_by_node, mean_flow)
-    worst_search = pooled_deviation(outcome.mean_search_payoff_by_node,
-                                    outcome.se_search_payoff_by_node, search)
+    worst_all = float(np.max(np.abs(pooled_deviations(
+        outcome.mean_discounted_payoff_by_node, outcome.se_payoff_by_node, mean_flow))))
+    worst_search = float(np.max(np.abs(pooled_deviations(
+        outcome.mean_search_payoff_by_node, outcome.se_search_payoff_by_node, search))))
     ok = worst_all <= 4.0 and worst_search <= 4.0
 
     def ratio(values):
@@ -156,11 +157,10 @@ def test_criterion_04_payoff_recovery(reference_simulation):
 def test_simulation_node_independence(reference_simulation):
     """On the assortative platform the empirical unmatched fraction carries
     no node structure: max spread within four pooled standard errors."""
-    outcome, _, _ = reference_simulation
-    pooled = float(np.sqrt(np.mean(outcome.se_unmatched_by_node ** 2)))
-    spread = float(outcome.unmatched_fraction_by_node.max()
-                   - outcome.unmatched_fraction_by_node.min())
-    assert spread <= 4.0 * pooled
+    outcome, state, _ = reference_simulation
+    spread = np.ptp(pooled_deviations(outcome.unmatched_fraction_by_node,
+                                      outcome.se_unmatched_by_node, state.u))
+    assert spread <= 4.0
 
 
 def test_criterion_05_optimal_exclusion():

@@ -1,6 +1,6 @@
-import csv
 import json
 import os
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -17,10 +17,17 @@ from matchlab import (
     simulate,
     solve_dse,
 )
-from matchlab.cli import _write_acceptance, _write_dse, main
+from matchlab.cli import (
+    RunConfig,
+    _write_acceptance,
+    _write_dse,
+    build_parser,
+    main,
+    resolve_config,
+)
 from matchlab.core import DSEState, ProductionFunction
 
-from conftest import reference_csv
+from conftest import csv_rows, reference_csv
 
 
 def read_dir_bytes(path):
@@ -84,6 +91,28 @@ def test_flags_override_config_file(tmp_path):
     assert manifest["rho"] == "2"
 
 
+def test_config_file_keys_take_their_annotated_types(tmp_path):
+    """A config file setting every ``RunConfig`` key resolves each value to
+    the type its annotation names, whatever the text looks like."""
+    table = tmp_path / "table.csv"
+    table.write_text("i,j,f\n")
+    (tmp_path / "p").mkdir()
+    values = {"n": "6", "rho": "2", "alpha": "0.5", "r": "1", "f": "xy+c", "c": "0",
+              "table": str(table), "cutoff": "0.5", "platform": str(tmp_path / "p"),
+              "epsilon": "0.1", "seed": "7", "out": str(tmp_path / "o"), "jobs": "2",
+              "tol_w": "1e-9", "tol_u": "1e-11", "max_outer": "50", "agents_per_node": "10",
+              "horizon": "20", "burn_in": "2", "replications": "3", "event_log": "yes",
+              "oracle_n": "3", "involution_block": "4", "sweep_rho": "1,2",
+              "sweep_alpha": "0.5", "sweep_r": "1"}
+    types = get_type_hints(RunConfig)
+    assert set(values) == set(types) - {"command"}
+    cfg = resolve_config(build_parser().parse_args(
+        ["solve", "--config", write_config(tmp_path / "c.cfg", **values)]))
+    for key, kind in types.items():
+        assert type(getattr(cfg, key)) is kind, key
+    assert (cfg.rho, cfg.c, cfg.event_log, cfg.sweep_r) == (2.0, 0.0, True, "1")
+
+
 def test_auto_cutoff_only_for_design(tmp_path):
     assert main(["solve", "--n", "8", "--cutoff", "auto",
                  "--out", str(tmp_path / "o")]) == 2
@@ -110,7 +139,7 @@ def test_solve_writes_artifacts(tmp_path):
     residuals = json.loads((out / "residuals.json").read_text())
     assert residuals["bellman"] <= 1e-10
     assert residuals["seed"] == 12345
-    rows = list(csv.DictReader(open(out / "dse.csv")))
+    rows = csv_rows(out / "dse.csv")
     assert len(rows) == 16
     assert float(rows[0]["u"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -132,7 +161,7 @@ def test_solve_nonconvergence_exit_code(tmp_path):
 def test_solve_glitched_platform(tmp_path):
     out = tmp_path / "o"
     assert main(["solve", "--n", "10", "--epsilon", "0.05", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "platform.csv")))
+    rows = csv_rows(out / "platform.csv")
     assert len(rows) == 100  # the glitched kernel is dense
 
 
@@ -152,9 +181,9 @@ def test_simulate_writes_artifacts(tmp_path):
     summary = json.loads((out / "sim_summary.json").read_text())
     assert summary["seed"] == 11
     assert summary["rejected_meeting_count"] == 0
-    rows = list(csv.DictReader(open(out / "sim.csv")))
+    rows = csv_rows(out / "sim.csv")
     assert len(rows) == 4
-    events = list(csv.DictReader(open(out / "events.csv")))
+    events = csv_rows(out / "events.csv")
     assert {"t", "type", "agent_a", "agent_b"} <= set(events[0].keys())
 
 
@@ -180,13 +209,13 @@ def test_design_reproduces_exclusion_example(tmp_path):
     assert main(["design", "--n", "1000", "--rho", "1", "--alpha", "0.5",
                  "--r", "0.05", "--f", "xy", "--cutoff", "auto",
                  "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "exclusion_curve.csv")))
+    rows = csv_rows(out / "exclusion_curve.csv")
     assert len(rows) == 1000
     best = max(rows, key=lambda row: float(row["profit"]))
     assert abs(float(best["x_tilde"]) - 0.5) <= 1e-3
     ratio = float(best["profit"]) / float(rows[0]["profit"])
     assert ratio == pytest.approx(1.25, abs=1e-2)
-    design_rows = list(csv.DictReader(open(out / "design.csv")))
+    design_rows = csv_rows(out / "design.csv")
     included = [row for row in design_rows if row["included"] == "1"]
     assert included[0]["i"] == "500"
 
@@ -205,7 +234,7 @@ def test_verify_flags_corrupted_transfers(tmp_path):
     d = tmp_path / "d"
     assert main(["design", "--n", "100", "--cutoff", "0.5", "--out", str(d)]) == 0
     # full extraction: replace the transfer schedule with the wage column
-    dse = {row["i"]: row["w"] for row in csv.DictReader(open(d / "dse.csv"))}
+    dse = {row["i"]: row["w"] for row in csv_rows(d / "dse.csv")}
     lines = ["i,t"] + [f"{i},{dse[str(i)]}" for i in range(100)]
     (d / "transfers.csv").write_text("\n".join(lines) + "\n")
     v = tmp_path / "v"
@@ -362,7 +391,7 @@ def test_sweep_creates_isolated_points(tmp_path):
                        sweep_alpha="0.5,1")
     out = tmp_path / "sw"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    rows = list(csv.DictReader(open(out / "sweep_manifest.csv")))
+    rows = csv_rows(out / "sweep_manifest.csv")
     assert len(rows) == 4
     for row in rows:
         sub = out / row["dir"]
@@ -390,7 +419,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
     assert main(["sweep", "--config", cfg, "--jobs", "2",
                  "--out", str(parallel)]) == 0
-    for row in csv.DictReader(open(serial / "sweep_manifest.csv")):
+    for row in csv_rows(serial / "sweep_manifest.csv"):
         a = (serial / row["dir"] / "dse.csv").read_bytes()
         b = (parallel / row["dir"] / "dse.csv").read_bytes()
         assert a == b

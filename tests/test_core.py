@@ -13,7 +13,7 @@ from matchlab import (
     save_platform,
     surplus,
 )
-from matchlab.core import format_float, read_columns, write_columns
+from matchlab.core import acceptance, format_float, read_columns, write_columns
 from matchlab.designer import first_best_platform, glitch
 
 from conftest import mixture_kernel, reference_csv
@@ -108,6 +108,28 @@ def test_surplus_index_check(f_xy):
     g = make_grid(4)
     with pytest.raises(IndexError):
         surplus(f_xy, g, np.zeros(4), 0, 4)
+
+
+def test_acceptance_accepts_a_tie():
+    """Zero surplus accepts; a one-ulp shortfall rejects."""
+    F = np.array([[1.0, 0.75], [0.75, 0.5]])
+    M = acceptance(F, np.array([0.5, np.nextafter(0.25, 1.0)]))
+    assert M.tolist() == [[True, False], [False, False]]
+
+
+def test_acceptance_is_the_sign_of_surplus(f_xy):
+    """Every pair of a grid with two excluded (zero-wage) nodes.  Half the
+    diagonal output as wage makes an included node's own pair a tie; node 4
+    asks for more and rejects its own type."""
+    g = make_grid(7)
+    w = 0.5 * g.nodes ** 2
+    w[:2] = 0.0
+    w[4] *= 1.5
+    M = acceptance(f_xy.values(g), w)
+    expected = [[surplus(f_xy, g, w, i, j) >= 0 for j in range(7)] for i in range(7)]
+    assert M.tolist() == expected
+    assert M[3, 3] and surplus(f_xy, g, w, 3, 3) == 0.0
+    assert not M.all() and M.any()
 
 
 # ---------------------------------------------------------------------------

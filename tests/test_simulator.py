@@ -13,12 +13,12 @@ from matchlab import (
     first_best_platform,
     glitch,
     make_grid,
-    payoff_check,
+    pooled_deviations,
     simulate,
     solve_dse,
 )
 
-from conftest import mixture_kernel, pooled_deviation, search_value
+from conftest import mixture_kernel, search_value
 
 
 @pytest.fixture
@@ -132,7 +132,6 @@ def test_every_available_meeting_matches_when_output_is_free(fast_params):
     assert "reject" not in kinds
     assert np.all(out.mean_discounted_payoff_by_node == 0.0)
     assert np.all(out.mean_search_payoff_by_node == 0.0)
-    assert payoff_check(out, np.zeros(3)).passed
 
 
 def test_meeting_tally_matches_call_rate(fast_params, f_xy):
@@ -158,8 +157,9 @@ def test_unmatched_fraction_draws_toward_balance(f_xy):
     cfg = SimConfig(agents_per_node=100, horizon=150.0, burn_in=8.0, seed=42,
                     replications=4)
     out = simulate(platform, f_xy, params, w, cfg)
-    pooled = float(np.sqrt(np.mean(out.se_unmatched_by_node ** 2)))
-    assert np.max(np.abs(out.unmatched_fraction_by_node - 1.0 / 3.0)) <= 4 * pooled
+    dev = pooled_deviations(out.unmatched_fraction_by_node, out.se_unmatched_by_node,
+                            np.full(4, 1.0 / 3.0))
+    assert np.max(np.abs(dev)) <= 4.0
     assert out.rejected_meeting_count == 0
     assert np.all((out.unmatched_fraction_by_node >= 0)
                   & (out.unmatched_fraction_by_node <= 1))
@@ -168,7 +168,7 @@ def test_unmatched_fraction_draws_toward_balance(f_xy):
         assert tally >= 0
 
 
-def test_payoff_check_rejects_doubled_wage(f_xy):
+def test_pooled_deviations_reject_doubled_wage(f_xy):
     """Doubling the reported wage leaves the dynamics unchanged on an
     assortative platform, so measured payoffs fall systematically short."""
     params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
@@ -178,9 +178,10 @@ def test_payoff_check_rejects_doubled_wage(f_xy):
     cfg = SimConfig(agents_per_node=100, horizon=150.0, burn_in=8.0, seed=42,
                     replications=4)
     out = simulate(platform, f_xy, params, w, cfg)
-    check = payoff_check(out, 2.0 * w)
-    assert not check.passed
-    assert np.all(check.deviations < 0)
+    dev = pooled_deviations(out.mean_discounted_payoff_by_node, out.se_payoff_by_node,
+                            2.0 * w)
+    assert np.all(dev < 0)
+    assert np.max(np.abs(dev)) > 4.0
 
 
 def test_search_payoff_moves_with_r_and_mean_payoff_does_not(fast_params, f_xy):
@@ -202,16 +203,19 @@ def test_search_payoff_moves_with_r_and_mean_payoff_does_not(fast_params, f_xy):
         predicted = search_value(hazard, phi, params)
         assert np.allclose(predicted, coeff * g.nodes ** 2)
         out = simulate(platform, f_xy, params, state.w, cfg)
-        assert pooled_deviation(out.mean_search_payoff_by_node,
-                                out.se_search_payoff_by_node, predicted) <= 4.0
-        assert pooled_deviation(out.mean_discounted_payoff_by_node,
-                                out.se_payoff_by_node, g.nodes ** 2 / 3.0) <= 4.0
+        assert np.all(np.abs(pooled_deviations(out.mean_search_payoff_by_node,
+                                               out.se_search_payoff_by_node,
+                                               predicted)) <= 4.0)
+        assert np.all(np.abs(pooled_deviations(out.mean_discounted_payoff_by_node,
+                                               out.se_payoff_by_node,
+                                               g.nodes ** 2 / 3.0)) <= 4.0)
         runs[r] = (out, predicted)
     # each rate's search statistic rejects the other rate's value of search
     for r, other in ((1.0, 3.0), (3.0, 1.0)):
         out = runs[r][0]
-        assert pooled_deviation(out.mean_search_payoff_by_node,
-                                out.se_search_payoff_by_node, runs[other][1]) > 4.0
+        assert np.max(np.abs(pooled_deviations(out.mean_search_payoff_by_node,
+                                               out.se_search_payoff_by_node,
+                                               runs[other][1]))) > 4.0
 
 
 def test_search_payoff_is_nan_without_searchers(f_xy):
@@ -242,13 +246,17 @@ def test_excluded_nodes_stay_out(fast_params, f_xy):
     assert max(touched) < 2 * 20
 
 
-def test_payoff_check_shape_guard(fast_params, f_xy):
+def test_pooled_deviations_shape_guard(fast_params, f_xy):
     g = make_grid(4)
     platform = first_best_platform(g, 0)
     w = first_best_dse(g, f_xy, fast_params, 0).w
     out = simulate(platform, f_xy, fast_params, w, small_cfg())
+    # length-one vectors would broadcast without the guard
     with pytest.raises(ValueError):
-        payoff_check(out, np.zeros(5))
+        pooled_deviations(out.mean_discounted_payoff_by_node, out.se_payoff_by_node,
+                          np.ones(1))
+    with pytest.raises(ValueError):
+        pooled_deviations(out.mean_discounted_payoff_by_node, np.ones(1), np.ones(4))
 
 
 # ---------------------------------------------------------------------------
