@@ -316,7 +316,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
     _write_dse(outdir, grid, state)
     _write_acceptance(outdir, state)
     summary = {"bellman": state.bellman_residual, "balance": state.balance_residual,
-               "iterations": state.iterations, "seed": cfg.seed}
+               "iterations": state.iterations, "seed": cfg.seed,
+               "steady_state_solves": state.steady_state_solves}
     _write_json(os.path.join(outdir, "residuals.json"), summary)
     save_platform(platform, production, outdir)
     _write_manifest(cfg, outdir)
@@ -546,9 +547,8 @@ def run(cfg: RunConfig) -> int:
         print(f"matchlab: config error: {exc}", file=sys.stderr)
         return 2
     except NonConvergenceError as exc:
-        print(f"matchlab: no convergence: {exc} "
-              f"(bellman {exc.bellman_residual:g}, balance {exc.balance_residual:g})",
-              file=sys.stderr)
+        # the message already names the residuals
+        print(f"matchlab: no convergence: {exc}", file=sys.stderr)
         return 3
 
 

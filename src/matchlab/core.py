@@ -52,17 +52,30 @@ class MatchlabError(Exception):
 
 
 class NonConvergenceError(MatchlabError):
-    """Fixed-point iteration ran out of iterations.
+    """Fixed-point iteration stopped without an equilibrium.
 
-    Carries the last residuals so callers can report how close the run got.
+    Carries the last residuals and the sweep count so callers can report how
+    close the run got.  When the solve stopped because its acceptance sets
+    repeat, ``period`` is the number of sweeps after which they repeat (1 for
+    a fixed set under which the update does not contract) and
+    ``flipping_pairs`` lists the pairs ``(i, j)``, ``i <= j``, whose
+    acceptance flag changed at the last flip; otherwise they are 0 and
+    empty.  Instances survive ``pickle``, so a worker process can report
+    them.
     """
 
     def __init__(self, message: str, bellman_residual: float, balance_residual: float,
-                 iterations: int):
+                 iterations: int, period: int = 0, flipping_pairs: tuple = ()):
         super().__init__(message)
         self.bellman_residual = bellman_residual
         self.balance_residual = balance_residual
         self.iterations = iterations
+        self.period = period
+        self.flipping_pairs = flipping_pairs
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.bellman_residual, self.balance_residual,
+                            self.iterations, self.period, self.flipping_pairs)
 
 
 class EmptyMarketError(MatchlabError):
@@ -347,7 +360,8 @@ class DSEState:
     nodes).  ``M[i, j]`` is True exactly when the pair covers both
     reservation wages, the rule :func:`acceptance` spells out.  Residual
     fields certify how tightly the state satisfies the defining fixed-point
-    conditions.
+    conditions; ``iterations`` counts the solver's sweeps and
+    ``steady_state_solves`` the linear steady-state solves among them.
     """
 
     w: np.ndarray
@@ -356,6 +370,7 @@ class DSEState:
     bellman_residual: float
     balance_residual: float
     iterations: int = 0
+    steady_state_solves: int = 0
 
     def __post_init__(self):
         for name in ("w", "u", "M"):
@@ -386,7 +401,9 @@ def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The acceptance sets at wages ``w``: pair ``(i, j)`` matches exactly
     when its output ``F[i, j]`` covers both reservation wages,
     ``F[i, j] - w[i] - w[j] >= 0``; a pair with zero surplus accepts."""
-    return (F - w[:, None] - w[None, :]) >= 0.0
+    net = F - w[:, None]
+    net -= w[None, :]  # in place: one n-by-n temporary, the same bits
+    return net >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,17 @@ The outer loop updates ``w`` by the closed-form row solution of the Bellman
 equation (damped), recomputing ``M`` each sweep.  The inner steady state is a
 linear system in ``u`` and is solved directly; a naive substitution iteration
 oscillates whenever ``rho`` exceeds ``alpha``, so no fixed-point inner loop is
-used.  Identity kernels take a diagonal fast path with the same semantics.
+used.  It depends on ``w`` only through ``M``, so it is solved again only when
+``M`` changes.  When ``M`` instead cycles through a few sets while the
+Bellman residual stops improving, or stays fixed while the damped update
+diverges, the solve fails fast.  Identity kernels take a diagonal fast path
+with the same semantics.
 """
 
 from __future__ import annotations
 
+import collections
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,13 @@ __all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density"]
 #: Weight of each closed-form row update in the next iterate; one half
 #: stabilizes acceptance-set flips.
 _DAMPING = 0.5
+#: Longest cycle of acceptance sets the solve detects.
+_CYCLE_MAX_PERIOD = 16
+#: A cycle is declared once it has repeated this many times with no new best
+#: Bellman residual.
+_CYCLE_REPEATS = 4
+#: Flipping pairs a cycle's error message names.
+_CYCLE_PAIRS_SHOWN = 3
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,8 @@ def steady_state_density(A: np.ndarray, params: SearchParams) -> np.ndarray:
     ``rho == alpha``), which is the symmetric physical steady state.
     """
     m = A.shape[0]
-    lhs = np.eye(m) + (params.rho / params.alpha) * A
+    lhs = (params.rho / params.alpha) * A
+    lhs.flat[::m + 1] += 1.0  # I + (rho/alpha) A, bit for bit, without an identity matrix
     rhs = np.ones(m)
     try:
         return np.linalg.solve(lhs, rhs)
@@ -86,7 +100,10 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     Raises ``ValueError`` for inconsistent platforms and
     :class:`NonConvergenceError` when ``max_outer`` sweeps do not reach
-    ``tol_w``.
+    ``tol_w``, or sooner when the acceptance sets cycle with a period of at
+    most ``_CYCLE_MAX_PERIOD`` sweeps and the Bellman residual sets no new
+    best over ``_CYCLE_REPEATS`` periods, or when they stay fixed while the
+    residual grows (see :func:`_cycle_period`).
     """
     cfg = cfg or SolverConfig()
     if not platform.is_consistent:
@@ -107,6 +124,16 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     w = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
 
+    # dense branch: the acceptance set that A, u, au and afu were built from
+    # and the one before it, as np.packbits bytes, and a hash of the set and
+    # the Bellman residual of each recent sweep for the cycle detector
+    packed = packed_before = None
+    solves = 0
+    digests = collections.deque(maxlen=_CYCLE_REPEATS * _CYCLE_MAX_PERIOD)
+    bells = collections.deque(maxlen=digests.maxlen)
+    best, best_at = math.inf, 0
+    period = 0
+
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
     for iterations in range(1, cfg.max_outer + 1):
         if diagonal_kernel:
@@ -119,19 +146,36 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
             au = a * u
             numer = theta * acc * (fdiag - w) * gdiag * u
         else:
-            A = np.where(acceptance(Fb, w), G, 0.0)
-            u = steady_state_density(A, params)
-            au = A @ u
-            numer = theta * ((A * Fb) @ u - A @ (w * u))
+            M = acceptance(Fb, w)
+            packed_now = np.packbits(M).tobytes()
+            if packed_now != packed:
+                packed_before, packed = packed, packed_now
+                A = np.where(M, G, 0.0)
+                u = steady_state_density(A, params)
+                au = A @ u
+                afu = (A * Fb) @ u
+                solves += 1
+            digests.append(hash(packed))  # bytes cache their hash
+            numer = theta * (afu - A @ (w * u))
         denom = 1.0 + theta * au
         w_new = numer / denom
         # |denom * (w - w_new)| is exactly the Bellman residual at w given (M, u)
         bell = float(np.max(np.abs(denom * (w - w_new))))
         if bell <= cfg.tol_w:
             break
+        if not diagonal_kernel:
+            bells.append(bell)
+            if bell < best:
+                best, best_at = bell, iterations
+            else:
+                period = _cycle_period(digests, bells, iterations - best_at)
+                if period:
+                    break
         w = (1.0 - _DAMPING) * w + _DAMPING * w_new
 
     balance = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
+    if period:
+        raise _cycle_error(period, packed, packed_before, m, k, iterations, bell, balance)
     if not bell <= cfg.tol_w:  # the last sweep missed; a NaN residual misses too
         raise NonConvergenceError(
             f"no convergence after {cfg.max_outer} sweeps "
@@ -159,7 +203,59 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     return DSEState(w=w_full, u=u_full, M=acceptance(F, w_full),
                     bellman_residual=bell, balance_residual=balance,
-                    iterations=iterations)
+                    iterations=iterations, steady_state_solves=solves)
+
+
+def _cycle_period(digests, bells, stale: int) -> int:
+    """The period with which the last acceptance sets repeat, or 0.
+
+    ``digests`` and ``bells`` hold a digest of ``M`` and the Bellman residual
+    of each recent sweep, the latest last, and ``stale`` counts the sweeps
+    since the best residual so far.  A period ``p >= 2`` counts once the last
+    ``_CYCLE_REPEATS * p`` digests repeat with period ``p`` (and no shorter
+    one) and the residual has been stale for all those sweeps.  Period 1 is a
+    fixed ``M``, under which the damped update is affine: it counts only when
+    ``M`` and the stale residual have lasted the whole ring and the residual
+    ended it no lower than it began, so the update diverges or stalls.
+    """
+    history = list(digests)
+    for p in range(1, _CYCLE_MAX_PERIOD + 1):
+        span = digests.maxlen if p == 1 else _CYCLE_REPEATS * p
+        window = history[-span:]
+        if stale < span or len(window) < span or window[p:] != window[:-p]:
+            continue
+        if (p == 1 and bells[-1] >= bells[0]) or (p > 1 and len(set(window)) > 1):
+            return p
+    return 0
+
+
+def _cycle_error(period: int, packed: bytes, packed_before: bytes | None, m: int, k: int,
+                 iterations: int, bell: float, balance: float) -> NonConvergenceError:
+    """The error for acceptance sets that repeat with ``period``.  The flipping
+    pairs are those the last change of the ``m``-by-``m`` acceptance set
+    flipped (``packed_before`` to ``packed``, as ``np.packbits`` bytes), in
+    global node ids."""
+    residuals = f"(bellman residual {bell:g}, balance residual {balance:g})"
+    if period == 1:
+        return NonConvergenceError(
+            f"damped update does not contract: acceptance sets fixed and no new best "
+            f"bellman residual over the last {_CYCLE_REPEATS * _CYCLE_MAX_PERIOD} of "
+            f"{iterations} sweeps {residuals}",
+            bellman_residual=bell, balance_residual=balance, iterations=iterations,
+            period=1)
+    flipped = np.bitwise_xor(np.frombuffer(packed, np.uint8),
+                             np.frombuffer(packed_before, np.uint8))
+    rows, cols = np.nonzero(np.triu(np.unpackbits(flipped, count=m * m).reshape(m, m)))
+    pairs = tuple(zip((rows + k).tolist(), (cols + k).tolist()))
+    shown = ", ".join(f"({i}, {j})" for i, j in pairs[:_CYCLE_PAIRS_SHOWN])
+    more = len(pairs) - _CYCLE_PAIRS_SHOWN
+    if more > 0:
+        shown += f" and {more} more"
+    return NonConvergenceError(
+        f"acceptance sets cycle with period {period} after {iterations} sweeps, "
+        f"flipping pairs {shown} {residuals}",
+        bellman_residual=bell, balance_residual=balance, iterations=iterations,
+        period=period, flipping_pairs=pairs)
 
 
 def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParams,

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import matchlab
 from matchlab import (
     SearchParams,
     SimConfig,
@@ -139,6 +142,7 @@ def test_solve_writes_artifacts(tmp_path):
     residuals = json.loads((out / "residuals.json").read_text())
     assert residuals["bellman"] <= 1e-10
     assert residuals["seed"] == 12345
+    assert residuals["steady_state_solves"] == 0  # the identity kernel solves node by node
     rows = csv_rows(out / "dse.csv")
     assert len(rows) == 16
     assert float(rows[0]["u"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -163,6 +167,27 @@ def test_solve_glitched_platform(tmp_path):
     assert main(["solve", "--n", "10", "--epsilon", "0.05", "--out", str(out)]) == 0
     rows = csv_rows(out / "platform.csv")
     assert len(rows) == 100  # the glitched kernel is dense
+    residuals = json.loads((out / "residuals.json").read_text())
+    assert 1 <= residuals["steady_state_solves"] < residuals["iterations"]
+
+
+def test_parallel_sweep_reports_nonconvergence_once(tmp_path):
+    """A worker's NonConvergenceError reaches the parent process intact: the
+    sweep exits 3 with one stderr line naming each residual once."""
+    cfg = write_config(tmp_path / "c.cfg", n=8, max_outer=2, sweep_rho="0.5,1")
+    src = os.path.dirname(os.path.dirname(matchlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchlab.cli", "sweep", "--config", cfg, "--jobs", "2",
+         "--out", str(tmp_path / "sw")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("matchlab: no convergence: no convergence after 2 sweeps")
+    assert lines[0].count("bellman") == 1
+    assert lines[0].count("balance") == 1
 
 
 # ---------------------------------------------------------------------------

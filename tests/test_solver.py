@@ -1,3 +1,6 @@
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -24,6 +27,11 @@ from conftest import mixture_kernel
 def uniform_platform(n):
     g = make_grid(n)
     return Platform(grid=g, cutoff=0, kernel=np.full((n, n), 1.0 / n),
+                    transfers=np.zeros(n))
+
+
+def mixture_platform(n, a, b):
+    return Platform(grid=make_grid(n), cutoff=0, kernel=mixture_kernel(n, a, b),
                     transfers=np.zeros(n))
 
 
@@ -157,6 +165,99 @@ def test_non_convergence_error_carries_residuals(params, f_xy):
         solve_dse(uniform_platform(6), f_xy, params, cfg)
     assert err.value.iterations == 2
     assert err.value.bellman_residual > 0
+    assert err.value.period == 0
+    assert err.value.flipping_pairs == ()
+
+
+# (n, a, b, rho, alpha, r, period): mixture kernels on which the damped
+# update settles into a cycle of acceptance sets and runs until max_outer
+# without the cycle detector; the first is the reference rates, the other two
+# small cases like those the equilibrium-contract property draws
+CYCLES = [
+    (400, 0.3, 0.3, 1.0, 0.5, 0.05, 2),
+    (3, 0.07, 0.0, 1.87, 1.76, 0.2, 2),
+    (8, 0.26, 0.15, 2.36, 1.34, 0.59, 3),
+]
+
+
+@pytest.mark.parametrize("n, a, b, rho, alpha, r, period", CYCLES,
+                         ids=[f"mixture{case[0]}" for case in CYCLES])
+def test_cycling_acceptance_sets_fail_fast(n, a, b, rho, alpha, r, period, f_xy):
+    with pytest.raises(NonConvergenceError) as err:
+        solve_dse(mixture_platform(n, a, b), f_xy, SearchParams(rho=rho, alpha=alpha, r=r))
+    exc = err.value
+    assert exc.period == period
+    assert exc.iterations <= 200
+    assert f"cycle with period {period} after {exc.iterations} sweeps" in str(exc)
+    assert exc.flipping_pairs
+    i, j = exc.flipping_pairs[0]
+    assert i <= j
+    assert f"flipping pairs ({i}, {j})" in str(exc)
+    assert exc.bellman_residual > 1e-6
+
+
+def test_diverging_update_fails_fast(f_xy):
+    """Under a fixed acceptance set the damped update is affine; on this kernel
+    it diverges, and the solve stops long before the wages overflow."""
+    with pytest.raises(NonConvergenceError) as err:
+        solve_dse(mixture_platform(4, 0.21875, 0.0), f_xy,
+                  SearchParams(rho=1.90625, alpha=1.28125, r=1.0))
+    assert err.value.period == 1
+    assert err.value.flipping_pairs == ()
+    assert err.value.iterations <= 200
+    assert str(err.value).startswith("damped update does not contract")
+
+
+def test_non_convergence_error_round_trips_through_pickle(f_xy):
+    n, a, b, rho, alpha, r, _ = CYCLES[2]
+    with pytest.raises(NonConvergenceError) as err:
+        solve_dse(mixture_platform(n, a, b), f_xy, SearchParams(rho=rho, alpha=alpha, r=r))
+    again = pickle.loads(pickle.dumps(err.value))
+    assert type(again) is NonConvergenceError
+    assert str(again) == str(err.value)
+    assert vars(again) == vars(err.value)
+
+
+def test_steady_state_solved_only_when_acceptance_changes(params, f_xy):
+    dense = solve_dse(glitch(first_best_platform(make_grid(40), 0), 0.5), f_xy, params)
+    assert 1 <= dense.steady_state_solves < dense.iterations
+    diagonal = solve_dse(first_best_platform(make_grid(40), 0), f_xy, params)
+    assert diagonal.steady_state_solves == 0
+
+
+def _state_digest(state):
+    h = hashlib.sha256()
+    for values in (state.w, state.u):
+        h.update(np.asarray(values, dtype="<f8").tobytes())
+    h.update(np.packbits(state.M).tobytes())
+    h.update(repr((state.bellman_residual, state.balance_residual,
+                   state.iterations)).encode())
+    return h.hexdigest()
+
+
+# SHA-256 of (w, u, packbits(M), residuals, sweeps) of dense solves at the
+# reference rates: a change to any floating-point operation of the dense
+# sweep, or to the equilibrium it selects, shows up here
+GOLDEN_DENSE = {
+    "glitch0.5": "203bfbefacdbbfcb36b51951059150661c4272013e0630622e492e3c2b98e1e1",
+    "glitch0.01": "4ce1b4c8c3f2c132e16ab9763568164991e97be4b734a192f8a8454854cfa352",
+    "mixture300": "660690c77bfd354a04100e96da55416aa7c2559f47cf0508482840bf6955f227",
+}
+
+
+def test_dense_solves_match_golden_digests(params, f_xy):
+    """The dense solves return the same bits as before the steady state was
+    cached.  The digests were taken under numpy 2.4.6 with its bundled
+    OpenBLAS 0.3.31 on an x86-64 Intel Xeon; LU and matrix-product bits can
+    differ under another BLAS build or CPU kernel, which may move them."""
+    platforms = {
+        "glitch0.5": glitch(first_best_platform(make_grid(200), 0), 0.5),
+        "glitch0.01": glitch(first_best_platform(make_grid(200), 0), 0.01),
+        "mixture300": mixture_platform(300, 0.3, 0.3),
+    }
+    seen = {name: _state_digest(solve_dse(platform, f_xy, params))
+            for name, platform in platforms.items()}
+    assert seen == GOLDEN_DENSE
 
 
 def test_inconsistent_platform_refused(params, f_xy):
@@ -212,8 +313,7 @@ def test_equilibrium_contract_on_symmetric_kernels(n, a, b, rho, alpha, r):
     total = a + b
     if total > 1.0:
         a, b = a / total, b / total
-    platform = Platform(grid=make_grid(n), cutoff=0, kernel=mixture_kernel(n, a, b),
-                        transfers=np.zeros(n))
+    platform = mixture_platform(n, a, b)
     p = SearchParams(rho=rho, alpha=alpha, r=r)
     f = ProductionFunction.multiplicative()
     try:
