@@ -13,7 +13,6 @@ error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -30,10 +29,12 @@ from .core import (
     ProductionFunction,
     SearchParams,
     acceptance,
+    available_cpus,
     format_float,
     load_platform,
     load_table,
     make_grid,
+    ordered_map,
     read_columns,
     read_manifest,
     save_platform,
@@ -78,7 +79,7 @@ class RunConfig:
     epsilon: str = ""           # glitch weight, empty for none
     seed: int = 12345
     out: str = "out"
-    jobs: int = 1
+    jobs: int = 0               # worker processes; 0 = every available CPU
     # solver overrides
     tol_w: float = 1e-10
     tol_u: float = 1e-12
@@ -181,8 +182,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"platform directory not found: {cfg.platform}")
     if cfg.table and not os.path.exists(cfg.table):
         raise ConfigError(f"table file not found: {cfg.table}")
-    if cfg.jobs < 1:
-        raise ConfigError("jobs must be at least 1")
+    if cfg.jobs < 0:
+        raise ConfigError(f"jobs must be 0 (every available CPU) or more, got {cfg.jobs}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,11 @@ def _sim_config(cfg: RunConfig, params: SearchParams) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return sim_cfg
+
+
+def _workers(cfg: RunConfig) -> int:
+    """The worker processes a run may use: ``jobs``, or every available CPU for 0."""
+    return cfg.jobs or available_cpus()
 
 
 def _cutoff_index(cfg: RunConfig, grid) -> int:
@@ -329,7 +335,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     sim_cfg = _sim_config(cfg, params)
     platform, production, grid = _resolve_platform(cfg)
     state = solve_dse(platform, production, params, _solver_config(cfg))
-    outcome = simulate(platform, production, params, state.w, sim_cfg)
+    outcome = simulate(platform, production, params, state.w, sim_cfg, jobs=_workers(cfg))
     outdir = cfg.out
     os.makedirs(outdir, exist_ok=True)
     _write_dse(outdir, grid, state)
@@ -456,14 +462,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
     dirs = [f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}"
             for idx, (rho, alpha, r) in enumerate(points)]
-    jobs = [(cfg, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)]
-
-    if cfg.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            futures = [pool.submit(_run_sweep_point, *job) for job in jobs]
-            statuses = [fut.result() for fut in futures]
-    else:
-        statuses = [_run_sweep_point(*job) for job in jobs]
+    statuses = ordered_map(
+        _run_sweep_point,
+        [(cfg, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)],
+        _workers(cfg))
 
     rates = np.array(points, dtype=float).reshape(-1, 3).T
     write_columns(os.path.join(cfg.out, "sweep_manifest.csv"), "point,rho,alpha,r,dir",
@@ -516,7 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="master seed (64-bit)")
-    parser.add_argument("--jobs", type=int, help="parallel sweep points")
+    parser.add_argument("--jobs", type=int,
+                        help="worker processes for sweep points and simulation replications; "
+                             "0 (default) = every available CPU")
     parser.add_argument("--n", type=int, help="grid size")
     parser.add_argument("--rho", type=float, help="meeting rate")
     parser.add_argument("--alpha", type=float, help="divorce rate")

@@ -10,6 +10,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 import warnings
@@ -37,6 +38,8 @@ __all__ = [
     "write_lines",
     "write_columns",
     "read_columns",
+    "available_cpus",
+    "ordered_map",
 ]
 
 #: Row sums of a kernel must match 1 this tightly.
@@ -562,3 +565,28 @@ def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         raise TypeError(f"cannot write a column of dtype {column.dtype}")
     return np.array(text, dtype=object), index.reshape(-1)
+
+
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def ordered_map(fn, tasks, jobs: int) -> list:
+    """``[fn(*task) for task in tasks]`` on up to ``jobs`` worker processes.
+
+    Results come back in the order of ``tasks``, whatever order the workers
+    finish in, and a worker's exception is raised here.  With one worker or
+    one task everything runs in this process.  ``fn`` and every task must
+    pickle.
+    """
+    tasks = list(tasks)
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [future.result() for future in futures]

@@ -36,9 +36,12 @@ two ways:
   divorces move agents in pairs, so with an even ``agents_per_node`` that
   never happens.
 
-Replications run sequentially on seeds spawned from the master seed via
-``numpy.random.SeedSequence(seed).spawn(replications)``; identical seed and
-config reproduce the event stream bit for bit.  Each replication takes its
+Replications run on seeds spawned from the master seed via
+``numpy.random.SeedSequence(seed).spawn(replications)``, each on its own
+generator, so they may run in worker processes (``simulate(..., jobs=N)``);
+their results are merged in replication order, never in completion order.
+Identical seed and config reproduce the event stream and every statistic
+bit for bit, for any number of workers.  Each replication takes its
 draws from its own generator in blocks of 65 536: standard exponentials for
 the waiting times, uniforms for the event type, the partner node and the
 partner within that node's pool.  A block is refilled exactly when a draw
@@ -64,6 +67,7 @@ from .core import (
     ProductionFunction,
     SearchParams,
     acceptance,
+    ordered_map,
 )
 
 __all__ = ["SimConfig", "SimOutcome", "simulate", "pooled_deviations",
@@ -127,13 +131,16 @@ class SimOutcome:
 
 
 def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
-             w: np.ndarray, cfg: SimConfig) -> SimOutcome:
+             w: np.ndarray, cfg: SimConfig, *, jobs: int = 1) -> SimOutcome:
     """Run the event simulation and collect steady-state statistics.
 
     ``w`` is the equilibrium wage vector of the platform (full grid length);
     it fixes the acceptance rule and the matched flow split.  The discount
-    window must pass :func:`check_discount_window`.
+    window must pass :func:`check_discount_window`.  Replications run on up
+    to ``jobs`` worker processes; the outcome is the same for every ``jobs``.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not platform.is_consistent:
         raise ValueError(
             f"platform is not consistent (defect {platform.consistency_defect():g})")
@@ -157,25 +164,23 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     cum_rows = (None if platform.is_diagonal
                 else [np.cumsum(row).tolist() for row in platform.kernel])
 
-    apn = cfg.agents_per_node
     reps = cfg.replications
     seeds = np.random.SeedSequence(cfg.seed).spawn(reps)
+    results = ordered_map(
+        _run_replication,
+        [(m, cum_rows, accept_rows, flow_rows, params, cfg, seed) for seed in seeds], jobs)
 
     u_hat = np.ones((reps, n))
     payoff_hat = np.zeros((reps, n))
     search_hat = np.zeros((reps, n))
     tallies = np.zeros(5, dtype=np.int64)  # matches, divorces, meetings, failed, rejected
     event_log: list = []
-
-    for rep in range(reps):
-        rep_u, rep_pay, rep_search, rep_tallies = _run_replication(
-            m, apn, cum_rows, accept_rows, flow_rows, params, cfg,
-            np.random.default_rng(seeds[rep]),
-            event_log if cfg.collect_events else None)
+    for rep, (rep_u, rep_pay, rep_search, rep_tallies, rep_log) in enumerate(results):
         u_hat[rep, k:] = rep_u
         payoff_hat[rep, k:] = rep_pay
         search_hat[rep, k:] = rep_search
         tallies += rep_tallies
+        event_log += rep_log
 
     mean_u, se_u = _mean_and_se(u_hat)
     mean_p, se_p = _mean_and_se(payoff_hat)
@@ -229,12 +234,16 @@ def _mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, samples.std(axis=0, ddof=1) / math.sqrt(reps)
 
 
-def _run_replication(m, apn, cum_rows, accept_rows, flow_rows, params, cfg, rng, log):
-    """One event timeline; returns per-node (u_hat, payoff_hat, search_hat)
-    and tallies.  ``search_hat`` averages the payoff over the agents
-    unmatched at ``burn_in`` and is NaN for a node that has none."""
+def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
+    """One event timeline on the generator of ``seed``; returns per-node
+    (u_hat, payoff_hat, search_hat), tallies and the event log (empty unless
+    ``cfg.collect_events``).  ``search_hat`` averages the payoff over the
+    agents unmatched at ``burn_in`` and is NaN for a node that has none."""
+    rng = np.random.default_rng(seed)
+    log = [] if cfg.collect_events else None
     rho, alpha, r = params.rho, params.alpha, params.r
     T, burn = cfg.horizon, cfg.burn_in
+    apn = cfg.agents_per_node
     n_agents = m * apn
     identity_kernel = cum_rows is None
     exp = math.exp
@@ -416,7 +425,7 @@ def _run_replication(m, apn, cum_rows, accept_rows, flow_rows, params, cfg, rng,
     # match, and is tallied once per participant
     meetings = 2 * (matches + failed + rejected)
     return rep_u, rep_pay, rep_search, np.array(
-        [matches, divorces, meetings, failed, rejected], dtype=np.int64)
+        [matches, divorces, meetings, failed, rejected], dtype=np.int64), log or []
 
 
 def pooled_deviations(mean, se, target) -> np.ndarray:

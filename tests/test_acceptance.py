@@ -35,6 +35,7 @@ from matchlab import (
     simulate,
     solve_dse,
 )
+from matchlab.core import available_cpus
 
 from conftest import cubic_production, search_value
 
@@ -50,7 +51,8 @@ def report(number, ok, detail):
 def reference_simulation():
     """Shared run for the simulation criteria: assortative platform, f = xy,
     rho = 1, alpha = 0.5, r = 0.05, 10 nodes, 200 agents per node, horizon
-    2000 with burn-in 200, 8 replications."""
+    2000 with burn-in 200, 8 replications on one worker process per
+    available CPU."""
     grid = make_grid(10)
     f = ProductionFunction.multiplicative()
     platform = first_best_platform(grid, 0)
@@ -58,7 +60,7 @@ def reference_simulation():
     cfg = SimConfig(agents_per_node=200, horizon=2000.0, burn_in=200.0,
                     seed=20240817, replications=8)
     start = time.perf_counter()
-    outcome = simulate(platform, f, REFERENCE, state.w, cfg)
+    outcome = simulate(platform, f, REFERENCE, state.w, cfg, jobs=available_cpus())
     elapsed = time.perf_counter() - start
     return outcome, state, elapsed
 

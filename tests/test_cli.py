@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchlab
 from matchlab import (
@@ -224,6 +229,59 @@ def test_simulate_reruns_byte_identical(tmp_path, monkeypatch):
     assert read_dir_bytes(tmp_path / "a" / "o") == read_dir_bytes(tmp_path / "b" / "o")
 
 
+SIM_ARTIFACTS = ("sim.csv", "sim_summary.json", "events.csv", "dse.csv")
+
+
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["default", "two"])
+def test_simulate_artifacts_do_not_depend_on_jobs(tmp_path, jobs):
+    """Replications merged from worker processes write the bytes of the
+    in-process run; three replications leave one worker a second task."""
+    cfg = write_config(tmp_path / "c.cfg", n=4, r=1.0, agents_per_node=10,
+                       horizon=12.0, burn_in=1.0, replications=3, event_log="true",
+                       epsilon=0.3)
+    runs = {}
+    for name, flags in (("serial", ["--jobs", "1"]), ("pooled", jobs)):
+        out = tmp_path / name
+        assert main(["simulate", "--config", cfg, "--seed", "3", *flags,
+                     "--out", str(out)]) == 0
+        runs[name] = {key: value for key, value in read_dir_bytes(out).items()
+                      if key in SIM_ARTIFACTS}
+    assert sorted(runs["serial"]) == sorted(SIM_ARTIFACTS)
+    assert runs["pooled"] == runs["serial"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(jobs=st.integers(-3, 4), replications=st.integers(-1, 5))
+def test_simulate_jobs_and_replications_exit_cleanly(jobs, replications):
+    """Any --jobs and replication count either simulates, writing the CSVs of
+    a --jobs 1 run, or exits 2 with one stderr line and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(os.path.join(tmp, "c.cfg"), n=3, r=1.0, agents_per_node=4,
+                           horizon=10.0, burn_in=1.0, replications=replications)
+
+        def run(flags, out):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main(["simulate", "--config", cfg, "--seed", "5", *flags,
+                               "--out", out])
+            return status, err.getvalue()
+
+        out = os.path.join(tmp, "o")
+        status, err = run(["--jobs", str(jobs)], out)
+        assert status in (0, 2)
+        assert "Traceback" not in err
+        if status == 2:
+            assert err.startswith("matchlab: config error: ") and err.count("\n") == 1
+            assert not os.path.exists(out)
+            assert jobs < 0 or replications < 1
+            return
+        assert jobs >= 0 and replications >= 1
+        serial = os.path.join(tmp, "s")
+        assert run(["--jobs", "1"], serial) == (0, "")
+        csvs = {k: v for k, v in read_dir_bytes(out).items() if k.endswith(".csv")}
+        assert csvs == {k: v for k, v in read_dir_bytes(serial).items() if k.endswith(".csv")}
+
+
 # ---------------------------------------------------------------------------
 # design and verify
 # ---------------------------------------------------------------------------
@@ -314,10 +372,11 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     ("solve", [], {"tol_w": "nan"}),
     ("sweep", [], {"sweep_rho": "1,2", "tol_w": "-1"}),
     ("solve", [], {"max_outer": "0"}),
+    ("simulate", ["--jobs", "-1"], {}),
 ], ids=["rho-nan", "alpha-inf", "r-negative", "sweep-rho-negative", "sweep-r-nan",
         "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
         "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
-        "max-outer-zero"])
+        "max-outer-zero", "jobs-negative"])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
     cfg = write_config(tmp_path / "c.cfg", n=4, **keys)
     out = tmp_path / "o"
@@ -441,7 +500,7 @@ def test_sweep_manifest_csv_golden(tmp_path, sweep_rho, rhos):
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", n=6, sweep_rho="0.5,1,2")
     serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
+    assert main(["sweep", "--config", cfg, "--jobs", "1", "--out", str(serial)]) == 0
     assert main(["sweep", "--config", cfg, "--jobs", "2",
                  "--out", str(parallel)]) == 0
     for row in csv_rows(serial / "sweep_manifest.csv"):

@@ -13,7 +13,13 @@ from matchlab import (
     save_platform,
     surplus,
 )
-from matchlab.core import acceptance, format_float, read_columns, write_columns
+from matchlab.core import (
+    acceptance,
+    format_float,
+    ordered_map,
+    read_columns,
+    write_columns,
+)
 from matchlab.designer import first_best_platform, glitch
 
 from conftest import mixture_kernel, reference_csv
@@ -475,3 +481,20 @@ def test_load_platform_rejects_bad_rows(tmp_path, name, text):
     (tmp_path / name).write_text(text)
     with pytest.raises(ValueError, match=name):
         load_platform(str(tmp_path))
+
+
+# ---------------------------------------------------------------------------
+# ordered process map
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 8])
+def test_ordered_map_returns_results_in_task_order(jobs):
+    assert ordered_map(pow, [(2, k) for k in range(7)], jobs) == [2 ** k for k in range(7)]
+    assert ordered_map(pow, [], jobs) == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ordered_map_raises_a_worker_exception(jobs):
+    with pytest.raises(ValueError, match="'x'"):
+        ordered_map(int, [("1",), ("x",), ("3",)], jobs)

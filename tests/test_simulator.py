@@ -9,6 +9,7 @@ from matchlab import (
     ProductionFunction,
     SearchParams,
     SimConfig,
+    SimOutcome,
     first_best_dse,
     first_best_platform,
     glitch,
@@ -324,3 +325,31 @@ def test_event_stream_matches_golden_digests(f_xy):
         kinds |= {event[1] for event in out.event_log}
     assert kinds == {"miss", "fail", "reject", "match", "divorce"}
     assert seen == GOLDEN
+
+
+@pytest.mark.parametrize("name, replications", [
+    ("identity", 3), ("glitch0.3", 3), ("mixture", 3), ("identity", 1),
+])
+def test_worker_processes_change_no_bit(f_xy, name, replications):
+    """Replications run on two worker processes and merged in replication
+    order give the in-process outcome bit for bit, event log included.
+    Three replications leave one worker a second task; a single replication
+    runs without a pool."""
+    platform, params, cfg = next((p, q, c) for run, p, q, c in _golden_runs() if run == name)
+    cfg = dataclasses.replace(cfg, replications=replications)
+    w = solve_dse(platform, f_xy, params).w
+    serial = simulate(platform, f_xy, params, w, cfg, jobs=1)
+    pooled = simulate(platform, f_xy, params, w, cfg, jobs=2)
+    assert serial.event_log
+    for field in dataclasses.fields(SimOutcome):
+        a, b = getattr(serial, field.name), getattr(pooled, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_jobs_below_one_refused(fast_params, f_xy):
+    platform = first_best_platform(make_grid(4), 0)
+    with pytest.raises(ValueError, match="jobs"):
+        simulate(platform, f_xy, fast_params, np.zeros(4), small_cfg(), jobs=0)
