@@ -160,8 +160,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"f must be one of xy, xy+c, table; got {cfg.f!r}")
     if cfg.f == "table" and not cfg.table:
         raise ConfigError("f=table requires a table= path")
-    if cfg.c < 0:
-        raise ConfigError("c must be nonnegative")
     if cfg.cutoff != "auto":
         try:
             value = float(cfg.cutoff)
@@ -201,12 +199,14 @@ def _reading(path: str):
 
 
 def _production(cfg: RunConfig, grid) -> ProductionFunction:
-    if cfg.f == "xy":
-        return ProductionFunction.multiplicative()
-    if cfg.f == "xy+c":
-        return ProductionFunction.multiplicative_plus_constant(cfg.c)
-    with _reading(cfg.table):
-        return load_table(cfg.table, grid)
+    """The production function; data it refuses is a config error."""
+    if cfg.f == "table":
+        with _reading(cfg.table):
+            return load_table(cfg.table, grid)
+    try:
+        return ProductionFunction(cfg.f, c=cfg.c)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _search_params(rho: float, alpha: float, r: float) -> SearchParams:
@@ -454,10 +454,13 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     alphas = _sweep_values(cfg.sweep_alpha, cfg.alpha)
     rs = _sweep_values(cfg.sweep_r, cfg.r)
     points = [(rho, alpha, r) for rho in rhos for alpha in alphas for r in rs]
-    # a bad point or solver setting fails the sweep before anything is written
+    # a bad point, solver setting or production fails the sweep before
+    # anything is written
     for point in points:
         _search_params(*point)
     _solver_config(cfg)
+    if not cfg.platform:
+        _production(cfg, make_grid(cfg.n))
     os.makedirs(cfg.out, exist_ok=True)
 
     dirs = [f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}"
@@ -479,7 +482,10 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     production = _production(cfg, grid)
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
 
-    prop4_ok = prop4_oracle(cfg.oracle_n, _production(cfg, make_grid(cfg.oracle_n)), params)
+    try:
+        prop4_ok = prop4_oracle(cfg.oracle_n, _production(cfg, make_grid(cfg.oracle_n)), params)
+    except ValueError as exc:  # a grid size make_grid or the exhaustive scan refuses
+        raise ConfigError(f"oracle_n: {exc}") from None
 
     identity = tuple(range(grid.n))
     rent_identity = involution_rent(grid, production, params, 0, identity)

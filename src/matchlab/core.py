@@ -58,13 +58,14 @@ class NonConvergenceError(MatchlabError):
     """Fixed-point iteration stopped without an equilibrium.
 
     Carries the last residuals and the sweep count so callers can report how
-    close the run got.  When the solve stopped because its acceptance sets
-    repeat, ``period`` is the number of sweeps after which they repeat (1 for
-    a fixed set under which the update does not contract) and
-    ``flipping_pairs`` lists the pairs ``(i, j)``, ``i <= j``, whose
-    acceptance flag changed at the last flip; otherwise they are 0 and
-    empty.  Instances survive ``pickle``, so a worker process can report
-    them.
+    close the run got.  When the solve stopped because the Bellman residual
+    set no new best for a while, ``period`` is the number of sweeps after
+    which its recent acceptance sets repeat: 1 for a fixed set under which
+    the update does not contract, 0 for sets that do not repeat.  For a
+    period of 2 or more, ``flipping_pairs`` lists the pairs ``(i, j)``,
+    ``i <= j``, whose acceptance flag changed at the last flip; otherwise it
+    is empty.  A solve that ran out of sweeps reads period 0 as well.
+    Instances survive ``pickle``, so a worker process can report them.
     """
 
     def __init__(self, message: str, bellman_residual: float, balance_residual: float,
@@ -154,8 +155,8 @@ class ProductionFunction:
     """Symmetric flow output of a matched pair.
 
     Built-in kinds are ``"xy"`` (multiplicative) and ``"xy+c"`` (multiplicative
-    plus a constant ``c >= 0``), both with analytic partial derivatives.
-    ``"table"`` wraps an ``n x n`` value matrix on a grid; evaluation uses
+    plus a finite constant ``c >= 0``), both with analytic partial derivatives.
+    ``"table"`` wraps an ``n x n`` matrix of finite values on a grid; evaluation uses
     bilinear interpolation and the derivative a central difference with step
     ``1 / (4 n)`` unless an explicit derivative table is supplied.
     """
@@ -164,8 +165,8 @@ class ProductionFunction:
                  table: np.ndarray | None = None, dx_table: np.ndarray | None = None):
         if kind not in ("xy", "xy+c", "table"):
             raise ValueError(f"unknown production kind {kind!r}")
-        if kind == "xy+c" and c < 0:
-            raise ValueError(f"constant term must be nonnegative, got {c}")
+        if kind == "xy+c" and not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"constant term must be a nonnegative finite number, got {c}")
         self.kind = kind
         self.c = float(c) if kind == "xy+c" else 0.0
         self.grid = grid
@@ -177,6 +178,8 @@ class ProductionFunction:
             table = np.asarray(table, dtype=float)
             if table.shape != (grid.n, grid.n):
                 raise ValueError(f"table shape {table.shape} does not match grid n={grid.n}")
+            if not np.all(np.isfinite(table)):
+                raise ValueError("tabulated values must be finite")
             asym = float(np.max(np.abs(table - table.T))) if grid.n else 0.0
             if asym > SYMMETRY_TOL:
                 raise ValueError(f"tabulated values are asymmetric (max |f(x,y)-f(y,x)| = {asym:g})")
@@ -191,6 +194,8 @@ class ProductionFunction:
                 dx_table = np.asarray(dx_table, dtype=float)
                 if dx_table.shape != (grid.n, grid.n):
                     raise ValueError("derivative table shape does not match grid")
+                if not np.all(np.isfinite(dx_table)):
+                    raise ValueError("derivative table values must be finite")
                 dx_table = dx_table.copy()
                 dx_table.setflags(write=False)
                 self._dx_table = dx_table

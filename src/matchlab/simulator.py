@@ -94,6 +94,8 @@ class SimConfig:
             raise ValueError("need a finite horizon > burn_in >= 0")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,10 +13,10 @@ equation (damped), recomputing ``M`` each sweep.  The inner steady state is a
 linear system in ``u`` and is solved directly; a naive substitution iteration
 oscillates whenever ``rho`` exceeds ``alpha``, so no fixed-point inner loop is
 used.  It depends on ``w`` only through ``M``, so it is solved again only when
-``M`` changes.  When ``M`` instead cycles through a few sets while the
-Bellman residual stops improving, or stays fixed while the damped update
-diverges, the solve fails fast.  Identity kernels take a diagonal fast path
-with the same semantics.
+``M`` changes.  When the Bellman residual stops setting new bests, because
+``M`` cycles, never settles, or stays fixed while the damped update diverges,
+the solve fails fast.  Identity kernels take a diagonal fast path with the
+same semantics.
 """
 
 from __future__ import annotations
@@ -41,11 +41,9 @@ __all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density"]
 #: Weight of each closed-form row update in the next iterate; one half
 #: stabilizes acceptance-set flips.
 _DAMPING = 0.5
-#: Longest cycle of acceptance sets the solve detects.
-_CYCLE_MAX_PERIOD = 16
-#: A cycle is declared once it has repeated this many times with no new best
-#: Bellman residual.
-_CYCLE_REPEATS = 4
+#: Sweeps without a new best Bellman residual after which the solve stops;
+#: also the length of the ring of acceptance-set digests its diagnosis reads.
+_STALL_SWEEPS = 64
 #: Flipping pairs a cycle's error message names.
 _CYCLE_PAIRS_SHOWN = 3
 
@@ -100,10 +98,10 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     Raises ``ValueError`` for inconsistent platforms and
     :class:`NonConvergenceError` when ``max_outer`` sweeps do not reach
-    ``tol_w``, or sooner when the acceptance sets cycle with a period of at
-    most ``_CYCLE_MAX_PERIOD`` sweeps and the Bellman residual sets no new
-    best over ``_CYCLE_REPEATS`` periods, or when they stay fixed while the
-    residual grows (see :func:`_cycle_period`).
+    ``tol_w``, or sooner, once the Bellman residual has set no new best for
+    ``_STALL_SWEEPS`` sweeps.  That stall is diagnosed from the recent
+    acceptance sets (see :func:`_stall_error`): they cycle with a period, stay
+    fixed while the damped update fails to contract, or do not repeat.
     """
     cfg = cfg or SolverConfig()
     if not platform.is_consistent:
@@ -125,14 +123,12 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     w = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
 
     # dense branch: the acceptance set that A, u, au and afu were built from
-    # and the one before it, as np.packbits bytes, and a hash of the set and
-    # the Bellman residual of each recent sweep for the cycle detector
+    # and the one before it, as np.packbits bytes, and a hash of the set of
+    # each recent sweep for the stall diagnosis
     packed = packed_before = None
     solves = 0
-    digests = collections.deque(maxlen=_CYCLE_REPEATS * _CYCLE_MAX_PERIOD)
-    bells = collections.deque(maxlen=digests.maxlen)
+    digests = collections.deque(maxlen=_STALL_SWEEPS)
     best, best_at = math.inf, 0
-    period = 0
 
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
     for iterations in range(1, cfg.max_outer + 1):
@@ -163,20 +159,16 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
         bell = float(np.max(np.abs(denom * (w - w_new))))
         if bell <= cfg.tol_w:
             break
-        if not diagonal_kernel:
-            bells.append(bell)
-            if bell < best:
-                best, best_at = bell, iterations
-            else:
-                period = _cycle_period(digests, bells, iterations - best_at)
-                if period:
-                    break
+        if bell < best:
+            best, best_at = bell, iterations
+        elif iterations - best_at >= _STALL_SWEEPS:
+            break
         w = (1.0 - _DAMPING) * w + _DAMPING * w_new
 
     balance = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
-    if period:
-        raise _cycle_error(period, packed, packed_before, m, k, iterations, bell, balance)
     if not bell <= cfg.tol_w:  # the last sweep missed; a NaN residual misses too
+        if iterations - best_at >= _STALL_SWEEPS:
+            raise _stall_error(digests, packed, packed_before, m, k, iterations, bell, balance)
         raise NonConvergenceError(
             f"no convergence after {cfg.max_outer} sweeps "
             f"(bellman residual {bell:g}, balance residual {balance:g})",
@@ -206,43 +198,31 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
                     iterations=iterations, steady_state_solves=solves)
 
 
-def _cycle_period(digests, bells, stale: int) -> int:
-    """The period with which the last acceptance sets repeat, or 0.
+def _stall_error(digests, packed: bytes | None, packed_before: bytes | None, m: int,
+                 k: int, iterations: int, bell: float, balance: float) -> NonConvergenceError:
+    """The error for a solve whose Bellman residual set no new best over its
+    last ``_STALL_SWEEPS`` sweeps.
 
-    ``digests`` and ``bells`` hold a digest of ``M`` and the Bellman residual
-    of each recent sweep, the latest last, and ``stale`` counts the sweeps
-    since the best residual so far.  A period ``p >= 2`` counts once the last
-    ``_CYCLE_REPEATS * p`` digests repeat with period ``p`` (and no shorter
-    one) and the residual has been stale for all those sweeps.  Period 1 is a
-    fixed ``M``, under which the damped update is affine: it counts only when
-    ``M`` and the stale residual have lasted the whole ring and the residual
-    ended it no lower than it began, so the update diverges or stalls.
-    """
-    history = list(digests)
-    for p in range(1, _CYCLE_MAX_PERIOD + 1):
-        span = digests.maxlen if p == 1 else _CYCLE_REPEATS * p
-        window = history[-span:]
-        if stale < span or len(window) < span or window[p:] != window[:-p]:
-            continue
-        if (p == 1 and bells[-1] >= bells[0]) or (p > 1 and len(set(window)) > 1):
-            return p
-    return 0
-
-
-def _cycle_error(period: int, packed: bytes, packed_before: bytes | None, m: int, k: int,
-                 iterations: int, bell: float, balance: float) -> NonConvergenceError:
-    """The error for acceptance sets that repeat with ``period``.  The flipping
+    ``digests`` holds a hash of the acceptance set of each recent sweep, the
+    latest last; the diagonal path keeps none.  The period is the smallest lag
+    ``p`` at which the newer half of that ring repeats: 1 is a fixed set,
+    under which the damped update is affine and does not contract, and 0
+    means the sets do not repeat.  For a period of 2 or more the flipping
     pairs are those the last change of the ``m``-by-``m`` acceptance set
     flipped (``packed_before`` to ``packed``, as ``np.packbits`` bytes), in
-    global node ids."""
+    global node ids.
+    """
+    history = list(digests)
+    half = _STALL_SWEEPS // 2
+    period = next((p for p in range(1, half + 1)
+                   if len(history) >= half + p and history[-half - p:-p] == history[-half:]), 0)
     residuals = f"(bellman residual {bell:g}, balance residual {balance:g})"
-    if period == 1:
-        return NonConvergenceError(
-            f"damped update does not contract: acceptance sets fixed and no new best "
-            f"bellman residual over the last {_CYCLE_REPEATS * _CYCLE_MAX_PERIOD} of "
-            f"{iterations} sweeps {residuals}",
-            bellman_residual=bell, balance_residual=balance, iterations=iterations,
-            period=1)
+    stale = f"no new best bellman residual over the last {_STALL_SWEEPS} of {iterations} sweeps"
+    if period <= 1:
+        prefix = "damped update does not contract: acceptance sets fixed and " if period else ""
+        return NonConvergenceError(f"{prefix}{stale} {residuals}", bellman_residual=bell,
+                                   balance_residual=balance, iterations=iterations,
+                                   period=period)
     flipped = np.bitwise_xor(np.frombuffer(packed, np.uint8),
                              np.frombuffer(packed_before, np.uint8))
     rows, cols = np.nonzero(np.triu(np.unpackbits(flipped, count=m * m).reshape(m, m)))

@@ -33,7 +33,7 @@ from matchlab.cli import (
     main,
     resolve_config,
 )
-from matchlab.core import DSEState, ProductionFunction
+from matchlab.core import DSEState, ProductionFunction, format_float
 
 from conftest import csv_rows, reference_csv
 
@@ -358,6 +358,15 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _nan_table(tmp_path):
+    """Write a 4-node production table with one NaN entry; returns its path."""
+    rows = [(i, j, "nan" if i == j == 1 else format_float((i + 1) * (j + 1) / 16))
+            for i in range(4) for j in range(4)]
+    path = tmp_path / "table.csv"
+    path.write_text("i,j,f\n" + "".join(f"{i},{j},{f}\n" for i, j, f in rows))
+    return str(path)
+
+
 @pytest.mark.parametrize("command, flags, keys", [
     ("solve", ["--rho", "nan"], {}),
     ("solve", ["--alpha", "inf"], {}),
@@ -373,11 +382,22 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     ("sweep", [], {"sweep_rho": "1,2", "tol_w": "-1"}),
     ("solve", [], {"max_outer": "0"}),
     ("simulate", ["--jobs", "-1"], {}),
+    ("solve", ["--f", "xy+c", "--c", "nan"], {}),
+    ("solve", ["--f", "xy+c", "--c", "inf"], {}),
+    ("design", ["--f", "xy+c", "--c", "-1"], {}),
+    ("sweep", ["--f", "xy+c", "--c", "nan"], {"sweep_rho": "1,2"}),
+    ("solve", [], {"f": "table", "table": _nan_table}),
+    ("simulate", ["--seed", "-1"], {}),
+    ("oracle", [], {"oracle_n": "7"}),
+    ("oracle", [], {"oracle_n": "1"}),
 ], ids=["rho-nan", "alpha-inf", "r-negative", "sweep-rho-negative", "sweep-r-nan",
         "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
         "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
-        "max-outer-zero", "jobs-negative"])
+        "max-outer-zero", "jobs-negative", "c-nan", "c-inf", "c-negative", "sweep-c-nan", "table-nan",
+        "seed-negative", "oracle-n-above-6", "oracle-n-below-2"])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
+    # a callable value writes its input file and returns the path
+    keys = {key: value(tmp_path) if callable(value) else value for key, value in keys.items()}
     cfg = write_config(tmp_path / "c.cfg", n=4, **keys)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 2

@@ -186,6 +186,20 @@ def test_decreasing_table_rejected():
         ProductionFunction.tabulated(g, table)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_production_data_rejected(bad):
+    g = make_grid(3)
+    table = np.outer(g.nodes, g.nodes)
+    with pytest.raises(ValueError, match="finite"):
+        ProductionFunction.multiplicative_plus_constant(bad)
+    spoiled = table.copy()
+    spoiled[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ProductionFunction.tabulated(g, spoiled)
+    with pytest.raises(ValueError, match="finite"):
+        ProductionFunction.tabulated(g, table, dx_table=spoiled)
+
+
 def test_tabulated_interpolation_matches_bilinear_source():
     # xy is itself bilinear, so interpolation and the derivative stencil
     # reproduce it up to roundoff away from the clamped edges

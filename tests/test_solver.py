@@ -196,6 +196,21 @@ def test_cycling_acceptance_sets_fail_fast(n, a, b, rho, alpha, r, period, f_xy)
     assert exc.bellman_residual > 1e-6
 
 
+def test_never_repeating_stall_fails_fast(f_xy):
+    """Acceptance sets that keep changing without repeating, while the Bellman
+    residual stops improving, stop the solve as fast as a cycle does."""
+    with pytest.raises(NonConvergenceError) as err:
+        solve_dse(mixture_platform(30, 0.081, 0.641), f_xy,
+                  SearchParams(rho=1.78, alpha=0.372, r=0.423))
+    exc = err.value
+    assert exc.period == 0
+    assert exc.flipping_pairs == ()
+    assert exc.iterations <= 200
+    assert str(exc).startswith(
+        f"no new best bellman residual over the last 64 of {exc.iterations} sweeps")
+    assert exc.bellman_residual > 1e-6
+
+
 def test_diverging_update_fails_fast(f_xy):
     """Under a fixed acceptance set the damped update is affine; on this kernel
     it diverges, and the solve stops long before the wages overflow."""
@@ -318,9 +333,11 @@ def test_equilibrium_contract_on_symmetric_kernels(n, a, b, rho, alpha, r):
     f = ProductionFunction.multiplicative()
     try:
         st_ = solve_dse(platform, f, p)
-    except NonConvergenceError:
+    except NonConvergenceError as exc:
         # lopsided acceptance-filtered kernels can lack a density-valued
-        # steady state; refusing is the contract
+        # steady state, and the damped update can stall; refusing is the
+        # contract, but a stall must be refused long before max_outer
+        assert exc.iterations < SolverConfig().max_outer
         assume(False)
     bell, bal, violations = dse_residuals(platform, f, p, st_)
     assert bell <= 1e-9
