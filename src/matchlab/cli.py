@@ -3,8 +3,9 @@
 Commands: solve, simulate, design, verify, sweep, oracle.  Options resolve
 in three layers: built-in defaults, then a flat key=value config file, then
 command-line flags.  Every run writes ``manifest.txt`` echoing the resolved
-configuration and tool version; all CSV artifacts use 17-significant-digit
-floats and LF line endings so identical runs are byte-identical.
+configuration and tool version; all CSV artifacts write each float as the
+shortest text that reads back to the same bits, with LF line endings, so
+identical runs are byte-identical.
 
 Exit codes: 0 success / certified, 1 certification failure, 2 configuration
 error, 3 numerical non-convergence.
@@ -248,21 +249,20 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
 
 
 def _resolve_platform(cfg: RunConfig):
-    """(platform, production, grid) from a directory or the built-in family."""
+    """(platform, production) from a directory or the built-in family."""
     if cfg.platform:
         with _reading(cfg.platform):
             platform, production = load_platform(cfg.platform)
         if not platform.is_consistent:
             raise ConfigError(f"{cfg.platform}: platform is not consistent "
                               f"(defect {platform.consistency_defect():g})")
-        grid = platform.grid
     else:
         grid = make_grid(cfg.n)
         production = _production(cfg, grid)
         platform = first_best_platform(grid, _cutoff_index(cfg, grid))
     if cfg.epsilon:
         platform = glitch(platform, float(cfg.epsilon))
-    return platform, production, grid
+    return platform, production
 
 
 def _write_manifest(cfg: RunConfig, outdir: str, extra: dict | None = None) -> None:
@@ -314,7 +314,12 @@ def _write_acceptance(outdir: str, state: DSEState) -> None:
 
 
 def _cmd_solve(cfg: RunConfig) -> int:
-    platform, production, grid = _resolve_platform(cfg)
+    return _solve(cfg, *_resolve_platform(cfg))
+
+
+def _solve(cfg: RunConfig, platform, production) -> int:
+    """``solve`` on a resolved platform, so a sweep loads an artifact once for all points."""
+    grid = platform.grid
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     state = solve_dse(platform, production, params, _solver_config(cfg))
     outdir = cfg.out
@@ -333,7 +338,8 @@ def _cmd_solve(cfg: RunConfig) -> int:
 def _cmd_simulate(cfg: RunConfig) -> int:
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     sim_cfg = _sim_config(cfg, params)
-    platform, production, grid = _resolve_platform(cfg)
+    platform, production = _resolve_platform(cfg)
+    grid = platform.grid
     state = solve_dse(platform, production, params, _solver_config(cfg))
     outcome = simulate(platform, production, params, state.w, sim_cfg, jobs=_workers(cfg))
     outdir = cfg.out
@@ -442,11 +448,11 @@ def _sweep_values(raw: str, fallback: float) -> list:
         raise ConfigError(f"cannot parse sweep list {raw!r}") from None
 
 
-def _run_sweep_point(base: RunConfig, rho: float, alpha: float, r: float,
+def _run_sweep_point(base: RunConfig, loaded, rho: float, alpha: float, r: float,
                      outdir: str) -> int:
     point = replace(base, command="solve", rho=rho, alpha=alpha, r=r, out=outdir,
                     sweep_rho="", sweep_alpha="", sweep_r="")
-    return _cmd_solve(point)
+    return _solve(point, *loaded) if loaded else _cmd_solve(point)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -454,12 +460,17 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     alphas = _sweep_values(cfg.sweep_alpha, cfg.alpha)
     rs = _sweep_values(cfg.sweep_r, cfg.r)
     points = [(rho, alpha, r) for rho in rhos for alpha in alphas for r in rs]
-    # a bad point, solver setting or production fails the sweep before
-    # anything is written
+    # a bad point, solver setting, production or platform artifact fails the
+    # sweep before anything is written.  An artifact is parsed once here and
+    # handed to every point; the built-in platform costs less to build in each
+    # point than to pickle (a dense n-by-n kernel) to a worker.
     for point in points:
         _search_params(*point)
     _solver_config(cfg)
-    if not cfg.platform:
+    if cfg.platform:
+        loaded = _resolve_platform(cfg)
+    else:
+        loaded = None
         _production(cfg, make_grid(cfg.n))
     os.makedirs(cfg.out, exist_ok=True)
 
@@ -467,7 +478,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
             for idx, (rho, alpha, r) in enumerate(points)]
     statuses = ordered_map(
         _run_sweep_point,
-        [(cfg, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)],
+        [(cfg, loaded, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)],
         _workers(cfg))
 
     rates = np.array(points, dtype=float).reshape(-1, 3).T

@@ -28,8 +28,6 @@ __all__ = [
     "ProductionFunction",
     "Platform",
     "DSEState",
-    "GlitchSpec",
-    "surplus",
     "acceptance",
     "save_platform",
     "load_platform",
@@ -87,8 +85,15 @@ class EmptyMarketError(MatchlabError):
 
 
 def format_float(x: float) -> str:
-    """Serialize a float with 17 significant digits (lossless round-trip)."""
-    return format(float(x), ".17g")
+    """The shortest text that reads back to the same float: Python's ``repr``
+    (round-trip printing), without a trailing ``.0``.
+
+    So integral values below 1e16 are written as integers (``1``, ``-0``), and
+    ``0.0005`` stays ``0.0005`` where 17 significant digits would write
+    ``0.00050000000000000001``.
+    """
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
 
 
 @dataclass(frozen=True)
@@ -385,26 +390,6 @@ class DSEState:
             getattr(self, name).setflags(write=False)
 
 
-@dataclass(frozen=True)
-class GlitchSpec:
-    """Mixing weight for blending a kernel with the population distribution."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie strictly inside (0, 1), got {self.epsilon}")
-
-
-def surplus(f: ProductionFunction, grid: TypeGrid, w: np.ndarray, i: int, j: int) -> float:
-    """Net flow surplus of the pair (i, j): output minus both reservation wages."""
-    n = grid.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node indices ({i}, {j}) out of range for n={n}")
-    x = grid.nodes
-    return float(f.eval(x[i], x[j])) - float(w[i]) - float(w[j])
-
-
 def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The acceptance sets at wages ``w``: pair ``(i, j)`` matches exactly
     when its output ``F[i, j]`` covers both reservation wages,
@@ -452,7 +437,11 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
 
     Raises ``ValueError`` naming the file when an artifact is malformed.
     """
-    manifest = read_manifest(os.path.join(outdir, "manifest.txt"))
+    manifest_path = os.path.join(outdir, "manifest.txt")
+    manifest = read_manifest(manifest_path)
+    for key in ("n", "cutoff", "f.kind"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing key {key!r}")
     n = int(manifest["n"])
     k = int(manifest["cutoff"])
     grid = make_grid(n)
@@ -503,7 +492,9 @@ def read_columns(path: str, ncols: int, nindex: int, lo: int, hi: int) -> list[n
 
     The first ``nindex`` columns are node indices: each must be an integer in
     ``[lo, hi)`` and comes back as int64.  The other columns come back as
-    float64, parsed exactly (``format_float`` text reads back bit for bit).
+    float64, parsed with correct rounding: the shortest round-trip text of
+    ``format_float`` reads back bit for bit, as does the 17-significant-digit
+    text that older artifacts hold.
     Raises ``ValueError`` naming ``path`` for a malformed file.
     """
     try:
@@ -533,7 +524,8 @@ def write_columns(path: str, header: str, columns) -> None:
     """Write ``header``, then line ``r`` joining entry ``r`` of every column with commas.
 
     Integer columns are written with ``str``, float columns with
-    ``format_float`` and string columns as they are, so the bytes equal those
+    ``format_float`` (the shortest text that reads back to the same bits)
+    and string columns as they are, so the bytes equal those
     of formatting each line by hand.  Each distinct entry is formatted once,
     and lines are built and written in blocks so the whole file never sits
     in memory.

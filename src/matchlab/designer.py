@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     DSEState,
-    GlitchSpec,
     Platform,
     ProductionFunction,
     SearchParams,
@@ -359,14 +358,13 @@ def optimal_exclusion(grid: TypeGrid, f: ProductionFunction) -> ExclusionResult:
 # ---------------------------------------------------------------------------
 
 
-def glitch(platform: Platform, eps: GlitchSpec | float) -> Platform:
-    """Blend the kernel with a population-uniform draw of weight ``eps``.
+def glitch(platform: Platform, epsilon: float) -> Platform:
+    """Blend the kernel with a population-uniform draw of weight ``epsilon``.
 
     The mixture runs over the whole grid, so previously excluded nodes are
     re-included (self-search kernel rows, zero transfers) and the result has
     cutoff zero.  Mixing two symmetric kernels keeps the platform consistent.
     """
-    epsilon = eps.epsilon if isinstance(eps, GlitchSpec) else float(eps)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     if not platform.is_consistent:

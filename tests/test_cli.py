@@ -339,6 +339,10 @@ def _asymmetric_platform_csv(d):
     (d / "platform.csv").write_text("i,j,G\n" + "\n".join(rows) + "\n")
 
 
+def _manifest_only_n(d):
+    (d / "manifest.txt").write_text("n=4\n")
+
+
 @pytest.mark.parametrize("command, damage", [
     ("verify", _corrupt_platform_csv),
     ("verify", _drop_dse_csv),
@@ -346,6 +350,9 @@ def _asymmetric_platform_csv(d):
     ("simulate", _corrupt_platform_csv),
     ("solve", _asymmetric_platform_csv),
     ("simulate", _asymmetric_platform_csv),
+    ("sweep", _corrupt_platform_csv),
+    ("sweep", _manifest_only_n),
+    ("verify", _manifest_only_n),
 ])
 def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, damage):
     d = tmp_path / "d"
@@ -356,6 +363,9 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     err = capsys.readouterr().err
     assert err.startswith("matchlab: config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    if damage is _manifest_only_n:
+        assert err.endswith(f"{d / 'manifest.txt'}: missing key 'cutoff'\n")
 
 
 def _nan_table(tmp_path):
@@ -515,6 +525,30 @@ def test_sweep_manifest_csv_golden(tmp_path, sweep_rho, rhos):
             for idx, rho in enumerate(rhos)]
     assert (out / "sweep_manifest.csv").read_text() == reference_csv(
         "point,rho,alpha,r,dir", rows)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_loads_its_platform_once(tmp_path, monkeypatch, jobs):
+    """Every point of a --platform sweep writes the CSVs a solve of that
+    platform writes, from one load of the artifact."""
+    d = tmp_path / "d"
+    assert main(["solve", "--n", "6", "--epsilon", "0.3", "--out", str(d)]) == 0
+    loads = []
+    load = matchlab.cli.load_platform
+    monkeypatch.setattr(matchlab.cli, "load_platform", lambda path: loads.append(path) or load(path))
+    cfg = write_config(tmp_path / "c.cfg", sweep_rho="0.5,2")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--platform", str(d), "--jobs", jobs,
+                 "--out", str(out)]) == 0
+    assert loads == [str(d)]
+    for row in csv_rows(out / "sweep_manifest.csv"):
+        solo = tmp_path / f"solo{row['point']}"
+        assert main(["solve", "--platform", str(d), "--rho", row["rho"],
+                     "--out", str(solo)]) == 0
+        point = read_dir_bytes(out / row["dir"])
+        for name, data in read_dir_bytes(solo).items():
+            if name.endswith(".csv"):
+                assert point[name] == data, name
 
 
 def test_sweep_parallel_matches_serial(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlab import (
-    GlitchSpec,
     Involution,
     Platform,
     ProductionFunction,
@@ -357,7 +356,7 @@ def test_glitch_limits(f_xy):
 
 def test_glitch_mixture_arithmetic():
     base = first_best_platform(make_grid(10), 0)
-    mixed = glitch(base, GlitchSpec(0.01))
+    mixed = glitch(base, 0.01)
     assert mixed.kernel[0, 0] == pytest.approx(0.991, abs=1e-15)
     assert mixed.kernel[0, 1] == pytest.approx(0.001, abs=1e-18)
     assert mixed.cutoff == 0
