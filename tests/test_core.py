@@ -113,6 +113,48 @@ def test_acceptance_is_the_sign_of_surplus(f_xy):
     assert not M.all() and M.any()
 
 
+def test_surplus_zero_wages(f_xy):
+    """At zero wages the surplus is the output: node 2 sits exactly at 0.5,
+    so its own pair accepts up to a wage of 0.125 each and not one ulp more."""
+    g = make_grid(5)
+    F = f_xy.values(g)
+    assert F[2, 2] == 0.25
+    assert acceptance(F, np.zeros(5)).all()
+    w = np.zeros(5)
+    w[2] = 0.125
+    assert acceptance(F, w)[2, 2]
+    w[2] = np.nextafter(0.125, 1.0)
+    assert not acceptance(F, w)[2, 2]
+
+
+def test_surplus_at_reference_wage(params, f_xy):
+    # w(x) = x^2 / 5.3 at the reference rates; at x = y = 0.5 the net
+    # surplus is 0.25 - 2 * 0.25 / 5.3
+    g = make_grid(5)
+    w = params.rho * params.alpha / (2 * ((params.r + params.alpha)
+        * (params.alpha + params.rho) + params.rho * params.alpha)) * g.nodes ** 2
+    F = f_xy.values(g)
+    assert F[2, 2] - w[2] - w[2] == pytest.approx(0.15566037735849056, abs=1e-15)
+    assert acceptance(F, w)[2, 2]
+
+
+def test_surplus_negative_for_zero_output():
+    g = make_grid(4)
+    f0 = ProductionFunction.tabulated(g, np.zeros((4, 4)))
+    w = np.full(4, 0.1)
+    assert not acceptance(f0.values(g), w)[0, 3]
+    assert not acceptance(f0.values(g), w).any()
+
+
+def test_surplus_index_check(f_xy):
+    g = make_grid(4)
+    M = acceptance(f_xy.values(g), np.zeros(4))
+    with pytest.raises(IndexError):
+        M[0, 4]
+    with pytest.raises(ValueError):
+        acceptance(f_xy.values(g), np.zeros(5))
+
+
 # ---------------------------------------------------------------------------
 # production functions
 # ---------------------------------------------------------------------------
