@@ -35,6 +35,7 @@ from .core import (
     load_platform,
     load_table,
     make_grid,
+    manifest_value,
     ordered_map,
     read_columns,
     read_manifest,
@@ -405,9 +406,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
         raise ConfigError(f"verify needs an artifact directory, got {target!r}")
     with _reading(target):
         platform, production = load_platform(target)
-        manifest = read_manifest(os.path.join(target, "manifest.txt"))
-        params = SearchParams(rho=float(manifest["rho"]), alpha=float(manifest["alpha"]),
-                              r=float(manifest["r"]))
+        manifest_path = os.path.join(target, "manifest.txt")
+        manifest = read_manifest(manifest_path)
+        params = SearchParams(**{key: manifest_value(manifest, key, manifest_path)
+                                 for key in ("rho", "alpha", "r")})
         grid = platform.grid
         i, _, w_i, u_i = read_columns(os.path.join(target, "dse.csv"), 4, 1, 0, grid.n)
 

@@ -439,11 +439,9 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
     """
     manifest_path = os.path.join(outdir, "manifest.txt")
     manifest = read_manifest(manifest_path)
-    for key in ("n", "cutoff", "f.kind"):
-        if key not in manifest:
-            raise ValueError(f"{manifest_path}: missing key {key!r}")
-    n = int(manifest["n"])
-    k = int(manifest["cutoff"])
+    n = manifest_value(manifest, "n", manifest_path, int)
+    k = manifest_value(manifest, "cutoff", manifest_path, int)
+    kind = manifest_value(manifest, "f.kind", manifest_path, str)
     grid = make_grid(n)
     m = n - k
 
@@ -455,11 +453,11 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
     i, t = read_columns(os.path.join(outdir, "transfers.csv"), 2, 1, 0, n)
     transfers[i] = t
 
-    kind = manifest["f.kind"]
     if kind == "xy":
         production = ProductionFunction.multiplicative()
     elif kind == "xy+c":
-        production = ProductionFunction.multiplicative_plus_constant(float(manifest["f.c"]))
+        production = ProductionFunction.multiplicative_plus_constant(
+            manifest_value(manifest, "f.c", manifest_path))
     else:
         production = load_table(os.path.join(outdir, "table.csv"), grid)
 
@@ -485,6 +483,21 @@ def read_manifest(path: str) -> dict:
             key, _, value = line.partition("=")
             out[key.strip()] = value.strip()
     return out
+
+
+def manifest_value(manifest: dict, key: str, path: str, parse=float):
+    """``parse(manifest[key])``, where ``manifest`` was read from ``path``.
+
+    Raises ``ValueError`` naming ``path`` and ``key`` when the key is missing
+    or its value does not parse.
+    """
+    if key not in manifest:
+        raise ValueError(f"{path}: missing key {key!r}")
+    try:
+        return parse(manifest[key])
+    except ValueError:
+        expected = "an integer" if parse is int else "a number"
+        raise ValueError(f"{path}: key {key!r} must be {expected}, got {manifest[key]!r}") from None
 
 
 def read_columns(path: str, ncols: int, nindex: int, lo: int, hi: int) -> list[np.ndarray]:
@@ -525,43 +538,64 @@ def write_columns(path: str, header: str, columns) -> None:
 
     Integer columns are written with ``str``, float columns with
     ``format_float`` (the shortest text that reads back to the same bits)
-    and string columns as they are, so the bytes equal those
-    of formatting each line by hand.  Each distinct entry is formatted once,
-    and lines are built and written in blocks so the whole file never sits
-    in memory.
+    and string columns as they are, in UTF-8 like the header, so the bytes
+    equal those of formatting each line by hand.
+
+    Each distinct entry is formatted once, into a glyph: its bytes, padded
+    with NULs to the width of the column's longest entry.  Lines are then
+    assembled ``_BLOCK_ROWS`` at a time as bytes: numpy gathers every
+    column's glyphs into one ``(rows, line width)`` uint8 array, whose
+    separator bytes (a comma after each column, a newline after the last)
+    are set once, and drops the padding.  So besides the glyph tables, one
+    block of ``_BLOCK_ROWS`` padded lines sits in memory, never the whole
+    file.  A string entry that holds a NUL would lose it with the padding,
+    so it raises ``ValueError``.
     """
-    tables = [_distinct_text(np.asarray(column)) for column in columns]
+    tables = [_distinct_text(np.asarray(column), path) for column in columns]
     nrows = len(tables[0][1])
     if any(len(index) != nrows for _, index in tables):
         raise ValueError(f"{path}: columns differ in length")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
+    # a column's glyphs fill bytes [stop - width, stop) of a line, its separator byte stop
+    stops = np.cumsum([glyphs.itemsize + 1 for glyphs, _ in tables]) - 1
+    lines = np.full((min(nrows, _BLOCK_ROWS), stops[-1] + 1), ord(","), dtype=np.uint8)
+    lines[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for start in range(0, nrows, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            fields = [text[index[block]].tolist() for text, index in tables]
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            block = lines[:min(_BLOCK_ROWS, nrows - start)]
+            for (glyphs, index), stop in zip(tables, stops):
+                picked = glyphs[index[start:start + len(block)]]
+                block[:, stop - glyphs.itemsize:stop] = picked.view(np.uint8).reshape(len(block), -1)
+            fh.write(block[block != 0].tobytes())
 
 
-def _distinct_text(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(text of each distinct entry, position of every entry in that text)."""
+def _distinct_text(column: np.ndarray, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(glyph of each distinct entry: its NUL-padded UTF-8 bytes,
+    position of every entry in those glyphs)."""
     if column.dtype.kind == "i" and column.size:
         # ids and indices span short ranges: label the range from zero (or
         # a negative minimum), so nonnegative ids index it without a copy
         lo, hi = min(int(column.min()), 0), int(column.max())
         if hi - lo <= column.size:
             text = [str(v) for v in range(lo, hi + 1)]
-            return np.array(text, dtype=object), column - lo if lo else column
+            return np.array(text, dtype="S"), column - lo if lo else column
     if column.dtype.kind == "f":
         # distinct by bit pattern, so -0.0 keeps its own "-0"
         bits, index = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64),
                                 return_inverse=True)
         text = [format_float(v) for v in bits.view(np.float64)]
-    elif column.dtype.kind in "iuU":
+    elif column.dtype.kind in "iu":
         values, index = np.unique(column, return_inverse=True)
         text = [str(v) for v in values.tolist()]
+    elif column.dtype.kind == "U":
+        values, index = np.unique(column, return_inverse=True)
+        text = [v.encode("utf-8") for v in values.tolist()]
+        if any(b"\0" in v for v in text):
+            raise ValueError(f"{path}: a string entry holds a NUL byte")
     else:
         raise TypeError(f"cannot write a column of dtype {column.dtype}")
-    return np.array(text, dtype=object), index.reshape(-1)
+    # numbers format to ASCII, which an S array encodes itself
+    return np.array(text, dtype="S"), index.reshape(-1)
 
 
 def available_cpus() -> int:

@@ -368,6 +368,23 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
         assert err.endswith(f"{d / 'manifest.txt'}: missing key 'cutoff'\n")
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("solve", "n", "six", "key 'n' must be an integer, got 'six'"),
+    ("verify", "rho", None, "missing key 'rho'"),
+    ("verify", "alpha", "half", "key 'alpha' must be a number, got 'half'"),
+], ids=["n-not-an-integer", "rho-missing", "alpha-not-a-number"])
+def test_bad_manifest_value_names_file_and_key(tmp_path, capsys, command, key, value, message):
+    d = tmp_path / "d"
+    assert main(["solve", "--n", "6", "--out", str(d)]) == 0
+    path = d / "manifest.txt"
+    lines = [line for line in path.read_text().splitlines() if not line.startswith(key + "=")]
+    path.write_text("\n".join(lines + ([] if value is None else [f"{key}={value}"])) + "\n")
+    capsys.readouterr()
+    assert main([command, "--platform", str(d), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"matchlab: config error: cannot read {d}: {path}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _nan_table(tmp_path):
     """Write a 4-node production table with one NaN entry; returns its path."""
     rows = [(i, j, "nan" if i == j == 1 else format_float((i + 1) * (j + 1) / 16))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matchlab import core
 from matchlab import (
     Platform,
     ProductionFunction,
@@ -478,6 +479,57 @@ def test_columns_header_only_and_length_mismatch(tmp_path):
     assert (tmp_path / "e.csv").read_bytes() == b"i,x,s\n"
     with pytest.raises(ValueError, match="length"):
         write_columns(str(tmp_path / "bad.csv"), "i,x", [np.arange(3), np.zeros(2)])
+
+
+_COLUMN_KINDS = {
+    "small_int": (st.integers(-5, 20), np.int64),
+    "wide_int": (st.integers(-2 ** 63, 2 ** 63 - 1), np.int64),
+    "float": (st.one_of(st.floats(), st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 5e-324,
+                                                      -2.2250738585072009e-308])), float),
+    # a NUL is refused (see below); a lone surrogate has no UTF-8
+    "string": (st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+                       max_size=6), str),
+}
+
+
+@st.composite
+def column_mixes(draw):
+    """(rows per block, header, columns as lists): row counts straddle the block edges."""
+    block = draw(st.integers(1, 6))
+    nrows = max(0, block * draw(st.integers(0, 4)) + draw(st.sampled_from([-1, 0, 1])))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5))
+    columns = [(kind, draw(st.lists(_COLUMN_KINDS[kind][0], min_size=nrows, max_size=nrows)))
+               for kind in kinds]
+    header = draw(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0\n")))
+    return block, header, columns
+
+
+@given(mix=column_mixes())
+@settings(max_examples=200, deadline=None)
+def test_columns_golden_across_block_edges(tmp_path_factory, mix):
+    """Every column mix writes the bytes of one line per row, across many
+    block boundaries."""
+    block, header, columns = mix
+    path = tmp_path_factory.mktemp("mix") / "m.csv"
+    arrays = [np.array(values, dtype=_COLUMN_KINDS[kind][1]) for kind, values in columns]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_ROWS", block)
+        write_columns(str(path), header, arrays)
+    rows = zip(*(values for _, values in columns))
+    assert path.read_bytes() == reference_csv(header, rows).encode("utf-8")
+
+
+def test_columns_refuse_nul_in_strings_and_unknown_dtypes(tmp_path):
+    """Padding is NUL, so a string entry holding one would lose it silently:
+    it is refused, naming the file, and nothing is written."""
+    path = tmp_path / "nul.csv"
+    with pytest.raises(ValueError, match=r"nul\.csv: a string entry holds a NUL byte"):
+        write_columns(str(path), "i,s", [np.arange(2), np.array(["ok", "a\0b"])])
+    assert not path.exists()
+    with pytest.raises(TypeError, match="dtype bool"):
+        write_columns(str(tmp_path / "b.csv"), "b", [np.array([True, False])])
+    write_columns(str(path), "é,s", [np.arange(2), np.array(["naïve", "日本"])])
+    assert path.read_bytes() == "é,s\n0,naïve\n1,日本\n".encode("utf-8")
 
 
 def test_platform_in_17_digit_text_loads_and_resaves_short(tmp_path):
