@@ -373,8 +373,9 @@ class DSEState:
     nodes).  ``M[i, j]`` is True exactly when the pair covers both
     reservation wages, the rule :func:`acceptance` spells out.  Residual
     fields certify how tightly the state satisfies the defining fixed-point
-    conditions; ``iterations`` counts the solver's sweeps and
-    ``steady_state_solves`` the linear steady-state solves among them.
+    conditions; ``iterations`` counts the solver's policy steps and sweeps
+    that led to the state and ``steady_state_solves`` every linear
+    steady-state solve of the call (see :func:`~matchlab.solver.solve_dse`).
     """
 
     w: np.ndarray
@@ -580,9 +581,15 @@ def _distinct_text(column: np.ndarray, path: str) -> tuple[np.ndarray, np.ndarra
             text = [str(v) for v in range(lo, hi + 1)]
             return np.array(text, dtype="S"), column - lo if lo else column
     if column.dtype.kind == "f":
-        # distinct by bit pattern, so -0.0 keeps its own "-0"
-        bits, index = np.unique(np.ascontiguousarray(column, dtype=np.float64).view(np.int64),
-                                return_inverse=True)
+        # distinct by bit pattern, so -0.0 keeps its own "-0"; kernel columns
+        # hold long runs of equal entries, so only each run's first is sorted
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64).reshape(-1)
+        head = np.empty(bits.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        bits, index = np.unique(bits[starts], return_inverse=True)
+        index = np.repeat(index.reshape(-1), np.diff(starts, append=head.size))
         text = [format_float(v) for v in bits.view(np.float64)]
     elif column.dtype.kind in "iu":
         values, index = np.unique(column, return_inverse=True)

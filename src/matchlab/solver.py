@@ -1,4 +1,5 @@
-"""Damped fixed-point solver for steady-state search equilibria.
+"""Policy iteration with a damped fixed-point fallback for steady-state
+search equilibria.
 
 Given a consistent platform, the equilibrium is a wage vector ``w`` on the
 included nodes such that, with the acceptance sets ``M`` and steady-state
@@ -8,15 +9,23 @@ unmatched densities ``u`` induced by ``w``:
 * balance:   ``alpha (1 - u_i) = rho * sum_j M_ij G_ij u_j``
 * optimality: ``M_ij = 1  iff  f_ij - w_i - w_j >= 0`` (:func:`~matchlab.core.acceptance`)
 
-The outer loop updates ``w`` by the closed-form row solution of the Bellman
-equation (damped), recomputing ``M`` each sweep.  The inner steady state is a
-linear system in ``u`` and is solved directly; a naive substitution iteration
-oscillates whenever ``rho`` exceeds ``alpha``, so no fixed-point inner loop is
-used.  It depends on ``w`` only through ``M``, so it is solved again only when
-``M`` changes.  When the Bellman residual stops setting new bests, because
-``M`` cycles, never settles, or stays fixed while the damped update diverges,
-the solve fails fast.  Identity kernels take a diagonal fast path with the
-same semantics.
+With ``M`` fixed, the balance equations are linear in ``u`` and the Bellman
+equation is linear in ``w``.  On a dense kernel the solver first runs policy
+iteration (Howard 1960): each step solves both systems exactly and takes
+the acceptance sets at the new wages.  From the default start, zero wages,
+every pair is accepted and each step only removes pairs.  When a step meets
+an acceptance set it has already solved without certifying the state, or
+its wage system is singular, the solver hands over to the damped loop,
+restarted from the start.
+
+Each sweep of the damped loop updates ``w`` by the closed-form row solution
+of the Bellman equation (damped), recomputing ``M``.  The steady state is
+solved directly, not by substitution, which oscillates whenever ``rho``
+exceeds ``alpha``.  It depends on ``w`` only through ``M``, so it is solved
+again only when ``M`` changes.  When the Bellman residual stops setting new
+bests, because ``M`` cycles, never settles, or stays fixed while the damped
+update diverges, the solve fails fast.  Identity kernels take a diagonal
+fast path of the damped loop with the same semantics.
 """
 
 from __future__ import annotations
@@ -54,7 +63,8 @@ class SolverConfig:
 
     ``tol_w`` bounds the max-norm Bellman residual of the returned wage,
     ``tol_u`` the scaled balance residual of the returned density, and
-    ``max_outer`` the number of sweeps before the solve gives up.
+    ``max_outer`` the number of policy steps and damped sweeps, together,
+    before the solve gives up.
     """
 
     tol_w: float = 1e-10
@@ -93,15 +103,33 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     """Compute a steady-state search equilibrium on ``platform``.
 
     Returns a full-grid state: zero wage and density one on excluded nodes,
-    acceptance matrix over all node pairs.  Iteration starts from zero wages,
-    or from ``w_start`` (full-length wage vector) for a warm restart.
+    acceptance matrix over all node pairs.  Iteration starts from zero wages
+    (every pair accepted), or from ``w_start`` (full-length wage vector) for a
+    warm restart.
+
+    A dense kernel first runs policy iteration from the acceptance sets at
+    the start: each step solves the steady state and then the Bellman
+    equation exactly under the current ``M``, and takes the new ``M`` at the
+    resulting wages.  It stops when the state at the current wages passes
+    the Bellman check, which it does once ``M`` repeats the previous step's
+    set.  It hands over to the damped loop, restarted from the start, when
+    ``M`` repeats a set it already solved without passing that check, when
+    the wage system is singular, or when its Bellman residual has set no new
+    best for ``_STALL_SWEEPS`` steps.  From zero wages it returned the
+    equilibrium with the most accepted pairs on every glitched kernel
+    measured (see the README); the damped loop has no such rule.  Steps and
+    sweeps share ``max_outer``.  ``iterations`` counts the steps and sweeps
+    that led to the returned state (the policy steps and the one that passed
+    the check, or the damped sweeps after a hand-over);
+    ``steady_state_solves`` counts every steady-state solve of the call.
 
     Raises ``ValueError`` for inconsistent platforms and
-    :class:`NonConvergenceError` when ``max_outer`` sweeps do not reach
-    ``tol_w``, or sooner, once the Bellman residual has set no new best for
-    ``_STALL_SWEEPS`` sweeps.  That stall is diagnosed from the recent
-    acceptance sets (see :func:`_stall_error`): they cycle with a period, stay
-    fixed while the damped update fails to contract, or do not repeat.
+    :class:`NonConvergenceError` when ``max_outer`` steps and sweeps do not
+    reach ``tol_w``, or sooner, once the damped loop's Bellman residual has
+    set no new best for ``_STALL_SWEEPS`` sweeps.  That stall is diagnosed
+    from the recent acceptance sets (see :func:`_stall_error`): they cycle
+    with a period, stay fixed while the damped update fails to contract, or
+    do not repeat.
     """
     cfg = cfg or SolverConfig()
     if not platform.is_consistent:
@@ -120,18 +148,24 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     G = platform.kernel
     diagonal_kernel = platform.is_diagonal
 
-    w = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
+    w0 = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
+    w = w0
 
     # dense branch: the acceptance set that A, u, au and afu were built from
-    # and the one before it, as np.packbits bytes, and a hash of the set of
-    # each recent sweep for the stall diagnosis
+    # and the one before it, as np.packbits bytes, a hash of the set of each
+    # recent sweep for the stall diagnosis, the sets policy iteration solved,
+    # and one m-by-m scratch matrix
     packed = packed_before = None
     solves = 0
     digests = collections.deque(maxlen=_STALL_SWEEPS)
     best, best_at = math.inf, 0
+    policy = not diagonal_kernel  # dense kernels start with policy iteration
+    solved = set()
+    scratch = None if diagonal_kernel else np.empty((m, m))
+    start = 0  # sweeps spent before the damped loop took over
 
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
-    for iterations in range(1, cfg.max_outer + 1):
+    for sweep in range(1, cfg.max_outer + 1):
         if diagonal_kernel:
             gdiag = np.diagonal(G)
             # acceptance(Fb, w) on the diagonal, the only pairs that meet
@@ -149,7 +183,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
                 A = np.where(M, G, 0.0)
                 u = steady_state_density(A, params)
                 au = A @ u
-                afu = (A * Fb) @ u
+                afu = np.multiply(A, Fb, out=scratch) @ u
                 solves += 1
             digests.append(hash(packed))  # bytes cache their hash
             numer = theta * (afu - A @ (w * u))
@@ -160,14 +194,29 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
         if bell <= cfg.tol_w:
             break
         if bell < best:
-            best, best_at = bell, iterations
-        elif iterations - best_at >= _STALL_SWEEPS:
+            best, best_at = bell, sweep
+        stalled = sweep - best_at >= _STALL_SWEEPS
+        if policy:
+            w_exact = None if stalled or packed in solved else _policy_wages(
+                A, u, au, afu, theta, scratch)
+            if w_exact is None:  # hand over to the damped loop, restarted from the start
+                policy = False
+                w, start = w0, sweep
+                packed = packed_before = None
+                digests.clear()
+                best, best_at = math.inf, sweep
+            else:
+                solved.add(packed)
+                w = w_exact
+        elif stalled:
             break
-        w = (1.0 - _DAMPING) * w + _DAMPING * w_new
+        else:
+            w = (1.0 - _DAMPING) * w + _DAMPING * w_new
 
+    iterations = sweep - start
     balance = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
     if not bell <= cfg.tol_w:  # the last sweep missed; a NaN residual misses too
-        if iterations - best_at >= _STALL_SWEEPS:
+        if sweep - best_at >= _STALL_SWEEPS:
             raise _stall_error(digests, packed, packed_before, m, k, iterations, bell, balance)
         raise NonConvergenceError(
             f"no convergence after {cfg.max_outer} sweeps "
@@ -196,6 +245,21 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     return DSEState(w=w_full, u=u_full, M=acceptance(F, w_full),
                     bellman_residual=bell, balance_residual=balance,
                     iterations=iterations, steady_state_solves=solves)
+
+
+def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
+                  theta: float, scratch: np.ndarray) -> np.ndarray | None:
+    """The wages that solve the Bellman equation exactly under a fixed
+    acceptance-masked kernel ``A`` and density ``u``:
+    ``(diag(1 + theta A u) + theta A diag(u)) w = theta (A o F) u``, with
+    ``au = A u`` and ``afu = (A o F) u``.  The matrix is built in
+    ``scratch``.  None when the system is singular."""
+    lhs = np.multiply(A, theta * u, out=scratch)
+    lhs.flat[::lhs.shape[0] + 1] += 1.0 + theta * au
+    try:
+        return np.linalg.solve(lhs, theta * afu)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _stall_error(digests, packed: bytes | None, packed_before: bytes | None, m: int,

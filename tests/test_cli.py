@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import matchlab
 from matchlab import (
+    Platform,
     SearchParams,
     SimConfig,
     design,
@@ -22,9 +23,11 @@ from matchlab import (
     informational_rent,
     make_grid,
     optimal_exclusion,
+    save_platform,
     simulate,
     solve_dse,
 )
+from matchlab import solver
 from matchlab.cli import (
     RunConfig,
     _write_acceptance,
@@ -35,7 +38,7 @@ from matchlab.cli import (
 )
 from matchlab.core import DSEState, ProductionFunction, format_float
 
-from conftest import csv_rows, reference_csv
+from conftest import csv_rows, mixture_kernel, reference_csv
 
 
 def read_dir_bytes(path):
@@ -341,6 +344,49 @@ def _asymmetric_platform_csv(d):
 
 def _manifest_only_n(d):
     (d / "manifest.txt").write_text("n=4\n")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0),
+       rho=st.floats(0.3, 2.5), alpha=st.floats(0.3, 2.5), r=st.floats(0.05, 2.0),
+       max_outer=st.integers(1, 300), singular_step=st.integers(0, 3))
+def test_solve_mixture_artifact_exits_cleanly(n, a, b, rho, alpha, r, max_outer,
+                                              singular_step):
+    """``solve --platform`` on a small mixture artifact either writes a
+    certified state or exits 3 with one stderr line, never a traceback.
+    A nonzero ``singular_step`` makes that policy step's wage system
+    singular, so the hand-over to the damped loop runs as well as the
+    hand-overs that cycling policies draw."""
+    if a + b > 1.0:
+        a, b = a / (a + b), b / (a + b)
+    real_policy_wages = solver._policy_wages
+    calls = 0
+
+    def policy_wages(*args):
+        nonlocal calls
+        calls += 1
+        return None if calls == singular_step else real_policy_wages(*args)
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_policy_wages", policy_wages)
+        artifact, out = os.path.join(tmp, "p"), os.path.join(tmp, "o")
+        save_platform(Platform(grid=make_grid(n), cutoff=0, kernel=mixture_kernel(n, a, b),
+                               transfers=np.zeros(n)),
+                      ProductionFunction.multiplicative(), artifact)
+        cfg = write_config(os.path.join(tmp, "c.cfg"), rho=rho, alpha=alpha, r=r,
+                           max_outer=max_outer)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main(["solve", "--platform", artifact, "--config", cfg, "--out", out])
+        err = err.getvalue()
+        assert status in (0, 3)
+        assert "Traceback" not in err
+        if status == 3:
+            assert err.startswith("matchlab: no convergence: ") and err.count("\n") == 1
+            return
+        assert err == ""
+        with open(os.path.join(out, "residuals.json")) as fh:
+            assert json.load(fh)["bellman"] <= 1e-10
 
 
 @pytest.mark.parametrize("command, damage", [

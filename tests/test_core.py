@@ -489,6 +489,8 @@ _COLUMN_KINDS = {
     # a NUL is refused (see below); a lone surrogate has no UTF-8
     "string": (st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
                        max_size=6), str),
+    # drawn as runs, up to three blocks long (see column_mixes)
+    "float_runs": (st.sampled_from([0.0, -0.0, np.nan, -np.nan, 0.5, np.inf]), float),
 }
 
 
@@ -498,8 +500,17 @@ def column_mixes(draw):
     block = draw(st.integers(1, 6))
     nrows = max(0, block * draw(st.integers(0, 4)) + draw(st.sampled_from([-1, 0, 1])))
     kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=5))
-    columns = [(kind, draw(st.lists(_COLUMN_KINDS[kind][0], min_size=nrows, max_size=nrows)))
-               for kind in kinds]
+    columns = []
+    for kind in kinds:
+        if kind == "float_runs":
+            # long runs that cross block edges, with 0.0 beside -0.0 and NaN runs
+            values = []
+            while len(values) < nrows:
+                values += [draw(_COLUMN_KINDS[kind][0])] * draw(st.integers(1, 3 * block))
+            columns.append((kind, values[:nrows]))
+        else:
+            columns.append((kind, draw(st.lists(_COLUMN_KINDS[kind][0],
+                                                min_size=nrows, max_size=nrows))))
     header = draw(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0\n")))
     return block, header, columns
 

@@ -302,11 +302,11 @@ GOLDEN = {
     "identity": ("7000770400a362864f4f00da70b3527a6da4e04dcca24ded67dc53f7010ec7f6",
                  "97f2053d8cd2559fdaf8942d9b26bafb7a4de279137f12201dc22def2b064c1f"),
     "glitch0.3": ("bf1b5e5143b8964572b51d230decd82f3973cb7396cdf8e8c2d98ac8b9d8803b",
-                  "69350e38c44393bfe90da5cbde8d4578f05aa8162ffa2ec50d881feff89698e7"),
+                  "54af955682635a9559b1306461667fae7186ea950723e571a7f18257093e6482"),
     "mixture": ("f58e5cac89146b1e5908920b7d091e8e7b5a887b1104f459a3ab38f561734f18",
-                "b2f50e7ca327e0682f48e8f32fcd21a26dbab63442cd42458fa608167d4d75b0"),
+                "2e61f26dd828d55c58afa609e8c7d2df7584bfad26172978cf798433925fa684"),
     "refill": ("2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
-               "e8612528bd6b2fa05a99cec7977756b9a9eea3a8a5f39aeb8cbd86295d015448"),
+               "cd47d2c02c0b1bcf1df77e5006d9a3330e104835039f4a1f6595da23d0815701"),
 }
 
 

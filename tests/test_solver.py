@@ -20,6 +20,8 @@ from matchlab import (
     make_grid,
     solve_dse,
 )
+from matchlab import solver
+from matchlab.core import acceptance
 
 from conftest import mixture_kernel
 
@@ -33,6 +35,14 @@ def uniform_platform(n):
 def mixture_platform(n, a, b):
     return Platform(grid=make_grid(n), cutoff=0, kernel=mixture_kernel(n, a, b),
                     transfers=np.zeros(n))
+
+
+def damped_solve(platform, f, params, w_start=None):
+    """``solve_dse`` through the damped loop alone: the first policy step
+    finds its wage system singular and hands over at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_policy_wages", lambda *args: None)
+        return solve_dse(platform, f, params, w_start=w_start)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +179,12 @@ def test_non_convergence_error_carries_residuals(params, f_xy):
     assert err.value.flipping_pairs == ()
 
 
-# (n, a, b, rho, alpha, r, period): mixture kernels on which the damped
-# update settles into a cycle of acceptance sets and runs until max_outer
-# without the cycle detector; the first is the reference rates, the other two
-# small cases like those the equilibrium-contract property draws
+# (n, a, b, rho, alpha, r, period): mixture kernels on which policy iteration
+# hands over and the damped loop then settles into a cycle of acceptance
+# sets; small cases like those the equilibrium-contract property draws
 CYCLES = [
-    (400, 0.3, 0.3, 1.0, 0.5, 0.05, 2),
     (3, 0.07, 0.0, 1.87, 1.76, 0.2, 2),
-    (8, 0.26, 0.15, 2.36, 1.34, 0.59, 3),
+    (21, 0.150, 0.398, 1.70, 0.787, 0.728, 6),
 ]
 
 
@@ -194,6 +202,32 @@ def test_cycling_acceptance_sets_fail_fast(n, a, b, rho, alpha, r, period, f_xy)
     assert i <= j
     assert f"flipping pairs ({i}, {j})" in str(exc)
     assert exc.bellman_residual > 1e-6
+
+
+# mixture kernels on which the damped loop alone cycles with this period, and
+# policy iteration reaches a certified state: the reference rates, and a
+# small case like those the equilibrium-contract property draws
+DAMPED_CYCLES = [
+    (400, 0.3, 0.3, 1.0, 0.5, 0.05, 2),
+    (8, 0.26, 0.15, 2.36, 1.34, 0.59, 3),
+]
+
+
+@pytest.mark.parametrize("n, a, b, rho, alpha, r, period", DAMPED_CYCLES,
+                         ids=[f"mixture{case[0]}" for case in DAMPED_CYCLES])
+def test_policy_iteration_certifies_damped_cycles(n, a, b, rho, alpha, r, period, f_xy):
+    platform = mixture_platform(n, a, b)
+    p = SearchParams(rho=rho, alpha=alpha, r=r)
+    with pytest.raises(NonConvergenceError) as err:
+        damped_solve(platform, f_xy, p)
+    assert err.value.period == period
+    assert err.value.iterations <= 200
+    st_ = solve_dse(platform, f_xy, p)
+    bell, bal, violations = dse_residuals(platform, f_xy, p, st_)
+    assert bell <= 1.2e-15
+    assert bal <= 1.2e-15
+    assert violations == 0
+    assert st_.iterations <= 10
 
 
 def test_never_repeating_stall_fails_fast(f_xy):
@@ -224,7 +258,7 @@ def test_diverging_update_fails_fast(f_xy):
 
 
 def test_non_convergence_error_round_trips_through_pickle(f_xy):
-    n, a, b, rho, alpha, r, _ = CYCLES[2]
+    n, a, b, rho, alpha, r, _ = CYCLES[1]
     with pytest.raises(NonConvergenceError) as err:
         solve_dse(mixture_platform(n, a, b), f_xy, SearchParams(rho=rho, alpha=alpha, r=r))
     again = pickle.loads(pickle.dumps(err.value))
@@ -233,11 +267,74 @@ def test_non_convergence_error_round_trips_through_pickle(f_xy):
     assert vars(again) == vars(err.value)
 
 
+def test_policy_wages_refuse_a_singular_system():
+    # det(diag(1 + A u) + A diag(u)) = 1 + u_0 + u_1 for this swap kernel
+    A = np.array([[0.0, 1.0], [1.0, 0.0]])
+    u = np.array([-0.5, -0.5])
+    assert solver._policy_wages(A, u, A @ u, np.ones(2), 1.0, np.empty((2, 2))) is None
+
+
+def test_singular_policy_step_hands_over_to_the_damped_loop(params, f_xy, monkeypatch):
+    """A policy step whose wage system is singular hands over to the damped
+    loop, restarted from the start: the state does not depend on the step
+    that handed over, and the solves of every step count."""
+    platform = glitch(first_best_platform(make_grid(40), 0), 0.5)
+    damped = damped_solve(platform, f_xy, params)
+    real_policy_wages = solver._policy_wages
+    calls = []
+
+    def singular_second(*args):
+        calls.append(None)
+        return None if len(calls) == 2 else real_policy_wages(*args)
+
+    monkeypatch.setattr(solver, "_policy_wages", singular_second)
+    st_ = solve_dse(platform, f_xy, params)
+    assert len(calls) == 2
+    assert st_.w.tobytes() == damped.w.tobytes() and st_.u.tobytes() == damped.u.tobytes()
+    assert np.array_equal(st_.M, damped.M)
+    assert st_.iterations == damped.iterations
+    assert st_.steady_state_solves == damped.steady_state_solves + 1
+
+
 def test_steady_state_solved_only_when_acceptance_changes(params, f_xy):
     dense = solve_dse(glitch(first_best_platform(make_grid(40), 0), 0.5), f_xy, params)
     assert 1 <= dense.steady_state_solves < dense.iterations
     diagonal = solve_dse(first_best_platform(make_grid(40), 0), f_xy, params)
     assert diagonal.steady_state_solves == 0
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("epsilon", [0.01, 0.1, 0.3, 0.5])
+def test_policy_iteration_selects_the_most_accepted_pairs(n, epsilon, params, f_xy):
+    """The selection rule: from the accept-all policy, policy iteration only
+    removes pairs, and its equilibrium accepts every pair that the damped
+    loop's equilibrium accepts from each of four starts."""
+    platform = glitch(first_best_platform(make_grid(n), 0), epsilon)
+    F = f_xy.values(platform.grid)
+    st_ = solve_dse(platform, f_xy, params)
+    starts = (np.zeros(n), np.diagonal(F) / 2, np.diagonal(F) / 5.3, np.full(n, F.max() / 2))
+    for w_start in starts:
+        damped = damped_solve(platform, f_xy, params, w_start)
+        assert np.all(st_.M >= damped.M)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.5])
+def test_policy_steps_shrink_the_acceptance_sets(epsilon, params, f_xy, monkeypatch):
+    """Each policy step's acceptance sets lie inside the previous step's, down
+    to the returned state's, and no step hands over to the damped loop."""
+    seen = []
+
+    def recording(F, w):
+        seen.append(acceptance(F, w))
+        return seen[-1]
+
+    monkeypatch.setattr(solver, "acceptance", recording)
+    st_ = solve_dse(glitch(first_best_platform(make_grid(200), 0), epsilon), f_xy, params)
+    assert np.all(seen[0])  # zero wages accept every pair
+    assert len(seen) == st_.iterations + 1 <= 10  # one set a step, then the returned state's
+    for before, after in zip(seen, seen[1:]):
+        assert np.all(before >= after)
+    assert np.array_equal(seen[-1], st_.M)
 
 
 def _state_digest(state):
@@ -252,18 +349,19 @@ def _state_digest(state):
 
 # SHA-256 of (w, u, packbits(M), residuals, sweeps) of dense solves at the
 # reference rates: a change to any floating-point operation of the dense
-# sweep, or to the equilibrium it selects, shows up here
+# sweep or policy step, or to the equilibrium it selects, shows up here.
+# Policy iteration certifies the glitched solves; on the mixture kernel it
+# hands over, so that digest pins the damped loop
 GOLDEN_DENSE = {
-    "glitch0.5": "203bfbefacdbbfcb36b51951059150661c4272013e0630622e492e3c2b98e1e1",
-    "glitch0.01": "4ce1b4c8c3f2c132e16ab9763568164991e97be4b734a192f8a8454854cfa352",
+    "glitch0.5": "77234d95fa23469cd1b4bd6a6ecb0b71e8607dc452668fb6fda41cc454bcec49",
+    "glitch0.01": "8e07b87c2a83d81f72aa1116951d05d470afff58d20fa0d6451c72755594d23c",
     "mixture300": "660690c77bfd354a04100e96da55416aa7c2559f47cf0508482840bf6955f227",
 }
 
 
 def test_dense_solves_match_golden_digests(params, f_xy):
-    """The dense solves return the same bits as before the steady state was
-    cached.  The digests were taken under numpy 2.4.6 with its bundled
-    OpenBLAS 0.3.31 on an x86-64 Intel Xeon; LU and matrix-product bits can
+    """The dense solves return the same bits from run to run.  The digests
+    were taken under numpy 2.4.6 with its bundled OpenBLAS 0.3.31 on an x86-64 Intel Xeon; LU and matrix-product bits can
     differ under another BLAS build or CPU kernel, which may move them."""
     platforms = {
         "glitch0.5": glitch(first_best_platform(make_grid(200), 0), 0.5),
