@@ -491,7 +491,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
-    grid = make_grid(max(cfg.involution_block, 2))
+    if cfg.involution_block < 2:
+        raise ConfigError(f"involution_block must be at least 2, got {cfg.involution_block}")
+    grid = make_grid(cfg.involution_block)
     production = _production(cfg, grid)
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
 

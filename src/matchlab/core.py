@@ -375,7 +375,8 @@ class DSEState:
     fields certify how tightly the state satisfies the defining fixed-point
     conditions; ``iterations`` counts the solver's policy steps and sweeps
     that led to the state and ``steady_state_solves`` every linear
-    steady-state solve of the call (see :func:`~matchlab.solver.solve_dse`).
+    steady-state solve of the call, both 0 for the closed form of a diagonal
+    kernel (see :func:`~matchlab.solver.solve_dse`).
     """
 
     w: np.ndarray

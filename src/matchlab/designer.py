@@ -19,9 +19,8 @@ from .core import (
     ProductionFunction,
     SearchParams,
     TypeGrid,
-    acceptance,
 )
-from .solver import dse_residuals
+from .solver import diagonal_wage_coefficient, dse_residuals, solve_dse
 
 __all__ = [
     "first_best_wage_coefficient",
@@ -46,14 +45,15 @@ __all__ = [
 
 
 def first_best_wage_coefficient(params: SearchParams) -> float:
-    """Scale of the assortative-platform wage: w(x) = coeff * f(x, x).
+    """Scale of the assortative-platform wage: w(x) = coeff * f(x, x), the
+    solver's :func:`~matchlab.solver.diagonal_wage_coefficient` at unit
+    kernel weight.
 
     Algebraically ``pairing_wage(params, 1.0)``; this form is kept because
     the two round differently in the last bit, and the assortative wages
     are written with this one.
     """
-    rho, alpha, r = params.rho, params.alpha, params.r
-    return rho * alpha / (2.0 * ((r + alpha) * (alpha + rho) + rho * alpha))
+    return diagonal_wage_coefficient(params, 1.0)
 
 
 def pairing_wage(params: SearchParams, f):
@@ -81,32 +81,14 @@ def first_best_platform(grid: TypeGrid, cutoff_index: int) -> Platform:
 
 def first_best_dse(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
                    cutoff_index: int) -> DSEState:
-    """Closed-form equilibrium of the identity-kernel platform.
+    """Closed-form equilibrium of the identity-kernel platform, as
+    :func:`~matchlab.solver.solve_dse` returns it.
 
-    Included nodes earn ``coeff * f(x, x)`` and carry unmatched density
-    ``alpha / (alpha + rho)``; excluded nodes have zero wage and density one.
+    Included nodes earn ``first_best_wage_coefficient(params) * f(x, x)`` and
+    carry unmatched density ``params.u_star``; excluded nodes have zero wage
+    and density one.
     """
-    n = grid.n
-    if not 0 <= cutoff_index <= n - 1:
-        raise ValueError(f"cutoff_index {cutoff_index} out of range for n={n}")
-    x = grid.nodes
-    rho, alpha, theta = params.rho, params.alpha, params.theta
-    coeff = first_best_wage_coefficient(params)
-    u_star = params.u_star
-
-    w = np.zeros(n)
-    u = np.ones(n)
-    fdiag = np.asarray(f.eval(x, x), dtype=float)
-    w[cutoff_index:] = coeff * fdiag[cutoff_index:]
-    u[cutoff_index:] = u_star
-
-    F = f.values(grid)
-    M = acceptance(F, w)
-
-    wb = w[cutoff_index:]
-    bell = float(np.max(np.abs(wb - theta * (fdiag[cutoff_index:] - 2.0 * wb) * u_star)))
-    bal = float(abs(alpha * (1.0 - u_star) - rho * u_star))
-    return DSEState(w=w, u=u, M=M, bellman_residual=bell, balance_residual=bal)
+    return solve_dse(first_best_platform(grid, cutoff_index), f, params)
 
 
 def perfect_info_transfers(dse: DSEState) -> np.ndarray:
@@ -410,7 +392,7 @@ def design(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
     else:
         cutoff_index = int(cutoff)
     base = first_best_platform(grid, cutoff_index)
-    dse = first_best_dse(grid, f, params, cutoff_index)
+    dse = solve_dse(base, f, params)
     t = private_info_transfers(grid, f, params, cutoff_index)
     platform = Platform(grid=grid, cutoff=cutoff_index, kernel=base.kernel,
                         transfers=t)

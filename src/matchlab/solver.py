@@ -1,5 +1,5 @@
-"""Policy iteration with a damped fixed-point fallback for steady-state
-search equilibria.
+"""Steady-state search equilibria: a closed form on diagonal kernels, and
+policy iteration with a damped fixed-point fallback on dense ones.
 
 Given a consistent platform, the equilibrium is a wage vector ``w`` on the
 included nodes such that, with the acceptance sets ``M`` and steady-state
@@ -8,6 +8,8 @@ unmatched densities ``u`` induced by ``w``:
 * Bellman:   ``w_i = theta * sum_j M_ij (f_ij - w_i - w_j) G_ij u_j``
 * balance:   ``alpha (1 - u_i) = rho * sum_j M_ij G_ij u_j``
 * optimality: ``M_ij = 1  iff  f_ij - w_i - w_j >= 0`` (:func:`~matchlab.core.acceptance`)
+
+On a diagonal kernel both equations solve node by node in closed form.
 
 With ``M`` fixed, the balance equations are linear in ``u`` and the Bellman
 equation is linear in ``w``.  On a dense kernel the solver first runs policy
@@ -24,8 +26,7 @@ solved directly, not by substitution, which oscillates whenever ``rho``
 exceeds ``alpha``.  It depends on ``w`` only through ``M``, so it is solved
 again only when ``M`` changes.  When the Bellman residual stops setting new
 bests, because ``M`` cycles, never settles, or stays fixed while the damped
-update diverges, the solve fails fast.  Identity kernels take a diagonal
-fast path of the damped loop with the same semantics.
+update diverges, the solve fails fast.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from .core import (
     acceptance,
 )
 
-__all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density"]
+__all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density",
+           "diagonal_wage_coefficient"]
 
 #: Weight of each closed-form row update in the next iterate; one half
 #: stabilizes acceptance-set flips.
@@ -97,39 +99,52 @@ def steady_state_density(A: np.ndarray, params: SearchParams) -> np.ndarray:
         return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
 
 
+def diagonal_wage_coefficient(params: SearchParams, g):
+    """Scale of the equilibrium wage of a node that meets only itself, with
+    kernel weight ``g`` (scalar or array): ``w = coeff * f(x, x)`` solves the
+    Bellman equation ``w = theta g u (f - 2 w)`` at the density
+    ``u = alpha / (alpha + rho g)``.  The own pair accepts: ``f - 2 w >= 0``."""
+    rho, alpha, r = params.rho, params.alpha, params.r
+    return rho * alpha * g / (2.0 * ((r + alpha) * (alpha + rho * g) + rho * alpha * g))
+
+
 def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
               cfg: SolverConfig | None = None,
               w_start: np.ndarray | None = None) -> DSEState:
     """Compute a steady-state search equilibrium on ``platform``.
 
     Returns a full-grid state: zero wage and density one on excluded nodes,
-    acceptance matrix over all node pairs.  Iteration starts from zero wages
-    (every pair accepted), or from ``w_start`` (full-length wage vector) for a
-    warm restart.
+    acceptance matrix over all node pairs.
 
-    A dense kernel first runs policy iteration from the acceptance sets at
-    the start: each step solves the steady state and then the Bellman
-    equation exactly under the current ``M``, and takes the new ``M`` at the
-    resulting wages.  It stops when the state at the current wages passes
-    the Bellman check, which it does once ``M`` repeats the previous step's
-    set.  It hands over to the damped loop, restarted from the start, when
-    ``M`` repeats a set it already solved without passing that check, when
-    the wage system is singular, or when its Bellman residual has set no new
-    best for ``_STALL_SWEEPS`` steps.  From zero wages it returned the
-    equilibrium with the most accepted pairs on every glitched kernel
-    measured (see the README); the damped loop has no such rule.  Steps and
-    sweeps share ``max_outer``.  ``iterations`` counts the steps and sweeps
-    that led to the returned state (the policy steps and the one that passed
-    the check, or the damped sweeps after a hand-over);
+    On a diagonal kernel the equilibrium is unique and the solver returns its
+    closed form (:func:`diagonal_wage_coefficient`), with 0 ``iterations``
+    and ``steady_state_solves``; it reads neither ``w_start`` nor ``max_outer``.
+
+    A dense kernel runs policy iteration from the acceptance sets at the
+    start, zero wages (every pair accepted) or ``w_start`` (full-length wage
+    vector) for a warm restart: each step solves the steady state and then
+    the Bellman equation exactly under the current ``M``, and takes the new
+    ``M`` at the resulting wages.  It stops when the state at the current
+    wages passes the Bellman check, which it does once ``M`` repeats the
+    previous step's set.  It hands over to the damped loop, restarted from
+    the start, when ``M`` repeats a set it already solved without passing
+    that check, when the wage system is singular, or when its Bellman
+    residual has set no new best for ``_STALL_SWEEPS`` steps.  From zero
+    wages it returned the equilibrium with the most accepted pairs on every
+    glitched kernel measured (see the README); the damped loop has no such
+    rule.  Steps and sweeps share ``max_outer``.  ``iterations`` counts the
+    steps and sweeps that led to the returned state (the policy steps and
+    the one that passed the check, or the damped sweeps after a hand-over);
     ``steady_state_solves`` counts every steady-state solve of the call.
 
     Raises ``ValueError`` for inconsistent platforms and
-    :class:`NonConvergenceError` when ``max_outer`` steps and sweeps do not
-    reach ``tol_w``, or sooner, once the damped loop's Bellman residual has
-    set no new best for ``_STALL_SWEEPS`` sweeps.  That stall is diagnosed
-    from the recent acceptance sets (see :func:`_stall_error`): they cycle
-    with a period, stay fixed while the damped update fails to contract, or
-    do not repeat.
+    :class:`NonConvergenceError` for a state that misses ``tol_w``,
+    ``tol_u`` or ``[0, 1]``: on a dense kernel, when ``max_outer`` steps and
+    sweeps do not reach ``tol_w``, or sooner, once the damped loop's Bellman
+    residual has set no new best for ``_STALL_SWEEPS`` sweeps.  That stall is
+    diagnosed from the recent acceptance sets (see :func:`_stall_error`):
+    they cycle with a period, stay fixed while the damped update fails to
+    contract, or do not repeat.
     """
     cfg = cfg or SolverConfig()
     if not platform.is_consistent:
@@ -139,89 +154,27 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     grid = platform.grid
     n, k = grid.n, platform.cutoff
-    m = n - k
     rho, alpha, theta = params.rho, params.alpha, params.theta
 
     F = f.values(grid)
     Fb = F[k:, k:]
-    fdiag = np.diagonal(Fb).copy()
-    G = platform.kernel
-    diagonal_kernel = platform.is_diagonal
+    if platform.is_diagonal:
+        g, fdiag = np.diagonal(platform.kernel), np.diagonal(Fb)
+        w = diagonal_wage_coefficient(params, g) * fdiag
+        u = alpha / (alpha + rho * g)
+        au = g * u
+        bell = float(np.max(np.abs(w - theta * (fdiag - 2.0 * w) * au)))
+        iterations = solves = 0
+    else:
+        w0 = np.zeros(n - k) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
+        w, u, au, bell, iterations, solves = _iterate(platform.kernel, Fb, params, cfg, w0, k)
 
-    w0 = np.zeros(m) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
-    w = w0
-
-    # dense branch: the acceptance set that A, u, au and afu were built from
-    # and the one before it, as np.packbits bytes, a hash of the set of each
-    # recent sweep for the stall diagnosis, the sets policy iteration solved,
-    # and one m-by-m scratch matrix
-    packed = packed_before = None
-    solves = 0
-    digests = collections.deque(maxlen=_STALL_SWEEPS)
-    best, best_at = math.inf, 0
-    policy = not diagonal_kernel  # dense kernels start with policy iteration
-    solved = set()
-    scratch = None if diagonal_kernel else np.empty((m, m))
-    start = 0  # sweeps spent before the damped loop took over
-
-    # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
-    for sweep in range(1, cfg.max_outer + 1):
-        if diagonal_kernel:
-            gdiag = np.diagonal(G)
-            # acceptance(Fb, w) on the diagonal, the only pairs that meet
-            acc = (fdiag - 2.0 * w) >= 0.0
-            a = np.where(acc, gdiag, 0.0)
-            # balance is node-by-node here and solves exactly
-            u = np.where(acc & (gdiag > 0), alpha / (alpha + rho * a), 1.0)
-            au = a * u
-            numer = theta * acc * (fdiag - w) * gdiag * u
-        else:
-            M = acceptance(Fb, w)
-            packed_now = np.packbits(M).tobytes()
-            if packed_now != packed:
-                packed_before, packed = packed, packed_now
-                A = np.where(M, G, 0.0)
-                u = steady_state_density(A, params)
-                au = A @ u
-                afu = np.multiply(A, Fb, out=scratch) @ u
-                solves += 1
-            digests.append(hash(packed))  # bytes cache their hash
-            numer = theta * (afu - A @ (w * u))
-        denom = 1.0 + theta * au
-        w_new = numer / denom
-        # |denom * (w - w_new)| is exactly the Bellman residual at w given (M, u)
-        bell = float(np.max(np.abs(denom * (w - w_new))))
-        if bell <= cfg.tol_w:
-            break
-        if bell < best:
-            best, best_at = bell, sweep
-        stalled = sweep - best_at >= _STALL_SWEEPS
-        if policy:
-            w_exact = None if stalled or packed in solved else _policy_wages(
-                A, u, au, afu, theta, scratch)
-            if w_exact is None:  # hand over to the damped loop, restarted from the start
-                policy = False
-                w, start = w0, sweep
-                packed = packed_before = None
-                digests.clear()
-                best, best_at = math.inf, sweep
-            else:
-                solved.add(packed)
-                w = w_exact
-        elif stalled:
-            break
-        else:
-            w = (1.0 - _DAMPING) * w + _DAMPING * w_new
-
-    iterations = sweep - start
-    balance = float(np.max(np.abs(alpha * (1.0 - u) - rho * au)))
-    if not bell <= cfg.tol_w:  # the last sweep missed; a NaN residual misses too
-        if sweep - best_at >= _STALL_SWEEPS:
-            raise _stall_error(digests, packed, packed_before, m, k, iterations, bell, balance)
+    balance = _balance_residual(u, au, params)
+    if not bell <= cfg.tol_w:  # only the closed form gets here: the loop raises first
         raise NonConvergenceError(
-            f"no convergence after {cfg.max_outer} sweeps "
+            f"closed-form state misses tol_w {cfg.tol_w:g} "
             f"(bellman residual {bell:g}, balance residual {balance:g})",
-            bellman_residual=bell, balance_residual=balance, iterations=cfg.max_outer)
+            bellman_residual=bell, balance_residual=balance, iterations=iterations)
     if balance > cfg.tol_u * alpha:
         raise NonConvergenceError(
             f"steady-state solve left balance residual {balance:g} above "
@@ -247,6 +200,84 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
                     iterations=iterations, steady_state_solves=solves)
 
 
+def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverConfig,
+             w0: np.ndarray, k: int) -> tuple:
+    """Policy iteration, then the damped loop, from ``w0`` on the dense kernel
+    ``G`` and output ``Fb`` of the included block above cutoff ``k`` (see
+    :func:`solve_dse`): ``(w, u, A u, bellman residual, iterations,
+    steady-state solves)`` of the first state that passes ``tol_w``."""
+    m = len(w0)
+    theta = params.theta
+    w = w0
+
+    # the acceptance set that A, u, au and afu were built from and the one
+    # before it, as np.packbits bytes, a hash of the set of each recent sweep
+    # for the stall diagnosis, the sets policy iteration solved, and one
+    # m-by-m scratch matrix
+    packed = packed_before = None
+    solves = 0
+    digests = collections.deque(maxlen=_STALL_SWEEPS)
+    best, best_at = math.inf, 0
+    policy = True  # policy iteration runs until it hands over
+    solved = set()
+    scratch = np.empty((m, m))
+    start = 0  # sweeps spent before the damped loop took over
+
+    # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
+    for sweep in range(1, cfg.max_outer + 1):
+        M = acceptance(Fb, w)
+        packed_now = np.packbits(M).tobytes()
+        if packed_now != packed:
+            packed_before, packed = packed, packed_now
+            A = np.where(M, G, 0.0)
+            u = steady_state_density(A, params)
+            au = A @ u
+            afu = np.multiply(A, Fb, out=scratch) @ u
+            solves += 1
+        digests.append(hash(packed))  # bytes cache their hash
+        numer = theta * (afu - A @ (w * u))
+        denom = 1.0 + theta * au
+        w_new = numer / denom
+        # |denom * (w - w_new)| is exactly the Bellman residual at w given (M, u)
+        bell = float(np.max(np.abs(denom * (w - w_new))))
+        if bell <= cfg.tol_w:
+            return w, u, au, bell, sweep - start, solves
+        if bell < best:
+            best, best_at = bell, sweep
+        stalled = sweep - best_at >= _STALL_SWEEPS
+        if policy:
+            w_exact = None if stalled or packed in solved else _policy_wages(
+                A, u, au, afu, theta, scratch)
+            if w_exact is None:  # hand over to the damped loop, restarted from the start
+                policy = False
+                w, start = w0, sweep
+                packed = packed_before = None
+                digests.clear()
+                best, best_at = math.inf, sweep
+            else:
+                solved.add(packed)
+                w = w_exact
+        elif stalled:
+            break
+        else:
+            w = (1.0 - _DAMPING) * w + _DAMPING * w_new
+
+    # the last sweep missed; a NaN residual misses too
+    iterations = sweep - start
+    balance = _balance_residual(u, au, params)
+    if sweep - best_at >= _STALL_SWEEPS:
+        raise _stall_error(digests, packed, packed_before, m, k, iterations, bell, balance)
+    raise NonConvergenceError(
+        f"no convergence after {cfg.max_outer} sweeps "
+        f"(bellman residual {bell:g}, balance residual {balance:g})",
+        bellman_residual=bell, balance_residual=balance, iterations=cfg.max_outer)
+
+
+def _balance_residual(u: np.ndarray, au: np.ndarray, params: SearchParams) -> float:
+    """Max-norm residual of ``alpha (1 - u) = rho A u``, given ``au = A u``."""
+    return float(np.max(np.abs(params.alpha * (1.0 - u) - params.rho * au)))
+
+
 def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
                   theta: float, scratch: np.ndarray) -> np.ndarray | None:
     """The wages that solve the Bellman equation exactly under a fixed
@@ -264,14 +295,14 @@ def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
 
 def _stall_error(digests, packed: bytes | None, packed_before: bytes | None, m: int,
                  k: int, iterations: int, bell: float, balance: float) -> NonConvergenceError:
-    """The error for a solve whose Bellman residual set no new best over its
-    last ``_STALL_SWEEPS`` sweeps.
+    """The error for a dense solve whose Bellman residual set no new best
+    over its last ``_STALL_SWEEPS`` sweeps.
 
     ``digests`` holds a hash of the acceptance set of each recent sweep, the
-    latest last; the diagonal path keeps none.  The period is the smallest lag
-    ``p`` at which the newer half of that ring repeats: 1 is a fixed set,
-    under which the damped update is affine and does not contract, and 0
-    means the sets do not repeat.  For a period of 2 or more the flipping
+    latest last.  The period is the smallest lag ``p`` at which the newer
+    half of that ring repeats: 1 is a fixed set, under which the damped
+    update is affine and does not contract, and 0 means the sets do not
+    repeat.  For a period of 2 or more the flipping
     pairs are those the last change of the ``m``-by-``m`` acceptance set
     flipped (``packed_before`` to ``packed``, as ``np.packbits`` bytes), in
     global node ids.
@@ -315,15 +346,13 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     n, k = grid.n, platform.cutoff
     if state.w.shape != (n,) or state.u.shape != (n,) or state.M.shape != (n, n):
         raise ValueError("state shapes do not match the platform grid")
-    rho, alpha, theta = params.rho, params.alpha, params.theta
-
     F = f.values(grid)
     w, u = state.w, state.u
     A = np.where(state.M[k:, k:], platform.kernel, 0.0)
     wb, ub = w[k:], u[k:]
     au = A @ ub
     total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
-    bellman = float(np.max(np.abs(wb - theta * total)))
-    balance = float(np.max(np.abs(alpha * (1.0 - ub) - rho * au)))
+    bellman = float(np.max(np.abs(wb - params.theta * total)))
+    balance = _balance_residual(ub, au, params)
     violations = int(np.sum(state.M != acceptance(F, w)))
     return bellman, balance, violations

@@ -150,7 +150,8 @@ def test_solve_writes_artifacts(tmp_path):
     residuals = json.loads((out / "residuals.json").read_text())
     assert residuals["bellman"] <= 1e-10
     assert residuals["seed"] == 12345
-    assert residuals["steady_state_solves"] == 0  # the identity kernel solves node by node
+    # the identity kernel takes the closed form: no sweep, no linear solve
+    assert residuals["iterations"] == residuals["steady_state_solves"] == 0
     rows = csv_rows(out / "dse.csv")
     assert len(rows) == 16
     assert float(rows[0]["u"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -166,8 +167,10 @@ def test_solve_reruns_byte_identical(tmp_path, monkeypatch):
 
 
 def test_solve_nonconvergence_exit_code(tmp_path):
+    # a dense kernel: the identity kernel's closed form reads no max_outer
     cfg = write_config(tmp_path / "c.cfg", n=8, max_outer=1)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert main(["solve", "--config", cfg, "--epsilon", "0.5",
+                 "--out", str(tmp_path / "o")]) == 3
 
 
 def test_solve_glitched_platform(tmp_path):
@@ -182,7 +185,7 @@ def test_solve_glitched_platform(tmp_path):
 def test_parallel_sweep_reports_nonconvergence_once(tmp_path):
     """A worker's NonConvergenceError reaches the parent process intact: the
     sweep exits 3 with one stderr line naming each residual once."""
-    cfg = write_config(tmp_path / "c.cfg", n=8, max_outer=2, sweep_rho="0.5,1")
+    cfg = write_config(tmp_path / "c.cfg", n=8, epsilon=0.5, max_outer=2, sweep_rho="0.5,1")
     src = os.path.dirname(os.path.dirname(matchlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -463,11 +466,14 @@ def _nan_table(tmp_path):
     ("simulate", ["--seed", "-1"], {}),
     ("oracle", [], {"oracle_n": "7"}),
     ("oracle", [], {"oracle_n": "1"}),
+    ("oracle", [], {"involution_block": "0"}),
+    ("oracle", [], {"involution_block": "1"}),
 ], ids=["rho-nan", "alpha-inf", "r-negative", "sweep-rho-negative", "sweep-r-nan",
         "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
         "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
         "max-outer-zero", "jobs-negative", "c-nan", "c-inf", "c-negative", "sweep-c-nan", "table-nan",
-        "seed-negative", "oracle-n-above-6", "oracle-n-below-2"])
+        "seed-negative", "oracle-n-above-6", "oracle-n-below-2",
+        "involution-block-zero", "involution-block-one"])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
     # a callable value writes its input file and returns the path
     keys = {key: value(tmp_path) if callable(value) else value for key, value in keys.items()}

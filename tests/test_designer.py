@@ -57,11 +57,18 @@ def test_first_best_dse_reference_values(params, f_xy):
 
 
 def test_first_best_dse_agrees_with_solver(params, f_xy):
+    """The closed form against an iterative reference: the same identity
+    platform solved by the dense path, which runs once ``is_diagonal`` reads
+    False."""
     g = make_grid(64)
     closed = first_best_dse(g, f_xy, params, 5)
-    solved = solve_dse(first_best_platform(g, 5), f_xy, params)
-    assert np.max(np.abs(closed.w - solved.w)) < 1e-8
-    assert np.max(np.abs(closed.u - solved.u)) < 1e-10
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Platform, "is_diagonal", False)
+        solved = solve_dse(first_best_platform(g, 5), f_xy, params)
+    assert solved.iterations > 0 and solved.steady_state_solves > 0
+    assert np.max(np.abs(closed.w - solved.w)) < 1e-15
+    assert np.max(np.abs(closed.u - solved.u)) < 1e-15
+    assert np.array_equal(closed.M, solved.M)
 
 
 def test_first_best_dse_zero_production(params):

@@ -23,7 +23,7 @@ from matchlab import (
 from matchlab import solver
 from matchlab.core import acceptance
 
-from conftest import mixture_kernel
+from conftest import cubic_production, mixture_kernel
 
 
 def uniform_platform(n):
@@ -69,6 +69,52 @@ def test_first_best_with_cutoff(params, f_xy):
     assert np.all(st_.u[:4] == 1.0)
     coeff = first_best_wage_coefficient(params)
     assert np.max(np.abs(st_.w[4:] - coeff * g.nodes[4:] ** 2)) < 1e-8
+
+
+@pytest.mark.parametrize("rates", [(1.0, 0.5, 0.05), (2.0, 0.5, 0.05), (0.5, 2.0, 0.05)],
+                         ids=["reference", "rho2", "alpha2"])
+@pytest.mark.parametrize("production", ["xy", "xy+c", "cubic"])
+@pytest.mark.parametrize("cutoff", [0, 7])
+def test_identity_solve_is_the_closed_form(rates, production, cutoff):
+    """An identity kernel returns the closed form bit for bit, with no sweep
+    and no linear solve: ``first_best_wage_coefficient * f(x, x)`` and
+    ``u_star`` on included nodes."""
+    params = SearchParams(*rates)
+    g = make_grid(40)
+    f = {"xy": ProductionFunction.multiplicative(),
+         "xy+c": ProductionFunction.multiplicative_plus_constant(0.3),
+         "cubic": cubic_production(g)}[production]
+    st_ = solve_dse(first_best_platform(g, cutoff), f, params)
+    w = first_best_wage_coefficient(params) * np.diagonal(f.values(g))
+    assert st_.w[cutoff:].tobytes() == w[cutoff:].tobytes()
+    assert np.all(st_.u[cutoff:] == params.u_star)
+    assert np.all(st_.w[:cutoff] == 0.0) and np.all(st_.u[:cutoff] == 1.0)
+    assert st_.iterations == st_.steady_state_solves == 0
+    assert st_.bellman_residual <= 1e-15
+
+
+def test_near_identity_diagonal_kernel_takes_the_closed_form(params, f_xy):
+    """Diagonal weights that miss 1 by 1e-13 enter the closed form: the state
+    passes the residual recomputation to rounding and ignores the start."""
+    n = 12
+    g = make_grid(n)
+    weights = 1.0 + 1e-13 * np.where(np.arange(n) % 2, 1.0, -1.0)
+    platform = Platform(grid=g, cutoff=0, kernel=np.diag(weights), transfers=np.zeros(n))
+    st_ = solve_dse(platform, f_xy, params)
+    bell, bal, violations = dse_residuals(platform, f_xy, params, st_)
+    assert bell <= 1e-15 and bal <= 1e-15 and violations == 0
+    assert np.any(st_.u != params.u_star)  # the weights, not 1, set the density
+    for w_start in (np.full(n, 5.0), np.diagonal(f_xy.values(g)) / 2):
+        again = solve_dse(platform, f_xy, params, w_start=w_start)
+        assert again.w.tobytes() == st_.w.tobytes() and again.u.tobytes() == st_.u.tobytes()
+
+
+def test_closed_form_is_refused_past_tol_w(params):
+    """The closed form goes through the Bellman check too: output near 1e9
+    leaves rounding residuals above the default ``tol_w``."""
+    with pytest.raises(NonConvergenceError, match="^closed-form state misses tol_w"):
+        solve_dse(first_best_platform(make_grid(40), 0),
+                  ProductionFunction.multiplicative_plus_constant(1e9), params)
 
 
 def test_zero_production_equilibrium(params):
