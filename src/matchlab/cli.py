@@ -237,8 +237,13 @@ def _workers(cfg: RunConfig) -> int:
 
 
 def _cutoff_index(cfg: RunConfig, grid) -> int:
+    """The first included node; a cutoff above the top node is a config error."""
     value = float(cfg.cutoff)
-    return int(np.searchsorted(grid.nodes, value, side="left"))
+    index = int(np.searchsorted(grid.nodes, value, side="left"))
+    if index == grid.n:
+        raise ConfigError(f"cutoff {value:g} lies above the top grid node "
+                          f"{grid.nodes[-1]:g}, so no type is included")
+    return index
 
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
@@ -445,9 +450,12 @@ def _sweep_values(raw: str, fallback: float) -> list:
     if not raw:
         return [fallback]
     try:
-        return [float(part) for part in raw.split(",") if part.strip()]
+        values = [float(part) for part in raw.split(",") if part.strip()]
     except ValueError:
-        raise ConfigError(f"cannot parse sweep list {raw!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"cannot parse sweep list {raw!r}")
+    return values
 
 
 def _run_sweep_point(base: RunConfig, loaded, rho: float, alpha: float, r: float,
@@ -462,10 +470,10 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     alphas = _sweep_values(cfg.sweep_alpha, cfg.alpha)
     rs = _sweep_values(cfg.sweep_r, cfg.r)
     points = [(rho, alpha, r) for rho in rhos for alpha in alphas for r in rs]
-    # a bad point, solver setting, production or platform artifact fails the
-    # sweep before anything is written.  An artifact is parsed once here and
-    # handed to every point; the built-in platform costs less to build in each
-    # point than to pickle (a dense n-by-n kernel) to a worker.
+    # a bad point, solver setting, production, cutoff or platform artifact
+    # fails the sweep before anything is written.  An artifact is parsed once
+    # here and handed to every point; the built-in platform costs less to build
+    # in each point than to pickle (a dense n-by-n kernel) to a worker.
     for point in points:
         _search_params(*point)
     _solver_config(cfg)
@@ -473,7 +481,9 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         loaded = _resolve_platform(cfg)
     else:
         loaded = None
-        _production(cfg, make_grid(cfg.n))
+        grid = make_grid(cfg.n)
+        _production(cfg, grid)
+        _cutoff_index(cfg, grid)
     os.makedirs(cfg.out, exist_ok=True)
 
     dirs = [f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}"
@@ -483,11 +493,11 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         [(cfg, loaded, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)],
         _workers(cfg))
 
-    rates = np.array(points, dtype=float).reshape(-1, 3).T
+    rates = np.array(points, dtype=float).T
     write_columns(os.path.join(cfg.out, "sweep_manifest.csv"), "point,rho,alpha,r,dir",
                   [np.arange(len(points)), *rates, np.array(dirs, dtype=str)])
     _write_manifest(cfg, cfg.out)
-    return max(statuses) if statuses else 0
+    return max(statuses)
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:

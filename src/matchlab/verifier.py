@@ -17,6 +17,12 @@ platforms.  Excluded-type deviations are therefore valued self-consistently:
 ``v = theta * S1 / (1 + theta * S0)`` with ``S1 = sum_k M_ik (f_ik - w_k)
 G_jk u_k`` and ``S0 = sum_k M_ik G_jk u_k``, which is continuous at the
 cutoff and reduces to the wage there.
+
+Both flavors, and the excluded report that forfeits search, are priced by
+one array function, ``_incentive_gains``.  ``audit`` and ``deviation_gains``
+call it on a platform's included block; the brute-force oracle calls it on
+each masked configuration, with the pairing as a permutation kernel and
+every type at ``u_star``.
 """
 
 from __future__ import annotations
@@ -80,21 +86,43 @@ def misreport_value(platform: Platform, f: ProductionFunction, params: SearchPar
     return float(params.theta * np.dot(terms, weights))
 
 
-def _deviation_values(platform: Platform, f: ProductionFunction, params: SearchParams,
-                      dse: DSEState) -> tuple[np.ndarray, np.ndarray]:
-    """(non-recursive, recursive) deviation value matrices, shape (n, m)."""
-    grid = platform.grid
-    n, k = grid.n, platform.cutoff
-    theta = params.theta
-    F = f.values(grid)[:, k:]
-    w, u = dse.w, dse.u[k:]
-    M = dse.M[:, k:]
-    GU = (platform.kernel * u[None, :]).T            # (m, m): column j weights
-    S0 = M.astype(float) @ GU                        # sum_k M_ik G_jk u_k
-    S1 = (M * (F - w[k:][None, :])) @ GU             # sum_k M_ik (f_ik - w_k) G_jk u_k
-    plain = theta * (S1 - w[:, None] * S0)
-    recursive = theta * S1 / (1.0 + theta * S0)
-    return plain, recursive
+def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
+                     M: np.ndarray, G: np.ndarray, t: np.ndarray,
+                     inc) -> tuple[np.ndarray, float, tuple[int, int]]:
+    """Incentive gains of every true type, and the worst deviation.
+
+    ``F``, ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks
+    the ``m`` included ones (``slice(k, n)`` on a platform, so ``F[:, inc]``
+    is a view) and ``G`` is the ``(m, m)`` kernel over them.  Returns the
+    ``(n, m)`` gains of reporting each included type, with truthful reports at
+    zero, and the worst gain over every report with its (true, reported) node
+    pair.  Reporting an excluded type forfeits search and pays nothing; its
+    pair names the highest excluded node.
+    """
+    n = len(w)
+    w_inc, t_inc = w[inc], t[inc]
+    U = w - t                                        # truthful net payoff
+    M_inc = M[:, inc]
+    GU = (G * u[inc][None, :]).T                     # (m, m): column j weights
+    S0 = M_inc.astype(float) @ GU                    # sum_k M_ik G_jk u_k
+    S1 = (M_inc * (F[:, inc] - w_inc[None, :])) @ GU  # sum_k M_ik (f_ik - w_k) G_jk u_k
+    gains = theta * (S1 - w[:, None] * S0) - t_inc[None, :] - U[:, None]
+    excluded = np.ones(n, dtype=bool)
+    excluded[inc] = False
+    gains[excluded] = theta * S1[excluded] / (1.0 + theta * S0[excluded]) - t_inc[None, :]
+    rows = np.arange(n)[inc]
+    m = len(rows)
+    gains[rows, np.arange(m)] = 0.0
+
+    wi, wj = divmod(int(gains.argmax()), m)
+    worst_gain, worst = float(gains[wi, wj]), (wi, int(rows[wj]))
+    if m < n:
+        exc_gain = -U[inc]
+        best = int(exc_gain.argmax())
+        if float(exc_gain[best]) > worst_gain:
+            top_excluded = int(np.flatnonzero(excluded)[-1])
+            worst_gain, worst = float(exc_gain[best]), (int(rows[best]), top_excluded)
+    return gains, worst_gain, worst
 
 
 def _row_smoothness(platform: Platform) -> float:
@@ -119,15 +147,10 @@ def deviation_gains(platform: Platform, f: ProductionFunction, params: SearchPar
     Gains are measured against the truthful net payoff ``w - t`` (zero for
     excluded types).  The diagonal (truthful reports) is zero by construction.
     """
-    n, k = platform.grid.n, platform.cutoff
-    t = platform.transfers
-    U = dse.w - t
-    plain, recursive = _deviation_values(platform, f, params, dse)
-    gains = np.empty((n, n - k))
-    gains[k:, :] = plain[k:, :] - t[None, k:] - U[k:, None]
-    if k:
-        gains[:k, :] = recursive[:k, :] - t[None, k:]
-    np.fill_diagonal(gains[k:, :], 0.0)
+    grid = platform.grid
+    gains, _, _ = _incentive_gains(params.theta, f.values(grid), dse.w, dse.u, dse.M,
+                                   platform.kernel, platform.transfers,
+                                   slice(platform.cutoff, grid.n))
     return gains
 
 
@@ -145,25 +168,14 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
     U = dse.w - platform.transfers
 
     bell, bal, violations = dse_residuals(platform, f, params, dse)
-    gains = deviation_gains(platform, f, params, dse)
-
-    flat = int(np.argmax(gains))
-    wi, wj = divmod(flat, n - k)
-    ic_max = float(gains[wi, wj])
-    worst = (float(x[wi]), float(x[wj + k]))
-    if k:
-        # included types reporting an excluded type walk away with nothing
-        exc_gain = -U[k:]
-        best = int(np.argmax(exc_gain))
-        if float(exc_gain[best]) > ic_max:
-            ic_max = float(exc_gain[best])
-            worst = (float(x[k + best]), float(x[k - 1]))
+    _, ic_max, (wi, wj) = _incentive_gains(params.theta, f.values(grid), dse.w, dse.u, dse.M,
+                                           platform.kernel, platform.transfers, slice(k, n))
 
     return AuditReport(
         consistency_defect=platform.consistency_defect(),
         ir_min_slack=float(np.min(U[k:])),
         ic_max_violation=ic_max,
-        worst_misreport=worst,
+        worst_misreport=(float(x[wi]), float(x[wj])),
         bellman_residual=bell,
         balance_residual=bal,
         acceptance_violations=violations,
@@ -195,60 +207,30 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
 
     Wages follow the deterministic-platform closed form; transfers come from
     the local truth-telling condition integrated over the mask nodes with the
-    participation constraint binding at the lowest one.
+    participation constraint binding at the lowest one.  The kernel is the
+    pairing's permutation matrix and every type sits at ``u_star``.
     """
     theta, u_star = params.theta, params.u_star
-    nodes = list(mask)
-    m = len(nodes)
+    n, m = len(x), len(mask)
+    nodes, perm = np.asarray(mask), list(perm)
     xm = x[nodes]
-    partner_pos = list(perm)
-    partner_nodes = [nodes[p] for p in partner_pos]
+    partners = nodes[perm]
 
-    w_mask = pairing_wage(params, np.array([F[nodes[a], partner_nodes[a]] for a in range(m)]))
-    w = np.zeros(len(x))
+    w_mask = pairing_wage(params, F[nodes, partners])
+    w = np.zeros(n)
     w[nodes] = w_mask
-
     accept = acceptance(F, w)
 
-    wprime = _nonuniform_derivative(w_mask, xm)
-    slope = np.array([
-        theta * u_star * accept[nodes[a], partner_nodes[a]]
-        * (Fx[nodes[a], partner_nodes[a]] - wprime[a])
-        for a in range(m)
-    ])
-    cum = np.zeros(m)
-    for a in range(1, m):
-        cum[a] = cum[a - 1] + 0.5 * (slope[a - 1] + slope[a]) * (xm[a] - xm[a - 1])
-    t_mask = w_mask - cum
+    slope = theta * u_star * accept[nodes, partners] * (
+        Fx[nodes, partners] - _nonuniform_derivative(w_mask, xm))
+    t = np.zeros(n)
+    t[nodes] = w_mask                       # IR binds at the lowest mask node
+    t[nodes[1:]] -= np.cumsum(0.5 * (slope[:-1] + slope[1:]) * np.diff(xm))
 
-    node_set = set(nodes)
-    excluded = [e for e in range(len(x)) if e not in node_set]
-    worst = -np.inf
-
-    for a in range(m):                      # true included type at mask position a
-        base = w_mask[a] - t_mask[a]
-        for b in range(m):                  # reported included type
-            if a == b:
-                continue
-            pb = partner_nodes[b]
-            gain = (theta * u_star * accept[nodes[a], pb]
-                    * (F[nodes[a], pb] - w_mask[a] - w[pb]) - t_mask[b]) - base
-            worst = max(worst, gain)
-        if excluded:
-            worst = max(worst, -base)       # report an excluded type, get nothing
-
-    for e in excluded:                      # true excluded type, zero wage
-        for b in range(m):
-            pb = partner_nodes[b]
-            if accept[e, pb]:
-                s0 = u_star
-                s1 = u_star * (F[e, pb] - w[pb])
-            else:
-                s0 = s1 = 0.0
-            value = theta * s1 / (1.0 + theta * s0)
-            worst = max(worst, value - t_mask[b])
-
-    return float(worst), float(np.max(w_mask))
+    G = np.zeros((m, m))
+    G[np.arange(m), perm] = 1.0
+    _, ic_max, _ = _incentive_gains(theta, F, w, np.full(n, u_star), accept, G, t, nodes)
+    return ic_max, float(np.max(w_mask))
 
 
 def masked_config_ic(n_small: int, f: ProductionFunction, params: SearchParams,
@@ -257,7 +239,8 @@ def masked_config_ic(n_small: int, f: ProductionFunction, params: SearchParams,
 
     ``mask`` lists the included node indices of an ``n_small`` grid and
     ``perm`` the self-inverse pairing of the mask positions.  Positive values
-    mean some type strictly prefers misreporting.
+    mean some type strictly prefers misreporting.  A truthful report counts
+    as a gain of zero, so the value is never negative.
     """
     grid = make_grid(n_small)
     ic_max, _ = _mask_config_ic(grid.nodes, f.values(grid), f.dx_values(grid),

@@ -468,12 +468,19 @@ def _nan_table(tmp_path):
     ("oracle", [], {"oracle_n": "1"}),
     ("oracle", [], {"involution_block": "0"}),
     ("oracle", [], {"involution_block": "1"}),
+    ("solve", ["--cutoff", "0.9"], {}),
+    ("design", ["--cutoff", "0.9"], {}),
+    ("simulate", ["--cutoff", "0.9"], {}),
+    ("sweep", ["--cutoff", "0.9"], {"sweep_rho": "1,2"}),
+    ("sweep", [], {"sweep_rho": ","}),
 ], ids=["rho-nan", "alpha-inf", "r-negative", "sweep-rho-negative", "sweep-r-nan",
         "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
         "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
         "max-outer-zero", "jobs-negative", "c-nan", "c-inf", "c-negative", "sweep-c-nan", "table-nan",
         "seed-negative", "oracle-n-above-6", "oracle-n-below-2",
-        "involution-block-zero", "involution-block-one"])
+        "involution-block-zero", "involution-block-one", "solve-cutoff-above-top-node",
+        "design-cutoff-above-top-node", "simulate-cutoff-above-top-node",
+        "sweep-cutoff-above-top-node", "sweep-list-empty"])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
     # a callable value writes its input file and returns the path
     keys = {key: value(tmp_path) if callable(value) else value for key, value in keys.items()}
@@ -584,8 +591,7 @@ def test_sweep_creates_isolated_points(tmp_path):
         assert float(manifest["rho"]) == float(row["rho"])
 
 
-@pytest.mark.parametrize("sweep_rho, rhos", [("0.5,1", [0.5, 1.0]), (",", [])],
-                         ids=["two-points", "no-points"])
+@pytest.mark.parametrize("sweep_rho, rhos", [("0.5,1", [0.5, 1.0])], ids=["two-points"])
 def test_sweep_manifest_csv_golden(tmp_path, sweep_rho, rhos):
     cfg = write_config(tmp_path / "c.cfg", n=6, sweep_rho=sweep_rho, sweep_alpha="0.3")
     out = tmp_path / "sw"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from matchlab import (
     SearchParams,
     audit,
     design,
+    enumerate_involutions,
     first_best_dse,
     first_best_platform,
     first_best_wage_coefficient,
     make_grid,
     misreport_value,
+    pairing_wage,
     perfect_info_transfers,
     prop4_oracle,
     solve_dse,
@@ -174,3 +178,64 @@ def test_mixed_mask_violates_ic(params, f_xy):
     # keep nodes {0, 2} of a four-type market: node 3 mimics node 2
     gain = masked_config_ic(4, f_xy, params, mask=(0, 2), perm=(0, 1))
     assert gain > 1e-4
+
+
+def _reference_mask_ic(n, f, params, mask, perm):
+    """The oracle's valuation spelled pair by pair: pairing wages, envelope
+    transfers by the trapezoid rule from the lowest mask node, then every
+    (true, reported) pair except the truthful one."""
+    g = make_grid(n)
+    x, F, Fx = g.nodes, f.values(g), f.dx_values(g)
+    theta, u = params.theta, params.u_star
+    m = len(mask)
+    partner = [mask[p] for p in perm]
+    w = np.zeros(n)
+    for a in range(m):
+        w[mask[a]] = pairing_wage(params, F[mask[a], partner[a]])
+
+    def accepts(i, j):
+        return F[i, j] - w[i] - w[j] >= 0.0
+
+    def slope(a):
+        lo, hi = max(a - 1, 0), min(a + 1, m - 1)
+        wprime = 0.0 if lo == hi else (w[mask[hi]] - w[mask[lo]]) / (x[mask[hi]] - x[mask[lo]])
+        return theta * u * accepts(mask[a], partner[a]) * (Fx[mask[a], partner[a]] - wprime)
+
+    t = [w[mask[0]]]
+    cum = 0.0
+    for a in range(1, m):
+        cum += 0.5 * (slope(a - 1) + slope(a)) * (x[mask[a]] - x[mask[a - 1]])
+        t.append(w[mask[a]] - cum)
+
+    excluded = [e for e in range(n) if e not in mask]
+    worst = -np.inf
+    for a in range(m):
+        i, base = mask[a], w[mask[a]] - t[a]
+        for b in range(m):
+            if a != b:
+                pb = partner[b]
+                value = theta * u * accepts(i, pb) * (F[i, pb] - w[i] - w[pb])
+                worst = max(worst, value - t[b] - base)
+        if excluded:
+            worst = max(worst, -base)
+    for e in excluded:
+        for b in range(m):
+            pb = partner[b]
+            s0 = u * accepts(e, pb)
+            value = theta * s0 * (F[e, pb] - w[pb]) / (1.0 + theta * s0)
+            worst = max(worst, value - t[b])
+    return worst
+
+
+@pytest.mark.parametrize("kind, c", [("xy", 0.0), ("xy+c", 0.2)])
+def test_masked_config_ic_matches_pairwise_reference(params, kind, c):
+    """Every mask and pairing of a four-type market: the oracle's gain is the
+    pairwise reference with the truthful report counted as a gain of zero."""
+    f = ProductionFunction(kind, c=c)
+    for size in range(1, 5):
+        for mask in itertools.combinations(range(4), size):
+            for perm in enumerate_involutions(size):
+                gain = masked_config_ic(4, f, params, mask=mask, perm=perm)
+                reference = _reference_mask_ic(4, f, params, mask, perm)
+                assert gain >= 0.0
+                assert abs(gain - max(reference, 0.0)) <= 1e-15
