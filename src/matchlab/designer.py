@@ -27,13 +27,10 @@ __all__ = [
     "pairing_wage",
     "transfer_coefficient",
     "first_best_platform",
-    "first_best_dse",
-    "perfect_info_transfers",
     "envelope_transfers",
     "private_info_transfers",
     "informational_rent",
     "misreport_value_slope",
-    "Involution",
     "enumerate_involutions",
     "involution_rent",
     "ExclusionResult",
@@ -77,23 +74,6 @@ def first_best_platform(grid: TypeGrid, cutoff_index: int) -> Platform:
         raise ValueError(f"cutoff {cutoff_index} leaves no included node")
     return Platform(grid=grid, cutoff=cutoff_index, kernel=np.eye(m),
                     transfers=np.zeros(grid.n))
-
-
-def first_best_dse(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
-                   cutoff_index: int) -> DSEState:
-    """Closed-form equilibrium of the identity-kernel platform, as
-    :func:`~matchlab.solver.solve_dse` returns it.
-
-    Included nodes earn ``first_best_wage_coefficient(params) * f(x, x)`` and
-    carry unmatched density ``params.u_star``; excluded nodes have zero wage
-    and density one.
-    """
-    return solve_dse(first_best_platform(grid, cutoff_index), f, params)
-
-
-def perfect_info_transfers(dse: DSEState) -> np.ndarray:
-    """Full-extraction transfers for an observable-type market: t = w."""
-    return dse.w.copy()
 
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -149,13 +129,20 @@ def envelope_transfers(platform: Platform, f: ProductionFunction,
     _require_equilibrium(platform, f, params, dse, residual_tol)
     k = platform.cutoff
     slope = misreport_value_slope(platform, f, params, dse)[k:]
-    h = 1.0 / platform.grid.n
-    cum = np.zeros(len(slope))
-    if len(slope) > 1:
-        cum[1:] = np.cumsum(0.5 * (slope[:-1] + slope[1:]) * h)
     t = np.zeros(platform.grid.n)
-    t[k:] = dse.w[k:] - cum
+    t[k:] = _envelope(dse.w[k:], slope, 1.0 / platform.grid.n)
     return t
+
+
+def _envelope(w: np.ndarray, slope: np.ndarray, spacing) -> np.ndarray:
+    """``w`` minus the trapezoid integral of ``slope`` from the first node.
+
+    ``spacing`` is the node spacing, a scalar or one entry per interval.  The
+    first entry is ``w[0]`` exactly, so participation binds there.
+    """
+    cum = np.zeros(len(slope))
+    cum[1:] = np.cumsum(0.5 * (slope[:-1] + slope[1:]) * spacing)
+    return w - cum
 
 
 def private_info_transfers(grid: TypeGrid, f: ProductionFunction,
@@ -203,28 +190,17 @@ def _require_equilibrium(platform, f, params, dse, residual_tol):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Involution:
-    """A self-inverse pairing of the included nodes."""
-
-    perm: tuple
-    monotone: str  # "increasing" | "decreasing" | "none"
-
-    @classmethod
-    def from_perm(cls, perm: Sequence[int]) -> "Involution":
-        perm = tuple(int(p) for p in perm)
-        m = len(perm)
-        if sorted(perm) != list(range(m)):
-            raise ValueError("not a permutation of 0..m-1")
-        if any(perm[perm[i]] != i for i in range(m)):
-            raise ValueError("permutation is not an involution")
-        if all(perm[i] == i for i in range(m)):
-            monotone = "increasing"
-        elif all(perm[i] > perm[i + 1] for i in range(m - 1)):
-            monotone = "decreasing"
-        else:
-            monotone = "none"
-        return cls(perm=perm, monotone=monotone)
+def _involution(perm: Sequence[int], m: int) -> tuple:
+    """``perm`` as a tuple of ints, checked to be a self-inverse permutation
+    of ``range(m)``; raises ValueError otherwise."""
+    perm = tuple(int(p) for p in perm)
+    if len(perm) != m:
+        raise ValueError(f"involution acts on {len(perm)} nodes, expected {m}")
+    if sorted(perm) != list(range(m)):
+        raise ValueError("not a permutation of 0..m-1")
+    if any(perm[perm[i]] != i for i in range(m)):
+        raise ValueError("permutation is not an involution")
+    return perm
 
 
 def enumerate_involutions(m: int) -> Iterator[tuple]:
@@ -250,7 +226,7 @@ def enumerate_involutions(m: int) -> Iterator[tuple]:
 
 
 def involution_rent(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
-                    cutoff_index: int, nu: Involution | Sequence[int]) -> float:
+                    cutoff_index: int, nu: Sequence[int]) -> float:
     """Total informational rent of the deterministic platform that pairs
     included node ``i`` with node ``nu(i)``.
 
@@ -265,14 +241,9 @@ def involution_rent(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
     pairing reproduces :func:`informational_rent` of the assortative platform
     up to discretization.
     """
-    if not isinstance(nu, Involution):
-        nu = Involution.from_perm(nu)
-    m = grid.n - cutoff_index
-    if len(nu.perm) != m:
-        raise ValueError(f"involution acts on {len(nu.perm)} nodes, platform has {m}")
-
+    perm = _involution(nu, grid.n - cutoff_index)
     x = grid.nodes[cutoff_index:]
-    partner = x[list(nu.perm)]
+    partner = x[list(perm)]
     w = pairing_wage(params, np.asarray(f.eval(x, partner), dtype=float))
     fx = np.asarray(f.d_dx(x, partner), dtype=float)
     marginal_term = float(np.sum((1.0 - x) * fx) * grid.mass)

@@ -19,10 +19,11 @@ G_jk u_k`` and ``S0 = sum_k M_ik G_jk u_k``, which is continuous at the
 cutoff and reduces to the wage there.
 
 Both flavors, and the excluded report that forfeits search, are priced by
-one array function, ``_incentive_gains``.  ``audit`` and ``deviation_gains``
-call it on a platform's included block; the brute-force oracle calls it on
-each masked configuration, with the pairing as a permutation kernel and
-every type at ``u_star``.
+one array function, ``_incentive_gains``.  ``deviation_gains`` is its public
+read, the full gain matrix; ``audit`` calls it on a platform's included
+block for the worst deviation; the brute-force oracle calls it on each
+masked configuration, with the pairing as a permutation kernel and every
+type at ``u_star``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DSEState, Platform, ProductionFunction, SearchParams, acceptance, make_grid
-from .designer import enumerate_involutions, pairing_wage
+from .designer import _envelope, _involution, enumerate_involutions, pairing_wage
 from .solver import dse_residuals
 
-__all__ = ["AuditReport", "misreport_value", "deviation_gains", "audit",
-           "masked_config_ic", "prop4_oracle"]
+__all__ = ["AuditReport", "deviation_gains", "audit", "masked_config_ic",
+           "prop4_oracle"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,28 +63,6 @@ class AuditReport:
                 and self.bellman_residual <= residual_tol
                 and self.balance_residual <= residual_tol
                 and self.acceptance_violations == 0)
-
-
-def misreport_value(platform: Platform, f: ProductionFunction, params: SearchParams,
-                    dse: DSEState, i: int, j: int) -> float:
-    """Deviation payoff of true type ``i`` reporting type ``j``.
-
-    Uses the non-recursive valuation: surplus terms keep the true type's
-    equilibrium wage as disagreement point, weighted by the reported row of
-    the kernel and the unmatched density.  Excluded reports are worth zero.
-    """
-    grid = platform.grid
-    n, k = grid.n, platform.cutoff
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node indices ({i}, {j}) out of range for n={n}")
-    if j < k:
-        return 0.0
-    x = grid.nodes
-    inc = slice(k, n)
-    frow = np.asarray(f.eval(x[i], x[inc]), dtype=float)
-    terms = dse.M[i, inc] * (frow - dse.w[i] - dse.w[inc])
-    weights = platform.kernel[j - k, :] * dse.u[inc]
-    return float(params.theta * np.dot(terms, weights))
 
 
 def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
@@ -224,8 +203,7 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
     slope = theta * u_star * accept[nodes, partners] * (
         Fx[nodes, partners] - _nonuniform_derivative(w_mask, xm))
     t = np.zeros(n)
-    t[nodes] = w_mask                       # IR binds at the lowest mask node
-    t[nodes[1:]] -= np.cumsum(0.5 * (slope[:-1] + slope[1:]) * np.diff(xm))
+    t[nodes] = _envelope(w_mask, slope, np.diff(xm))
 
     G = np.zeros((m, m))
     G[np.arange(m), perm] = 1.0
@@ -240,11 +218,19 @@ def masked_config_ic(n_small: int, f: ProductionFunction, params: SearchParams,
     ``mask`` lists the included node indices of an ``n_small`` grid and
     ``perm`` the self-inverse pairing of the mask positions.  Positive values
     mean some type strictly prefers misreporting.  A truthful report counts
-    as a gain of zero, so the value is never negative.
+    as a gain of zero, so the value is never negative.  Raises ValueError
+    unless ``mask`` is nonempty and strictly increasing within
+    ``range(n_small)`` and ``perm`` is an involution of ``range(len(mask))``.
     """
+    mask = tuple(int(i) for i in mask)
+    if not (mask and 0 <= mask[0] and mask[-1] < n_small
+            and all(a < b for a, b in zip(mask, mask[1:]))):
+        raise ValueError(f"mask {mask} is not a nonempty strictly increasing "
+                         f"subset of range({n_small})")
+    perm = _involution(perm, len(mask))
     grid = make_grid(n_small)
     ic_max, _ = _mask_config_ic(grid.nodes, f.values(grid), f.dx_values(grid),
-                                params, tuple(mask), tuple(perm))
+                                params, mask, perm)
     return ic_max
 
 

@@ -21,14 +21,12 @@ from matchlab import (
     design,
     enumerate_involutions,
     envelope_transfers,
-    first_best_dse,
     first_best_platform,
     first_best_wage_coefficient,
     glitch,
     involution_rent,
     make_grid,
     optimal_exclusion,
-    perfect_info_transfers,
     pooled_deviations,
     private_info_transfers,
     prop4_oracle,
@@ -56,7 +54,7 @@ def reference_simulation():
     grid = make_grid(10)
     f = ProductionFunction.multiplicative()
     platform = first_best_platform(grid, 0)
-    state = first_best_dse(grid, f, REFERENCE, 0)
+    state = solve_dse(platform, f, REFERENCE)
     cfg = SimConfig(agents_per_node=200, horizon=2000.0, burn_in=200.0,
                     seed=20240817, replications=8)
     start = time.perf_counter()
@@ -204,8 +202,9 @@ def test_criterion_06_envelope_agreement():
         grid = make_grid(n)
         for label, f in (("cubic", cubic_production(grid)),
                          ("xy", ProductionFunction.multiplicative())):
-            state = first_best_dse(grid, f, REFERENCE, 0)
-            t_env = envelope_transfers(first_best_platform(grid, 0), f, REFERENCE, state)
+            platform = first_best_platform(grid, 0)
+            state = solve_dse(platform, f, REFERENCE)
+            t_env = envelope_transfers(platform, f, REFERENCE, state)
             t_closed = private_info_transfers(grid, f, REFERENCE, 0)
             gap = float(np.max(np.abs(t_env - t_closed)))
             (gaps_cubic if label == "cubic" else gaps_xy)[n] = gap
@@ -228,7 +227,7 @@ def test_criterion_07_ic_ir_certification():
     good = audit(result.platform, f, REFERENCE, result.dse)
 
     grabby = Platform(grid=grid, cutoff=k, kernel=result.platform.kernel,
-                      transfers=perfect_info_transfers(result.dse))
+                      transfers=result.dse.w.copy())
     bad = audit(grabby, f, REFERENCE, result.dse)
 
     ok = (good.ic_max_violation <= 1e-8 and good.ir_min_slack >= -1e-12

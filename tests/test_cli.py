@@ -417,6 +417,66 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
         assert err.endswith(f"{d / 'manifest.txt'}: missing key 'cutoff'\n")
 
 
+_ARTIFACT_FILES = ("dse.csv", "platform.csv", "transfers.csv", "manifest.txt")
+_CORRUPTIONS = ("truncate", "empty", "header-only", "drop-column", "field", "extra-row",
+                "crlf", "non-utf8")
+
+
+def _corrupt(data: bytes, kind: str, sep: bytes, line: int, col: int, cut: int,
+             word: bytes) -> bytes:
+    """``data`` damaged one way; ``line``, ``col`` and ``cut`` are taken
+    modulo the size of what they index."""
+    lines = data.split(b"\n")[:-1]
+    if kind == "truncate":
+        return data[:cut % len(data)]
+    if kind == "empty":
+        return b""
+    if kind == "header-only":
+        return lines[0] + b"\n"
+    if kind == "drop-column":
+        rows = [row.split(sep) for row in lines]
+        return b"".join(sep.join(r[:col % len(r)] + r[col % len(r) + 1:]) + b"\n"
+                        for r in rows)
+    if kind == "field":
+        row = lines[line % len(lines)].split(sep)
+        row[col % len(row)] = word
+        lines[line % len(lines)] = sep.join(row)
+        return b"\n".join(lines) + b"\n"
+    if kind == "extra-row":
+        return data + lines[line % len(lines)] + b"\n"
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    return b"\xff\xfe" + data  # non-utf8
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(_ARTIFACT_FILES), kind=st.sampled_from(_CORRUPTIONS),
+       line=st.integers(0, 100), col=st.integers(0, 3), cut=st.integers(0, 10 ** 4),
+       word=st.sampled_from([b"nan", b"inf", b"-inf", b"six"]))
+def test_corrupted_artifact_exits_cleanly(name, kind, line, col, cut, word):
+    """``verify`` and ``solve`` on an artifact with one damaged file exit 0,
+    1, 2 or 3, never with a traceback, and a config error is one stderr line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = os.path.join(tmp, "d")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["solve", "--n", "5", "--epsilon", "0.5", "--out", d]) == 0
+        path = os.path.join(d, name)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        sep = b"=" if name == "manifest.txt" else b","
+        with open(path, "wb") as fh:
+            fh.write(_corrupt(data, kind, sep, line, col, cut, word))
+        for command in ("verify", "solve"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                status = main([command, "--platform", d, "--out", os.path.join(tmp, command)])
+            err = err.getvalue()
+            assert status in (0, 1, 2, 3)
+            assert "Traceback" not in err
+            if status == 2:
+                assert err.startswith("matchlab: config error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command, key, value, message", [
     ("solve", "n", "six", "key 'n' must be an integer, got 'six'"),
     ("verify", "rho", None, "missing key 'rho'"),

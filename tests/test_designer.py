@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matchlab import (
-    Involution,
     Platform,
     ProductionFunction,
     SearchParams,
+    audit,
     design,
     enumerate_involutions,
     envelope_transfers,
-    first_best_dse,
     first_best_platform,
     first_best_wage_coefficient,
     glitch,
@@ -22,7 +21,6 @@ from matchlab import (
     make_grid,
     optimal_exclusion,
     pairing_wage,
-    perfect_info_transfers,
     private_info_transfers,
     solve_dse,
     transfer_coefficient,
@@ -50,7 +48,7 @@ def test_first_best_platform_with_cutoff():
 
 def test_first_best_dse_reference_values(params, f_xy):
     g = make_grid(40)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     assert np.allclose(st.w, g.nodes ** 2 / 5.3, atol=1e-15)
     assert np.all(st.u == 1.0 / 3.0)
     assert st.bellman_residual < 1e-15
@@ -61,7 +59,7 @@ def test_first_best_dse_agrees_with_solver(params, f_xy):
     platform solved by the dense path, which runs once ``is_diagonal`` reads
     False."""
     g = make_grid(64)
-    closed = first_best_dse(g, f_xy, params, 5)
+    closed = solve_dse(first_best_platform(g, 5), f_xy, params)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Platform, "is_diagonal", False)
         solved = solve_dse(first_best_platform(g, 5), f_xy, params)
@@ -74,17 +72,16 @@ def test_first_best_dse_agrees_with_solver(params, f_xy):
 def test_first_best_dse_zero_production(params):
     g = make_grid(4)
     f0 = ProductionFunction.tabulated(g, np.zeros((4, 4)))
-    assert np.all(first_best_dse(g, f0, params, 0).w == 0.0)
+    assert np.all(solve_dse(first_best_platform(g, 0), f0, params).w == 0.0)
 
 
 def test_perfect_info_extracts_everything(params, f_xy):
+    """Full-extraction transfers (t = w) leave every type exactly zero surplus."""
     g = make_grid(16)
-    st = first_best_dse(g, f_xy, params, 0)
-    t = perfect_info_transfers(st)
-    assert np.array_equal(t, st.w)
-    assert np.min(st.w - t) == 0.0
-    profit = float(np.sum(t) * g.mass)
-    assert profit == pytest.approx(np.sum(st.w) / 16, abs=1e-18)
+    base = first_best_platform(g, 0)
+    st = solve_dse(base, f_xy, params)
+    grabby = Platform(grid=g, cutoff=0, kernel=base.kernel, transfers=st.w.copy())
+    assert audit(grabby, f_xy, params, st).ir_min_slack == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +92,7 @@ def test_perfect_info_extracts_everything(params, f_xy):
 def test_envelope_on_constant_production(params):
     g = make_grid(12)
     fc = ProductionFunction.tabulated(g, np.full((12, 12), 0.7))
-    st = first_best_dse(g, fc, params, 0)
+    st = solve_dse(first_best_platform(g, 0), fc, params)
     t = envelope_transfers(first_best_platform(g, 0), fc, params, st)
     assert np.array_equal(t, st.w)
 
@@ -103,7 +100,7 @@ def test_envelope_on_constant_production(params):
 def test_envelope_four_node_hand_computation(params, f_xy):
     """Trapezoid cumulation recomputed with bare scalars as the oracle."""
     g = make_grid(4)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     t = envelope_transfers(first_best_platform(g, 0), f_xy, params, st)
 
     x = [0.125, 0.375, 0.625, 0.875]
@@ -127,7 +124,7 @@ def test_envelope_four_node_hand_computation(params, f_xy):
 
 def test_envelope_requires_equilibrium(params, f_xy):
     g = make_grid(8)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     from matchlab.core import DSEState
 
     broken = DSEState(w=st.w * 2.0, u=st.u.copy(), M=st.M.copy(),
@@ -163,7 +160,7 @@ def test_private_info_is_mean_of_wage_and_cutoff_wage(rho, alpha, r, k):
     params = SearchParams(rho, alpha, r)
     g = make_grid(12)
     f = ProductionFunction.multiplicative_plus_constant(0.1)
-    w = first_best_dse(g, f, params, k).w
+    w = solve_dse(first_best_platform(g, k), f, params).w
     t = private_info_transfers(g, f, params, k)
     np.testing.assert_allclose(t[k:], 0.5 * (w[k:] + w[k]), rtol=1e-12, atol=0.0)
     assert np.all(t[:k] == 0.0)
@@ -193,7 +190,7 @@ def test_participation_slack_nondecreasing(params, f_xy):
     # w - t = (w(x) - w(x_tilde)) / 2: nonnegative and nondecreasing
     g = make_grid(200)
     k = 60
-    st = first_best_dse(g, f_xy, params, k)
+    st = solve_dse(first_best_platform(g, k), f_xy, params)
     t = private_info_transfers(g, f_xy, params, k)
     slack = st.w[k:] - t[k:]
     assert slack[0] == pytest.approx(0.0, abs=1e-16)
@@ -205,7 +202,7 @@ def test_participation_slack_nondecreasing(params, f_xy):
 def test_envelope_matches_closed_form_under_refinement(params, n):
     g = make_grid(n)
     fc = cubic_production(g)
-    st = first_best_dse(g, fc, params, 0)
+    st = solve_dse(first_best_platform(g, 0), fc, params)
     t_env = envelope_transfers(first_best_platform(g, 0), fc, params, st)
     t_closed = private_info_transfers(g, fc, params, 0)
     assert np.max(np.abs(t_env - t_closed)) <= 5.0 / n ** 2
@@ -220,7 +217,7 @@ def test_rent_against_analytic_derivative(params, f_xy):
     """Oracle: differentiate the closed-form wage analytically,
     m(x) = (1 - x) theta u (f_x(x,x) - w'(x)) with w'(x) = 2 coeff x."""
     g = make_grid(1000)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     rent, total = informational_rent(first_best_platform(g, 0), f_xy, params, st)
     coeff = first_best_wage_coefficient(params)
     theta_u = params.theta / 3.0
@@ -232,7 +229,7 @@ def test_rent_against_analytic_derivative(params, f_xy):
 def test_rent_constant_production(params):
     g = make_grid(10)
     fc = ProductionFunction.tabulated(g, np.full((10, 10), 0.3))
-    st = first_best_dse(g, fc, params, 0)
+    st = solve_dse(first_best_platform(g, 0), fc, params)
     rent, total = informational_rent(first_best_platform(g, 0), fc, params, st)
     assert np.all(rent == 0.0)
     assert total == 0.0
@@ -240,7 +237,7 @@ def test_rent_constant_production(params):
 
 def test_rent_vanishes_at_top(params, f_xy):
     g = make_grid(1000)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     rent, _ = informational_rent(first_best_platform(g, 0), f_xy, params, st)
     # the (1 - x) weight kills the top node as the grid refines
     assert rent[-1] < 1e-4
@@ -262,17 +259,9 @@ def test_involution_counts(m, count):
         assert all(perm[perm[i]] == i for i in range(m))
 
 
-def test_involution_classification():
-    assert Involution.from_perm((0, 1, 2)).monotone == "increasing"
-    assert Involution.from_perm((2, 1, 0)).monotone == "decreasing"
-    assert Involution.from_perm((0, 2, 1)).monotone == "none"
-    with pytest.raises(ValueError, match="involution"):
-        Involution.from_perm((1, 2, 0))
-
-
 def test_involution_rent_identity_matches_rent_total(params, f_xy):
     g = make_grid(100)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     _, total = informational_rent(first_best_platform(g, 0), f_xy, params, st)
     ident = involution_rent(g, f_xy, params, 0, tuple(range(100)))
     assert ident == pytest.approx(total, abs=1e-4)
@@ -293,7 +282,7 @@ def test_identity_minimizes_over_all_involutions(params, f_xy):
 
 
 def test_involution_rent_rejects_non_involution(params, f_xy):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="involution"):
         involution_rent(make_grid(3), f_xy, params, 0, (1, 2, 0))
 
 
@@ -419,8 +408,8 @@ def test_meeting_rate_monotonicity(f_xy):
     g = make_grid(30)
     for alpha in (0.5, 1.0, 2.0):
         for r in (0.5, 1.0, 2.0):
-            lo = first_best_dse(g, f_xy, SearchParams(1.0, alpha, r), 0)
-            hi = first_best_dse(g, f_xy, SearchParams(2.0, alpha, r), 0)
+            lo = solve_dse(first_best_platform(g, 0), f_xy, SearchParams(1.0, alpha, r))
+            hi = solve_dse(first_best_platform(g, 0), f_xy, SearchParams(2.0, alpha, r))
             assert np.all(hi.w > lo.w)      # f(x,x) > 0 on the whole grid
             assert np.all(hi.u < lo.u)
 

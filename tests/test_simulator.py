@@ -10,7 +10,6 @@ from matchlab import (
     SearchParams,
     SimConfig,
     SimOutcome,
-    first_best_dse,
     first_best_platform,
     glitch,
     make_grid,
@@ -85,7 +84,7 @@ def test_inconsistent_platform_refused(fast_params, f_xy):
 def test_identical_seeds_reproduce_bitwise(fast_params, f_xy):
     g = make_grid(4)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, fast_params, 0).w
+    w = solve_dse(platform, f_xy, fast_params).w
     a = simulate(platform, f_xy, fast_params, w, small_cfg())
     b = simulate(platform, f_xy, fast_params, w, small_cfg())
     assert a.event_log == b.event_log
@@ -103,7 +102,7 @@ def test_conservation_replay(fast_params, f_xy):
     match satisfies the acceptance rule."""
     g = make_grid(3)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, fast_params, 0).w
+    w = solve_dse(platform, f_xy, fast_params).w
     out = simulate(platform, f_xy, fast_params, w, small_cfg(replications=1))
     n_agents = 3 * 20
     F = f_xy.values(g)
@@ -138,7 +137,7 @@ def test_every_available_meeting_matches_when_output_is_free(fast_params):
 def test_meeting_tally_matches_call_rate(fast_params, f_xy):
     g = make_grid(4)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, fast_params, 0).w
+    w = solve_dse(platform, f_xy, fast_params).w
     cfg = small_cfg(agents_per_node=50, horizon=60.0, burn_in=2.0,
                     replications=4, collect_events=False)
     out = simulate(platform, f_xy, fast_params, w, cfg)
@@ -154,7 +153,7 @@ def test_unmatched_fraction_draws_toward_balance(f_xy):
     params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
     g = make_grid(4)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, params, 0).w
+    w = solve_dse(platform, f_xy, params).w
     cfg = SimConfig(agents_per_node=100, horizon=150.0, burn_in=8.0, seed=42,
                     replications=4)
     out = simulate(platform, f_xy, params, w, cfg)
@@ -175,7 +174,7 @@ def test_pooled_deviations_reject_doubled_wage(f_xy):
     params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
     g = make_grid(4)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, params, 0).w
+    w = solve_dse(platform, f_xy, params).w
     cfg = SimConfig(agents_per_node=100, horizon=150.0, burn_in=8.0, seed=42,
                     replications=4)
     out = simulate(platform, f_xy, params, w, cfg)
@@ -199,7 +198,7 @@ def test_search_payoff_moves_with_r_and_mean_payoff_does_not(fast_params, f_xy):
     runs = {}
     for r, coeff in ((1.0, 1.0 / 5.0), (3.0, 1.0 / 9.0)):
         params = dataclasses.replace(fast_params, r=r)
-        state = first_best_dse(g, f_xy, params, 0)
+        state = solve_dse(first_best_platform(g, 0), f_xy, params)
         hazard = params.alpha * (1.0 - state.u) / state.u
         predicted = search_value(hazard, phi, params)
         assert np.allclose(predicted, coeff * g.nodes ** 2)
@@ -225,7 +224,7 @@ def test_search_payoff_is_nan_without_searchers(f_xy):
     params = SearchParams(rho=50.0, alpha=0.01, r=1.0)
     g = make_grid(3)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, params, 0).w
+    w = solve_dse(platform, f_xy, params).w
     cfg = SimConfig(agents_per_node=2, horizon=12.0, burn_in=4.0, seed=3, replications=2)
     out = simulate(platform, f_xy, params, w, cfg)
     assert np.all(np.isnan(out.mean_search_payoff_by_node))
@@ -236,7 +235,7 @@ def test_search_payoff_is_nan_without_searchers(f_xy):
 def test_excluded_nodes_stay_out(fast_params, f_xy):
     g = make_grid(4)
     platform = first_best_platform(g, 2)
-    w = first_best_dse(g, f_xy, fast_params, 2).w
+    w = solve_dse(platform, f_xy, fast_params).w
     out = simulate(platform, f_xy, fast_params, w, small_cfg())
     assert np.all(out.unmatched_fraction_by_node[:2] == 1.0)
     assert np.all(out.mean_discounted_payoff_by_node[:2] == 0.0)
@@ -250,7 +249,7 @@ def test_excluded_nodes_stay_out(fast_params, f_xy):
 def test_pooled_deviations_shape_guard(fast_params, f_xy):
     g = make_grid(4)
     platform = first_best_platform(g, 0)
-    w = first_best_dse(g, f_xy, fast_params, 0).w
+    w = solve_dse(platform, f_xy, fast_params).w
     out = simulate(platform, f_xy, fast_params, w, small_cfg())
     # length-one vectors would broadcast without the guard
     with pytest.raises(ValueError):

@@ -10,17 +10,14 @@ from matchlab import (
     audit,
     design,
     enumerate_involutions,
-    first_best_dse,
     first_best_platform,
     first_best_wage_coefficient,
     make_grid,
-    misreport_value,
     pairing_wage,
-    perfect_info_transfers,
     prop4_oracle,
     solve_dse,
 )
-from matchlab.verifier import masked_config_ic
+from matchlab.verifier import deviation_gains, masked_config_ic
 
 
 @pytest.fixture
@@ -35,27 +32,28 @@ def designed(params, f_xy):
 # ---------------------------------------------------------------------------
 
 
-def test_truthful_report_recovers_wage(params, f_xy):
-    g = make_grid(12)
-    platform = first_best_platform(g, 0)
-    st = solve_dse(platform, f_xy, params)
-    for i in (0, 5, 11):
-        assert misreport_value(platform, f_xy, params, st, i, i) == \
-            pytest.approx(st.w[i], abs=1e-9)
-
-
 def test_excluded_report_worth_nothing(params, f_xy):
+    """Reporting an excluded type forfeits search and pays nothing, so a type
+    charged more than any report can earn prefers it; the audit names the
+    highest excluded node as the report."""
     g = make_grid(10)
-    platform = first_best_platform(g, 4)
-    st = first_best_dse(g, f_xy, params, 4)
-    assert misreport_value(platform, f_xy, params, st, 7, 2) == 0.0
+    base = first_best_platform(g, 4)
+    st = solve_dse(base, f_xy, params)
+    t = st.w + 1.0
+    t[:4] = 0.0
+    overcharged = Platform(grid=g, cutoff=4, kernel=base.kernel, transfers=t)
+    report = audit(overcharged, f_xy, params, st)
+    loss = t[4:] - st.w[4:]                 # what the truthful report costs
+    assert report.ic_max_violation == float(np.max(loss))
+    assert report.worst_misreport == (g.nodes[4 + int(np.argmax(loss))], g.nodes[3])
 
 
 def test_misreport_four_node_hand_value(params, f_xy):
-    """Single-atom kernel rows make the deviation value one product."""
+    """Single-atom kernel rows make the deviation value one product; with zero
+    transfers the gain is that value less the truthful wage."""
     g = make_grid(4)
     platform = first_best_platform(g, 0)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(platform, f_xy, params)
 
     x = [0.125, 0.375, 0.625, 0.875]
     coeff = first_best_wage_coefficient(params)
@@ -64,18 +62,17 @@ def test_misreport_four_node_hand_value(params, f_xy):
     w_i, w_j = coeff * x[i] ** 2, coeff * x[j] ** 2
     assert f_ij - w_i - w_j >= 0  # the pair is mutually acceptable
     hand = params.theta * (1.0 / 3.0) * (f_ij - w_i - w_j)
-    assert misreport_value(platform, f_xy, params, st, i, j) == \
-        pytest.approx(hand, abs=1e-15)
+    gains = deviation_gains(platform, f_xy, params, st)
+    assert gains[i, j] == pytest.approx(hand - w_i, abs=1e-15)
 
 
 def test_misreport_single_crossing(designed, params, f_xy):
-    """Column increments of the deviation-value matrix grow with the true
-    type wherever both columns are reachable."""
+    """Column increments of the gain matrix grow with the true type wherever
+    both columns are reachable (the transfers shift whole columns and the
+    truthful payoff whole rows, so neither moves the differences)."""
     platform, st = designed.platform, designed.dse
-    g = platform.grid
     k = platform.cutoff
-    W = np.array([[misreport_value(platform, f_xy, params, st, i, j)
-                   for j in range(k, g.n)] for i in range(k, g.n)])
+    W = deviation_gains(platform, f_xy, params, st)[k:, :]
     M = st.M[k:, k:]
     for j in range(W.shape[1] - 1):
         reachable = M[:, j] & M[:, j + 1]
@@ -99,7 +96,7 @@ def test_designed_platform_certifies(designed, params, f_xy):
 def test_full_extraction_fails_under_hidden_types(designed, params, f_xy):
     grabby = Platform(grid=designed.platform.grid, cutoff=designed.platform.cutoff,
                       kernel=designed.platform.kernel,
-                      transfers=perfect_info_transfers(designed.dse))
+                      transfers=designed.dse.w.copy())
     report = audit(grabby, f_xy, params, designed.dse)
     assert report.ic_max_violation > 1e-3
     assert not report.certified()
@@ -113,7 +110,7 @@ def test_audit_reads_consistency_defect(params, f_xy):
     kernel[0, 0] -= 1e-3
     kernel[0, 1] += 1e-3
     platform = Platform(grid=g, cutoff=0, kernel=kernel, transfers=np.zeros(6))
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     report = audit(platform, f_xy, params, st)
     assert report.consistency_defect == pytest.approx(1e-3, abs=1e-18)
     assert not report.certified()
@@ -128,8 +125,6 @@ def test_audit_is_pure(designed, params, f_xy):
 
 
 def test_diagonal_of_gain_matrix_is_zero(designed, params, f_xy):
-    from matchlab.verifier import deviation_gains
-
     gains = deviation_gains(designed.platform, f_xy, params, designed.dse)
     k = designed.platform.cutoff
     assert np.all(np.diagonal(gains[k:, :]) == 0.0)
@@ -137,7 +132,7 @@ def test_diagonal_of_gain_matrix_is_zero(designed, params, f_xy):
 
 def test_row_smoothness_values(params, f_xy):
     g = make_grid(8)
-    st = first_best_dse(g, f_xy, params, 0)
+    st = solve_dse(first_best_platform(g, 0), f_xy, params)
     ident = audit(first_best_platform(g, 0), f_xy, params, st)
     assert ident.row_smoothness == pytest.approx(1.0, abs=1e-15)
 
@@ -178,6 +173,15 @@ def test_mixed_mask_violates_ic(params, f_xy):
     # keep nodes {0, 2} of a four-type market: node 3 mimics node 2
     gain = masked_config_ic(4, f_xy, params, mask=(0, 2), perm=(0, 1))
     assert gain > 1e-4
+
+
+@pytest.mark.parametrize("mask, perm", [((0, 2, 3), (1, 2, 0)), ((2, 0), (0, 1)),
+                                        ((0, 5), (0, 1)), ((0, 2), (0,))],
+                         ids=["not-an-involution", "unsorted-mask", "node-out-of-range",
+                              "perm-length"])
+def test_masked_config_ic_rejects_malformed_input(params, f_xy, mask, perm):
+    with pytest.raises(ValueError):
+        masked_config_ic(4, f_xy, params, mask=mask, perm=perm)
 
 
 def _reference_mask_ic(n, f, params, mask, perm):
