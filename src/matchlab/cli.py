@@ -416,7 +416,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
         params = SearchParams(**{key: manifest_value(manifest, key, manifest_path)
                                  for key in ("rho", "alpha", "r")})
         grid = platform.grid
-        i, _, w_i, u_i = read_columns(os.path.join(target, "dse.csv"), 4, 1, 0, grid.n)
+        dse_path = os.path.join(target, "dse.csv")
+        i, _, w_i, u_i = read_columns(dse_path, 4, 1, 0, grid.n)
+        if not (np.all(np.isfinite(w_i)) and np.all(np.isfinite(u_i))):
+            raise ValueError(f"{dse_path}: wages w and densities u must be finite")
 
     w = np.zeros(grid.n)
     u = np.ones(grid.n)

@@ -404,23 +404,39 @@ def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Platform serialization
 #
-# platform.csv   header i,j,G     one row per nonzero kernel entry, row-major, global ids
-# transfers.csv  header i,t       one row per node
-# manifest.txt   key=value lines  n, cutoff, f.kind, f.c
-# table.csv      header i,j,f     only for tabulated production, every entry, row-major
+# platform.csv   header i,j,j_last,G  one row per maximal run of equal nonzero entries within
+#                                     a kernel row: G[i, j..j_last] = G (inclusive, global ids),
+#                                     runs in row-major order; zero runs are omitted.  The older
+#                                     layout, header i,j,G with one row per nonzero entry, loads
+#                                     as runs with j_last = j.
+# transfers.csv  header i,t           one row per node
+# manifest.txt   key=value lines      n, cutoff, f.kind, f.c
+# table.csv      header i,j,f         only for tabulated production, every entry, row-major
 # ---------------------------------------------------------------------------
 
 #: Lines ``write_columns`` builds and writes at a time.
 _BLOCK_ROWS = 1 << 16
+#: ``platform.csv`` headers: the run layout ``save_platform`` writes, and the
+#: one-entry-per-row layout of older artifacts.
+_RUN_HEADER, _ENTRY_HEADER = "i,j,j_last,G", "i,j,G"
 
 
 def save_platform(platform: Platform, production: ProductionFunction, outdir: str) -> None:
     """Write a platform and its production function as CSV artifacts."""
     os.makedirs(outdir, exist_ok=True)
     n, k = platform.grid.n, platform.cutoff
-    rows, cols = np.nonzero(platform.kernel)
-    write_columns(os.path.join(outdir, "platform.csv"), "i,j,G",
-                  [rows + k, cols + k, platform.kernel[rows, cols]])
+    kernel, m = platform.kernel, platform.n_included
+    # a run starts at each row's first entry and wherever an entry differs from
+    # its left neighbour, and ends just before the next run starts
+    head = np.ones(kernel.shape, dtype=bool)
+    np.not_equal(kernel[:, 1:], kernel[:, :-1], out=head[:, 1:])
+    starts = np.flatnonzero(head)
+    lasts = np.append(starts[1:], head.size) - 1
+    values = kernel.reshape(-1)[starts]
+    nonzero = values != 0.0
+    rows, cols = np.divmod(starts[nonzero], m)
+    write_columns(os.path.join(outdir, "platform.csv"), _RUN_HEADER,
+                  [rows + k, cols + k, lasts[nonzero] % m + k, values[nonzero]])
     write_columns(os.path.join(outdir, "transfers.csv"), "i,t",
                   [np.arange(n), platform.transfers])
 
@@ -445,11 +461,8 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
     k = manifest_value(manifest, "cutoff", manifest_path, int)
     kind = manifest_value(manifest, "f.kind", manifest_path, str)
     grid = make_grid(n)
-    m = n - k
 
-    kernel = np.zeros((m, m))
-    i, j, g = read_columns(os.path.join(outdir, "platform.csv"), 3, 2, k, n)
-    kernel[i - k, j - k] = g
+    kernel = _load_kernel(os.path.join(outdir, "platform.csv"), k, n)
 
     transfers = np.zeros(n)
     i, t = read_columns(os.path.join(outdir, "transfers.csv"), 2, 1, 0, n)
@@ -464,6 +477,40 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
         production = load_table(os.path.join(outdir, "table.csv"), grid)
 
     return Platform(grid=grid, cutoff=k, kernel=kernel, transfers=transfers), production
+
+
+def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
+    """The ``(n - k, n - k)`` kernel that ``platform.csv`` at ``path`` holds,
+    in either layout, chosen by its header.
+
+    The runs are checked before they are expanded, so a damaged file can
+    never ask for more than the kernel's entries.
+    """
+    with open(path, "rb") as fh:
+        header = fh.readline().strip()
+    if header == _RUN_HEADER.encode():
+        i, j, j_last, g = read_columns(path, 4, 3, k, n)
+    elif header == _ENTRY_HEADER.encode():
+        i, j, g = read_columns(path, 3, 2, k, n)
+        j_last = j
+    else:
+        raise ValueError(f"{path}: header must be {_RUN_HEADER} (or the older "
+                         f"{_ENTRY_HEADER}), found {header.decode('utf-8', 'replace')!r}")
+    if np.any(j_last < j):
+        raise ValueError(f"{path}: a run ends before it starts (j_last < j)")
+    m = n - k
+    # flat row-major positions: run r covers [start[r], stop[r])
+    start = (i - k) * m + (j - k)
+    stop = start + (j_last - j) + 1
+    if np.any(start[1:] < stop[:-1]):
+        raise ValueError(f"{path}: runs must be in row-major order and must not overlap")
+    # the kernel, flat, is a zero gap before each run, the run, and a last zero gap
+    values = np.zeros(2 * len(g) + 1)
+    values[1::2] = g
+    lengths = np.empty(2 * len(g) + 1, dtype=np.int64)
+    lengths[0::2] = np.append(start, m * m) - np.append(0, stop)
+    lengths[1::2] = stop - start
+    return np.repeat(values, lengths).reshape(m, m)
 
 
 def load_table(path: str, grid: TypeGrid) -> ProductionFunction:
@@ -582,15 +629,9 @@ def _distinct_text(column: np.ndarray, path: str) -> tuple[np.ndarray, np.ndarra
             text = [str(v) for v in range(lo, hi + 1)]
             return np.array(text, dtype="S"), column - lo if lo else column
     if column.dtype.kind == "f":
-        # distinct by bit pattern, so -0.0 keeps its own "-0"; kernel columns
-        # hold long runs of equal entries, so only each run's first is sorted
+        # distinct by bit pattern, so -0.0 keeps its own "-0"
         bits = np.ascontiguousarray(column, dtype=np.float64).view(np.int64).reshape(-1)
-        head = np.empty(bits.size, dtype=bool)
-        head[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=head[1:])
-        starts = np.flatnonzero(head)
-        bits, index = np.unique(bits[starts], return_inverse=True)
-        index = np.repeat(index.reshape(-1), np.diff(starts, append=head.size))
+        bits, index = np.unique(bits, return_inverse=True)
         text = [format_float(v) for v in bits.view(np.float64)]
     elif column.dtype.kind in "iu":
         values, index = np.unique(column, return_inverse=True)

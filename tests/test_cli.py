@@ -21,6 +21,7 @@ from matchlab import (
     first_best_platform,
     glitch,
     informational_rent,
+    load_platform,
     make_grid,
     optimal_exclusion,
     save_platform,
@@ -176,8 +177,8 @@ def test_solve_nonconvergence_exit_code(tmp_path):
 def test_solve_glitched_platform(tmp_path):
     out = tmp_path / "o"
     assert main(["solve", "--n", "10", "--epsilon", "0.05", "--out", str(out)]) == 0
-    rows = csv_rows(out / "platform.csv")
-    assert len(rows) == 100  # the glitched kernel is dense
+    platform, _ = load_platform(str(out))
+    assert np.count_nonzero(platform.kernel) == 100  # the glitched kernel is dense
     residuals = json.loads((out / "residuals.json").read_text())
     assert 1 <= residuals["steady_state_solves"] < residuals["iterations"]
 
@@ -345,6 +346,12 @@ def _asymmetric_platform_csv(d):
     (d / "platform.csv").write_text("i,j,G\n" + "\n".join(rows) + "\n")
 
 
+def _asymmetric_runs_platform_csv(d):
+    """The kernel of ``_asymmetric_platform_csv`` in the run layout ``solve`` writes."""
+    rows = ["0,0,0,0.999", "0,1,1,0.001", "1,1,1,1"] + [f"{i},{i},{i},1" for i in range(2, 6)]
+    (d / "platform.csv").write_text("i,j,j_last,G\n" + "\n".join(rows) + "\n")
+
+
 def _manifest_only_n(d):
     (d / "manifest.txt").write_text("n=4\n")
 
@@ -399,6 +406,8 @@ def test_solve_mixture_artifact_exits_cleanly(n, a, b, rho, alpha, r, max_outer,
     ("simulate", _corrupt_platform_csv),
     ("solve", _asymmetric_platform_csv),
     ("simulate", _asymmetric_platform_csv),
+    ("solve", _asymmetric_runs_platform_csv),
+    ("simulate", _asymmetric_runs_platform_csv),
     ("sweep", _corrupt_platform_csv),
     ("sweep", _manifest_only_n),
     ("verify", _manifest_only_n),
@@ -415,6 +424,51 @@ def test_bad_platform_artifact_is_a_config_error(tmp_path, capsys, command, dama
     assert not (tmp_path / "o").exists()
     if damage is _manifest_only_n:
         assert err.endswith(f"{d / 'manifest.txt'}: missing key 'cutoff'\n")
+
+
+_IDENTITY_RUNS = [f"{i},{i},{i},1" for i in range(6)]
+
+
+@pytest.mark.parametrize("command", ["verify", "solve"])
+@pytest.mark.parametrize("rows", [
+    _IDENTITY_RUNS[:5] + ["5,5,4,1"],                                  # j_last < j
+    _IDENTITY_RUNS[:5] + ["5,5,6,1"],                                  # j_last >= n
+    ["0,0,1,0.5", "0,1,1,0.5"] + _IDENTITY_RUNS[1:],                   # overlapping runs
+    [_IDENTITY_RUNS[1], _IDENTITY_RUNS[0]] + _IDENTITY_RUNS[2:],       # out of order
+    [f"{i},{i},1" for i in range(6)],                                  # three columns
+], ids=["j_last-below-j", "j_last-at-n", "overlap", "out-of-order", "three-columns"])
+def test_bad_platform_runs_are_a_config_error(tmp_path, capsys, command, rows):
+    """A damaged run-layout ``platform.csv`` exits 2 with one line naming the file."""
+    d = tmp_path / "d"
+    assert main(["solve", "--n", "6", "--out", str(d)]) == 0
+    assert (d / "platform.csv").read_text().splitlines()[1:] == _IDENTITY_RUNS
+    (d / "platform.csv").write_text("i,j,j_last,G\n" + "\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main([command, "--platform", str(d), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"matchlab: config error: cannot read {d}: {d / 'platform.csv'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("column", ["w", "u"])
+@pytest.mark.parametrize("word", ["nan", "inf"])
+def test_verify_non_finite_dse_is_a_config_error(tmp_path, capsys, column, word):
+    """A non-finite wage or density in ``dse.csv`` exits 2, naming the file,
+    and writes no ``audit.json``."""
+    d = tmp_path / "d"
+    assert main(["solve", "--n", "5", "--epsilon", "0.5", "--out", str(d)]) == 0
+    lines = (d / "dse.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    row[lines[0].split(",").index(column)] = word
+    lines[2] = ",".join(row)
+    (d / "dse.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--platform", str(d), "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"matchlab: config error: cannot read {d}: {d / 'dse.csv'}: "
+                   "wages w and densities u must be finite\n")
+    assert not (tmp_path / "v").exists()
 
 
 _ARTIFACT_FILES = ("dse.csv", "platform.csv", "transfers.csv", "manifest.txt")

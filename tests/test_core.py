@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -408,6 +410,22 @@ def reference_pairs(header, rows, cols, values=None):
     return ("\n".join(lines) + "\n").encode()
 
 
+def reference_runs(kernel, k):
+    """The ``platform.csv`` bytes of ``kernel`` (cutoff ``k``), found entry by
+    entry: one formatted line per maximal run of equal nonzero entries in a row."""
+    lines = ["i,j,j_last,G"]
+    for r, row in enumerate(kernel.tolist()):
+        c = 0
+        while c < len(row):
+            last = c
+            while last + 1 < len(row) and row[last + 1] == row[c]:
+                last += 1
+            if row[c] != 0.0:
+                lines.append(f"{r + k},{c + k},{last + k},{format_float(row[c])}")
+            c = last + 1
+    return ("\n".join(lines) + "\n").encode()
+
+
 def test_platform_csv_golden_all_distinct_with_cutoff(tmp_path, f_xy):
     g = make_grid(9)
     k = 3
@@ -418,17 +436,67 @@ def test_platform_csv_golden_all_distinct_with_cutoff(tmp_path, f_xy):
     save_platform(p, f_xy, str(tmp_path))
     rows, cols = np.nonzero(p.kernel)
     assert len(np.unique(p.kernel[rows, cols])) == len(rows) == 35
-    expected = reference_pairs("i,j,G", rows + k, cols + k, p.kernel[rows, cols])
+    expected = reference_runs(p.kernel, k)
+    assert expected.count(b"\n") == 36  # a run per nonzero entry
+    assert (tmp_path / "platform.csv").read_bytes() == expected
+
+
+def test_platform_csv_golden_over_two_write_blocks(tmp_path, f_xy):
+    # 88 800 runs of one entry each: more than one write block
+    kernel = np.random.default_rng(11).random((300, 300))
+    kernel[:, ::97] = 0.0
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    p = Platform(grid=make_grid(302), cutoff=2, kernel=kernel, transfers=np.zeros(302))
+    save_platform(p, f_xy, str(tmp_path))
+    expected = reference_runs(p.kernel, 2)
+    assert expected.count(b"\n") - 1 == 88_800 > core._BLOCK_ROWS
     assert (tmp_path / "platform.csv").read_bytes() == expected
 
 
 def test_platform_csv_golden_glitched(tmp_path, f_xy):
-    # 90 000 rows: more than one write block
     p = glitch(first_best_platform(make_grid(300), 0), 0.5)
     save_platform(p, f_xy, str(tmp_path))
-    rows, cols = np.nonzero(p.kernel)
-    expected = reference_pairs("i,j,G", rows, cols, p.kernel[rows, cols])
+    expected = reference_runs(p.kernel, 0)
+    # at most three runs a row: left of the diagonal, the diagonal, right of it
+    assert 600 < expected.count(b"\n") - 1 <= 900
     assert (tmp_path / "platform.csv").read_bytes() == expected
+
+
+@st.composite
+def run_kernels(draw):
+    """(n, cutoff, kernel): a mixture of the identity, the reversal, the
+    uniform kernel and a block-uniform kernel on random consecutive blocks;
+    every one is symmetric and row-stochastic and has long runs of equal entries."""
+    k = draw(st.sampled_from([0, 0, 1, 7]))
+    m = draw(st.integers(1 if k else 2, 40))
+    sizes = []
+    while sum(sizes) < m:
+        sizes.append(draw(st.integers(1, m - sum(sizes))))
+    blocks = np.zeros((m, m))
+    edges = np.cumsum([0] + sizes)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        blocks[lo:hi, lo:hi] = 1.0 / (hi - lo)
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=4, max_size=4))
+    if sum(weights) == 0.0:
+        weights[0] = 1.0
+    a, b, c, d = (w / sum(weights) for w in weights)
+    kernel = a * np.eye(m) + b * np.eye(m)[::-1] + (c / m) * np.ones((m, m)) + d * blocks
+    return m + k, k, kernel
+
+
+@given(drawn=run_kernels())
+@settings(max_examples=100, deadline=None)
+def test_platform_runs_roundtrip_property(tmp_path_factory, drawn):
+    """Every run-structured kernel loads back bit for bit, and re-saves byte for byte."""
+    n, k, kernel = drawn
+    p = Platform(grid=make_grid(n), cutoff=k, kernel=kernel, transfers=np.zeros(n))
+    d1, d2 = tmp_path_factory.mktemp("a"), tmp_path_factory.mktemp("b")
+    save_platform(p, ProductionFunction.multiplicative(), str(d1))
+    assert (d1 / "platform.csv").read_bytes() == reference_runs(p.kernel, k)
+    loaded, production = load_platform(str(d1))
+    assert np.array_equal(loaded.kernel.view(np.int64), p.kernel.view(np.int64))
+    save_platform(loaded, production, str(d2))
+    assert _read_all(d1) == _read_all(d2)
 
 
 def test_table_csv_golden_with_zero_entries(tmp_path):
@@ -562,8 +630,7 @@ def test_platform_in_17_digit_text_loads_and_resaves_short(tmp_path):
     assert np.array_equal(loaded.kernel.view(np.int64), p.kernel.view(np.int64))
     assert np.array_equal(loaded.transfers.view(np.int64), transfers.view(np.int64))
     save_platform(loaded, production, str(new))
-    assert (new / "platform.csv").read_bytes() == reference_pairs(
-        "i,j,G", rows, cols, p.kernel[rows, cols])
+    assert (new / "platform.csv").read_bytes() == reference_runs(p.kernel, 0)
     assert (new / "transfers.csv").read_text() == reference_csv("i,t", enumerate(transfers))
     assert "\n1,0.1\n" in (new / "transfers.csv").read_text()
     assert len((new / "platform.csv").read_bytes()) < len((old / "platform.csv").read_bytes())
@@ -604,6 +671,32 @@ def test_load_platform_rejects_bad_rows(tmp_path, name, text):
     load_platform(str(tmp_path))
     (tmp_path / name).write_text(text)
     with pytest.raises(ValueError, match=name):
+        load_platform(str(tmp_path))
+
+
+_RUNS = "i,j,j_last,G\n"
+_ORDER = "runs must be in row-major order and must not overlap"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_RUNS + "2,2,2,1\n3,3,3,1\n4,4,3,1\n", "a run ends before it starts"),
+    (_RUNS + "2,2,2,1\n3,3,3,1\n4,4,5,1\n", r"node indices must be integers in \[2, 5\)"),
+    (_RUNS + "2,2,3,0.5\n2,3,4,0.5\n3,3,3,1\n4,4,4,1\n", _ORDER),
+    (_RUNS + "3,3,3,1\n2,2,2,1\n4,4,4,1\n", _ORDER),
+    (_RUNS + "2,2,1\n3,3,1\n4,4,1\n", "expected 4 columns per row, found 3"),
+    (_RUNS + "2,2,2,1\n3,3,3\n4,4,4,1\n", ""),          # short row
+    ("i,j,G\n3,3,1\n2,2,1\n4,4,1\n", _ORDER),          # the older layout too
+    ("i,j,G\n2,2,1\n3,3,1\n3,3,1\n4,4,1\n", _ORDER),
+    ("i,j,G,x\n2,2,2,1\n3,3,3,1\n4,4,4,1\n", "header must be i,j,j_last,G"),
+], ids=["j_last-below-j", "j_last-at-n", "overlap", "out-of-order", "three-columns",
+        "short-row", "entries-out-of-order", "entries-repeated", "unknown-header"])
+def test_load_platform_rejects_bad_runs(tmp_path, f_xy, text, message):
+    g = make_grid(5)
+    save_platform(Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=np.zeros(5)),
+                  f_xy, str(tmp_path))
+    assert (tmp_path / "platform.csv").read_text() == _RUNS + "2,2,2,1\n3,3,3,1\n4,4,4,1\n"
+    (tmp_path / "platform.csv").write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'platform.csv'}: ") + message):
         load_platform(str(tmp_path))
 
 
