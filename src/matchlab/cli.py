@@ -37,8 +37,9 @@ from .core import (
     make_grid,
     manifest_value,
     ordered_map,
-    read_columns,
     read_manifest,
+    read_node_columns,
+    row_runs,
     save_platform,
     write_columns,
     write_lines,
@@ -109,18 +110,22 @@ def parse_config_file(path: str) -> dict:
     """Read a flat key=value file; '#' starts a comment, unknown keys fail."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not text
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     overrides: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES or key == "command":
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            overrides[key] = _coerce(key, value, f"{path}:{lineno}")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_TYPES or key == "command":
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        overrides[key] = _coerce(key, value, f"{path}:{lineno}")
     return overrides
 
 
@@ -271,6 +276,14 @@ def _resolve_platform(cfg: RunConfig):
     return platform, production
 
 
+def _output_dir(path: str) -> None:
+    """Create the output directory; a path that cannot be one is a config error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file in the way, say, or a NUL byte
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from None
+
+
 def _write_manifest(cfg: RunConfig, outdir: str, extra: dict | None = None) -> None:
     """Merge the resolved run config into the directory manifest.
 
@@ -311,7 +324,9 @@ def _write_dse(outdir: str, grid, state: DSEState) -> None:
 
 
 def _write_acceptance(outdir: str, state: DSEState) -> None:
-    write_columns(os.path.join(outdir, "acceptance.csv"), "i,j", np.nonzero(state.M))
+    # every run is of accepted pairs, so the value column is left out
+    rows, cols, lasts, _ = row_runs(state.M)
+    write_columns(os.path.join(outdir, "acceptance.csv"), "i,j,j_last", [rows, cols, lasts])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +344,7 @@ def _solve(cfg: RunConfig, platform, production) -> int:
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     state = solve_dse(platform, production, params, _solver_config(cfg))
     outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
+    _output_dir(outdir)
     _write_dse(outdir, grid, state)
     _write_acceptance(outdir, state)
     summary = {"bellman": state.bellman_residual, "balance": state.balance_residual,
@@ -349,7 +364,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     state = solve_dse(platform, production, params, _solver_config(cfg))
     outcome = simulate(platform, production, params, state.w, sim_cfg, jobs=_workers(cfg))
     outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
+    _output_dir(outdir)
     _write_dse(outdir, grid, state)
     write_columns(os.path.join(outdir, "sim.csv"), "i,x,u_hat,se_u,payoff_hat,se_payoff",
                   [np.arange(grid.n), grid.nodes, outcome.unmatched_fraction_by_node,
@@ -384,7 +399,7 @@ def _cmd_design(cfg: RunConfig) -> int:
     result = design(grid, production, params, cutoff)
 
     outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
+    _output_dir(outdir)
     nodes = np.arange(grid.n)
     write_columns(os.path.join(outdir, "design.csv"), "i,x,w,t,m,included",
                   [nodes, grid.nodes, result.dse.w, result.platform.transfers, result.rent,
@@ -417,21 +432,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
                                  for key in ("rho", "alpha", "r")})
         grid = platform.grid
         dse_path = os.path.join(target, "dse.csv")
-        i, _, w_i, u_i = read_columns(dse_path, 4, 1, 0, grid.n)
-        if not (np.all(np.isfinite(w_i)) and np.all(np.isfinite(u_i))):
+        _, w, u = read_node_columns(dse_path, 4, grid.n)
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(u))):
             raise ValueError(f"{dse_path}: wages w and densities u must be finite")
 
-    w = np.zeros(grid.n)
-    u = np.ones(grid.n)
-    w[i] = w_i
-    u[i] = u_i
     # the residuals are unknown until audit() recomputes them from w, u and M
     state = DSEState(w=w, u=u, M=acceptance(production.values(grid), w),
                      bellman_residual=float("nan"), balance_residual=float("nan"))
 
     report = audit(platform, production, params, state)
     outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
+    _output_dir(outdir)
     payload = {
         "consistency_defect": report.consistency_defect,
         "ir_min_slack": report.ir_min_slack,
@@ -487,7 +498,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
         grid = make_grid(cfg.n)
         _production(cfg, grid)
         _cutoff_index(cfg, grid)
-    os.makedirs(cfg.out, exist_ok=True)
+    _output_dir(cfg.out)
 
     dirs = [f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}"
             for idx, (rho, alpha, r) in enumerate(points)]
@@ -524,7 +535,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         if involution_rent(grid, production, params, 0, perm) < rent_identity - 1e-12:
             minimal = False
     outdir = cfg.out
-    os.makedirs(outdir, exist_ok=True)
+    _output_dir(outdir)
     payload = {
         "prop4_upper_set_ok": prop4_ok,
         "prop4_grid": cfg.oracle_n,
@@ -544,8 +555,16 @@ def _cmd_oracle(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a config error, one line and exit 2,
+    where ``argparse`` prints its usage and exits itself."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matchlab",
         description="Search equilibria, simulation and platform design on type grids")
     parser.add_argument("command", choices=COMMANDS)
@@ -591,9 +610,8 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
+        cfg = resolve_config(build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"matchlab: config error: {exc}", file=sys.stderr)
         return 2

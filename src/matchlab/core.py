@@ -29,6 +29,7 @@ __all__ = [
     "Platform",
     "DSEState",
     "acceptance",
+    "row_runs",
     "save_platform",
     "load_platform",
     "load_table",
@@ -36,6 +37,7 @@ __all__ = [
     "write_lines",
     "write_columns",
     "read_columns",
+    "read_node_columns",
     "available_cpus",
     "ordered_map",
 ]
@@ -405,11 +407,11 @@ def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
 # Platform serialization
 #
 # platform.csv   header i,j,j_last,G  one row per maximal run of equal nonzero entries within
-#                                     a kernel row: G[i, j..j_last] = G (inclusive, global ids),
-#                                     runs in row-major order; zero runs are omitted.  The older
-#                                     layout, header i,j,G with one row per nonzero entry, loads
-#                                     as runs with j_last = j.
-# transfers.csv  header i,t           one row per node
+#                                     a kernel row (see row_runs): G[i, j..j_last] = G
+#                                     (inclusive, global ids), runs in row-major order; zero
+#                                     runs are omitted.  The older layout, header i,j,G with
+#                                     one row per nonzero entry, loads as runs with j_last = j.
+# transfers.csv  header i,t           one row per node, nodes 0..n-1 in order
 # manifest.txt   key=value lines      n, cutoff, f.kind, f.c
 # table.csv      header i,j,f         only for tabulated production, every entry, row-major
 # ---------------------------------------------------------------------------
@@ -421,22 +423,34 @@ _BLOCK_ROWS = 1 << 16
 _RUN_HEADER, _ENTRY_HEADER = "i,j,j_last,G", "i,j,G"
 
 
+def row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(i, j, j_last, value)`` of every maximal run of equal nonzero entries
+    within a row of the 2-d ``matrix``: ``matrix[i, j..j_last] == value``,
+    ``j_last`` inclusive, runs in row-major order.
+
+    ``platform.csv`` stores a kernel in this layout, and ``acceptance.csv``
+    the acceptance sets, whose runs are all of accepted pairs.
+    """
+    width = matrix.shape[1]
+    # a run starts at each row's first entry and wherever an entry differs from
+    # its left neighbour, and ends just before the next run starts
+    head = np.ones(matrix.shape, dtype=bool)
+    np.not_equal(matrix[:, 1:], matrix[:, :-1], out=head[:, 1:])
+    starts = np.flatnonzero(head)
+    lasts = np.append(starts[1:], head.size) - 1
+    values = matrix.reshape(-1)[starts]
+    nonzero = values != 0
+    rows, cols = np.divmod(starts[nonzero], width)
+    return rows, cols, lasts[nonzero] % width, values[nonzero]
+
+
 def save_platform(platform: Platform, production: ProductionFunction, outdir: str) -> None:
     """Write a platform and its production function as CSV artifacts."""
     os.makedirs(outdir, exist_ok=True)
     n, k = platform.grid.n, platform.cutoff
-    kernel, m = platform.kernel, platform.n_included
-    # a run starts at each row's first entry and wherever an entry differs from
-    # its left neighbour, and ends just before the next run starts
-    head = np.ones(kernel.shape, dtype=bool)
-    np.not_equal(kernel[:, 1:], kernel[:, :-1], out=head[:, 1:])
-    starts = np.flatnonzero(head)
-    lasts = np.append(starts[1:], head.size) - 1
-    values = kernel.reshape(-1)[starts]
-    nonzero = values != 0.0
-    rows, cols = np.divmod(starts[nonzero], m)
+    rows, cols, lasts, values = row_runs(platform.kernel)
     write_columns(os.path.join(outdir, "platform.csv"), _RUN_HEADER,
-                  [rows + k, cols + k, lasts[nonzero] % m + k, values[nonzero]])
+                  [rows + k, cols + k, lasts + k, values])
     write_columns(os.path.join(outdir, "transfers.csv"), "i,t",
                   [np.arange(n), platform.transfers])
 
@@ -464,9 +478,7 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
 
     kernel = _load_kernel(os.path.join(outdir, "platform.csv"), k, n)
 
-    transfers = np.zeros(n)
-    i, t = read_columns(os.path.join(outdir, "transfers.csv"), 2, 1, 0, n)
-    transfers[i] = t
+    [transfers] = read_node_columns(os.path.join(outdir, "transfers.csv"), 2, n)
 
     if kind == "xy":
         production = ProductionFunction.multiplicative()
@@ -574,6 +586,20 @@ def read_columns(path: str, ncols: int, nindex: int, lo: int, hi: int) -> list[n
     if not np.all((index == np.trunc(index)) & (index >= lo) & (index < hi)):
         raise ValueError(f"{path}: node indices must be integers in [{lo}, {hi})")
     return [*index.T.astype(np.int64), *data[:, nindex:].T]
+
+
+def read_node_columns(path: str, ncols: int, n: int) -> list[np.ndarray]:
+    """The value columns of a CSV artifact with one row per node, such as
+    ``transfers.csv`` and ``dse.csv``, each as a contiguous float64 array.
+
+    The first column must list the nodes ``0..n-1`` once each, in order.
+    Raises ``ValueError`` naming ``path`` for a malformed file, or one with a
+    node missing, repeated or out of order.
+    """
+    index, *values = read_columns(path, ncols, 1, 0, n)
+    if not np.array_equal(index, np.arange(n)):
+        raise ValueError(f"{path}: rows must list the nodes 0 to {n - 1} once each, in order")
+    return [np.ascontiguousarray(column) for column in values]
 
 
 def write_lines(path: str, lines: list[str]) -> None:

@@ -32,6 +32,25 @@ def reference_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def reference_runs(matrix, k=0, header="i,j,j_last,G", values=True):
+    """The bytes of a run-layout artifact of ``matrix``, found entry by entry:
+    ``header``, then one line per maximal run of equal nonzero entries in a
+    row, ``i,j,j_last`` with indices offset by the cutoff ``k``, and the run's
+    value through ``format_float`` when ``values`` is set."""
+    lines = [header]
+    for r, row in enumerate(matrix.tolist()):
+        c = 0
+        while c < len(row):
+            last = c
+            while last + 1 < len(row) and row[last + 1] == row[c]:
+                last += 1
+            if row[c] != 0:
+                line = f"{r + k},{c + k},{last + k}"
+                lines.append(f"{line},{format_float(row[c])}" if values else line)
+            c = last + 1
+    return ("\n".join(lines) + "\n").encode()
+
+
 def csv_rows(path):
     """The rows of a CSV artifact as dicts keyed by its header line."""
     with open(path, newline="") as fh:

@@ -30,6 +30,7 @@ from matchlab import (
 )
 from matchlab import solver
 from matchlab.cli import (
+    COMMANDS,
     RunConfig,
     _write_acceptance,
     _write_dse,
@@ -37,9 +38,9 @@ from matchlab.cli import (
     main,
     resolve_config,
 )
-from matchlab.core import DSEState, ProductionFunction, format_float
+from matchlab.core import DSEState, ProductionFunction, acceptance, format_float
 
-from conftest import csv_rows, mixture_kernel, reference_csv
+from conftest import csv_rows, mixture_kernel, reference_csv, reference_runs
 
 
 def read_dir_bytes(path):
@@ -135,6 +136,92 @@ def test_comment_lines_ignored(tmp_path):
     with open(cfg, "a") as fh:
         fh.write("# a comment\nn=6  # trailing comment\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+# Values the exit-code fuzzer draws for each RunConfig key: mostly small
+# valid ones (fast runs), then words that are wrong for some or every key.
+# ``{name}`` is a path the test builds; ``--jobs`` stays small, so no draw
+# asks for many worker processes.
+_FUZZ_VALUES = {
+    "n": ["2", "3", "5"], "rho": ["0.5", "1", "2"], "alpha": ["0.5", "1"], "r": ["0.05", "1"],
+    "f": ["xy", "xy+c", "table"], "c": ["0", "0.2"],
+    "table": ["{table}", "{nan_table}", "{missing}", "{dir}"],
+    "cutoff": ["0", "0.5", "auto", "0.9"], "platform": ["{artifact}", "{missing}", "{file}"],
+    "epsilon": ["", "0", "0.5", "1"], "seed": ["0", "5", str(2 ** 64)],
+    "out": ["{o}", "{file}", "{file}/o"],
+    "jobs": ["0", "1", "2"], "tol_w": ["1e-10", "1e-300", "1"], "tol_u": ["1e-12", "1"],
+    "max_outer": ["1", "100"], "agents_per_node": ["1", "3"], "horizon": ["10", "20"],
+    "burn_in": ["0", "5"], "replications": ["1", "2"], "event_log": ["true", "false"],
+    "oracle_n": ["2", "3"], "involution_block": ["2", "4"], "sweep_rho": ["", "0.5,1"],
+    "sweep_alpha": ["", "1,2"], "sweep_r": ["", "1"],
+}
+_FUZZ_WORDS = ["", " ", "nan", "inf", "-inf", "-1", "0", "x", "1e400", "0x10", "1,2", "é", "\0"]
+_FUZZ_FLAGS = ("out", "n", "rho", "alpha", "r", "f", "c", "cutoff", "epsilon", "platform",
+               "seed", "jobs")
+
+
+def _fuzz_value(key):
+    valid = st.sampled_from(_FUZZ_VALUES[key])
+    if key == "out":  # a word would be a directory under the working directory
+        return valid
+    return st.one_of(valid, valid, valid, st.sampled_from(_FUZZ_WORDS))
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, config file lines, bytes before them): a command, flags and
+    config keys with drawn values, and now and then a malformed line, a stray
+    argument, a config path that is no file or a file that is not UTF-8."""
+    argv = [draw(st.sampled_from(COMMANDS + ("bogus",))), "--out", "{o}"]
+    for key in draw(st.lists(st.sampled_from(_FUZZ_FLAGS), unique=True, max_size=3)):
+        argv += [f"--{key}", draw(_fuzz_value(key))]
+    argv += draw(st.sampled_from([[]] * 7 + [["--n"], ["--bogus"], ["extra"]]))
+    argv += ["--config", draw(st.sampled_from(["{cfg}"] * 8 + ["{dir}", "{missing}"]))]
+    keys = draw(st.lists(st.sampled_from(sorted(_FUZZ_VALUES) + ["command", "bogus"]),
+                         unique=True, max_size=4))
+    lines = [key + "=" + draw(_fuzz_value(key) if key in _FUZZ_VALUES
+                              else st.sampled_from(_FUZZ_WORDS)) for key in keys]
+    lines += draw(st.sampled_from([[]] * 7 + [["# note"], ["no pair"], ["=1"]]))
+    return argv, lines, draw(st.sampled_from([b""] * 9 + [b"\xff\xfe"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=command_lines())
+def test_command_line_and_config_exit_cleanly(drawn):
+    """Any command line and config file exits 0, 1, 2 or 3, never with a
+    traceback, and a config error (exit 2) prints exactly one stderr line."""
+    argv, lines, prefix = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in
+                 ("o", "cfg", "missing", "file", "artifact", "table", "nan_table")}
+        paths["dir"] = tmp
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["solve", "--n", "4", "--epsilon", "0.5", "--out", paths["artifact"]]) == 0
+        with open(paths["file"], "w"):
+            pass
+        with open(paths["table"], "w") as fh:
+            fh.write(reference_csv("i,j,f", [(i, j, (i + 1) * (j + 1) / 16)
+                                             for i in range(4) for j in range(4)]))
+        with open(paths["nan_table"], "w") as fh:
+            fh.write("i,j,f\n0,0,nan\n")
+
+        def fill(text):
+            for name, path in paths.items():
+                text = text.replace("{" + name + "}", path)
+            return text
+
+        # the first lines keep runs small: later keys and every flag override them
+        preset = ["n=4", "r=1", "agents_per_node=2", "horizon=20", "burn_in=1"]
+        with open(paths["cfg"], "wb") as fh:
+            fh.write(prefix + "".join(fill(line) + "\n" for line in preset + lines).encode())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main([fill(arg) for arg in argv])  # an escaping exception fails the test
+        err = err.getvalue()
+        assert status in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if status == 2:
+            assert err.startswith("matchlab: config error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +558,26 @@ def test_verify_non_finite_dse_is_a_config_error(tmp_path, capsys, column, word)
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize("name", ["dse.csv", "transfers.csv"])
+@pytest.mark.parametrize("damage", ["missing", "repeated", "out-of-order", "header-only"])
+def test_verify_incomplete_node_file_is_a_config_error(tmp_path, capsys, name, damage):
+    """``dse.csv`` and ``transfers.csv`` list every node once, in order; any
+    other file exits 2 with one line naming it and writes no ``audit.json``."""
+    d = tmp_path / "d"
+    assert main(["design", "--n", "6", "--cutoff", "auto", "--out", str(d)]) == 0
+    assert main(["verify", "--platform", str(d), "--out", str(tmp_path / "ok")]) == 0
+    header, *rows = (d / name).read_text().splitlines()
+    rows = {"missing": rows[:2] + rows[3:], "repeated": rows + rows[-1:],
+            "out-of-order": [rows[1], rows[0]] + rows[2:], "header-only": []}[damage]
+    (d / name).write_text("\n".join([header, *rows]) + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--platform", str(d), "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err == (
+        f"matchlab: config error: cannot read {d}: {d / name}: "
+        "rows must list the nodes 0 to 5 once each, in order\n")
+    assert not (tmp_path / "v").exists()
+
+
 _ARTIFACT_FILES = ("dse.csv", "platform.csv", "transfers.csv", "manifest.txt")
 _CORRUPTIONS = ("truncate", "empty", "header-only", "drop-column", "field", "extra-row",
                 "crlf", "non-utf8")
@@ -613,14 +720,56 @@ def _state(M):
                     balance_residual=0.0)
 
 
-@pytest.mark.parametrize("M", [np.zeros((4, 4), dtype=bool),
-                               np.ones((5, 5), dtype=bool),
-                               np.triu(np.ones((12, 12), dtype=bool))],
-                         ids=["empty", "full", "upper"])
-def test_acceptance_csv_golden(tmp_path, M):
+_BAND = np.abs(np.subtract.outer(np.arange(9), np.arange(9))) <= 2
+
+
+@pytest.mark.parametrize("M, runs", [(np.zeros((4, 4), dtype=bool), 0),
+                                     (np.ones((5, 5), dtype=bool), 5),
+                                     (np.triu(np.ones((12, 12), dtype=bool)), 12),
+                                     (_BAND, 9),
+                                     (_BAND | _BAND[::-1], 13)],
+                         ids=["empty", "full", "upper", "band", "two-runs-per-row"])
+def test_acceptance_csv_golden(tmp_path, M, runs):
     _write_acceptance(str(tmp_path), _state(M))
-    expected = "i,j\n" + "".join(f"{a},{b}\n" for a, b in zip(*np.nonzero(M)))
-    assert (tmp_path / "acceptance.csv").read_bytes() == expected.encode()
+    expected = reference_runs(M, header="i,j,j_last", values=False)
+    assert expected.count(b"\n") - 1 == runs
+    assert (tmp_path / "acceptance.csv").read_bytes() == expected
+
+
+def _mixture_artifact(d):
+    save_platform(Platform(grid=make_grid(40), cutoff=0, kernel=mixture_kernel(40, 0.3, 0.3),
+                           transfers=np.zeros(40)), ProductionFunction.multiplicative(), str(d))
+    return ["--platform", str(d)]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "40"],
+    ["--n", "40", "--epsilon", "0.5"],
+    _mixture_artifact,
+    ["--n", "40", "--cutoff", "0.5", "--epsilon", "0.2"],
+], ids=["identity", "eps0.5", "mixture", "cutoff0.5"])
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_acceptance_csv_runs_rebuild_m_from_dse(tmp_path, flags, command):
+    """Expanding the runs of ``acceptance.csv`` gives exactly the acceptance
+    rule applied to the wages of ``dse.csv``, in a solve and in every sweep point."""
+    if callable(flags):
+        flags = flags(tmp_path / "artifact")
+    cfg = write_config(tmp_path / "c.cfg", sweep_rho="0.5,2")
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 0
+    dirs = ([out / row["dir"] for row in csv_rows(out / "sweep_manifest.csv")]
+            if command == "sweep" else [out])
+    for d in dirs:
+        platform, production = load_platform(str(d))
+        n = platform.grid.n
+        w = np.array([float(row["w"]) for row in csv_rows(d / "dse.csv")])
+        runs = csv_rows(d / "acceptance.csv")
+        assert (d / "acceptance.csv").read_text().startswith("i,j,j_last\n")
+        M = np.zeros((n, n), dtype=bool)
+        for run in runs:
+            M[int(run["i"]), int(run["j"]):int(run["j_last"]) + 1] = True
+        assert np.array_equal(M, acceptance(production.values(platform.grid), w))
+        assert 0 < len(runs) <= 2 * n
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from matchlab.core import (
 )
 from matchlab.designer import first_best_platform, glitch
 
-from conftest import mixture_kernel, reference_csv
+from conftest import mixture_kernel, reference_csv, reference_runs
 
 
 # ---------------------------------------------------------------------------
@@ -410,22 +410,6 @@ def reference_pairs(header, rows, cols, values=None):
     return ("\n".join(lines) + "\n").encode()
 
 
-def reference_runs(kernel, k):
-    """The ``platform.csv`` bytes of ``kernel`` (cutoff ``k``), found entry by
-    entry: one formatted line per maximal run of equal nonzero entries in a row."""
-    lines = ["i,j,j_last,G"]
-    for r, row in enumerate(kernel.tolist()):
-        c = 0
-        while c < len(row):
-            last = c
-            while last + 1 < len(row) and row[last + 1] == row[c]:
-                last += 1
-            if row[c] != 0.0:
-                lines.append(f"{r + k},{c + k},{last + k},{format_float(row[c])}")
-            c = last + 1
-    return ("\n".join(lines) + "\n").encode()
-
-
 def test_platform_csv_golden_all_distinct_with_cutoff(tmp_path, f_xy):
     g = make_grid(9)
     k = 3
@@ -661,6 +645,10 @@ def test_transfers_csv_golden_with_negative_zero(tmp_path, f_xy):
     ("transfers.csv", "i,t\n-1,0\n"),
     ("transfers.csv", "i,t\n5,0\n"),
     ("transfers.csv", "i,t\n0,0,0\n"),
+    ("transfers.csv", "i,t\n0,0\n1,0\n2,0\n3,0\n"),          # a node missing
+    ("transfers.csv", "i,t\n0,0\n1,0\n2,0\n3,0\n4,0\n4,0\n"),  # a node repeated
+    ("transfers.csv", "i,t\n0,0\n1,0\n3,0\n2,0\n4,0\n"),      # nodes out of order
+    ("transfers.csv", "i,t\n"),                                  # header only
     ("table.csv", "i,j,f\n0,5,0\n"),
     ("table.csv", "i,j,f\n0,0\n"),
 ])
