@@ -80,18 +80,18 @@ class RunConfig:
     cutoff: str = "0"          # node value, or "auto" (design only)
     platform: str = ""          # artifact directory to load instead of first-best
     epsilon: str = ""           # glitch weight, empty for none
-    seed: int = 12345
+    seed: int = SimConfig.seed
     out: str = "out"
     jobs: int = 0               # worker processes; 0 = every available CPU
     # solver overrides
-    tol_w: float = 1e-10
-    tol_u: float = 1e-12
-    max_outer: int = 100_000
+    tol_w: float = SolverConfig.tol_w
+    tol_u: float = SolverConfig.tol_u
+    max_outer: int = SolverConfig.max_outer
     # simulation overrides
-    agents_per_node: int = 100
-    horizon: float = 500.0
-    burn_in: float = 50.0
-    replications: int = 4
+    agents_per_node: int = SimConfig.agents_per_node
+    horizon: float = SimConfig.horizon
+    burn_in: float = SimConfig.burn_in
+    replications: int = 4       # SimConfig's default is 1
     event_log: bool = False
     # oracle sizes
     oracle_n: int = 4
@@ -189,6 +189,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"table file not found: {cfg.table}")
     if cfg.jobs < 0:
         raise ConfigError(f"jobs must be 0 (every available CPU) or more, got {cfg.jobs}")
+    # a file in the way of --out fails the run before any work
+    ancestor = os.path.abspath(cfg.out)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"cannot create output directory {cfg.out}: "
+                          f"{ancestor} is not a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +448,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
                      bellman_residual=float("nan"), balance_residual=float("nan"))
 
     report = audit(platform, production, params, state)
+    certified = report.certified()
     outdir = cfg.out
     _output_dir(outdir)
     payload = {
@@ -452,12 +460,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "balance_residual": report.balance_residual,
         "acceptance_violations": report.acceptance_violations,
         "row_smoothness": report.row_smoothness,
-        "certified": report.certified(),
+        "certified": certified,
         "seed": cfg.seed,
     }
     _write_json(os.path.join(outdir, "audit.json"), payload)
     _write_manifest(cfg, outdir)
-    return 0 if report.certified() else 1
+    return 0 if certified else 1
 
 
 def _sweep_values(raw: str, fallback: float) -> list:

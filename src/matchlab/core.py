@@ -46,6 +46,10 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 #: A platform counts as consistent when max |G - G^T| stays below this.
 CONSISTENCY_TOL = 1e-10
+#: A state solves its platform when its Bellman and balance residuals are at
+#: most this: the audit certifies no state past it, and the designer's rent
+#: and envelope transfers refuse one.
+RESIDUAL_TOL = 1e-6
 #: Tabulated production values must be symmetric this tightly.
 SYMMETRY_TOL = 1e-12
 
@@ -526,11 +530,18 @@ def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
 
 
 def load_table(path: str, grid: TypeGrid) -> ProductionFunction:
-    """Tabulated production from an ``i,j,f`` CSV on ``grid``."""
-    table = np.zeros((grid.n, grid.n))
-    i, j, f = read_columns(path, 3, 2, 0, grid.n)
-    table[i, j] = f
-    return ProductionFunction.tabulated(grid, table)
+    """Tabulated production from an ``i,j,f`` CSV on ``grid``.
+
+    The rows must list every pair ``(i, j)`` once each, in row-major order.
+    Raises ``ValueError`` naming ``path`` for a malformed file, or one with a
+    pair missing, repeated or out of order.
+    """
+    n = grid.n
+    i, j, f = read_columns(path, 3, 2, 0, n)
+    if not np.array_equal(i * n + j, np.arange(n * n)):
+        raise ValueError(f"{path}: rows must list every pair (i, j) of the nodes "
+                         f"0 to {n - 1} once each, in row-major order")
+    return ProductionFunction.tabulated(grid, f.reshape(n, n))
 
 
 def read_manifest(path: str) -> dict:

@@ -4,6 +4,11 @@ Closed forms for assortative (identity-kernel) platforms, transfer schedules
 under full and private information, informational-rent accounting, the
 exhaustive exclusion scan, and kernel glitching.  Everything here is a pure
 function of grids, production functions and search parameters.
+
+``envelope_transfers`` and ``informational_rent`` read the misreport slope
+of an equilibrium, so they refuse a state whose Bellman or balance residual
+exceeds ``core.RESIDUAL_TOL``, or whose acceptance sets break the acceptance
+rule: the bound past which the audit does not certify a state either.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    RESIDUAL_TOL,
     DSEState,
     Platform,
     ProductionFunction,
@@ -118,15 +124,14 @@ def misreport_value_slope(platform: Platform, f: ProductionFunction,
 
 
 def envelope_transfers(platform: Platform, f: ProductionFunction,
-                       params: SearchParams, dse: DSEState,
-                       residual_tol: float = 1e-6) -> np.ndarray:
+                       params: SearchParams, dse: DSEState) -> np.ndarray:
     """Transfers implied by local truth-telling, zero surplus at the cutoff.
 
     Integrates the misreport value slope from the lowest included node by the
     trapezoid rule and subtracts it from the wage, so the participation
     constraint binds exactly at the cutoff type.
     """
-    _require_equilibrium(platform, f, params, dse, residual_tol)
+    _require_equilibrium(platform, f, params, dse)
     k = platform.cutoff
     slope = misreport_value_slope(platform, f, params, dse)[k:]
     t = np.zeros(platform.grid.n)
@@ -165,10 +170,9 @@ def private_info_transfers(grid: TypeGrid, f: ProductionFunction,
 
 
 def informational_rent(platform: Platform, f: ProductionFunction,
-                       params: SearchParams, dse: DSEState,
-                       residual_tol: float = 1e-6) -> tuple[np.ndarray, float]:
+                       params: SearchParams, dse: DSEState) -> tuple[np.ndarray, float]:
     """Per-type rent ``(1 - x) * slope`` and its mass-weighted total."""
-    _require_equilibrium(platform, f, params, dse, residual_tol)
+    _require_equilibrium(platform, f, params, dse)
     grid = platform.grid
     slope = misreport_value_slope(platform, f, params, dse)
     rent = (1.0 - grid.nodes) * slope
@@ -177,9 +181,11 @@ def informational_rent(platform: Platform, f: ProductionFunction,
     return rent, total
 
 
-def _require_equilibrium(platform, f, params, dse, residual_tol):
+def _require_equilibrium(platform, f, params, dse):
+    """Raise ValueError unless ``dse`` solves ``platform``: both residuals
+    at most ``RESIDUAL_TOL`` and no acceptance violation."""
     bell, bal, violations = dse_residuals(platform, f, params, dse)
-    if bell > residual_tol or bal > residual_tol or violations:
+    if bell > RESIDUAL_TOL or bal > RESIDUAL_TOL or violations:
         raise ValueError(
             f"state does not solve the platform (bellman {bell:g}, balance {bal:g}, "
             f"{violations} acceptance violations)")

@@ -18,6 +18,13 @@ platforms.  Excluded-type deviations are therefore valued self-consistently:
 G_jk u_k`` and ``S0 = sum_k M_ik G_jk u_k``, which is continuous at the
 cutoff and reduces to the wage there.
 
+A report is certified (``AuditReport.certified``) when the kernel asymmetry
+is at most ``core.CONSISTENCY_TOL``, every included type's net payoff is at
+least ``-IR_TOL``, no deviation gains more than ``IC_TOL``, the Bellman and
+balance residuals are at most ``core.RESIDUAL_TOL``, and no acceptance set
+breaks the acceptance rule.  The brute-force oracle counts a configuration
+as truthful by the same ``IC_TOL``.
+
 Both flavors, and the excluded report that forfeits search, are priced by
 one array function, ``_incentive_gains``.  ``deviation_gains`` is its public
 read, the full gain matrix; ``audit`` calls it on a platform's included
@@ -33,12 +40,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DSEState, Platform, ProductionFunction, SearchParams, acceptance, make_grid
+from .core import (
+    CONSISTENCY_TOL,
+    RESIDUAL_TOL,
+    DSEState,
+    Platform,
+    ProductionFunction,
+    SearchParams,
+    acceptance,
+    make_grid,
+)
 from .designer import _envelope, _involution, enumerate_involutions, pairing_wage
 from .solver import dse_residuals
 
 __all__ = ["AuditReport", "deviation_gains", "audit", "masked_config_ic",
            "prop4_oracle"]
+
+#: A certified state gives no misreport a gain above this; the inclusion
+#: oracle counts a masked configuration as truthful by the same bound.
+IC_TOL = 1e-8
+#: A certified state leaves every included type a net payoff above ``-IR_TOL``.
+IR_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,14 +76,14 @@ class AuditReport:
     acceptance_violations: int
     row_smoothness: float
 
-    def certified(self, ic_tol: float = 1e-8, ir_tol: float = 1e-12,
-                  consistency_tol: float = 1e-10, residual_tol: float = 1e-6) -> bool:
-        """True when every audited property holds within tolerance."""
-        return (self.consistency_defect <= consistency_tol
-                and self.ir_min_slack >= -ir_tol
-                and self.ic_max_violation <= ic_tol
-                and self.bellman_residual <= residual_tol
-                and self.balance_residual <= residual_tol
+    def certified(self) -> bool:
+        """True when every audited property holds within its tolerance
+        (see the module docstring); a value at its tolerance passes."""
+        return (self.consistency_defect <= CONSISTENCY_TOL
+                and self.ir_min_slack >= -IR_TOL
+                and self.ic_max_violation <= IC_TOL
+                and self.bellman_residual <= RESIDUAL_TOL
+                and self.balance_residual <= RESIDUAL_TOL
                 and self.acceptance_violations == 0)
 
 
@@ -234,13 +256,13 @@ def masked_config_ic(n_small: int, f: ProductionFunction, params: SearchParams,
     return ic_max
 
 
-def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams,
-                 ic_tol: float = 1e-9) -> bool:
+def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams) -> bool:
     """Exhaustively test that certified inclusion sets are upper sets.
 
     Enumerates every nonempty inclusion mask on a small grid and every
     deterministic self-inverse pairing of its nodes, builds closed-form wages
-    and envelope transfers, and audits truth-telling.  Returns True when no
+    and envelope transfers, and audits truth-telling against ``IC_TOL``, the
+    bound ``AuditReport.certified`` applies.  Returns True when no
     certified configuration has a non-upper inclusion mask.  Configurations
     whose wages are identically zero (degenerate zero-output markets, where
     inclusion carries no payoff) are exempt: the structural claim only bites
@@ -260,6 +282,6 @@ def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams,
                 continue
             for perm in enumerate_involutions(size):
                 ic_max, w_max = _mask_config_ic(x, F, Fx, params, mask, perm)
-                if ic_max <= ic_tol and w_max > 0.0:
+                if ic_max <= IC_TOL and w_max > 0.0:
                     return False
     return True

@@ -75,3 +75,20 @@ def cubic_production(grid):
     table = x[:, None] * x[None, :] * (x[:, None] + x[None, :]) / 2.0
     dx_table = x[:, None] * x[None, :] + x[None, :] ** 2 / 2.0
     return ProductionFunction.tabulated(grid, table, dx_table=dx_table)
+
+
+#: Ways a 4-node ``table.csv`` can fail to list every pair once, in row-major order.
+TABLE_DAMAGES = ("missing", "repeated", "out-of-order", "header-only")
+
+
+def write_table(path, damage=None):
+    """Write the 4-node table ``f_ij = (i + 1)(j + 1) / 16`` to ``path``,
+    with the named damage from ``TABLE_DAMAGES`` or complete; returns its path."""
+    rows = [(i, j, (i + 1) * (j + 1) / 16) for i in range(4) for j in range(4)]
+    rows = {None: rows,
+            "missing": rows[1:],                            # (0, 0), worth 0.0625
+            "repeated": rows[:2] + rows[1:],                # (0, 1) twice
+            "out-of-order": [rows[1], rows[0]] + rows[2:],
+            "header-only": []}[damage]
+    path.write_text(reference_csv("i,j,f", rows))
+    return str(path)

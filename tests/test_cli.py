@@ -40,7 +40,14 @@ from matchlab.cli import (
 )
 from matchlab.core import DSEState, ProductionFunction, acceptance, format_float
 
-from conftest import csv_rows, mixture_kernel, reference_csv, reference_runs
+from conftest import (
+    TABLE_DAMAGES,
+    csv_rows,
+    mixture_kernel,
+    reference_csv,
+    reference_runs,
+    write_table,
+)
 
 
 def read_dir_bytes(path):
@@ -136,6 +143,31 @@ def test_comment_lines_ignored(tmp_path):
     with open(cfg, "a") as fh:
         fh.write("# a comment\nn=6  # trailing comment\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("below", ["", "x", "x/y"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_blocked_by_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                     command, below):
+    """An ``--out`` whose first existing ancestor is a file exits 2 with one
+    line before the command loads, solves, audits or scans anything."""
+    artifact = tmp_path / "d"
+    assert main(["solve", "--n", "4", "--out", str(artifact)]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for name in ("load_platform", "solve_dse", "audit", "prop4_oracle"):
+        monkeypatch.setattr(matchlab.cli, name, refuse)
+    monkeypatch.setattr(matchlab.designer, "solve_dse", refuse)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = os.path.join(blocker, below) if below else str(blocker)
+    source = ["--platform", str(artifact)] if command == "verify" else []
+    capsys.readouterr()
+    assert main([command, *source, "--n", "4", "--out", out]) == 2
+    assert capsys.readouterr().err == (f"matchlab: config error: cannot create output "
+                                       f"directory {out}: {blocker} is not a directory\n")
 
 
 # Values the exit-code fuzzer draws for each RunConfig key: mostly small
@@ -711,6 +743,20 @@ def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, k
     err = capsys.readouterr().err
     assert err.startswith("matchlab: config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", TABLE_DAMAGES)
+def test_incomplete_table_is_a_config_error(tmp_path, capsys, damage):
+    """A ``table.csv`` without every pair once, in row-major order, exits 2
+    with one line naming the file."""
+    table = write_table(tmp_path / "table.csv", damage)
+    out = tmp_path / "o"
+    assert main(["solve", "--n", "4", "--f", "table", "--config",
+                 write_config(tmp_path / "c.cfg", table=table), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"matchlab: config error: cannot read {table}: {table}: rows must list every pair "
+        "(i, j) of the nodes 0 to 3 once each, in row-major order\n")
     assert not out.exists()
 
 

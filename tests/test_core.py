@@ -23,7 +23,7 @@ from matchlab.core import (
 )
 from matchlab.designer import first_best_platform, glitch
 
-from conftest import mixture_kernel, reference_csv, reference_runs
+from conftest import TABLE_DAMAGES, mixture_kernel, reference_csv, reference_runs, write_table
 
 
 # ---------------------------------------------------------------------------
@@ -714,3 +714,21 @@ def test_ordered_map_returns_results_in_task_order(jobs):
 def test_ordered_map_raises_a_worker_exception(jobs):
     with pytest.raises(ValueError, match="'x'"):
         ordered_map(int, [("1",), ("x",), ("3",)], jobs)
+
+
+def test_load_table_reads_a_complete_table(tmp_path):
+    g = make_grid(4)
+    production = core.load_table(write_table(tmp_path / "table.csv"), g)
+    expected = np.outer(np.arange(1, 5), np.arange(1, 5)) / 16
+    assert np.array_equal(production.values(g), expected)
+
+
+@pytest.mark.parametrize("damage", TABLE_DAMAGES)
+def test_load_table_needs_every_pair_once_in_row_major_order(tmp_path, damage):
+    """A pair missing, repeated or out of order is refused with the file's
+    name, as is a file with only its header."""
+    path = write_table(tmp_path / "table.csv", damage)
+    message = (f"{re.escape(path)}: rows must list every pair \\(i, j\\) of the nodes "
+               "0 to 3 once each, in row-major order")
+    with pytest.raises(ValueError, match=message):
+        core.load_table(path, make_grid(4))

@@ -25,6 +25,8 @@ from matchlab import (
     solve_dse,
     transfer_coefficient,
 )
+from matchlab import designer
+from matchlab.core import RESIDUAL_TOL
 
 from conftest import cubic_production
 
@@ -429,3 +431,25 @@ def test_divorce_rate_monotonicity_matches_discount_side(f_xy):
     h = 1e-4
     gap = abs(scale(1.0, 1.0 + h, 1.0) - scale(1.0, 1.0 - h, 1.0))
     assert gap <= 1e-12
+
+
+_AT, _PAST = RESIDUAL_TOL, float(np.nextafter(RESIDUAL_TOL, np.inf))
+
+
+@pytest.mark.parametrize("residuals, accepted", [
+    ((_AT, 0.0, 0), True), ((0.0, _AT, 0), True),
+    ((_PAST, 0.0, 0), False), ((0.0, _PAST, 0), False), ((0.0, 0.0, 1), False),
+], ids=["bellman-at", "balance-at", "bellman-past", "balance-past", "one-violation"])
+def test_rent_and_envelope_refuse_states_past_the_residual_threshold(
+        params, f_xy, monkeypatch, residuals, accepted):
+    """Residuals of exactly ``RESIDUAL_TOL`` pass; one float more, or one
+    acceptance violation, is refused."""
+    platform = first_best_platform(make_grid(4), 0)
+    st = solve_dse(platform, f_xy, params)
+    monkeypatch.setattr(designer, "dse_residuals", lambda *args: residuals)
+    for fn in (envelope_transfers, informational_rent):
+        if accepted:
+            fn(platform, f_xy, params, st)
+        else:
+            with pytest.raises(ValueError, match="does not solve"):
+                fn(platform, f_xy, params, st)

@@ -17,7 +17,9 @@ from matchlab import (
     prop4_oracle,
     solve_dse,
 )
-from matchlab.verifier import deviation_gains, masked_config_ic
+from matchlab import verifier
+from matchlab.core import CONSISTENCY_TOL, RESIDUAL_TOL
+from matchlab.verifier import IC_TOL, IR_TOL, AuditReport, deviation_gains, masked_config_ic
 
 
 @pytest.fixture
@@ -243,3 +245,43 @@ def test_masked_config_ic_matches_pairwise_reference(params, kind, c):
                 reference = _reference_mask_ic(4, f, params, mask, perm)
                 assert gain >= 0.0
                 assert abs(gain - max(reference, 0.0)) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# certification thresholds
+# ---------------------------------------------------------------------------
+
+
+_CLEAN_REPORT = dict(consistency_defect=0.0, ir_min_slack=0.0, ic_max_violation=0.0,
+                     worst_misreport=(0.5, 0.5), bellman_residual=0.0, balance_residual=0.0,
+                     acceptance_violations=0, row_smoothness=0.0)
+
+
+def test_certification_thresholds():
+    assert (CONSISTENCY_TOL, IR_TOL, IC_TOL, RESIDUAL_TOL) == (1e-10, 1e-12, 1e-8, 1e-6)
+
+
+@pytest.mark.parametrize("field, edge, outward", [
+    ("consistency_defect", CONSISTENCY_TOL, np.inf),
+    ("ir_min_slack", -IR_TOL, -np.inf),
+    ("ic_max_violation", IC_TOL, np.inf),
+    ("bellman_residual", RESIDUAL_TOL, np.inf),
+    ("balance_residual", RESIDUAL_TOL, np.inf),
+])
+def test_certified_at_each_threshold_and_not_one_float_past(field, edge, outward):
+    assert AuditReport(**{**_CLEAN_REPORT, field: edge}).certified()
+    past = float(np.nextafter(edge, outward))
+    assert not AuditReport(**{**_CLEAN_REPORT, field: past}).certified()
+
+
+def test_one_acceptance_violation_is_not_certified():
+    assert AuditReport(**_CLEAN_REPORT).certified()
+    assert not AuditReport(**{**_CLEAN_REPORT, "acceptance_violations": 1}).certified()
+
+
+def test_oracle_certifies_by_the_audit_ic_threshold(params, f_xy, monkeypatch):
+    """With every gain forgiven, non-upper masks with positive wages certify,
+    so the oracle reads ``IC_TOL`` rather than a threshold of its own."""
+    assert prop4_oracle(3, f_xy, params)
+    monkeypatch.setattr(verifier, "IC_TOL", np.inf)
+    assert not prop4_oracle(3, f_xy, params)
