@@ -46,17 +46,22 @@ from .core import (
 )
 from .designer import (
     design,
-    enumerate_involutions,
     first_best_platform,
     first_best_wage_coefficient,
     glitch,
-    involution_rent,
     optimal_exclusion,
     transfer_coefficient,
 )
 from .simulator import SimConfig, check_discount_window, simulate
 from .solver import SolverConfig, solve_dse
-from .verifier import audit, prop4_oracle
+from .verifier import (
+    INVOLUTION_MAX_BLOCK,
+    PROP4_MAX_N,
+    _scan_grid,
+    audit,
+    involution_oracle,
+    prop4_oracle,
+)
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
@@ -271,9 +276,7 @@ def _resolve_platform(cfg: RunConfig):
     if cfg.platform:
         with _reading(cfg.platform):
             platform, production = load_platform(cfg.platform)
-        if not platform.is_consistent:
-            raise ConfigError(f"{cfg.platform}: platform is not consistent "
-                              f"(defect {platform.consistency_defect():g})")
+            platform.require_consistent()
     else:
         grid = make_grid(cfg.n)
         production = _production(cfg, grid)
@@ -523,34 +526,27 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_oracle(cfg: RunConfig) -> int:
-    if cfg.involution_block < 2:
-        raise ConfigError(f"involution_block must be at least 2, got {cfg.involution_block}")
-    grid = make_grid(cfg.involution_block)
-    production = _production(cfg, grid)
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
-
-    try:
-        prop4_ok = prop4_oracle(cfg.oracle_n, _production(cfg, make_grid(cfg.oracle_n)), params)
-    except ValueError as exc:  # a grid size make_grid or the exhaustive scan refuses
-        raise ConfigError(f"oracle_n: {exc}") from None
-
-    identity = tuple(range(grid.n))
-    rent_identity = involution_rent(grid, production, params, 0, identity)
-    scanned = 0
-    minimal = True
-    for perm in enumerate_involutions(grid.n):
-        scanned += 1
-        if involution_rent(grid, production, params, 0, perm) < rent_identity - 1e-12:
-            minimal = False
+    # both grid sizes are refused before either exhaustive scan runs
+    productions = {}
+    for key, cap in (("oracle_n", PROP4_MAX_N), ("involution_block", INVOLUTION_MAX_BLOCK)):
+        try:
+            grid = _scan_grid(getattr(cfg, key), cap)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+        productions[key] = _production(cfg, grid)
+    prop4_ok = prop4_oracle(cfg.oracle_n, productions["oracle_n"], params)
+    minimal, scanned, identity_rent = involution_oracle(
+        cfg.involution_block, productions["involution_block"], params)
     outdir = cfg.out
     _output_dir(outdir)
     payload = {
         "prop4_upper_set_ok": prop4_ok,
         "prop4_grid": cfg.oracle_n,
         "involution_identity_minimal": minimal,
-        "involution_block": grid.n,
+        "involution_block": cfg.involution_block,
         "involutions_scanned": scanned,
-        "identity_rent": rent_identity,
+        "identity_rent": identity_rent,
         "seed": cfg.seed,
     }
     _write_json(os.path.join(outdir, "oracle.json"), payload)

@@ -366,9 +366,14 @@ class Platform:
         """Max asymmetry of the kernel; zero means meetings balance exactly."""
         return float(np.max(np.abs(self.kernel - self.kernel.T)))
 
-    @property
-    def is_consistent(self) -> bool:
-        return self.consistency_defect() <= CONSISTENCY_TOL
+    def require_consistent(self) -> None:
+        """Raise ValueError unless the kernel asymmetry is at most
+        ``CONSISTENCY_TOL``: meetings only balance on a symmetric kernel."""
+        defect = self.consistency_defect()
+        if defect > CONSISTENCY_TOL:
+            raise ValueError(
+                f"platform is not consistent (defect {defect:g}); "
+                "the meeting process is only well-defined for symmetric kernels")
 
 
 @dataclass(frozen=True, eq=False)

@@ -326,8 +326,7 @@ def glitch(platform: Platform, epsilon: float) -> Platform:
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    if not platform.is_consistent:
-        raise ValueError("glitch requires a consistent platform")
+    platform.require_consistent()
     n, k = platform.grid.n, platform.cutoff
     padded = np.eye(n)
     padded[k:, k:] = platform.kernel

@@ -143,9 +143,7 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     """
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    if not platform.is_consistent:
-        raise ValueError(
-            f"platform is not consistent (defect {platform.consistency_defect():g})")
+    platform.require_consistent()
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     m = n - k
@@ -223,7 +221,7 @@ def check_discount_window(params: SearchParams, cfg: SimConfig) -> None:
     if params.r * window < 7.0:
         raise ValueError(
             f"r * (horizon - burn_in) = {params.r * window:g} < 7; "
-            "discounted payoffs would carry a truncation bias above 1e-3")
+            "discounted payoffs would carry a truncation bias above one part in a thousand")
 
 
 def _mean_and_se(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

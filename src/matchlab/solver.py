@@ -57,6 +57,9 @@ _DAMPING = 0.5
 _STALL_SWEEPS = 64
 #: Flipping pairs a cycle's error message names.
 _CYCLE_PAIRS_SHOWN = 3
+#: A steady-state density may leave ``[0, 1]`` by this much (roundoff of
+#: the direct solve) before the solve refuses it; it is then clipped.
+DENSITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -147,10 +150,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     contract, or do not repeat.
     """
     cfg = cfg or SolverConfig()
-    if not platform.is_consistent:
-        raise ValueError(
-            f"platform is not consistent (defect {platform.consistency_defect():g}); "
-            "the meeting process is only well-defined for symmetric kernels")
+    platform.require_consistent()
 
     grid = platform.grid
     n, k = grid.n, platform.cutoff
@@ -180,7 +180,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
             f"steady-state solve left balance residual {balance:g} above "
             f"{cfg.tol_u * alpha:g}", bellman_residual=bell,
             balance_residual=balance, iterations=iterations)
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
+    if np.any(u < -DENSITY_TOL) or np.any(u > 1.0 + DENSITY_TOL):
         # the balance equations admit non-density solutions on kernels whose
         # acceptance-filtered row masses are sufficiently lopsided; refuse
         # rather than return a state that is not an unmatched density

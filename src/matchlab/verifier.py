@@ -22,8 +22,10 @@ A report is certified (``AuditReport.certified``) when the kernel asymmetry
 is at most ``core.CONSISTENCY_TOL``, every included type's net payoff is at
 least ``-IR_TOL``, no deviation gains more than ``IC_TOL``, the Bellman and
 balance residuals are at most ``core.RESIDUAL_TOL``, and no acceptance set
-breaks the acceptance rule.  The brute-force oracle counts a configuration
-as truthful by the same ``IC_TOL``.
+breaks the acceptance rule.  The brute-force inclusion oracle counts a
+configuration as truthful by the same ``IC_TOL``; the involution oracle
+finds the assortative pairing rent-minimal unless some pairing's rent lies
+more than ``RENT_TOL`` below it.
 
 Both flavors, and the excluded report that forfeits search, are priced by
 one array function, ``_incentive_gains``.  ``deviation_gains`` is its public
@@ -47,20 +49,29 @@ from .core import (
     Platform,
     ProductionFunction,
     SearchParams,
+    TypeGrid,
     acceptance,
     make_grid,
 )
-from .designer import _envelope, _involution, enumerate_involutions, pairing_wage
+from .designer import _envelope, _involution, enumerate_involutions, involution_rent, pairing_wage
 from .solver import dse_residuals
 
 __all__ = ["AuditReport", "deviation_gains", "audit", "masked_config_ic",
-           "prop4_oracle"]
+           "prop4_oracle", "involution_oracle"]
 
 #: A certified state gives no misreport a gain above this; the inclusion
 #: oracle counts a masked configuration as truthful by the same bound.
 IC_TOL = 1e-8
 #: A certified state leaves every included type a net payoff above ``-IR_TOL``.
 IR_TOL = 1e-12
+#: The involution oracle counts a pairing as cheaper than the assortative one
+#: only when its rent lies more than this below, so roundoff flips nothing.
+RENT_TOL = 1e-12
+#: Largest grids the exhaustive oracles scan.  Their work grows faster than
+#: exponentially in the grid size: at 12 nodes the involution oracle prices
+#: 140,152 pairings, about 5 s.
+PROP4_MAX_N = 6
+INVOLUTION_MAX_BLOCK = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +196,17 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle over inclusion masks and deterministic pairings
+# Brute-force oracles over inclusion masks and deterministic pairings
 # ---------------------------------------------------------------------------
+
+
+def _scan_grid(n: int, cap: int) -> TypeGrid:
+    """``make_grid(n)`` for an exhaustive scan; raises ValueError above ``cap``."""
+    grid = make_grid(n)
+    if grid.n > cap:
+        raise ValueError(f"the exhaustive scan is limited to grids of at most {cap} "
+                         f"nodes, got {grid.n}")
+    return grid
 
 
 def _nonuniform_derivative(values: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -266,11 +286,10 @@ def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams) -> b
     certified configuration has a non-upper inclusion mask.  Configurations
     whose wages are identically zero (degenerate zero-output markets, where
     inclusion carries no payoff) are exempt: the structural claim only bites
-    when output strictly increases in type.
+    when output strictly increases in type.  Raises ValueError for an
+    ``n_small`` outside 2 to ``PROP4_MAX_N``.
     """
-    if n_small > 6:
-        raise ValueError("the exhaustive scan is limited to n_small <= 6")
-    grid = make_grid(n_small)
+    grid = _scan_grid(n_small, PROP4_MAX_N)
     x = grid.nodes
     F = f.values(grid)
     Fx = f.dx_values(grid)
@@ -285,3 +304,22 @@ def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams) -> b
                 if ic_max <= IC_TOL and w_max > 0.0:
                     return False
     return True
+
+
+def involution_oracle(block: int, f: ProductionFunction,
+                      params: SearchParams) -> tuple[bool, int, float]:
+    """Exhaustively test that the assortative pairing minimizes rent.
+
+    Prices every involution of a ``block``-node grid, all of it included,
+    with :func:`~matchlab.designer.involution_rent` and returns
+    ``(minimal, scanned, identity_rent)``: whether no pairing's rent lies
+    more than ``RENT_TOL`` below the identity's, the number of involutions
+    scanned and the identity's rent.  Raises ValueError for a ``block``
+    outside 2 to ``INVOLUTION_MAX_BLOCK``.
+    """
+    grid = _scan_grid(block, INVOLUTION_MAX_BLOCK)
+    rents = [involution_rent(grid, f, params, 0, perm)
+             for perm in enumerate_involutions(grid.n)]
+    identity_rent = rents[0]  # enumerate_involutions yields the identity first
+    floor = identity_rent - RENT_TOL
+    return not any(rent < floor for rent in rents), len(rents), identity_rent

@@ -19,12 +19,11 @@ from matchlab import (
     SimConfig,
     audit,
     design,
-    enumerate_involutions,
     envelope_transfers,
     first_best_platform,
     first_best_wage_coefficient,
     glitch,
-    involution_rent,
+    involution_oracle,
     make_grid,
     optimal_exclusion,
     pooled_deviations,
@@ -247,15 +246,9 @@ def test_criterion_08_rent_minimization_oracle():
     start = time.perf_counter()
     ok = True
     for m in range(3, 8):
-        grid = make_grid(m)
         for f in productions:
-            rents = {perm: involution_rent(grid, f, REFERENCE, 0, perm)
-                     for perm in enumerate_involutions(m)}
-            if len(rents) != expected_counts[m]:
-                ok = False
-            identity = tuple(range(m))
-            if min(rents, key=rents.get) != identity:
-                ok = False
+            minimal, scanned, _ = involution_oracle(m, f, REFERENCE)
+            ok = ok and minimal and scanned == expected_counts[m]
     elapsed = time.perf_counter() - start
     report(8, ok and elapsed < 10.0,
            f"identity minimal over {sum(expected_counts.values())} involutions x 2 "

@@ -528,6 +528,7 @@ def test_solve_mixture_artifact_exits_cleanly(n, a, b, rho, alpha, r, max_outer,
     ("solve", _asymmetric_runs_platform_csv),
     ("simulate", _asymmetric_runs_platform_csv),
     ("sweep", _corrupt_platform_csv),
+    ("sweep", _asymmetric_platform_csv),
     ("sweep", _manifest_only_n),
     ("verify", _manifest_only_n),
 ])
@@ -721,6 +722,7 @@ def _nan_table(tmp_path):
     ("oracle", [], {"oracle_n": "1"}),
     ("oracle", [], {"involution_block": "0"}),
     ("oracle", [], {"involution_block": "1"}),
+    ("oracle", [], {"involution_block": "13"}),
     ("solve", ["--cutoff", "0.9"], {}),
     ("design", ["--cutoff", "0.9"], {}),
     ("simulate", ["--cutoff", "0.9"], {}),
@@ -731,7 +733,8 @@ def _nan_table(tmp_path):
         "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
         "max-outer-zero", "jobs-negative", "c-nan", "c-inf", "c-negative", "sweep-c-nan", "table-nan",
         "seed-negative", "oracle-n-above-6", "oracle-n-below-2",
-        "involution-block-zero", "involution-block-one", "solve-cutoff-above-top-node",
+        "involution-block-zero", "involution-block-one", "involution-block-above-12",
+        "solve-cutoff-above-top-node",
         "design-cutoff-above-top-node", "simulate-cutoff-above-top-node",
         "sweep-cutoff-above-top-node", "sweep-list-empty"])
 def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, keys):
@@ -954,4 +957,19 @@ def test_oracle_reports_results(tmp_path):
     payload = json.loads((out / "oracle.json").read_text())
     assert payload["prop4_upper_set_ok"] is True
     assert payload["involution_identity_minimal"] is True
+    assert payload["involutions_scanned"] == 10
+
+
+def test_oracle_fails_on_submodular_output(tmp_path):
+    """On the tabulated ``f = x + y - x y`` the assortative pairing is not
+    rent-minimal, so ``oracle`` exits 1."""
+    x = (np.arange(4) + 0.5) / 4
+    table = tmp_path / "table.csv"
+    table.write_text(reference_csv("i,j,f", [(i, j, float(x[i] + x[j] - x[i] * x[j]))
+                                             for i in range(4) for j in range(4)]))
+    cfg = write_config(tmp_path / "c.cfg", f="table", table=table, oracle_n=4, involution_block=4)
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 1
+    payload = json.loads((out / "oracle.json").read_text())
+    assert payload["involution_identity_minimal"] is False
     assert payload["involutions_scanned"] == 10

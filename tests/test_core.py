@@ -288,7 +288,8 @@ def test_consistency_defect_reads_asymmetry():
     kernel[0, 1] += 1e-3
     p = Platform(grid=g, cutoff=0, kernel=kernel, transfers=np.zeros(4))
     assert p.consistency_defect() == pytest.approx(1e-3, abs=1e-18)
-    assert not p.is_consistent
+    with pytest.raises(ValueError, match=r"^platform is not consistent \(defect 0\.001\); "):
+        p.require_consistent()
     assert Platform(grid=g, cutoff=0, kernel=np.eye(4),
                     transfers=np.zeros(4)).consistency_defect() == 0.0
 

@@ -358,7 +358,7 @@ def test_glitch_mixture_arithmetic():
     assert mixed.kernel[0, 0] == pytest.approx(0.991, abs=1e-15)
     assert mixed.kernel[0, 1] == pytest.approx(0.001, abs=1e-18)
     assert mixed.cutoff == 0
-    assert mixed.is_consistent
+    mixed.require_consistent()
     assert np.allclose(mixed.kernel.sum(axis=1), 1.0, atol=1e-14)
 
 

@@ -12,6 +12,7 @@ from matchlab import (
     enumerate_involutions,
     first_best_platform,
     first_best_wage_coefficient,
+    involution_oracle,
     make_grid,
     pairing_wage,
     prop4_oracle,
@@ -19,7 +20,15 @@ from matchlab import (
 )
 from matchlab import verifier
 from matchlab.core import CONSISTENCY_TOL, RESIDUAL_TOL
-from matchlab.verifier import IC_TOL, IR_TOL, AuditReport, deviation_gains, masked_config_ic
+from matchlab.solver import DENSITY_TOL
+from matchlab.verifier import (
+    IC_TOL,
+    IR_TOL,
+    RENT_TOL,
+    AuditReport,
+    deviation_gains,
+    masked_config_ic,
+)
 
 
 @pytest.fixture
@@ -162,6 +171,19 @@ def test_oracle_zero_production_is_vacuous(params):
 def test_oracle_rejects_large_grids(params, f_xy):
     with pytest.raises(ValueError):
         prop4_oracle(7, f_xy, params)
+    with pytest.raises(ValueError):
+        involution_oracle(13, f_xy, params)
+
+
+def test_involution_oracle_finds_a_cheaper_pairing_of_submodular_output(params):
+    """On ``f = x + y - x y``, whose cross partial is negative, some
+    non-assortative pairing leaves less rent than the identity."""
+    g = make_grid(4)
+    x = g.nodes
+    f = ProductionFunction.tabulated(g, x[:, None] + x[None, :] - np.outer(x, x))
+    minimal, scanned, identity_rent = involution_oracle(4, f, params)
+    assert (minimal, scanned) == (False, 10)
+    assert identity_rent == pytest.approx(0.04315, abs=1e-5)
 
 
 def test_non_upper_mask_with_surplus_violates_ic(params, f_xy):
@@ -258,7 +280,8 @@ _CLEAN_REPORT = dict(consistency_defect=0.0, ir_min_slack=0.0, ic_max_violation=
 
 
 def test_certification_thresholds():
-    assert (CONSISTENCY_TOL, IR_TOL, IC_TOL, RESIDUAL_TOL) == (1e-10, 1e-12, 1e-8, 1e-6)
+    assert ((CONSISTENCY_TOL, IR_TOL, IC_TOL, RESIDUAL_TOL, RENT_TOL, DENSITY_TOL)
+            == (1e-10, 1e-12, 1e-8, 1e-6, 1e-12, 1e-12))
 
 
 @pytest.mark.parametrize("field, edge, outward", [
