@@ -37,6 +37,7 @@ from .core import (
     make_grid,
     manifest_value,
     ordered_map,
+    read_columns,
     read_manifest,
     read_node_columns,
     row_runs,
@@ -359,7 +360,8 @@ def _solve(cfg: RunConfig, platform, production) -> int:
     _write_acceptance(outdir, state)
     summary = {"bellman": state.bellman_residual, "balance": state.balance_residual,
                "iterations": state.iterations, "seed": cfg.seed,
-               "steady_state_solves": state.steady_state_solves}
+               "steady_state_solves": state.steady_state_solves,
+               "lu_fallbacks": state.lu_fallbacks}
     _write_json(os.path.join(outdir, "residuals.json"), summary)
     save_platform(platform, production, outdir)
     _write_manifest(cfg, outdir)
@@ -528,13 +530,22 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 def _cmd_oracle(cfg: RunConfig) -> int:
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     # both grid sizes are refused before either exhaustive scan runs
-    productions = {}
+    grids = {}
     for key, cap in (("oracle_n", PROP4_MAX_N), ("involution_block", INVOLUTION_MAX_BLOCK)):
         try:
-            grid = _scan_grid(getattr(cfg, key), cap)
+            grids[key] = _scan_grid(getattr(cfg, key), cap)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
-        productions[key] = _production(cfg, grid)
+    if cfg.f == "table":
+        # one table serves both scans, so both grids must have its size
+        with _reading(cfg.table):
+            index = read_columns(cfg.table, 3, 2, 0, sys.maxsize)[0]
+        size = int(index.max()) + 1 if len(index) else 0
+        if not cfg.oracle_n == cfg.involution_block == size:
+            raise ConfigError(f"oracle_n ({cfg.oracle_n}) and involution_block "
+                              f"({cfg.involution_block}) must both equal the size of "
+                              f"{cfg.table} ({size} nodes)")
+    productions = {key: _production(cfg, grid) for key, grid in grids.items()}
     prop4_ok = prop4_oracle(cfg.oracle_n, productions["oracle_n"], params)
     minimal, scanned, identity_rent = involution_oracle(
         cfg.involution_block, productions["involution_block"], params)

@@ -387,7 +387,9 @@ class DSEState:
     conditions; ``iterations`` counts the solver's policy steps and sweeps
     that led to the state and ``steady_state_solves`` every linear
     steady-state solve of the call, both 0 for the closed form of a diagonal
-    kernel (see :func:`~matchlab.solver.solve_dse`).
+    kernel (see :func:`~matchlab.solver.solve_dse`).  ``lu_fallbacks`` counts
+    the linear solves of policy steps that conjugate gradients handed to the
+    dense LU.
     """
 
     w: np.ndarray
@@ -397,6 +399,7 @@ class DSEState:
     balance_residual: float
     iterations: int = 0
     steady_state_solves: int = 0
+    lu_fallbacks: int = 0
 
     def __post_init__(self):
         for name in ("w", "u", "M"):

@@ -14,7 +14,12 @@ On a diagonal kernel both equations solve node by node in closed form.
 With ``M`` fixed, the balance equations are linear in ``u`` and the Bellman
 equation is linear in ``w``.  On a dense kernel the solver first runs policy
 iteration (Howard 1960): each step solves both systems exactly and takes
-the acceptance sets at the new wages.  From the default start, zero wages,
+the acceptance sets at the new wages.  Both systems are symmetric positive
+definite on the kernels measured, the Bellman one after a diagonal scaling,
+so a step solves them by Jacobi-preconditioned conjugate gradients
+(Hestenes & Stiefel 1952), warm-started from the previous step, and by a
+dense LU when conjugate gradients break down, run out of iterations or
+leave too large a residual, or when the system is too small to gain.  From the default start, zero wages,
 every pair is accepted and each step only removes pairs.  When a step meets
 an acceptance set it has already solved without certifying the state, or
 its wage system is singular, the solver hands over to the damped loop,
@@ -52,6 +57,20 @@ __all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density",
 #: Weight of each closed-form row update in the next iterate; one half
 #: stabilizes acceptance-set flips.
 _DAMPING = 0.5
+#: Conjugate-gradient iterations after which a policy step's linear solve
+#: falls back to the LU; the benchmark kernels need at most 14.
+_PCG_MAX_ITER = 50
+#: Policy steps on fewer included nodes than this solve by the LU directly,
+#: which is the faster of the two there (crossover near 100 on 2-core Xeon).
+_PCG_MIN_SIZE = 100
+#: Conjugate gradients stop once the updated residual's 2-norm is below this
+#: share of the right-hand side's.
+_PCG_RTOL = 1e-15
+#: Max-norm residual of the policy step's system, recomputed once conjugate
+#: gradients stop, above which the step falls back to the LU: a tenth of the
+#: default ``tol_u`` and a thousandth of the default ``tol_w``, so that no
+#: solution the certification would refuse is kept.
+_PCG_RESIDUAL = 1e-13
 #: Sweeps without a new best Bellman residual after which the solve stops;
 #: also the length of the ring of acceptance-set digests its diagnosis reads.
 _STALL_SWEEPS = 64
@@ -138,7 +157,9 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     rule.  Steps and sweeps share ``max_outer``.  ``iterations`` counts the
     steps and sweeps that led to the returned state (the policy steps and
     the one that passed the check, or the damped sweeps after a hand-over);
-    ``steady_state_solves`` counts every steady-state solve of the call.
+    ``steady_state_solves`` counts every steady-state solve of the call, and
+    ``lu_fallbacks`` the policy-step solves that conjugate gradients handed
+    to the dense LU.
 
     Raises ``ValueError`` for inconsistent platforms and
     :class:`NonConvergenceError` for a state that misses ``tol_w``,
@@ -164,10 +185,11 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
         u = alpha / (alpha + rho * g)
         au = g * u
         bell = float(np.max(np.abs(w - theta * (fdiag - 2.0 * w) * au)))
-        iterations = solves = 0
+        iterations = solves = fallbacks = 0
     else:
         w0 = np.zeros(n - k) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
-        w, u, au, bell, iterations, solves = _iterate(platform.kernel, Fb, params, cfg, w0, k)
+        w, u, au, bell, iterations, solves, fallbacks = _iterate(
+            platform.kernel, Fb, params, cfg, w0, k)
 
     balance = _balance_residual(u, au, params)
     if not bell <= cfg.tol_w:  # only the closed form gets here: the loop raises first
@@ -197,7 +219,8 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     return DSEState(w=w_full, u=u_full, M=acceptance(F, w_full),
                     bellman_residual=bell, balance_residual=balance,
-                    iterations=iterations, steady_state_solves=solves)
+                    iterations=iterations, steady_state_solves=solves,
+                    lu_fallbacks=fallbacks)
 
 
 def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverConfig,
@@ -205,7 +228,8 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
     """Policy iteration, then the damped loop, from ``w0`` on the dense kernel
     ``G`` and output ``Fb`` of the included block above cutoff ``k`` (see
     :func:`solve_dse`): ``(w, u, A u, bellman residual, iterations,
-    steady-state solves)`` of the first state that passes ``tol_w``."""
+    steady-state solves, LU fallbacks)`` of the first state that passes
+    ``tol_w``."""
     m = len(w0)
     theta = params.theta
     w = w0
@@ -215,7 +239,8 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
     # for the stall diagnosis, the sets policy iteration solved, and one
     # m-by-m scratch matrix
     packed = packed_before = None
-    solves = 0
+    solves = fallbacks = 0
+    u = np.zeros(m)  # the start of the next policy step's density solve
     digests = collections.deque(maxlen=_STALL_SWEEPS)
     best, best_at = math.inf, 0
     policy = True  # policy iteration runs until it hands over
@@ -230,7 +255,11 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
         if packed_now != packed:
             packed_before, packed = packed, packed_now
             A = np.where(M, G, 0.0)
-            u = steady_state_density(A, params)
+            if policy:
+                u, lu = _policy_density(A, params, u)
+                fallbacks += lu
+            else:
+                u = steady_state_density(A, params)
             au = A @ u
             afu = np.multiply(A, Fb, out=scratch) @ u
             solves += 1
@@ -241,14 +270,14 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
         # |denom * (w - w_new)| is exactly the Bellman residual at w given (M, u)
         bell = float(np.max(np.abs(denom * (w - w_new))))
         if bell <= cfg.tol_w:
-            return w, u, au, bell, sweep - start, solves
+            return w, u, au, bell, sweep - start, solves, fallbacks
         if bell < best:
             best, best_at = bell, sweep
         stalled = sweep - best_at >= _STALL_SWEEPS
         if policy:
-            w_exact = None if stalled or packed in solved else _policy_wages(
-                A, u, au, afu, theta, scratch)
-            if w_exact is None:  # hand over to the damped loop, restarted from the start
+            step = None if stalled or packed in solved else _policy_wages(
+                A, u, au, afu, theta, scratch, w)
+            if step is None:  # hand over to the damped loop, restarted from the start
                 policy = False
                 w, start = w0, sweep
                 packed = packed_before = None
@@ -256,7 +285,8 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
                 best, best_at = math.inf, sweep
             else:
                 solved.add(packed)
-                w = w_exact
+                w, lu = step
+                fallbacks += lu
         elif stalled:
             break
         else:
@@ -278,17 +308,82 @@ def _balance_residual(u: np.ndarray, au: np.ndarray, params: SearchParams) -> fl
     return float(np.max(np.abs(params.alpha * (1.0 - u) - params.rho * au)))
 
 
+def _pcg(matvec, b: np.ndarray, diag: np.ndarray, x: np.ndarray,
+         weight: np.ndarray | float = 1.0) -> np.ndarray | None:
+    """Solve the symmetric system ``K x = b`` by conjugate gradients with the
+    Jacobi preconditioner, from the start ``x``: ``matvec(v)`` is ``K v`` and
+    ``diag`` the diagonal of ``K``.  None on a breakdown (``p . K p <= 0``,
+    so ``K`` is not positive definite), after ``_PCG_MAX_ITER`` iterations,
+    or when the residual ``weight * (b - K x)``, recomputed once the updated
+    residual has converged, exceeds ``_PCG_RESIDUAL`` in max norm."""
+    r = b - matvec(x)
+    stop = _PCG_RTOL * np.linalg.norm(b)
+    z = r / diag
+    p = z
+    rz = r @ z
+    for _ in range(_PCG_MAX_ITER):
+        if np.linalg.norm(r) <= stop:
+            residual = np.max(np.abs(weight * (b - matvec(x))))
+            return x if residual <= _PCG_RESIDUAL else None
+        q = matvec(p)
+        pq = p @ q
+        if not pq > 0.0:  # a NaN breaks down too
+            return None
+        step = rz / pq
+        x = x + step * p
+        r = r - step * q
+        z = r / diag
+        rz, rz_before = r @ z, rz
+        p = z + (rz / rz_before) * p
+    return None
+
+
+def _policy_density(A: np.ndarray, params: SearchParams,
+                    u0: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The steady-state density of a policy step,
+    ``(I + (rho/alpha) A) u = 1``, by :func:`_pcg` from ``u0``, and whether
+    it fell back to :func:`steady_state_density`.  Fewer than
+    ``_PCG_MIN_SIZE`` nodes go to that direct solve at once, with no
+    fallback counted."""
+    c = params.rho / params.alpha
+    m = A.shape[0]
+    direct = m < _PCG_MIN_SIZE
+    u = None if direct else _pcg(lambda v: v + c * (A @ v), np.ones(m),
+                                 1.0 + c * np.diagonal(A), u0)
+    if u is None:
+        return steady_state_density(A, params), not direct
+    return u, False
+
+
 def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
-                  theta: float, scratch: np.ndarray) -> np.ndarray | None:
+                  theta: float, scratch: np.ndarray,
+                  w0: np.ndarray | None = None) -> tuple[np.ndarray, bool] | None:
     """The wages that solve the Bellman equation exactly under a fixed
     acceptance-masked kernel ``A`` and density ``u``:
     ``(diag(1 + theta A u) + theta A diag(u)) w = theta (A o F) u``, with
-    ``au = A u`` and ``afu = (A o F) u``.  The matrix is built in
-    ``scratch``.  None when the system is singular."""
+    ``au = A u`` and ``afu = (A o F) u``, and whether it fell back to the
+    LU.
+
+    With ``s = sqrt(u)`` and ``y = s w`` the system is the symmetric
+    ``(diag(1 + theta A u) + theta S A S) y = s theta (A o F) u``, which
+    :func:`_pcg` solves from ``s w0`` (zero when None) when every ``u_i`` is
+    positive.  Otherwise, or when it fails, a dense LU solves the system as
+    given, its matrix built in ``scratch``; fewer than ``_PCG_MIN_SIZE``
+    nodes go to the LU at once, with no fallback counted.  None when the
+    system is singular."""
+    d = 1.0 + theta * au
+    direct = len(u) < _PCG_MIN_SIZE
+    if not direct and np.all(u > 0.0):
+        s = np.sqrt(u)
+        y = _pcg(lambda v: d * v + theta * s * (A @ (s * v)), s * (theta * afu),
+                 d + theta * u * np.diagonal(A),
+                 np.zeros(len(u)) if w0 is None else s * w0, 1.0 / s)
+        if y is not None:
+            return y / s, False
     lhs = np.multiply(A, theta * u, out=scratch)
-    lhs.flat[::lhs.shape[0] + 1] += 1.0 + theta * au
+    lhs.flat[::lhs.shape[0] + 1] += d
     try:
-        return np.linalg.solve(lhs, theta * afu)
+        return np.linalg.solve(lhs, theta * afu), not direct
     except np.linalg.LinAlgError:
         return None
 

@@ -272,6 +272,7 @@ def test_solve_writes_artifacts(tmp_path):
     assert residuals["seed"] == 12345
     # the identity kernel takes the closed form: no sweep, no linear solve
     assert residuals["iterations"] == residuals["steady_state_solves"] == 0
+    assert residuals["lu_fallbacks"] == 0
     rows = csv_rows(out / "dse.csv")
     assert len(rows) == 16
     assert float(rows[0]["u"]) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -958,6 +959,31 @@ def test_oracle_reports_results(tmp_path):
     assert payload["prop4_upper_set_ok"] is True
     assert payload["involution_identity_minimal"] is True
     assert payload["involutions_scanned"] == 10
+
+
+@pytest.mark.parametrize("oracle_n, involution_block", [(4, 5), (3, 3)],
+                         ids=["block-default", "both-below"])
+def test_oracle_refuses_a_table_of_another_size(tmp_path, capsys, monkeypatch,
+                                                oracle_n, involution_block):
+    """``oracle --f table`` reads one table on both scan grids: unless both
+    sizes equal the table's, it exits 2 before either scan runs, with one
+    line naming both keys and the table's size."""
+    def no_scan(*args):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(matchlab.cli, "prop4_oracle", no_scan)
+    monkeypatch.setattr(matchlab.cli, "involution_oracle", no_scan)
+    table = tmp_path / "table.csv"
+    table.write_text(reference_csv("i,j,f", [(i, j, float(i * j)) for i in range(4)
+                                             for j in range(4)]))
+    cfg = write_config(tmp_path / "c.cfg", f="table", table=table, oracle_n=oracle_n,
+                       involution_block=involution_block)
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"matchlab: config error: oracle_n ({oracle_n}) and involution_block "
+        f"({involution_block}) must both equal the size of {table} (4 nodes)\n")
+    assert not out.exists()
 
 
 def test_oracle_fails_on_submodular_output(tmp_path):

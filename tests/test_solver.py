@@ -37,6 +37,14 @@ def mixture_platform(n, a, b):
                     transfers=np.zeros(n))
 
 
+def lu_solve(platform, f, params):
+    """``solve_dse`` with every policy-step solve on the dense LU: the
+    conjugate-gradient helper reports failure each time."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_pcg", lambda *args: None)
+        return solve_dse(platform, f, params)
+
+
 def damped_solve(platform, f, params, w_start=None):
     """``solve_dse`` through the damped loop alone: the first policy step
     finds its wage system singular and hands over at once."""
@@ -394,21 +402,32 @@ def _state_digest(state):
 
 
 # SHA-256 of (w, u, packbits(M), residuals, sweeps) of dense solves at the
-# reference rates: a change to any floating-point operation of the dense
-# sweep or policy step, or to the equilibrium it selects, shows up here.
-# Policy iteration certifies the glitched solves; on the mixture kernel it
-# hands over, so that digest pins the damped loop
+# reference rates, with every policy-step solve on the LU: a change to any
+# floating-point operation of the dense sweep or the LU policy step, or to
+# the equilibrium it selects, shows up here.  Policy iteration certifies
+# the glitched solves; on the mixture kernel it hands over, so that digest
+# pins the damped loop
 GOLDEN_DENSE = {
     "glitch0.5": "77234d95fa23469cd1b4bd6a6ecb0b71e8607dc452668fb6fda41cc454bcec49",
     "glitch0.01": "8e07b87c2a83d81f72aa1116951d05d470afff58d20fa0d6451c72755594d23c",
     "mixture300": "660690c77bfd354a04100e96da55416aa7c2559f47cf0508482840bf6955f227",
 }
+# the same solves on the default path, conjugate gradients in the policy
+# steps: the glitched states move in the last bits of w and u, with the
+# same M; the damped loop, and so the mixture digest, do not change
+GOLDEN_PCG = {
+    "glitch0.5": "948fbb5215be4f25082f73c1aa07d1e34bde61adfced7da0bfd4a0056587158b",
+    "glitch0.01": "df25958bbc90c7711022d60aaa8ab6c9cc6d4b01b7cadd9c8095e7354ff41ec7",
+    "mixture300": "660690c77bfd354a04100e96da55416aa7c2559f47cf0508482840bf6955f227",
+}
 
 
 def test_dense_solves_match_golden_digests(params, f_xy):
-    """The dense solves return the same bits from run to run.  The digests
-    were taken under numpy 2.4.6 with its bundled OpenBLAS 0.3.31 on an x86-64 Intel Xeon; LU and matrix-product bits can
-    differ under another BLAS build or CPU kernel, which may move them."""
+    """The dense solves return the same bits from run to run, on the default
+    conjugate-gradient path and on the LU fallback alike.  The digests were
+    taken under numpy 2.4.6 with its bundled OpenBLAS 0.3.31 on an x86-64
+    Intel Xeon; LU, dot and matrix-product bits can differ under another
+    BLAS build or CPU kernel, which may move them."""
     platforms = {
         "glitch0.5": glitch(first_best_platform(make_grid(200), 0), 0.5),
         "glitch0.01": glitch(first_best_platform(make_grid(200), 0), 0.01),
@@ -416,7 +435,65 @@ def test_dense_solves_match_golden_digests(params, f_xy):
     }
     seen = {name: _state_digest(solve_dse(platform, f_xy, params))
             for name, platform in platforms.items()}
+    assert seen == GOLDEN_PCG
+    seen = {name: _state_digest(lu_solve(platform, f_xy, params))
+            for name, platform in platforms.items()}
     assert seen == GOLDEN_DENSE
+
+
+def _solve_both_ways(platform, f, params):
+    """The default solve and the forced-LU one, after requiring that they
+    agree (the same acceptance sets, wages within 1e-12) and that
+    ``dse_residuals`` certifies both."""
+    cfg = SolverConfig()
+    states = solve_dse(platform, f, params), lu_solve(platform, f, params)
+    for state in states:
+        bell, bal, violations = dse_residuals(platform, f, params, state)
+        assert bell <= cfg.tol_w and bal <= cfg.tol_u * params.alpha and violations == 0
+    assert np.array_equal(states[0].M, states[1].M)
+    assert np.max(np.abs(states[0].w - states[1].w)) <= 1e-12
+    return states
+
+
+@pytest.mark.parametrize("n, epsilon", [
+    *(pytest.param(n, eps, id=f"glitch{eps}-n{n}")
+      for n in (100, 200, 400) for eps in (0.01, 0.1, 0.3, 0.5)),
+    pytest.param(300, None, id="mixture300"),
+])
+def test_conjugate_gradients_match_the_lu(n, epsilon, params, f_xy):
+    """Conjugate gradients in the policy steps reach the certified state of
+    the LU path, and no step falls back.  ``epsilon`` None is
+    ``mixture_kernel(n, .3, .3)``."""
+    platform = (mixture_platform(n, 0.3, 0.3) if epsilon is None
+                else glitch(first_best_platform(make_grid(n), 0), epsilon))
+    st_, lu = _solve_both_ways(platform, f_xy, params)
+    assert st_.lu_fallbacks == 0 < lu.lu_fallbacks
+
+
+def test_indefinite_balance_falls_back_to_the_lu(f_xy):
+    """A reversal-heavy kernel at rho / alpha = 3 makes ``I + (rho/alpha) A``
+    indefinite, conjugate gradients break down, and the LU answers: the
+    state is the certified one of the LU path."""
+    st_, _ = _solve_both_ways(mixture_platform(100, 0.1, 0.1), f_xy,
+                              SearchParams(rho=1.5, alpha=0.5, r=0.05))
+    assert st_.lu_fallbacks > 0
+
+
+def test_pcg_refuses_a_breakdown_a_residual_and_the_iteration_cap(monkeypatch):
+    """``p . K p <= 0`` on an indefinite system, a weighted residual above
+    ``_PCG_RESIDUAL`` and the cap on a positive definite one all return
+    None; otherwise the solution comes back."""
+    indefinite = np.diag([1.0, -1.0])
+    assert solver._pcg(lambda v: indefinite @ v, np.ones(2), np.diagonal(indefinite),
+                       np.zeros(2)) is None
+    K = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    x = solver._pcg(lambda v: K @ v, np.ones(3), np.diagonal(K), np.zeros(3))
+    assert np.max(np.abs(K @ x - 1.0)) <= 1e-15
+    # the residual, 2.2e-16 in two rows, weighs 2.2e-10 at weight 1e6
+    assert solver._pcg(lambda v: K @ v, np.ones(3), np.diagonal(K), np.zeros(3),
+                       1e6) is None
+    monkeypatch.setattr(solver, "_PCG_MAX_ITER", 1)
+    assert solver._pcg(lambda v: K @ v, np.ones(3), np.diagonal(K), np.zeros(3)) is None
 
 
 def test_inconsistent_platform_refused(params, f_xy):
