@@ -364,7 +364,12 @@ class Platform:
 
     def consistency_defect(self) -> float:
         """Max asymmetry of the kernel; zero means meetings balance exactly."""
-        return float(np.max(np.abs(self.kernel - self.kernel.T)))
+        G = self.kernel
+        defect = 0.0
+        for rows in _row_blocks(G.shape[0], G.shape[1]):
+            diff = G[rows] - G[:, rows].T
+            defect = max(defect, float(np.max(np.abs(diff, out=diff))))
+        return defect
 
     def require_consistent(self) -> None:
         """Raise ValueError unless the kernel asymmetry is at most
@@ -406,13 +411,33 @@ class DSEState:
             getattr(self, name).setflags(write=False)
 
 
+#: Bytes of float temporaries a row-blocked pass over an n-by-n array holds
+#: at a time (see :func:`_row_blocks`): an eighth of one n-by-n array at
+#: n = 1000, and a block stays in a core's cache.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(nrows: int, ncols: int) -> list[slice]:
+    """Consecutive slices covering ``range(nrows)``, each of as many rows of
+    ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one."""
+    step = max(1, _BLOCK_BYTES // (8 * max(ncols, 1)))
+    return [slice(start, min(start + step, nrows)) for start in range(0, nrows, step)]
+
+
 def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The acceptance sets at wages ``w``: pair ``(i, j)`` matches exactly
     when its output ``F[i, j]`` covers both reservation wages,
-    ``F[i, j] - w[i] - w[j] >= 0``; a pair with zero surplus accepts."""
-    net = F - w[:, None]
-    net -= w[None, :]  # in place: one n-by-n temporary, the same bits
-    return net >= 0.0
+    ``F[i, j] - w[i] - w[j] >= 0``; a pair with zero surplus accepts.
+
+    The surplus is built a row block at a time (:func:`_row_blocks`), so no
+    n-by-n float temporary is held; the bits are those of the one-shot
+    ``(F - w[:, None]) - w[None, :] >= 0``."""
+    accept = np.empty(F.shape, dtype=bool)
+    for rows in _row_blocks(*F.shape):
+        net = F[rows] - w[rows, None]
+        net -= w[None, :]
+        np.greater_equal(net, 0.0, out=accept[rows])
+    return accept
 
 
 # ---------------------------------------------------------------------------

@@ -328,9 +328,10 @@ def glitch(platform: Platform, epsilon: float) -> Platform:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     platform.require_consistent()
     n, k = platform.grid.n, platform.cutoff
-    padded = np.eye(n)
-    padded[k:, k:] = platform.kernel
-    mixed = (1.0 - epsilon) * padded + epsilon / n * np.ones((n, n))
+    mixed = np.eye(n)
+    mixed[k:, k:] = platform.kernel
+    mixed *= 1.0 - epsilon  # in place: the bits of (1 - eps) G + eps/n * ones
+    mixed += epsilon / n
     return Platform(grid=platform.grid, cutoff=0, kernel=mixed,
                     transfers=platform.transfers.copy())
 

@@ -236,8 +236,8 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
 
     # the acceptance set that A, u, au and afu were built from and the one
     # before it, as np.packbits bytes, a hash of the set of each recent sweep
-    # for the stall diagnosis, the sets policy iteration solved, and one
-    # m-by-m scratch matrix
+    # for the stall diagnosis, the sets policy iteration solved, and the two
+    # m-by-m buffers: the acceptance-masked kernel A and a scratch matrix
     packed = packed_before = None
     solves = fallbacks = 0
     u = np.zeros(m)  # the start of the next policy step's density solve
@@ -245,7 +245,7 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
     best, best_at = math.inf, 0
     policy = True  # policy iteration runs until it hands over
     solved = set()
-    scratch = np.empty((m, m))
+    A, scratch = np.empty((m, m)), np.empty((m, m))
     start = 0  # sweeps spent before the damped loop took over
 
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
@@ -254,7 +254,7 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
         packed_now = np.packbits(M).tobytes()
         if packed_now != packed:
             packed_before, packed = packed, packed_now
-            A = np.where(M, G, 0.0)
+            np.multiply(G, M, out=A)  # G >= 0, so every pair off the set holds +0.0
             if policy:
                 u, lu = _policy_density(A, params, u)
                 fallbacks += lu
@@ -443,10 +443,12 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
         raise ValueError("state shapes do not match the platform grid")
     F = f.values(grid)
     w, u = state.w, state.u
-    A = np.where(state.M[k:, k:], platform.kernel, 0.0)
+    A = np.multiply(platform.kernel, state.M[k:, k:])
     wb, ub = w[k:], u[k:]
     au = A @ ub
-    total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
+    awu = A @ (wb * ub)
+    A *= F[k:, k:]  # A o F in place, once A's own products are taken
+    total = A @ ub - wb * au - awu
     bellman = float(np.max(np.abs(wb - params.theta * total)))
     balance = _balance_residual(ub, au, params)
     violations = int(np.sum(state.M != acceptance(F, w)))

@@ -50,6 +50,7 @@ from .core import (
     ProductionFunction,
     SearchParams,
     TypeGrid,
+    _row_blocks,
     acceptance,
     make_grid,
 )
@@ -112,16 +113,25 @@ def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
     pair names the highest excluded node.
     """
     n = len(w)
-    w_inc, t_inc = w[inc], t[inc]
+    w_inc, u_inc, t_inc = w[inc], u[inc], t[inc]
     U = w - t                                        # truthful net payoff
     M_inc = M[:, inc]
-    GU = (G * u[inc][None, :]).T                     # (m, m): column j weights
-    S0 = M_inc.astype(float) @ GU                    # sum_k M_ik G_jk u_k
-    S1 = (M_inc * (F[:, inc] - w_inc[None, :])) @ GU  # sum_k M_ik (f_ik - w_k) G_jk u_k
-    gains = theta * (S1 - w[:, None] * S0) - t_inc[None, :] - U[:, None]
+    # theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k - t_j - U_i: one product,
+    # its left factor, the masked surplus times u, built in place
+    surplus = np.subtract(F[:, inc], w[:, None])
+    surplus -= w_inc[None, :]
+    surplus *= M_inc
+    surplus *= u_inc
+    gains = surplus @ G.T
+    gains *= theta
+    gains -= t_inc[None, :]
+    gains -= U[:, None]
     excluded = np.ones(n, dtype=bool)
     excluded[inc] = False
-    gains[excluded] = theta * S1[excluded] / (1.0 + theta * S0[excluded]) - t_inc[None, :]
+    Mu = M_inc[excluded] * u_inc
+    S0 = Mu @ G.T                                    # sum_k M_ik G_jk u_k
+    S1 = (Mu * (F[excluded][:, inc] - w_inc)) @ G.T  # sum_k M_ik (f_ik - w_k) G_jk u_k
+    gains[excluded] = theta * S1 / (1.0 + theta * S0) - t_inc[None, :]
     rows = np.arange(n)[inc]
     m = len(rows)
     gains[rows, np.arange(m)] = 0.0
@@ -145,10 +155,14 @@ def _row_smoothness(platform: Platform) -> float:
     adjacent types leaves the dimensionless modulus reported here.
     """
     G = platform.kernel
-    if G.shape[0] < 2:
-        return 0.0
-    cdf = np.cumsum(G, axis=1)
-    return float(np.max(np.sum(np.abs(np.diff(cdf, axis=0)), axis=1)))
+    m = G.shape[0]
+    worst = 0.0
+    # a block of the m - 1 row differences reads one kernel row past its end;
+    # each row's cumulative sum is the same whatever block it lies in
+    for diffs in _row_blocks(m - 1, m):
+        gap = np.diff(np.cumsum(G[diffs.start:diffs.stop + 1], axis=1), axis=0)
+        worst = max(worst, float(np.max(np.sum(np.abs(gap, out=gap), axis=1))))
+    return worst
 
 
 def deviation_gains(platform: Platform, f: ProductionFunction, params: SearchParams,

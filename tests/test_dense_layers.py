@@ -1,0 +1,238 @@
+"""The dense layers against their one-shot forms, and their memory budgets.
+
+``acceptance``, ``Platform.consistency_defect`` and the verifier's row
+smoothness run in row blocks, and ``glitch`` builds its mixture in place; each
+must give the bits of the one-shot expression kept here as its reference.
+The incentive gains take one product over the masked surplus; they must
+match the two-product ``S0``/``S1`` form kept here within 1e-12 of the gains'
+scale, with the same worst entry.  The budget test bounds each layer's peak
+traced allocation above its inputs on a glitched n = 1000 platform.
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from matchlab import (
+    Platform,
+    ProductionFunction,
+    SearchParams,
+    audit,
+    design,
+    enumerate_involutions,
+    make_grid,
+    solve_dse,
+)
+from matchlab import core, verifier
+from matchlab.core import acceptance
+from matchlab.designer import first_best_platform, glitch
+
+from conftest import mixture_kernel
+
+#: Rows per block in the blocked-pass tests.
+_ROWS = 4
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.fixture
+def four_row_blocks(monkeypatch):
+    """Make a row-blocked pass over ``n`` columns take ``_ROWS`` rows a block."""
+    def set_columns(n):
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 8 * n * _ROWS)
+    return set_columns
+
+
+def _random_platform(m, seed):
+    """A dense row-stochastic kernel, not symmetric, on ``m`` included nodes,
+    the top of a grid of at least two."""
+    n = max(m, 2)
+    raw = np.random.default_rng(seed).random((m, m))
+    return Platform(grid=make_grid(n), cutoff=n - m,
+                    kernel=raw / raw.sum(axis=1, keepdims=True), transfers=np.zeros(n))
+
+
+# n = 1 and 3 rows fit in one four-row block, 4 fill it and 5 take one row
+# more; the row smoothness blocks the n - 1 row differences, so there n = 5
+# fills one block and 6 takes one row more
+_SIZES = (1, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_blocked_acceptance_is_the_one_shot_rule(four_row_blocks, n):
+    four_row_blocks(n)
+    rng = np.random.default_rng(n)
+    # sixteenths, so that some pairs sit at exactly zero surplus
+    F = rng.integers(0, 16, (n, n)) / 16.0
+    w = rng.integers(0, 8, n) / 16.0
+    reference = (F - w[:, None]) - w[None, :] >= 0.0
+    assert np.array_equal(acceptance(F, w), reference)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_blocked_consistency_defect_is_the_one_shot_max(four_row_blocks, n):
+    four_row_blocks(n)
+    platform = _random_platform(n, n)
+    G = platform.kernel
+    assert _bits(platform.consistency_defect()) == _bits(np.max(np.abs(G - G.T)))
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_blocked_row_smoothness_is_the_one_shot_modulus(four_row_blocks, n):
+    four_row_blocks(n)
+    platform = _random_platform(n, n)
+    G = platform.kernel
+    reference = (0.0 if n < 2
+                 else np.max(np.sum(np.abs(np.diff(np.cumsum(G, axis=1), axis=0)), axis=1)))
+    assert _bits(verifier._row_smoothness(platform)) == _bits(reference)
+
+
+def test_blocked_passes_at_the_default_block_size():
+    """At n = 1000 a pass takes several blocks of the default size, the last
+    one short."""
+    platform = _random_platform(1000, 7)
+    G = platform.kernel
+    assert len(core._row_blocks(1000, 1000)) > 1
+    assert _bits(platform.consistency_defect()) == _bits(np.max(np.abs(G - G.T)))
+    cdf = np.cumsum(G, axis=1)
+    assert (_bits(verifier._row_smoothness(platform))
+            == _bits(np.max(np.sum(np.abs(np.diff(cdf, axis=0)), axis=1))))
+    w = G.diagonal() / 2
+    assert np.array_equal(acceptance(G, w), (G - w[:, None]) - w[None, :] >= 0.0)
+
+
+def _symmetric_kernel(m, seed):
+    """A dense symmetric row-stochastic kernel: a random mix of three
+    symmetrized permutation matrices."""
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(3))
+    kernel = np.zeros((m, m))
+    for c in weights:
+        perm = np.eye(m)[rng.permutation(m)]
+        kernel += c * (perm + perm.T) / 2.0
+    return kernel
+
+
+@pytest.mark.parametrize("n, cutoff", [(2, 1), (6, 0), (6, 2), (50, 17)])
+@pytest.mark.parametrize("epsilon", [0.0, 0.01, 0.5, 1.0])
+def test_glitch_is_the_one_shot_mixture(n, cutoff, epsilon):
+    platform = Platform(grid=make_grid(n), cutoff=cutoff,
+                        kernel=_symmetric_kernel(n - cutoff, n), transfers=np.zeros(n))
+    padded = np.eye(n)
+    padded[cutoff:, cutoff:] = platform.kernel
+    reference = (1.0 - epsilon) * padded + epsilon / n * np.ones((n, n))
+    assert _bits(glitch(platform, epsilon).kernel) == _bits(reference)
+
+
+def _two_product_gains(theta, F, w, u, M, G, t, inc):
+    """The gain matrix by the two products ``S0 = sum_k M_ik G_jk u_k`` and
+    ``S1 = sum_k M_ik (f_ik - w_k) G_jk u_k``: ``theta (S1 - w_i S0)`` on
+    included rows and ``theta S1 / (1 + theta S0)`` on excluded ones, less
+    ``t_j`` and the truthful payoff, with truthful reports at zero."""
+    n = len(w)
+    U = w - t
+    M_inc = M[:, inc]
+    GU = (G * u[inc][None, :]).T
+    S0 = M_inc.astype(float) @ GU
+    S1 = (M_inc * (F[:, inc] - w[inc][None, :])) @ GU
+    gains = theta * (S1 - w[:, None] * S0) - t[inc][None, :] - U[:, None]
+    excluded = np.ones(n, dtype=bool)
+    excluded[inc] = False
+    gains[excluded] = theta * S1[excluded] / (1.0 + theta * S0[excluded]) - t[inc][None, :]
+    rows = np.arange(n)[inc]
+    gains[rows, np.arange(len(rows))] = 0.0
+    return gains
+
+
+def _assert_matches_two_products(args):
+    gains, _, _ = verifier._incentive_gains(*args)
+    reference = _two_product_gains(*args)
+    assert np.max(np.abs(gains - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert gains.argmax() == reference.argmax()
+
+
+def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy):
+    """A dense kernel above a cutoff of 17 on 50 nodes, with the designed
+    transfers: the excluded rows take the self-consistent form."""
+    grid = make_grid(50)
+    transfers = design(grid, f_xy, params, cutoff=17).platform.transfers
+    platform = Platform(grid=grid, cutoff=17, kernel=mixture_kernel(33, 0.3, 0.3),
+                        transfers=transfers)
+    dse = solve_dse(platform, f_xy, params)
+    _assert_matches_two_products((params.theta, f_xy.values(grid), dse.w, dse.u, dse.M,
+                                  platform.kernel, platform.transfers, slice(17, 50)))
+
+
+def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
+    """Every mask and pairing of a five-type market with output ``xy + 0.2``,
+    each valued on the permutation kernel ``_mask_config_ic`` builds."""
+    f = ProductionFunction.multiplicative_plus_constant(0.2)
+    seen = []
+    fused = verifier._incentive_gains
+
+    def record(*args):
+        seen.append(args)
+        return fused(*args)
+
+    monkeypatch.setattr(verifier, "_incentive_gains", record)
+    for size in range(1, 6):
+        for mask in itertools.combinations(range(5), size):
+            for perm in enumerate_involutions(size):
+                verifier.masked_config_ic(5, f, params, mask, perm)
+    monkeypatch.undo()
+    assert len(seen) == sum(len(list(enumerate_involutions(size))) * len(list(
+        itertools.combinations(range(5), size))) for size in range(1, 6))
+    for args in seen:
+        _assert_matches_two_products(args)
+
+
+# ---------------------------------------------------------------------------
+# memory budgets
+# ---------------------------------------------------------------------------
+
+_N = 1000
+
+
+def _peak_arrays(fn, *args):
+    """Peak traced allocation of ``fn(*args)`` above what was allocated
+    before the call, in n-by-n float64 arrays at n = ``_N``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - before) / (8.0 * _N * _N)
+
+
+@pytest.fixture(scope="module")
+def glitched_state():
+    """The ``solve --n 1000 --epsilon 0.5`` platform and its equilibrium."""
+    f, params = ProductionFunction.multiplicative(), SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    platform = glitch(first_best_platform(make_grid(_N), 0), 0.5)
+    return platform, f, params, solve_dse(platform, f, params)
+
+
+# the bool result of acceptance counts as an eighth of an array
+@pytest.mark.parametrize("layer, bound", [
+    ("audit", 3.5),
+    ("solve_dse", 3.75),
+    ("glitch", 1.5),
+    ("consistency_defect", 0.5),
+    ("acceptance", 0.5),
+])
+def test_dense_layer_memory_budget(glitched_state, layer, bound):
+    platform, f, params, dse = glitched_state
+    call = {
+        "audit": (audit, platform, f, params, dse),
+        "solve_dse": (solve_dse, platform, f, params),
+        "glitch": (glitch, first_best_platform(platform.grid, 0), 0.5),
+        "consistency_defect": (platform.consistency_defect,),
+        "acceptance": (acceptance, f.values(platform.grid), dse.w),
+    }[layer]
+    assert _peak_arrays(*call) <= bound
