@@ -236,8 +236,9 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
 
     # the acceptance set that A, u, au and afu were built from and the one
     # before it, as np.packbits bytes, a hash of the set of each recent sweep
-    # for the stall diagnosis, the sets policy iteration solved, and the two
-    # m-by-m buffers: the acceptance-masked kernel A and a scratch matrix
+    # for the stall diagnosis, the sets policy iteration solved, and the one
+    # m-by-m buffer, the acceptance-masked kernel A: it holds A o F while
+    # afu is taken and is then rebuilt, so no second m-by-m matrix is held
     packed = packed_before = None
     solves = fallbacks = 0
     u = np.zeros(m)  # the start of the next policy step's density solve
@@ -245,7 +246,7 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
     best, best_at = math.inf, 0
     policy = True  # policy iteration runs until it hands over
     solved = set()
-    A, scratch = np.empty((m, m)), np.empty((m, m))
+    A = np.empty((m, m))
     start = 0  # sweeps spent before the damped loop took over
 
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
@@ -261,7 +262,8 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
             else:
                 u = steady_state_density(A, params)
             au = A @ u
-            afu = np.multiply(A, Fb, out=scratch) @ u
+            afu = np.multiply(A, Fb, out=A) @ u
+            np.multiply(G, M, out=A)  # A again, bit for bit
             solves += 1
         digests.append(hash(packed))  # bytes cache their hash
         numer = theta * (afu - A @ (w * u))
@@ -276,7 +278,7 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
         stalled = sweep - best_at >= _STALL_SWEEPS
         if policy:
             step = None if stalled or packed in solved else _policy_wages(
-                A, u, au, afu, theta, scratch, w)
+                A, u, au, afu, theta, w)
             if step is None:  # hand over to the damped loop, restarted from the start
                 policy = False
                 w, start = w0, sweep
@@ -356,8 +358,7 @@ def _policy_density(A: np.ndarray, params: SearchParams,
 
 
 def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
-                  theta: float, scratch: np.ndarray,
-                  w0: np.ndarray | None = None) -> tuple[np.ndarray, bool] | None:
+                  theta: float, w0: np.ndarray | None = None) -> tuple[np.ndarray, bool] | None:
     """The wages that solve the Bellman equation exactly under a fixed
     acceptance-masked kernel ``A`` and density ``u``:
     ``(diag(1 + theta A u) + theta A diag(u)) w = theta (A o F) u``, with
@@ -368,9 +369,9 @@ def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
     ``(diag(1 + theta A u) + theta S A S) y = s theta (A o F) u``, which
     :func:`_pcg` solves from ``s w0`` (zero when None) when every ``u_i`` is
     positive.  Otherwise, or when it fails, a dense LU solves the system as
-    given, its matrix built in ``scratch``; fewer than ``_PCG_MIN_SIZE``
-    nodes go to the LU at once, with no fallback counted.  None when the
-    system is singular."""
+    given, its m-by-m matrix allocated only then; fewer than
+    ``_PCG_MIN_SIZE`` nodes go to the LU at once, with no fallback counted.
+    None when the system is singular."""
     d = 1.0 + theta * au
     direct = len(u) < _PCG_MIN_SIZE
     if not direct and np.all(u > 0.0):
@@ -380,7 +381,7 @@ def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
                  np.zeros(len(u)) if w0 is None else s * w0, 1.0 / s)
         if y is not None:
             return y / s, False
-    lhs = np.multiply(A, theta * u, out=scratch)
+    lhs = np.multiply(A, theta * u)
     lhs.flat[::lhs.shape[0] + 1] += d
     try:
         return np.linalg.solve(lhs, theta * afu), not direct
@@ -437,11 +438,16 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     count covers every node pair whose acceptance flag disagrees with the
     sign of the surplus.
     """
-    grid = platform.grid
-    n, k = grid.n, platform.cutoff
+    return _state_residuals(platform, f.values(platform.grid), params, state)
+
+
+def _state_residuals(platform: Platform, F: np.ndarray, params: SearchParams,
+                     state: DSEState) -> tuple[float, float, int]:
+    """:func:`dse_residuals`, given the n-by-n output table ``F`` on the
+    platform's grid, so that a caller that holds it builds it once."""
+    n, k = platform.grid.n, platform.cutoff
     if state.w.shape != (n,) or state.u.shape != (n,) or state.M.shape != (n, n):
         raise ValueError("state shapes do not match the platform grid")
-    F = f.values(grid)
     w, u = state.w, state.u
     A = np.multiply(platform.kernel, state.M[k:, k:])
     wb, ub = w[k:], u[k:]

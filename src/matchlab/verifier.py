@@ -27,12 +27,15 @@ configuration as truthful by the same ``IC_TOL``; the involution oracle
 finds the assortative pairing rent-minimal unless some pairing's rent lies
 more than ``RENT_TOL`` below it.
 
-Both flavors, and the excluded report that forfeits search, are priced by
-one array function, ``_incentive_gains``.  ``deviation_gains`` is its public
-read, the full gain matrix; ``audit`` calls it on a platform's included
-block for the worst deviation; the brute-force oracle calls it on each
-masked configuration, with the pairing as a permutation kernel and every
-type at ``u_star``.
+Both flavors are priced by one array function, ``_gain_blocks``, a block
+of true types at a time, so the n-by-n gain matrix is never built unless
+it is asked for: ``deviation_gains``, the public read, assembles it from
+the blocks.  ``_incentive_gains`` keeps a running maximum over the blocks,
+adds the excluded report that forfeits search, and returns the worst
+deviation; ``audit`` calls it on a platform's included block, and the
+brute-force oracle on each masked configuration, with the pairing as a
+permutation kernel and every type at ``u_star``.  ``audit`` builds the
+output table once, for the residuals and for this scan.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .core import (
     make_grid,
 )
 from .designer import _envelope, _involution, enumerate_involutions, involution_rent, pairing_wage
-from .solver import dse_residuals
+from .solver import _state_residuals
 
 __all__ = ["AuditReport", "deviation_gains", "audit", "masked_config_ic",
            "prop4_oracle", "involution_oracle"]
@@ -73,6 +76,11 @@ RENT_TOL = 1e-12
 #: 140,152 pairings, about 5 s.
 PROP4_MAX_N = 6
 INVOLUTION_MAX_BLOCK = 12
+#: True types per block of the incentive scan (see :func:`_gain_blocks`).
+#: Thinner blocks slow the product: at n = 4000, blocks of 32 rows took
+#: twice as long as one full product, blocks of 256 to 1024 rows about as
+#: long (2-core Xeon).
+_GAIN_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,52 +107,80 @@ class AuditReport:
                 and self.acceptance_violations == 0)
 
 
-def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
-                     M: np.ndarray, G: np.ndarray, t: np.ndarray,
-                     inc) -> tuple[np.ndarray, float, tuple[int, int]]:
-    """Incentive gains of every true type, and the worst deviation.
+def _gain_blocks(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
+                 M: np.ndarray, G: np.ndarray, t: np.ndarray, inc):
+    """Incentive gains of every true type, a block of ``_GAIN_ROWS`` true
+    types at a time: yields ``(rows, gains[rows])``, ``rows`` a slice.
 
     ``F``, ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks
     the ``m`` included ones (``slice(k, n)`` on a platform, so ``F[:, inc]``
-    is a view) and ``G`` is the ``(m, m)`` kernel over them.  Returns the
-    ``(n, m)`` gains of reporting each included type, with truthful reports at
-    zero, and the worst gain over every report with its (true, reported) node
-    pair.  Reporting an excluded type forfeits search and pays nothing; its
-    pair names the highest excluded node.
+    is a view) and ``G`` is the ``(m, m)`` kernel over them.  A block holds
+    the gains of reporting each included type, with truthful reports at
+    zero.  Every block is built in the same two buffers, so a block is
+    overwritten by the next one.
     """
-    n = len(w)
+    n, m = len(w), G.shape[0]
     w_inc, u_inc, t_inc = w[inc], u[inc], t[inc]
     U = w - t                                        # truthful net payoff
-    M_inc = M[:, inc]
-    # theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k - t_j - U_i: one product,
-    # its left factor, the masked surplus times u, built in place
-    surplus = np.subtract(F[:, inc], w[:, None])
-    surplus -= w_inc[None, :]
-    surplus *= M_inc
-    surplus *= u_inc
-    gains = surplus @ G.T
-    gains *= theta
-    gains -= t_inc[None, :]
-    gains -= U[:, None]
     excluded = np.ones(n, dtype=bool)
     excluded[inc] = False
-    Mu = M_inc[excluded] * u_inc
-    S0 = Mu @ G.T                                    # sum_k M_ik G_jk u_k
-    S1 = (Mu * (F[excluded][:, inc] - w_inc)) @ G.T  # sum_k M_ik (f_ik - w_k) G_jk u_k
-    gains[excluded] = theta * S1 / (1.0 + theta * S0) - t_inc[None, :]
-    rows = np.arange(n)[inc]
-    m = len(rows)
-    gains[rows, np.arange(m)] = 0.0
+    nodes = np.arange(n)[inc]                        # node of each included column
+    F_inc, M_inc = F[:, inc], M[:, inc]
+    height = min(_GAIN_ROWS, n)
+    surplus_rows, gain_rows = np.empty((height, m)), np.empty((height, m))
+    for start in range(0, n, height):
+        stop = min(start + height, n)
+        rows = slice(start, stop)
+        # theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k - t_j - U_i: one
+        # product, its left factor, the masked surplus times u, built in place
+        surplus = np.subtract(F_inc[rows], w[rows, None], out=surplus_rows[:stop - start])
+        surplus -= w_inc[None, :]
+        surplus *= M_inc[rows]
+        surplus *= u_inc
+        gains = np.matmul(surplus, G.T, out=gain_rows[:stop - start])
+        gains *= theta
+        gains -= t_inc[None, :]
+        gains -= U[rows, None]
+        out = excluded[rows]
+        if out.any():
+            Mu = M_inc[rows][out] * u_inc
+            S0 = Mu @ G.T                                   # sum_k M_ik G_jk u_k
+            S1 = (Mu * (F_inc[rows][out] - w_inc)) @ G.T    # sum_k M_ik (f_ik - w_k) G_jk u_k
+            gains[out] = theta * S1 / (1.0 + theta * S0) - t_inc[None, :]
+        truthful = np.flatnonzero((nodes >= start) & (nodes < stop))
+        gains[nodes[truthful] - start, truthful] = 0.0
+        yield rows, gains
 
-    wi, wj = divmod(int(gains.argmax()), m)
-    worst_gain, worst = float(gains[wi, wj]), (wi, int(rows[wj]))
-    if m < n:
-        exc_gain = -U[inc]
+
+def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
+                     M: np.ndarray, G: np.ndarray, t: np.ndarray,
+                     inc) -> tuple[float, tuple[int, int]]:
+    """The worst deviation over every report, from the arguments of
+    :func:`_gain_blocks`: its gain and its (true, reported) node pair.
+
+    Over included reports it is the first maximum of the gain matrix in
+    row-major order, as ``argmax`` finds it (a NaN wins), found block by
+    block so that the matrix is never held whole.  Reporting an excluded
+    type forfeits search and pays nothing; its pair names the highest
+    excluded node.
+    """
+    worst_gain, worst = None, None
+    for rows, gains in _gain_blocks(theta, F, w, u, M, G, t, inc):
+        bi, bj = np.unravel_index(int(gains.argmax()), gains.shape)
+        gain = float(gains[bi, bj])
+        # a later block takes over on a larger gain, or on a NaN over a number
+        if worst_gain is None or (worst_gain == worst_gain and not gain <= worst_gain):
+            worst_gain, worst = gain, (rows.start + int(bi), int(bj))
+    n = len(w)
+    nodes = np.arange(n)[inc]
+    worst = (worst[0], int(nodes[worst[1]]))
+    if len(nodes) < n:
+        exc_gain = -(w[inc] - t[inc])                # less the truthful net payoff
         best = int(exc_gain.argmax())
         if float(exc_gain[best]) > worst_gain:
-            top_excluded = int(np.flatnonzero(excluded)[-1])
-            worst_gain, worst = float(exc_gain[best]), (int(rows[best]), top_excluded)
-    return gains, worst_gain, worst
+            top_excluded = int(np.setdiff1d(np.arange(n), nodes)[-1])
+            worst_gain, worst = float(exc_gain[best]), (int(nodes[best]), top_excluded)
+    return worst_gain, worst
 
 
 def _row_smoothness(platform: Platform) -> float:
@@ -174,9 +210,11 @@ def deviation_gains(platform: Platform, f: ProductionFunction, params: SearchPar
     excluded types).  The diagonal (truthful reports) is zero by construction.
     """
     grid = platform.grid
-    gains, _, _ = _incentive_gains(params.theta, f.values(grid), dse.w, dse.u, dse.M,
-                                   platform.kernel, platform.transfers,
-                                   slice(platform.cutoff, grid.n))
+    gains = np.empty((grid.n, platform.n_included))
+    for rows, block in _gain_blocks(params.theta, f.values(grid), dse.w, dse.u, dse.M,
+                                    platform.kernel, platform.transfers,
+                                    slice(platform.cutoff, grid.n)):
+        gains[rows] = block
     return gains
 
 
@@ -193,9 +231,10 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
     x = grid.nodes
     U = dse.w - platform.transfers
 
-    bell, bal, violations = dse_residuals(platform, f, params, dse)
-    _, ic_max, (wi, wj) = _incentive_gains(params.theta, f.values(grid), dse.w, dse.u, dse.M,
-                                           platform.kernel, platform.transfers, slice(k, n))
+    F = f.values(grid)
+    bell, bal, violations = _state_residuals(platform, F, params, dse)
+    ic_max, (wi, wj) = _incentive_gains(params.theta, F, dse.w, dse.u, dse.M,
+                                        platform.kernel, platform.transfers, slice(k, n))
 
     return AuditReport(
         consistency_defect=platform.consistency_defect(),
@@ -263,7 +302,7 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
 
     G = np.zeros((m, m))
     G[np.arange(m), perm] = 1.0
-    _, ic_max, _ = _incentive_gains(theta, F, w, np.full(n, u_star), accept, G, t, nodes)
+    ic_max, _ = _incentive_gains(theta, F, w, np.full(n, u_star), accept, G, t, nodes)
     return ic_max, float(np.max(w_mask))
 
 

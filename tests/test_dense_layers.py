@@ -148,28 +148,64 @@ def _two_product_gains(theta, F, w, u, M, G, t, inc):
     return gains
 
 
+def _gain_matrix(args):
+    """The full gain matrix, assembled from the blocks of ``_gain_blocks``
+    as ``deviation_gains`` assembles it."""
+    n, m = len(args[2]), args[5].shape[0]
+    gains = np.full((n, m), np.nan)
+    for rows, block in verifier._gain_blocks(*args):
+        gains[rows] = block
+    return gains
+
+
+def _one_shot_worst(gains, args):
+    """The worst deviation read off the full gain matrix: its first maximum
+    in row-major order, unless reporting an excluded type, which pays
+    nothing, gains more."""
+    w, t, inc = args[2], args[6], args[7]
+    nodes = np.arange(len(w))[inc]
+    i, j = divmod(int(gains.argmax()), gains.shape[1])
+    worst_gain, worst = float(gains[i, j]), (i, int(nodes[j]))
+    exc_gain = -(w[inc] - t[inc])
+    if len(nodes) < len(w) and exc_gain.max() > worst_gain:
+        excluded = np.setdiff1d(np.arange(len(w)), nodes)
+        worst_gain, worst = float(exc_gain.max()), (int(nodes[exc_gain.argmax()]),
+                                                    int(excluded[-1]))
+    return worst_gain, worst
+
+
 def _assert_matches_two_products(args):
-    gains, _, _ = verifier._incentive_gains(*args)
+    gains = _gain_matrix(args)
     reference = _two_product_gains(*args)
-    assert np.max(np.abs(gains - reference)) <= 1e-12 * np.max(np.abs(reference))
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(gains - reference)) <= 1e-12 * scale
     assert gains.argmax() == reference.argmax()
+    worst_gain, worst = verifier._incentive_gains(*args)
+    reference_gain, reference_worst = _one_shot_worst(reference, args)
+    assert abs(worst_gain - reference_gain) <= 1e-12 * scale
+    assert worst == reference_worst
 
 
-def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy):
+def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy, monkeypatch):
     """A dense kernel above a cutoff of 17 on 50 nodes, with the designed
-    transfers: the excluded rows take the self-consistent form."""
+    transfers: the excluded rows take the self-consistent form.  In blocks
+    of four rows, the cutoff falls inside the block of rows 16 to 19."""
     grid = make_grid(50)
     transfers = design(grid, f_xy, params, cutoff=17).platform.transfers
     platform = Platform(grid=grid, cutoff=17, kernel=mixture_kernel(33, 0.3, 0.3),
                         transfers=transfers)
     dse = solve_dse(platform, f_xy, params)
-    _assert_matches_two_products((params.theta, f_xy.values(grid), dse.w, dse.u, dse.M,
-                                  platform.kernel, platform.transfers, slice(17, 50)))
+    args = (params.theta, f_xy.values(grid), dse.w, dse.u, dse.M,
+            platform.kernel, platform.transfers, slice(17, 50))
+    _assert_matches_two_products(args)
+    monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
+    _assert_matches_two_products(args)
 
 
 def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
     """Every mask and pairing of a five-type market with output ``xy + 0.2``,
-    each valued on the permutation kernel ``_mask_config_ic`` builds."""
+    each valued on the permutation kernel ``_mask_config_ic`` builds, in one
+    block and in blocks of two rows."""
     f = ProductionFunction.multiplicative_plus_constant(0.2)
     seen = []
     fused = verifier._incentive_gains
@@ -186,8 +222,56 @@ def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
     monkeypatch.undo()
     assert len(seen) == sum(len(list(enumerate_involutions(size))) * len(list(
         itertools.combinations(range(5), size))) for size in range(1, 6))
-    for args in seen:
-        _assert_matches_two_products(args)
+    for rows in (verifier._GAIN_ROWS, 2):
+        monkeypatch.setattr(verifier, "_GAIN_ROWS", rows)
+        for args in seen:
+            _assert_matches_two_products(args)
+
+
+def _random_gain_args(n, cutoff, seed):
+    """Gain-scan arguments on ``n`` true types above ``cutoff``: a random
+    output table, wages, densities, acceptance sets, transfers and a dense
+    row-stochastic kernel, not an equilibrium."""
+    rng = np.random.default_rng(seed)
+    m = n - cutoff
+    raw = rng.random((m, m))
+    t = rng.random(n) / 8.0
+    t[:cutoff] = 0.0
+    return (0.5, rng.random((n, n)), rng.random(n) / 4.0, rng.random(n),
+            rng.random((n, n)) < 0.7, raw / raw.sum(axis=1, keepdims=True), t,
+            slice(cutoff, n))
+
+
+# in four-row blocks: 1 and 3 true types fit in one block, 4 fill it, 5 take
+# one row more, and a cutoff of 6 on 10 falls inside the block of rows 4 to 7
+@pytest.mark.parametrize("n, cutoff", [(1, 0), (3, 0), (4, 0), (5, 0), (5, 2), (10, 6)])
+def test_blocked_worst_deviation_is_the_full_matrix_max(monkeypatch, n, cutoff):
+    args = _random_gain_args(n, cutoff, n + cutoff)
+    _assert_matches_two_products(args)
+    monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
+    _assert_matches_two_products(args)
+
+
+def test_blocked_worst_deviation_keeps_argmax_ties_and_nans(monkeypatch):
+    """Between blocks, the first of equal gains in row-major order stays the
+    worst, and a NaN gain wins, as ``argmax`` picks them."""
+    monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
+    n, cutoff = 10, 6
+    zero = np.zeros(n)
+    args = [0.5, np.zeros((n, n)), zero, np.ones(n), np.ones((n, n), dtype=bool),
+            np.full((n - cutoff, n - cutoff), 1.0 / (n - cutoff)), zero, slice(cutoff, n)]
+    assert verifier._incentive_gains(*args) == (0.0, (0, cutoff))
+    args[1] = args[1].copy()
+    args[1][9, cutoff:] = np.nan
+    gain, worst = verifier._incentive_gains(*args)
+    assert np.isnan(gain) and worst == (9, cutoff)
+
+
+def test_blocked_gains_at_the_default_block_size():
+    """300 true types take two blocks of the default size, the cutoff of 100
+    inside the first; the reference is one product."""
+    assert verifier._GAIN_ROWS < 300
+    _assert_matches_two_products(_random_gain_args(300, 100, 11))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +304,8 @@ def glitched_state():
 
 # the bool result of acceptance counts as an eighth of an array
 @pytest.mark.parametrize("layer, bound", [
-    ("audit", 3.5),
-    ("solve_dse", 3.75),
+    ("audit", 2.6),
+    ("solve_dse", 2.75),
     ("glitch", 1.5),
     ("consistency_defect", 0.5),
     ("acceptance", 0.5),

@@ -325,7 +325,7 @@ def test_policy_wages_refuse_a_singular_system():
     # det(diag(1 + A u) + A diag(u)) = 1 + u_0 + u_1 for this swap kernel
     A = np.array([[0.0, 1.0], [1.0, 0.0]])
     u = np.array([-0.5, -0.5])
-    assert solver._policy_wages(A, u, A @ u, np.ones(2), 1.0, np.empty((2, 2))) is None
+    assert solver._policy_wages(A, u, A @ u, np.ones(2), 1.0) is None
 
 
 def test_singular_policy_step_hands_over_to_the_damped_loop(params, f_xy, monkeypatch):
