@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .core import (
     DSEState,
-    EmptyMarketError,
     MatchlabError,
     NonConvergenceError,
     Platform,
@@ -40,7 +39,6 @@ __all__ = [
     "AuditReport",
     "DesignResult",
     "DSEState",
-    "EmptyMarketError",
     "ExclusionResult",
     "MatchlabError",
     "NonConvergenceError",

@@ -469,7 +469,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     _write_json(os.path.join(outdir, "audit.json"), payload)
-    _write_manifest(cfg, outdir)
+    # record the audited rates, so verifying a directory in place keeps them
+    _write_manifest(replace(cfg, rho=params.rho, alpha=params.alpha, r=params.r), outdir)
     return 0 if certified else 1
 
 

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "MatchlabError",
     "NonConvergenceError",
-    "EmptyMarketError",
     "SearchParams",
     "TypeGrid",
     "make_grid",
@@ -86,10 +85,6 @@ class NonConvergenceError(MatchlabError):
                             self.iterations, self.period, self.flipping_pairs)
 
 
-class EmptyMarketError(MatchlabError):
-    """Raised when an operation needs at least one included type."""
-
-
 def format_float(x: float) -> str:
     """The shortest text that reads back to the same float: Python's ``repr``
     (round-trip printing), without a trailing ``.0``.
@@ -147,9 +142,6 @@ class TypeGrid:
 
     def __post_init__(self):
         self.nodes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return self.n
 
 
 def make_grid(n: int) -> TypeGrid:
@@ -341,10 +333,6 @@ class Platform:
         transfers.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "transfers", transfers)
-
-    @property
-    def n_included(self) -> int:
-        return self.grid.n - self.cutoff
 
     @property
     def included(self) -> np.ndarray:

@@ -62,7 +62,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    EmptyMarketError,
     Platform,
     ProductionFunction,
     SearchParams,
@@ -147,8 +146,6 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     m = n - k
-    if m == 0:
-        raise EmptyMarketError("no included types to simulate")
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"wage vector must have length {n}")

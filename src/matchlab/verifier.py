@@ -27,15 +27,15 @@ configuration as truthful by the same ``IC_TOL``; the involution oracle
 finds the assortative pairing rent-minimal unless some pairing's rent lies
 more than ``RENT_TOL`` below it.
 
-Both flavors are priced by one array function, ``_gain_blocks``, a block
-of true types at a time, so the n-by-n gain matrix is never built unless
-it is asked for: ``deviation_gains``, the public read, assembles it from
-the blocks.  ``_incentive_gains`` keeps a running maximum over the blocks,
-adds the excluded report that forfeits search, and returns the worst
-deviation; ``audit`` calls it on a platform's included block, and the
-brute-force oracle on each masked configuration, with the pairing as a
-permutation kernel and every type at ``u_star``.  ``audit`` builds the
-output table once, for the residuals and for this scan.
+Both flavors are priced in one scan, ``_incentive_gains``, a block of true
+types at a time: included rows by the surplus product alone, excluded rows
+by the S0/S1 form alone.  It keeps a running maximum over the blocks, so
+the n-by-n gain matrix is never built, adds the excluded report that
+forfeits search, and returns the worst deviation; ``audit`` calls it on a
+platform's included block, and the brute-force oracle on each masked
+configuration, with the pairing as a permutation kernel and every type at
+``u_star``.  ``audit`` builds the output table once, for the residuals and
+for this scan.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ from .core import (
 from .designer import _envelope, _involution, enumerate_involutions, involution_rent, pairing_wage
 from .solver import _state_residuals
 
-__all__ = ["AuditReport", "deviation_gains", "audit", "masked_config_ic",
-           "prop4_oracle", "involution_oracle"]
+__all__ = ["AuditReport", "audit", "masked_config_ic", "prop4_oracle", "involution_oracle"]
 
 #: A certified state gives no misreport a gain above this; the inclusion
 #: oracle counts a masked configuration as truthful by the same bound.
@@ -76,7 +75,7 @@ RENT_TOL = 1e-12
 #: 140,152 pairings, about 5 s.
 PROP4_MAX_N = 6
 INVOLUTION_MAX_BLOCK = 12
-#: True types per block of the incentive scan (see :func:`_gain_blocks`).
+#: True types per block of the incentive scan (see :func:`_incentive_gains`).
 #: Thinner blocks slow the product: at n = 4000, blocks of 32 rows took
 #: twice as long as one full product, blocks of 256 to 1024 rows about as
 #: long (2-core Xeon).
@@ -107,17 +106,22 @@ class AuditReport:
                 and self.acceptance_violations == 0)
 
 
-def _gain_blocks(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
-                 M: np.ndarray, G: np.ndarray, t: np.ndarray, inc):
-    """Incentive gains of every true type, a block of ``_GAIN_ROWS`` true
-    types at a time: yields ``(rows, gains[rows])``, ``rows`` a slice.
+def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
+                     M: np.ndarray, G: np.ndarray, t: np.ndarray,
+                     inc) -> tuple[float, tuple[int, int]]:
+    """The worst deviation over every report: its gain and its (true,
+    reported) node pair.
 
     ``F``, ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks
     the ``m`` included ones (``slice(k, n)`` on a platform, so ``F[:, inc]``
-    is a view) and ``G`` is the ``(m, m)`` kernel over them.  A block holds
-    the gains of reporting each included type, with truthful reports at
-    zero.  Every block is built in the same two buffers, so a block is
-    overwritten by the next one.
+    is a view) and ``G`` is the ``(m, m)`` kernel over them.  Gains are
+    measured against the truthful net payoff ``w - t``, and a truthful
+    report gains zero.  The gains of reporting an included type are priced
+    a block of ``_GAIN_ROWS`` true types at a time, each block in the same
+    two buffers, so the n-by-m gain matrix is never held whole; the worst
+    of them is its first maximum in row-major order, as ``argmax`` finds it
+    (a NaN wins).  Reporting an excluded type forfeits search and pays
+    nothing; its pair names the highest excluded node.
     """
     n, m = len(w), G.shape[0]
     w_inc, u_inc, t_inc = w[inc], u[inc], t[inc]
@@ -128,58 +132,47 @@ def _gain_blocks(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
     F_inc, M_inc = F[:, inc], M[:, inc]
     height = min(_GAIN_ROWS, n)
     surplus_rows, gain_rows = np.empty((height, m)), np.empty((height, m))
+    worst_gain, worst = None, None
     for start in range(0, n, height):
         stop = min(start + height, n)
-        rows = slice(start, stop)
-        # theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k - t_j - U_i: one
-        # product, its left factor, the masked surplus times u, built in place
-        surplus = np.subtract(F_inc[rows], w[rows, None], out=surplus_rows[:stop - start])
+        gains = gain_rows[:stop - start]
+        out = excluded[start:stop]
+        size = int(np.count_nonzero(~out))
+        mixed = size < stop - start
+        # included true types: theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k
+        # - t_j - U_i, one product whose left factor, the masked surplus
+        # times u, is built in place; a block with excluded rows prices its
+        # included rows apart
+        rows = start + np.flatnonzero(~out) if mixed else slice(start, stop)
+        surplus = np.subtract(F_inc[rows], w[rows, None], out=surplus_rows[:size])
         surplus -= w_inc[None, :]
         surplus *= M_inc[rows]
         surplus *= u_inc
-        gains = np.matmul(surplus, G.T, out=gain_rows[:stop - start])
-        gains *= theta
-        gains -= t_inc[None, :]
-        gains -= U[rows, None]
-        out = excluded[rows]
-        if out.any():
-            Mu = M_inc[rows][out] * u_inc
-            S0 = Mu @ G.T                                   # sum_k M_ik G_jk u_k
-            S1 = (Mu * (F_inc[rows][out] - w_inc)) @ G.T    # sum_k M_ik (f_ik - w_k) G_jk u_k
+        priced = np.matmul(surplus, G.T, out=None if mixed else gains)
+        priced *= theta
+        priced -= t_inc[None, :]
+        priced -= U[rows, None]
+        if mixed:
+            gains[~out] = priced
+            # excluded true types: the self-consistent theta S1 / (1 + theta S0),
+            # S0 = sum_k M_ik G_jk u_k and S1 = sum_k M_ik (f_ik - w_k) G_jk u_k
+            Mu = M_inc[start:stop][out] * u_inc
+            S0 = Mu @ G.T
+            S1 = (Mu * (F_inc[start:stop][out] - w_inc)) @ G.T
             gains[out] = theta * S1 / (1.0 + theta * S0) - t_inc[None, :]
         truthful = np.flatnonzero((nodes >= start) & (nodes < stop))
         gains[nodes[truthful] - start, truthful] = 0.0
-        yield rows, gains
-
-
-def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
-                     M: np.ndarray, G: np.ndarray, t: np.ndarray,
-                     inc) -> tuple[float, tuple[int, int]]:
-    """The worst deviation over every report, from the arguments of
-    :func:`_gain_blocks`: its gain and its (true, reported) node pair.
-
-    Over included reports it is the first maximum of the gain matrix in
-    row-major order, as ``argmax`` finds it (a NaN wins), found block by
-    block so that the matrix is never held whole.  Reporting an excluded
-    type forfeits search and pays nothing; its pair names the highest
-    excluded node.
-    """
-    worst_gain, worst = None, None
-    for rows, gains in _gain_blocks(theta, F, w, u, M, G, t, inc):
         bi, bj = np.unravel_index(int(gains.argmax()), gains.shape)
         gain = float(gains[bi, bj])
         # a later block takes over on a larger gain, or on a NaN over a number
         if worst_gain is None or (worst_gain == worst_gain and not gain <= worst_gain):
-            worst_gain, worst = gain, (rows.start + int(bi), int(bj))
-    n = len(w)
-    nodes = np.arange(n)[inc]
-    worst = (worst[0], int(nodes[worst[1]]))
+            worst_gain, worst = gain, (start + int(bi), int(nodes[bj]))
     if len(nodes) < n:
-        exc_gain = -(w[inc] - t[inc])                # less the truthful net payoff
+        exc_gain = -U[inc]                           # less the truthful net payoff
         best = int(exc_gain.argmax())
         if float(exc_gain[best]) > worst_gain:
-            top_excluded = int(np.setdiff1d(np.arange(n), nodes)[-1])
-            worst_gain, worst = float(exc_gain[best]), (int(nodes[best]), top_excluded)
+            worst_gain, worst = float(exc_gain[best]), (int(nodes[best]),
+                                                        int(np.flatnonzero(excluded)[-1]))
     return worst_gain, worst
 
 
@@ -199,23 +192,6 @@ def _row_smoothness(platform: Platform) -> float:
         gap = np.diff(np.cumsum(G[diffs.start:diffs.stop + 1], axis=1), axis=0)
         worst = max(worst, float(np.max(np.sum(np.abs(gap, out=gap), axis=1))))
     return worst
-
-
-def deviation_gains(platform: Platform, f: ProductionFunction, params: SearchParams,
-                    dse: DSEState) -> np.ndarray:
-    """Incentive gains of reporting included type ``j`` for every true type.
-
-    Shape ``(n, n_included)``: row = true type, column = included report.
-    Gains are measured against the truthful net payoff ``w - t`` (zero for
-    excluded types).  The diagonal (truthful reports) is zero by construction.
-    """
-    grid = platform.grid
-    gains = np.empty((grid.n, platform.n_included))
-    for rows, block in _gain_blocks(params.theta, f.values(grid), dse.w, dse.u, dse.M,
-                                    platform.kernel, platform.transfers,
-                                    slice(platform.cutoff, grid.n)):
-        gains[rows] = block
-    return gains
 
 
 def audit(platform: Platform, f: ProductionFunction, params: SearchParams,

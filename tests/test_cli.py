@@ -440,6 +440,35 @@ def test_verify_certifies_design_output(tmp_path):
     assert report["ir_min_slack"] >= -1e-12
 
 
+def _manifest_rates(d):
+    return [line for line in (d / "manifest.txt").read_text().splitlines()
+            if line.split("=")[0] in ("rho", "alpha", "r")]
+
+
+# the design is verified with --platform and --out both naming it; the
+# zero-transfer solve, which is not incentive compatible, with --out alone
+@pytest.mark.parametrize("make, platform, status", [
+    (["design", "--n", "20", "--rho", "2", "--cutoff", "auto"], True, 0),
+    (["solve", "--n", "20", "--alpha", "0.3"], False, 1),
+])
+def test_verify_in_place_keeps_the_audited_rates(tmp_path, make, platform, status):
+    """``verify`` audits at the artifact's rates and its manifest records
+    them, so verifying a directory in place, twice, audits the same as
+    verifying it into a fresh directory and leaves the rates as they were."""
+    d, v = tmp_path / "d", tmp_path / "v"
+    assert main([*make, "--out", str(d)]) == 0
+    rates = _manifest_rates(d)
+    assert main(["verify", "--platform", str(d), "--out", str(v)]) == status
+    audits = [(v / "audit.json").read_bytes()]
+    in_place = ["verify", *(["--platform", str(d)] if platform else []), "--out", str(d)]
+    for _ in range(2):
+        assert main(in_place) == status
+        audits.append((d / "audit.json").read_bytes())
+        assert _manifest_rates(d) == rates
+    assert audits[1] == audits[0] and audits[2] == audits[0]
+    assert _manifest_rates(v) == rates
+
+
 def test_verify_flags_corrupted_transfers(tmp_path):
     d = tmp_path / "d"
     assert main(["design", "--n", "100", "--cutoff", "0.5", "--out", str(d)]) == 0

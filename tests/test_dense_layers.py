@@ -3,9 +3,10 @@
 ``acceptance``, ``Platform.consistency_defect`` and the verifier's row
 smoothness run in row blocks, and ``glitch`` builds its mixture in place; each
 must give the bits of the one-shot expression kept here as its reference.
-The incentive gains take one product over the masked surplus; they must
-match the two-product ``S0``/``S1`` form kept here within 1e-12 of the gains'
-scale, with the same worst entry.  The budget test bounds each layer's peak
+The incentive scan prices included rows by one product over the masked
+surplus; its worst deviation must be the worst entry of the full two-product
+``S0``/``S1`` gain matrix (``conftest.two_product_gains``), the same pair
+with the gain within 1e-12 of the gains' scale.  The budget test bounds each layer's peak
 traced allocation above its inputs on a glitched n = 1000 platform.
 """
 
@@ -29,7 +30,7 @@ from matchlab import core, verifier
 from matchlab.core import acceptance
 from matchlab.designer import first_best_platform, glitch
 
-from conftest import mixture_kernel
+from conftest import gain_args, mixture_kernel, one_shot_worst, two_product_gains
 
 #: Rows per block in the blocked-pass tests.
 _ROWS = 4
@@ -128,60 +129,13 @@ def test_glitch_is_the_one_shot_mixture(n, cutoff, epsilon):
     assert _bits(glitch(platform, epsilon).kernel) == _bits(reference)
 
 
-def _two_product_gains(theta, F, w, u, M, G, t, inc):
-    """The gain matrix by the two products ``S0 = sum_k M_ik G_jk u_k`` and
-    ``S1 = sum_k M_ik (f_ik - w_k) G_jk u_k``: ``theta (S1 - w_i S0)`` on
-    included rows and ``theta S1 / (1 + theta S0)`` on excluded ones, less
-    ``t_j`` and the truthful payoff, with truthful reports at zero."""
-    n = len(w)
-    U = w - t
-    M_inc = M[:, inc]
-    GU = (G * u[inc][None, :]).T
-    S0 = M_inc.astype(float) @ GU
-    S1 = (M_inc * (F[:, inc] - w[inc][None, :])) @ GU
-    gains = theta * (S1 - w[:, None] * S0) - t[inc][None, :] - U[:, None]
-    excluded = np.ones(n, dtype=bool)
-    excluded[inc] = False
-    gains[excluded] = theta * S1[excluded] / (1.0 + theta * S0[excluded]) - t[inc][None, :]
-    rows = np.arange(n)[inc]
-    gains[rows, np.arange(len(rows))] = 0.0
-    return gains
-
-
-def _gain_matrix(args):
-    """The full gain matrix, assembled from the blocks of ``_gain_blocks``
-    as ``deviation_gains`` assembles it."""
-    n, m = len(args[2]), args[5].shape[0]
-    gains = np.full((n, m), np.nan)
-    for rows, block in verifier._gain_blocks(*args):
-        gains[rows] = block
-    return gains
-
-
-def _one_shot_worst(gains, args):
-    """The worst deviation read off the full gain matrix: its first maximum
-    in row-major order, unless reporting an excluded type, which pays
-    nothing, gains more."""
-    w, t, inc = args[2], args[6], args[7]
-    nodes = np.arange(len(w))[inc]
-    i, j = divmod(int(gains.argmax()), gains.shape[1])
-    worst_gain, worst = float(gains[i, j]), (i, int(nodes[j]))
-    exc_gain = -(w[inc] - t[inc])
-    if len(nodes) < len(w) and exc_gain.max() > worst_gain:
-        excluded = np.setdiff1d(np.arange(len(w)), nodes)
-        worst_gain, worst = float(exc_gain.max()), (int(nodes[exc_gain.argmax()]),
-                                                    int(excluded[-1]))
-    return worst_gain, worst
-
-
 def _assert_matches_two_products(args):
-    gains = _gain_matrix(args)
-    reference = _two_product_gains(*args)
+    """The scan's worst deviation is the two-product reference's: the same
+    pair, and the same gain within 1e-12 of the gains' scale."""
+    reference = two_product_gains(*args)
     scale = np.max(np.abs(reference))
-    assert np.max(np.abs(gains - reference)) <= 1e-12 * scale
-    assert gains.argmax() == reference.argmax()
     worst_gain, worst = verifier._incentive_gains(*args)
-    reference_gain, reference_worst = _one_shot_worst(reference, args)
+    reference_gain, reference_worst = one_shot_worst(reference, args)
     assert abs(worst_gain - reference_gain) <= 1e-12 * scale
     assert worst == reference_worst
 
@@ -267,11 +221,45 @@ def test_blocked_worst_deviation_keeps_argmax_ties_and_nans(monkeypatch):
     assert np.isnan(gain) and worst == (9, cutoff)
 
 
+def test_blocked_worst_deviation_in_every_kind_of_row(monkeypatch):
+    """Over random markets of 10 types above a cutoff of 6, in four-row
+    blocks, the worst deviation lands in a block of excluded rows, in the
+    excluded and in the included rows of the block the cutoff splits, in a
+    block of included rows, and on an excluded report; the scan finds each."""
+    monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
+    n, cutoff = 10, 6
+    kinds = set()
+    for seed in range(40):
+        args = _random_gain_args(n, cutoff, seed)
+        _assert_matches_two_products(args)
+        i, j = one_shot_worst(two_product_gains(*args), args)[1]
+        if j < cutoff:
+            kinds.add("excluded report")
+        else:
+            split = "split " if i // _ROWS == cutoff // _ROWS else ""
+            kinds.add(split + ("excluded row" if i < cutoff else "included row"))
+    assert kinds == {"excluded row", "split excluded row", "split included row",
+                     "included row", "excluded report"}
+
+
 def test_blocked_gains_at_the_default_block_size():
     """300 true types take two blocks of the default size, the cutoff of 100
-    inside the first; the reference is one product."""
-    assert verifier._GAIN_ROWS < 300
-    _assert_matches_two_products(_random_gain_args(300, 100, 11))
+    inside the first; a cutoff of 999 on 1000 leaves one included row in a
+    block of excluded rows.  The reference is one product."""
+    for n, cutoff in ((300, 100), (1000, 999)):
+        assert verifier._GAIN_ROWS < n and cutoff % verifier._GAIN_ROWS
+        _assert_matches_two_products(_random_gain_args(n, cutoff, 11))
+
+
+@pytest.mark.parametrize("cutoff", ["auto", 999])
+def test_fused_gains_match_two_products_on_designed_platforms(params, f_xy, cutoff):
+    """The designed n = 1000 platform that the benchmark verifies: ``auto``
+    puts the cutoff at 500, inside the block of rows 256 to 511, and a
+    cutoff of 999 leaves one included row in a block of excluded rows."""
+    designed = design(make_grid(1000), f_xy, params, cutoff=cutoff)
+    k = designed.platform.cutoff
+    assert k == {"auto": 500, 999: 999}[cutoff] and k % verifier._GAIN_ROWS
+    _assert_matches_two_products(gain_args(designed.platform, f_xy, params, designed.dse))
 
 
 # ---------------------------------------------------------------------------

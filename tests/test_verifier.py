@@ -26,9 +26,10 @@ from matchlab.verifier import (
     IR_TOL,
     RENT_TOL,
     AuditReport,
-    deviation_gains,
     masked_config_ic,
 )
+
+from conftest import gain_args, one_shot_worst, two_product_gains
 
 
 @pytest.fixture
@@ -41,6 +42,19 @@ def designed(params, f_xy):
 # ---------------------------------------------------------------------------
 # deviation values
 # ---------------------------------------------------------------------------
+
+
+def _reference_gains(platform, f, params, dse):
+    """The full gain matrix of a platform by the two-product reference, after
+    checking that the incentive scan finds its worst deviation: the same pair,
+    and the same gain within 1e-12 of the gains' scale."""
+    args = gain_args(platform, f, params, dse)
+    gains = two_product_gains(*args)
+    worst_gain, worst = verifier._incentive_gains(*args)
+    reference_gain, reference_worst = one_shot_worst(gains, args)
+    assert worst == reference_worst
+    assert abs(worst_gain - reference_gain) <= 1e-12 * np.max(np.abs(gains))
+    return gains
 
 
 def test_excluded_report_worth_nothing(params, f_xy):
@@ -73,7 +87,7 @@ def test_misreport_four_node_hand_value(params, f_xy):
     w_i, w_j = coeff * x[i] ** 2, coeff * x[j] ** 2
     assert f_ij - w_i - w_j >= 0  # the pair is mutually acceptable
     hand = params.theta * (1.0 / 3.0) * (f_ij - w_i - w_j)
-    gains = deviation_gains(platform, f_xy, params, st)
+    gains = _reference_gains(platform, f_xy, params, st)
     assert gains[i, j] == pytest.approx(hand - w_i, abs=1e-15)
 
 
@@ -83,7 +97,7 @@ def test_misreport_single_crossing(designed, params, f_xy):
     truthful payoff whole rows, so neither moves the differences)."""
     platform, st = designed.platform, designed.dse
     k = platform.cutoff
-    W = deviation_gains(platform, f_xy, params, st)[k:, :]
+    W = _reference_gains(platform, f_xy, params, st)[k:, :]
     M = st.M[k:, k:]
     for j in range(W.shape[1] - 1):
         reachable = M[:, j] & M[:, j + 1]
@@ -136,9 +150,13 @@ def test_audit_is_pure(designed, params, f_xy):
 
 
 def test_diagonal_of_gain_matrix_is_zero(designed, params, f_xy):
-    gains = deviation_gains(designed.platform, f_xy, params, designed.dse)
+    """Truthful reports gain exactly zero, so on the designed platform, where
+    no misreport gains, the scan's worst is the first truthful report."""
+    gains = _reference_gains(designed.platform, f_xy, params, designed.dse)
     k = designed.platform.cutoff
     assert np.all(np.diagonal(gains[k:, :]) == 0.0)
+    args = gain_args(designed.platform, f_xy, params, designed.dse)
+    assert verifier._incentive_gains(*args) == (0.0, (k, k))
 
 
 def test_row_smoothness_values(params, f_xy):
