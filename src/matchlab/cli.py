@@ -21,7 +21,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-import numpy as np
+# ``--jobs`` worker processes are matchlab's one parallelism, so each process
+# runs BLAS on one thread: OpenBLAS's extra thread busy-waits after every call
+# and competes with the workers.  This must precede the first numpy import; a
+# count the user set in any of the three variables is left as it is, and the
+# workers inherit the setting.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .core import (
@@ -469,8 +478,14 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     _write_json(os.path.join(outdir, "audit.json"), payload)
-    # record the audited rates, so verifying a directory in place keeps them
-    _write_manifest(replace(cfg, rho=params.rho, alpha=params.alpha, r=params.r), outdir)
+    # record the audited rates and, in place, keep the build's requests, so
+    # verifying a directory in place leaves its account of the build as it was
+    kept = {}
+    if os.path.realpath(outdir) == os.path.realpath(target):
+        kept = {key: manifest[key] for key in ("n_request", "cutoff_request", "platform_source")
+                if key in manifest}
+    _write_manifest(replace(cfg, rho=params.rho, alpha=params.alpha, r=params.r), outdir,
+                    extra=kept)
     return 0 if certified else 1
 
 

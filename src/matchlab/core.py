@@ -335,10 +335,6 @@ class Platform:
         object.__setattr__(self, "transfers", transfers)
 
     @property
-    def included(self) -> np.ndarray:
-        return np.arange(self.cutoff, self.grid.n)
-
-    @property
     def x_tilde(self) -> float:
         """Type value of the lowest included node."""
         return float(self.grid.nodes[self.cutoff])

