@@ -478,12 +478,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "seed": cfg.seed,
     }
     _write_json(os.path.join(outdir, "audit.json"), payload)
-    # record the audited rates and, in place, keep the build's requests, so
-    # verifying a directory in place leaves its account of the build as it was
-    kept = {}
+    # record the audited rates and the build's requests, so the manifest says
+    # how the audited platform was built; in place it keeps its source too
+    keys = ("n_request", "cutoff_request")
     if os.path.realpath(outdir) == os.path.realpath(target):
-        kept = {key: manifest[key] for key in ("n_request", "cutoff_request", "platform_source")
-                if key in manifest}
+        keys += ("platform_source",)
+    kept = {key: manifest[key] for key in keys if key in manifest}
     _write_manifest(replace(cfg, rho=params.rho, alpha=params.alpha, r=params.r), outdir,
                     extra=kept)
     return 0 if certified else 1

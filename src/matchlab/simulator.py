@@ -1,24 +1,28 @@
 """Event-driven continuous-time simulation of search on a platform.
 
-Two aggregate exponential clocks drive a replication: pair-meeting calls at
-rate ``rho / 2`` per included agent and divorces at rate ``alpha`` per
-standing match.  A meeting call picks a caller uniformly over all included
-agents; a matched caller misses the call.  An unmatched caller draws a
-partner node from their kernel row and meets a uniform *unmatched* agent of
-that node (the caller never meets itself); the meeting fails when no such
-agent exists.  The match forms exactly when output covers both reservation
-wages.  Drawing partners from the unmatched pool is what makes the per-node
-steady state solve the flow-balance condition ``alpha (1 - u) = rho u`` on
-assortative platforms exactly, with no population-size bias; an availability
-lottery over all agents would instead equate divorce inflow with a
-quadratic-in-``u`` outflow.
+Two aggregate exponential clocks drive a replication: meeting calls at rate
+``rho / 2`` per unmatched agent and divorces at rate ``alpha`` per standing
+match.  Only unmatched agents search, so a meeting call picks its caller
+uniformly over the unmatched agents.  (A call drawn over all agents would
+leave the state as it is whenever it fell on a matched agent; dropping such
+null events changes neither the chain's generator nor the distribution of
+any statistic, Gillespie 1977.)  The caller draws a partner node from their
+kernel row and meets a uniform *unmatched* agent of that node (the caller
+never meets itself); the meeting fails when no such agent exists.  The
+match forms exactly when output covers both reservation wages.  Drawing
+partners from the unmatched pool is what makes the per-node steady state
+solve the flow-balance condition ``alpha (1 - u) = rho u`` on assortative
+platforms exactly, with no population-size bias; an availability lottery
+over all agents would instead equate divorce inflow with a quadratic-in-``u``
+outflow.
 
 While matched, an agent of node ``i`` paired with node ``j`` accrues flow
 ``(f(x_i, x_j) + w_i - w_j) / 2``; unmatched agents accrue nothing.
-Statistics are collected after ``burn_in``: time-weighted unmatched
-fractions per node, tallies, and the discounted payoff
-``r * integral e^{-r (t - burn_in)} flow dt`` per agent, averaged per node in
-two ways:
+Statistics are collected after ``burn_in``: per-node unmatched fractions
+(one less the node's matched agent-time over its agent-time, the matched
+time summed over the match spans inside the window), tallies, and the
+discounted payoff ``r * integral e^{-r (t - burn_in)} flow dt`` per agent,
+averaged per node in two ways:
 
 * over every agent of the node (``mean_discounted_payoff_by_node``).  The
   agents start ``burn_in`` from the stationary mix, so this estimates the
@@ -41,16 +45,17 @@ Replications run on seeds spawned from the master seed via
 generator, so they may run in worker processes (``simulate(..., jobs=N)``);
 their results are merged in replication order, never in completion order.
 Identical seed and config reproduce the event stream and every statistic
-bit for bit, for any number of workers.  Each replication takes its
-draws from its own generator in blocks of 65 536: standard exponentials for
-the waiting times, uniforms for the event type, the partner node and the
-partner within that node's pool.  A block is refilled exactly when a draw
-finds it spent, so the sequence of block requests follows the events.  That
-order, and the floating-point operations that turn draws into events, are
-part of the reproducibility contract: a change to either moves every
-simulation artifact, and ``tests/test_simulator.py`` pins digests of the
-event stream.  (numpy does not promise ``Generator`` streams across its own
-versions, NEP 19.)
+bit for bit, for any number of workers.  Each replication takes its draws
+from its own generator in blocks of 65 536: standard exponentials for the
+waiting times, uniforms for the event type (and with it the caller or the
+dissolving match), the partner node and the partner within that node's
+pool.  A block is refilled exactly when a draw finds it spent, so the
+sequence of block requests follows the events.  That order, and the
+floating-point operations that turn draws into events, are part of the
+reproducibility contract: a change to either moves every simulation
+artifact, and ``tests/test_simulator.py`` pins digests of the event stream.
+(numpy does not promise ``Generator`` streams across its own versions,
+NEP 19.)
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -103,7 +109,11 @@ class SimOutcome:
 
     Standard errors are across replications (zero for a single replication).
     Tallies are totals over all replications and count only the post-burn-in
-    window; every meeting call is tallied once per participant.
+    window.  Meeting calls come from unmatched agents only, and each ends in
+    exactly one failure (no unmatched partner in the drawn node), rejection
+    or match; ``meeting_count`` tallies every call once per participant, so
+    it is ``2 * (match_formation_count + failed_meeting_count +
+    rejected_meeting_count)``.
 
     ``mean_discounted_payoff_by_node`` averages the r-scaled discounted payoff
     over every agent of a node and estimates ``(1 - u_i)`` times the mean
@@ -154,7 +164,7 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
     Fb = f.values(grid)[k:, k:]
     wb = w[k:]
     accept = acceptance(Fb, wb)
-    flow = 0.5 * (Fb + wb[:, None] - wb[None, :])
+    flow = 0.5 * (Fb + (wb[:, None] - wb[None, :]))
     accept_rows = [row.tolist() for row in accept]
     flow_rows = [row.tolist() for row in flow]
 
@@ -246,28 +256,36 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
     exp = math.exp
 
     node_of = [a // apn for a in range(n_agents)]
-    # the unmatched agents of each node, and each agent's place in its pool
-    # (-1 while matched)
+    # the unmatched agents, all of them and per node, with each agent's place
+    # in both lists (stale while matched); a removal moves the last entry
+    # into the freed slot
+    free = list(range(n_agents))
+    free_pos = list(range(n_agents))
     pools = [list(range(nd * apn, (nd + 1) * apn)) for nd in range(m)]
     pos = list(range(apn)) * m
-    # standing matches as (a, b, start, flow of a, flow of b); a divorce
-    # moves the last match into the dissolved one's slot
+    # standing matches as (a, b, node of a, node of b, start, flow of a,
+    # flow of b); a divorce moves the last match into the dissolved one's slot
     pairs: list = []
 
-    # per-node unmatched time, accrued whenever a node's pool changes size,
-    # and per-agent discounted flow, accrued when a match dissolves
-    utime = [0.0] * m
-    ulast = [0.0] * m
+    # per-node matched agent-time and per-agent discounted flow inside the
+    # window, accrued when a match dissolves or the horizon cuts it
+    matched = [0.0] * m
     payoff = [0.0] * n_agents
 
     # buffered draws: a block is refilled exactly when a draw finds it spent
-    uniforms = exps = None
-    iu = ie = _BLOCK
+    uniform = chain.from_iterable(map(_uniform_block, repeat(rng))).__next__
+    exponential = chain.from_iterable(map(_exponential_block, repeat(rng))).__next__
+
+    # unmatched agents call at rate rho / 2 each, and n_agents - 2 * n_matches
+    # of them are unmatched, so both rates are tables over the match count
+    half_rho = 0.5 * rho
+    rate_meet_of = [half_rho * (n_agents - 2 * k) for k in range(n_agents // 2 + 1)]
+    total_rate_of = [rate + alpha * k for k, rate in enumerate(rate_meet_of)]
 
     matches = divorces = failed = rejected = 0
     n_matches = 0
-    rate_meet = 0.5 * rho * n_agents
-    total_rate = rate_meet + alpha * n_matches
+    rate_meet = rate_meet_of[0]
+    total_rate = total_rate_of[0]
     t = 0.0
     # the loop first runs to burn-in, where it records who is unmatched, and
     # then to the horizon; one comparison per event serves both stops
@@ -275,18 +293,13 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
     unmatched_at_burn = None
 
     while True:
-        if ie == _BLOCK:
-            exps = rng.standard_exponential(_BLOCK).tolist()
-            ie = 0
-        t += exps[ie] / total_rate
-        ie += 1
+        t += exponential() / total_rate
         if t >= stop:
             if unmatched_at_burn is None:
-                # statistics cover [burn_in, horizon]: drop the unmatched time
-                # accrued so far and count tallies from here on
-                unmatched_at_burn = [p >= 0 for p in pos]
-                utime = [0.0] * m
-                ulast = [burn] * m
+                # statistics cover [burn_in, horizon]: count tallies from here on
+                unmatched_at_burn = [False] * n_agents
+                for a in free:
+                    unmatched_at_burn[a] = True
                 at_burn = (matches, divorces, failed, rejected)
                 stop = T
             if t >= T:
@@ -294,31 +307,18 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
 
         # one uniform selects the event type; its conditional remainder is
         # itself uniform and reused to pick the caller / the dissolving match
-        if iu == _BLOCK:
-            uniforms = rng.random(_BLOCK).tolist()
-            iu = 0
-        v = uniforms[iu] * total_rate
-        iu += 1
+        v = uniform() * total_rate
         if v < rate_meet:
-            caller = int(v / rate_meet * n_agents)
-            if caller >= n_agents:  # guards the one-ulp rounding corner
-                caller = n_agents - 1
-            p_caller = pos[caller]
-            if p_caller < 0:
-                failed += 1
-                if log is not None:
-                    log.append((t, "miss", caller, -1))
-                continue
+            i_caller = int(v / half_rho)
+            if i_caller >= len(free):  # guards the one-ulp rounding corner
+                i_caller = len(free) - 1
+            caller = free[i_caller]
             ni = node_of[caller]
             if identity_kernel:
                 nj = ni
             else:
-                if iu == _BLOCK:
-                    uniforms = rng.random(_BLOCK).tolist()
-                    iu = 0
                 cum = cum_rows[ni]
-                nj = bisect_left(cum, uniforms[iu] * cum[-1])
-                iu += 1
+                nj = bisect_left(cum, uniform() * cum[-1])
                 if nj >= m:
                     nj = m - 1
             pool = pools[nj]
@@ -328,11 +328,8 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
                 if log is not None:
                     log.append((t, "fail", caller, -1))
                 continue
-            if iu == _BLOCK:
-                uniforms = rng.random(_BLOCK).tolist()
-                iu = 0
-            idx = int(uniforms[iu] * avail)
-            iu += 1
+            p_caller = pos[caller]
+            idx = int(uniform() * avail)
             if nj == ni and idx >= p_caller:
                 idx += 1
             other = pool[idx]
@@ -341,73 +338,75 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
                 if log is not None:
                     log.append((t, "reject", caller, other))
                 continue
-            # match forms: accrue unmatched time at the old pool sizes, then
-            # take both agents out of their pools
+            # match forms: take both agents out of their pools and the free list
             pool_i = pools[ni]
-            utime[ni] += len(pool_i) * (t - ulast[ni])
-            ulast[ni] = t
-            if nj != ni:
-                utime[nj] += len(pool) * (t - ulast[nj])
-                ulast[nj] = t
             last = pool_i.pop()
             if last != caller:
                 pool_i[p_caller] = last
                 pos[last] = p_caller
-            pos[caller] = -1
             p = pos[other]
             last = pool.pop()
             if last != other:
                 pool[p] = last
                 pos[last] = p
-            pos[other] = -1
-            pairs.append((caller, other, t, flow_rows[ni][nj], flow_rows[nj][ni]))
+            last = free.pop()
+            if last != caller:
+                free[i_caller] = last
+                free_pos[last] = i_caller
+            p = free_pos[other]
+            last = free.pop()
+            if last != other:
+                free[p] = last
+                free_pos[last] = p
+            pairs.append((caller, other, ni, nj, t, flow_rows[ni][nj], flow_rows[nj][ni]))
             n_matches += 1
-            total_rate = rate_meet + alpha * n_matches
+            rate_meet = rate_meet_of[n_matches]
+            total_rate = total_rate_of[n_matches]
             matches += 1
             if log is not None:
                 log.append((t, "match", caller, other))
         else:
-            idx = int((v - rate_meet) / (total_rate - rate_meet) * n_matches)
+            idx = int((v - rate_meet) / alpha)
             if idx >= n_matches:
                 idx = n_matches - 1
-            a, b, start, flow_a, flow_b = pairs[idx]
+            a, b, na, nb, start, flow_a, flow_b = pairs[idx]
             pairs[idx] = pairs[-1]
             pairs.pop()
             n_matches -= 1
-            total_rate = rate_meet + alpha * n_matches
+            rate_meet = rate_meet_of[n_matches]
+            total_rate = total_rate_of[n_matches]
             lo = start if start > burn else burn
             if t > lo:
                 span = exp(-r * (lo - burn)) - exp(-r * (t - burn))
                 payoff[a] += flow_a * span / r
                 payoff[b] += flow_b * span / r
-            # accrue unmatched time at the old pool sizes, then return both
-            # agents to their pools
-            na, nb = node_of[a], node_of[b]
+                matched[na] += t - lo
+                matched[nb] += t - lo
+            # both agents return to their pools and the free list
             pool = pools[na]
-            utime[na] += len(pool) * (t - ulast[na])
-            ulast[na] = t
             pos[a] = len(pool)
             pool.append(a)
-            if nb != na:
-                pool = pools[nb]
-                utime[nb] += len(pool) * (t - ulast[nb])
-                ulast[nb] = t
+            pool = pools[nb]
             pos[b] = len(pool)
             pool.append(b)
+            free_pos[a] = len(free)
+            free.append(a)
+            free_pos[b] = len(free)
+            free.append(b)
             divorces += 1
             if log is not None:
                 log.append((t, "divorce", a, b))
 
-    for nd in range(m):
-        utime[nd] += len(pools[nd]) * (T - ulast[nd])
-    for a, b, start, flow_a, flow_b in pairs:
+    for a, b, na, nb, start, flow_a, flow_b in pairs:
         lo = start if start > burn else burn
         span = exp(-r * (lo - burn)) - exp(-r * (T - burn))
         payoff[a] += flow_a * span / r
         payoff[b] += flow_b * span / r
+        matched[na] += T - lo
+        matched[nb] += T - lo
 
     window = T - burn
-    rep_u = np.array(utime) / (apn * window)
+    rep_u = 1.0 - np.array(matched) / (apn * window)
     pay = np.array(payoff).reshape(m, apn)
     rep_pay = r * pay.mean(axis=1)
     searching = np.array(unmatched_at_burn).reshape(m, apn)
@@ -418,11 +417,19 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
     matches, divorces, failed, rejected = (
         matches - at_burn[0], divorces - at_burn[1],
         failed - at_burn[2], rejected - at_burn[3])
-    # every meeting call ends in exactly one miss, failure, rejection or
-    # match, and is tallied once per participant
+    # every call of an unmatched agent ends in exactly one failure, rejection
+    # or match, and is tallied once per participant
     meetings = 2 * (matches + failed + rejected)
     return rep_u, rep_pay, rep_search, np.array(
         [matches, divorces, meetings, failed, rejected], dtype=np.int64), log or []
+
+
+def _uniform_block(rng):
+    return rng.random(_BLOCK).tolist()
+
+
+def _exponential_block(rng):
+    return rng.standard_exponential(_BLOCK).tolist()
 
 
 def pooled_deviations(mean, se, target) -> np.ndarray:

@@ -1,10 +1,16 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import matchlab
 from matchlab import ProductionFunction, SearchParams
 from matchlab.core import format_float
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @pytest.fixture
@@ -136,3 +142,17 @@ def write_table(path, damage=None):
             "header-only": []}[damage]
     path.write_text(reference_csv("i,j,f", rows))
     return str(path)
+
+
+def fresh_python(code, **env):
+    """Run ``code`` in a new interpreter whose environment has none of the
+    BLAS thread variables, plus ``env``, and which imports from matchlab's
+    source and this test directory; returns its stdout."""
+    src = os.path.dirname(os.path.dirname(matchlab.__file__))
+    base = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**base, **env})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

@@ -2,26 +2,13 @@
 
 import os
 import re
-import subprocess
-import sys
 
 import matchlab
 from matchlab import cli, core, designer, simulator, solver, verifier
 
+from conftest import BLAS_THREAD_VARS, fresh_python
+
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def fresh_python(code, **env):
-    """Run ``code`` in a new interpreter whose environment has none of the
-    BLAS thread variables, plus ``env``; returns its stdout."""
-    src = os.path.dirname(os.path.dirname(matchlab.__file__))
-    base = {key: value for key, value in os.environ.items() if key not in BLAS_THREAD_VARS}
-    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**base, **env})
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_public_names_resolve():

@@ -485,6 +485,17 @@ def test_verify_in_place_keeps_the_build_requests(tmp_path, platform):
         assert "command=verify" in (d / "manifest.txt").read_text().splitlines()
 
 
+def test_verify_elsewhere_copies_the_build_requests(tmp_path):
+    """Verifying into a fresh directory records the audited build's
+    ``n_request`` and ``cutoff_request``, and the audited directory as its
+    platform source."""
+    d, v = tmp_path / "d", tmp_path / "v"
+    assert main(["design", "--n", "40", "--cutoff", "auto", "--out", str(d)]) == 0
+    assert main(["verify", "--platform", str(d), "--out", str(v)]) == 0
+    assert _manifest_lines(v, ("n_request", "cutoff_request", "platform_source")) == [
+        "cutoff_request=auto", "n_request=40", f"platform_source={d}"]
+
+
 def test_verify_flags_corrupted_transfers(tmp_path):
     d = tmp_path / "d"
     assert main(["design", "--n", "100", "--cutoff", "0.5", "--out", str(d)]) == 0
@@ -919,7 +930,7 @@ def test_simulate_csvs_golden(tmp_path):
                        SimConfig(agents_per_node=20, horizon=15.0, burn_in=1.0, seed=11,
                                  replications=2, collect_events=True))
     kinds = {kind for _, kind, _, _ in outcome.event_log}
-    assert {"miss", "match", "divorce"} <= kinds
+    assert {"fail", "match", "divorce"} <= kinds and "miss" not in kinds
     assert (out / "sim.csv").read_text() == reference_csv(
         "i,x,u_hat,se_u,payoff_hat,se_payoff",
         zip(range(4), g.nodes, outcome.unmatched_fraction_by_node,

@@ -17,6 +17,7 @@ from matchlab import (
     simulate,
     solve_dse,
 )
+from matchlab import simulator
 
 from conftest import mixture_kernel, search_value
 
@@ -135,18 +136,65 @@ def test_every_available_meeting_matches_when_output_is_free(fast_params):
 
 
 def test_meeting_tally_matches_call_rate(fast_params, f_xy):
+    """Only unmatched agents call, each at rate rho / 2, and a call is tallied
+    once per participant: the tally over the unmatched agent-time estimates
+    rho."""
     g = make_grid(4)
     platform = first_best_platform(g, 0)
     w = solve_dse(platform, f_xy, fast_params).w
     cfg = small_cfg(agents_per_node=50, horizon=60.0, burn_in=2.0,
                     replications=4, collect_events=False)
     out = simulate(platform, f_xy, fast_params, w, cfg)
-    n_agents = 4 * 50
     window = cfg.horizon - cfg.burn_in
-    rate = out.meeting_count / (n_agents * window * cfg.replications)
+    exposure = (cfg.agents_per_node * window * cfg.replications
+                * np.sum(out.unmatched_fraction_by_node))
+    rate = out.meeting_count / exposure
     # the tally is two per Poisson call event
-    se = 2.0 * np.sqrt(out.meeting_count / 2.0) / (n_agents * window * cfg.replications)
+    se = 2.0 * np.sqrt(out.meeting_count / 2.0) / exposure
     assert abs(rate - fast_params.rho) <= 3.0 * se
+
+
+def test_every_call_ends_in_a_failure_rejection_or_match(f_xy):
+    """Every simulated meeting call comes from an unmatched agent and ends in
+    exactly one failure, rejection or match; no event leaves the state as it
+    was, so the log holds no miss."""
+    params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    platform = glitch(first_best_platform(make_grid(5), 0), 0.3)
+    w = solve_dse(platform, f_xy, params).w
+    cfg = small_cfg(agents_per_node=21, horizon=150.0, burn_in=0.0, seed=5)
+    out = simulate(platform, f_xy, params, w, cfg)
+    kinds = [event[1] for event in out.event_log]
+    assert set(kinds) == {"fail", "reject", "match", "divorce"}
+    assert out.meeting_count == 2 * (out.match_formation_count + out.failed_meeting_count
+                                     + out.rejected_meeting_count)
+    # with no burn-in the log and the tallies count the same events
+    assert kinds.count("match") == out.match_formation_count
+    assert kinds.count("fail") == out.failed_meeting_count
+    assert kinds.count("reject") == out.rejected_meeting_count
+    assert kinds.count("divorce") == out.divorce_count
+
+
+def test_own_type_match_flow_is_half_the_output(monkeypatch, f_xy):
+    """An agent matched with its own type earns exactly f(x, x) / 2: the
+    wages cancel before they meet the output, so the diagonal of the flow
+    table carries no rounding."""
+    captured = []
+    run = simulator._run_replication
+
+    def recording(m, cum_rows, accept_rows, flow_rows, *rest):
+        captured.append(flow_rows)
+        return run(m, cum_rows, accept_rows, flow_rows, *rest)
+
+    monkeypatch.setattr(simulator, "_run_replication", recording)
+    params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    g = make_grid(10)
+    platform = glitch(first_best_platform(g, 0), 0.5)
+    w = solve_dse(platform, f_xy, params).w
+    assert np.all(w > 0)
+    simulate(platform, f_xy, params, w,
+             small_cfg(agents_per_node=2, horizon=150.0, replications=1, collect_events=False))
+    F = f_xy.values(g)
+    assert [row[i] for i, row in enumerate(captured[0])] == (0.5 * np.diag(F)).tolist()
 
 
 def test_unmatched_fraction_draws_toward_balance(f_xy):
@@ -280,7 +328,7 @@ def _golden_runs():
     yield ("mixture", mixture, reference,
            small_cfg(agents_per_node=15, horizon=160.0, burn_in=20.0, seed=9))
     yield ("refill", glitch(first_best_platform(make_grid(3), 0), 0.5), fast,
-           small_cfg(agents_per_node=20, horizon=2000.0, burn_in=10.0, seed=13,
+           small_cfg(agents_per_node=20, horizon=4000.0, burn_in=10.0, seed=13,
                      replications=1, collect_events=False))
 
 
@@ -298,14 +346,14 @@ def _outcome_digest(out):
 # (event log, outcome) digests per run: a run that moves them would also
 # move every stored simulation artifact
 GOLDEN = {
-    "identity": ("7000770400a362864f4f00da70b3527a6da4e04dcca24ded67dc53f7010ec7f6",
-                 "97f2053d8cd2559fdaf8942d9b26bafb7a4de279137f12201dc22def2b064c1f"),
-    "glitch0.3": ("bf1b5e5143b8964572b51d230decd82f3973cb7396cdf8e8c2d98ac8b9d8803b",
-                  "54af955682635a9559b1306461667fae7186ea950723e571a7f18257093e6482"),
-    "mixture": ("f58e5cac89146b1e5908920b7d091e8e7b5a887b1104f459a3ab38f561734f18",
-                "2e61f26dd828d55c58afa609e8c7d2df7584bfad26172978cf798433925fa684"),
+    "identity": ("951c3ea15fc25f07632e008593dd700ae88c9670b31099a21f62f39ef1b2639b",
+                 "705b74b169e46ef79951322e26dd6a6967bb590197129e6b83caac3179e7c08a"),
+    "glitch0.3": ("4f2239f4579858ecefa6dae60009b91e72ec664217ba8ccf39c254e8a06b326a",
+                  "a432bcc2264dd2c1c9433a6128935b1062ea887b36cbe66727f266229e712c46"),
+    "mixture": ("0bf0ed691fc89dce1fb86023a3fe6ed38a89f14518c210384644ce62f923ecd1",
+                "ed619e85893566335543fcb3a0032c3c544b55a018d6473aa6623a9d3062e8be"),
     "refill": ("2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
-               "cd47d2c02c0b1bcf1df77e5006d9a3330e104835039f4a1f6595da23d0815701"),
+               "45e1b2b54982f1d030813184be63c45c4c5f9af8925147e882292dcf2e273abc"),
 }
 
 
@@ -322,8 +370,22 @@ def test_event_stream_matches_golden_digests(f_xy):
         seen[name] = (hashlib.sha256(repr(out.event_log).encode()).hexdigest(),
                       _outcome_digest(out))
         kinds |= {event[1] for event in out.event_log}
-    assert kinds == {"miss", "fail", "reject", "match", "divorce"}
+    assert kinds == {"fail", "reject", "match", "divorce"}
     assert seen == GOLDEN
+
+
+def test_refill_run_refills_both_blocks(monkeypatch, f_xy):
+    """The golden ``refill`` run draws past the first block of exponentials
+    and of uniforms, so its digest pins the draws of a refilled block."""
+    fetched = []
+    for name in ("_uniform_block", "_exponential_block"):
+        draw = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name,
+                            lambda rng, draw=draw, name=name: fetched.append(name) or draw(rng))
+    _, platform, params, cfg = next(run for run in _golden_runs() if run[0] == "refill")
+    simulate(platform, f_xy, params, solve_dse(platform, f_xy, params).w, cfg)
+    assert fetched.count("_uniform_block") >= 2
+    assert fetched.count("_exponential_block") >= 2
 
 
 @pytest.mark.parametrize("name, replications", [

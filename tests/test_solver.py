@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pickle
 
 import numpy as np
@@ -23,7 +24,7 @@ from matchlab import (
 from matchlab import solver
 from matchlab.core import acceptance
 
-from conftest import cubic_production, mixture_kernel
+from conftest import cubic_production, fresh_python, mixture_kernel
 
 
 def uniform_platform(n):
@@ -402,15 +403,15 @@ def _state_digest(state):
 
 
 # SHA-256 of (w, u, packbits(M), residuals, sweeps) of dense solves at the
-# reference rates, with every policy-step solve on the LU: a change to any
-# floating-point operation of the dense sweep or the LU policy step, or to
-# the equilibrium it selects, shows up here.  Policy iteration certifies
-# the glitched solves; on the mixture kernel it hands over, so that digest
-# pins the damped loop
+# reference rates on one BLAS thread, with every policy-step solve on the LU:
+# a change to any floating-point operation of the dense sweep or the LU
+# policy step, or to the equilibrium it selects, shows up here.  Policy
+# iteration certifies the glitched solves; on the mixture kernel it hands
+# over, so that digest pins the damped loop
 GOLDEN_DENSE = {
-    "glitch0.5": "77234d95fa23469cd1b4bd6a6ecb0b71e8607dc452668fb6fda41cc454bcec49",
-    "glitch0.01": "8e07b87c2a83d81f72aa1116951d05d470afff58d20fa0d6451c72755594d23c",
-    "mixture300": "660690c77bfd354a04100e96da55416aa7c2559f47cf0508482840bf6955f227",
+    "glitch0.5": "481cc6155280d2b4243edc9433c1133f03caed9c7fe9752f7f7ca52dda852213",
+    "glitch0.01": "360db57a0b0a78ad2086388557a5ed526727e5ba73f35b84a7dd37b773d49ece",
+    "mixture300": "03c0ccdcf1641e810cfe31f329412a3361339f47881094313ec143795ab704f1",
 }
 # the same solves on the default path, conjugate gradients in the policy
 # steps: the glitched states move in the last bits of w and u, with the
@@ -418,27 +419,39 @@ GOLDEN_DENSE = {
 GOLDEN_PCG = {
     "glitch0.5": "948fbb5215be4f25082f73c1aa07d1e34bde61adfced7da0bfd4a0056587158b",
     "glitch0.01": "df25958bbc90c7711022d60aaa8ab6c9cc6d4b01b7cadd9c8095e7354ff41ec7",
-    "mixture300": "660690c77bfd354a04100e96da55416aa7c2559f47cf0508482840bf6955f227",
+    "mixture300": "03c0ccdcf1641e810cfe31f329412a3361339f47881094313ec143795ab704f1",
 }
 
 
-def test_dense_solves_match_golden_digests(params, f_xy):
-    """The dense solves return the same bits from run to run, on the default
-    conjugate-gradient path and on the LU fallback alike.  The digests were
-    taken under numpy 2.4.6 with its bundled OpenBLAS 0.3.31 on an x86-64
-    Intel Xeon; LU, dot and matrix-product bits can differ under another
-    BLAS build or CPU kernel, which may move them."""
+def golden_digests():
+    """Digests of the golden dense solves at the reference rates, on the
+    default conjugate-gradient path and on the LU fallback."""
+    params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    f = ProductionFunction.multiplicative()
     platforms = {
         "glitch0.5": glitch(first_best_platform(make_grid(200), 0), 0.5),
         "glitch0.01": glitch(first_best_platform(make_grid(200), 0), 0.01),
         "mixture300": mixture_platform(300, 0.3, 0.3),
     }
-    seen = {name: _state_digest(solve_dse(platform, f_xy, params))
-            for name, platform in platforms.items()}
-    assert seen == GOLDEN_PCG
-    seen = {name: _state_digest(lu_solve(platform, f_xy, params))
-            for name, platform in platforms.items()}
-    assert seen == GOLDEN_DENSE
+    return tuple({name: _state_digest(solve(platform, f, params))
+                  for name, platform in platforms.items()}
+                 for solve in (solve_dse, lu_solve))
+
+
+def test_dense_solves_match_golden_digests():
+    """The dense solves return the same bits from run to run, on the default
+    conjugate-gradient path and on the LU fallback alike.  They run in a
+    fresh interpreter that imports ``matchlab.cli`` first, so BLAS runs on
+    the CLI's one thread whatever thread count this process started with:
+    one-thread and threaded OpenBLAS round the mixture solve differently.
+    The digests were taken under numpy 2.4.6 with its bundled OpenBLAS
+    0.3.31 on an x86-64 Intel Xeon; LU, dot and matrix-product bits can
+    differ under another BLAS build or CPU kernel, which may move them."""
+    out = fresh_python("import json, matchlab.cli, test_solver\n"
+                       "print(json.dumps(test_solver.golden_digests()))")
+    pcg, dense = json.loads(out)
+    assert pcg == GOLDEN_PCG
+    assert dense == GOLDEN_DENSE
 
 
 def _solve_both_ways(platform, f, params):
