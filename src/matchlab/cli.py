@@ -458,7 +458,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
             raise ValueError(f"{dse_path}: wages w and densities u must be finite")
 
     # the residuals are unknown until audit() recomputes them from w, u and M
-    state = DSEState(w=w, u=u, M=acceptance(production.values(grid), w),
+    state = DSEState(w=w, u=u, M=acceptance(production, w, grid),
                      bellman_residual=float("nan"), balance_residual=float("nan"))
 
     report = audit(platform, production, params, state)

@@ -241,15 +241,20 @@ class ProductionFunction:
         y = np.asarray(y, dtype=float)
         return (self._interp(x + h, y) - self._interp(x - h, y)) / (2 * h)
 
-    def values(self, grid: TypeGrid) -> np.ndarray:
-        """Matrix of outputs at all node pairs of ``grid``."""
+    def values(self, grid: TypeGrid, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Matrix of outputs at the node pairs of ``grid``: the rows ``rows``
+        and columns ``cols`` (slices or index arrays) of the whole table,
+        which is the default.  Every entry is evaluated on its own, so a block
+        has the bits of the same block of the whole table; the result is a
+        fresh array."""
         x = grid.nodes
-        return np.asarray(self.eval(x[:, None], x[None, :]), dtype=float)
+        return np.asarray(self.eval(x[rows, None], x[None, cols]), dtype=float)
 
-    def dx_values(self, grid: TypeGrid) -> np.ndarray:
-        """Matrix of first-argument derivatives at all node pairs of ``grid``."""
+    def dx_values(self, grid: TypeGrid, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Matrix of first-argument derivatives at the node pairs of
+        ``grid``, rows ``rows`` and columns ``cols`` as in :meth:`values`."""
         x = grid.nodes
-        return np.asarray(self.d_dx(x[:, None], x[None, :]), dtype=float)
+        return np.asarray(self.d_dx(x[rows, None], x[None, cols]), dtype=float)
 
     def _interp(self, x: np.ndarray, y: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
         """Bilinear interpolation on the node lattice, clamped at the edges.
@@ -408,26 +413,53 @@ class DSEState:
 _BLOCK_BYTES = 1 << 20
 
 
-def _row_blocks(nrows: int, ncols: int) -> list[slice]:
-    """Consecutive slices covering ``range(nrows)``, each of as many rows of
-    ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one."""
+def _row_blocks(nrows: int, ncols: int, start: int = 0) -> list[slice]:
+    """Consecutive slices covering ``range(start, nrows)``, each of as many
+    rows of ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one."""
     step = max(1, _BLOCK_BYTES // (8 * max(ncols, 1)))
-    return [slice(start, min(start + step, nrows)) for start in range(0, nrows, step)]
+    return [slice(lo, min(lo + step, nrows)) for lo in range(start, nrows, step)]
 
 
-def acceptance(F: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _accepts(F: np.ndarray, w: np.ndarray, rows: slice, out: np.ndarray | None = None,
+             overwrite: bool = False) -> np.ndarray:
+    """The acceptance rule on the rows ``rows`` of the output table, which
+    ``F`` holds (every column): ``(F - w[rows, None]) - w[None, :] >= 0``.
+    With ``overwrite`` the surplus is built in ``F`` itself."""
+    net = np.subtract(F, w[rows, None], out=F if overwrite else None)
+    net -= w[None, :]
+    return np.greater_equal(net, 0.0, out=out)
+
+
+def acceptance(F, w: np.ndarray, grid: TypeGrid | None = None,
+               held: np.ndarray | None = None) -> np.ndarray:
     """The acceptance sets at wages ``w``: pair ``(i, j)`` matches exactly
     when its output ``F[i, j]`` covers both reservation wages,
     ``F[i, j] - w[i] - w[j] >= 0``; a pair with zero surplus accepts.
 
-    The surplus is built a row block at a time (:func:`_row_blocks`), so no
-    n-by-n float temporary is held; the bits are those of the one-shot
+    ``F`` is the n-by-n output table, or the :class:`ProductionFunction`
+    whose table on ``grid`` it is.  Then each row block of the table is
+    evaluated on its own, except that ``held``, when given, holds the
+    table's included block already (rows and columns from
+    ``n - len(held)`` on), whose entries are taken from it.  The surplus is
+    built a row block at a time (:func:`_row_blocks`), so no n-by-n float
+    array is held; the bits are those of the one-shot
     ``(F - w[:, None]) - w[None, :] >= 0``."""
-    accept = np.empty(F.shape, dtype=bool)
-    for rows in _row_blocks(*F.shape):
-        net = F[rows] - w[rows, None]
-        net -= w[None, :]
-        np.greater_equal(net, 0.0, out=accept[rows])
+    n = len(w)
+    k = n if held is None else n - len(held)
+    accept = np.empty((n, n), dtype=bool)
+    for rows in _row_blocks(k, n) + _row_blocks(n, n, k):
+        if grid is None:
+            block = F[rows]
+        elif rows.start < k:
+            block = F.values(grid, rows)
+        else:
+            block = held[rows.start - k:rows.stop - k]
+            if k:
+                block = np.concatenate((F.values(grid, rows, slice(0, k)), block), axis=1)
+        # a block of the held table is read, not written; an evaluated one
+        # is freed before the next is evaluated
+        _accepts(block, w, rows, out=accept[rows], overwrite=block.base is None)
+        del block
     return accept
 
 

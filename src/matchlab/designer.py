@@ -25,6 +25,7 @@ from .core import (
     ProductionFunction,
     SearchParams,
     TypeGrid,
+    _row_blocks,
 )
 from .solver import diagonal_wage_coefficient, dse_residuals, solve_dse
 
@@ -109,17 +110,21 @@ def misreport_value_slope(platform: Platform, f: ProductionFunction,
     For each included node ``i`` this is
     ``theta * sum_j M_ij (f_x(x_i, x_j) - w'(x_i)) G_ij u_j``
     with an analytic production derivative and a finite-difference wage slope.
-    Zero on excluded nodes.
+    Zero on excluded nodes.  The derivative table is evaluated a row block
+    at a time into the acceptance-masked kernel ``A``, once ``A u`` is taken,
+    so no second m-by-m matrix is held.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     theta = params.theta
-    Fx = f.dx_values(grid)[k:, k:]
     A = np.where(dse.M[k:, k:], platform.kernel, 0.0)
     ub = dse.u[k:]
+    au = A @ ub
+    for rows in _row_blocks(n - k, n - k):
+        A[rows] *= f.dx_values(grid, slice(k + rows.start, k + rows.stop), slice(k, n))
     wprime = _derivative(dse.w[k:], 1.0 / n)
     slope = np.zeros(n)
-    slope[k:] = theta * ((A * Fx) @ ub - wprime * (A @ ub))
+    slope[k:] = theta * (A @ ub - wprime * au)
     return slope
 
 

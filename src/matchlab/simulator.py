@@ -161,7 +161,7 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
         raise ValueError(f"wage vector must have length {n}")
     check_discount_window(params, cfg)
 
-    Fb = f.values(grid)[k:, k:]
+    Fb = f.values(grid, slice(k, n), slice(k, n))
     wb = w[k:]
     accept = acceptance(Fb, wb)
     flow = 0.5 * (Fb + (wb[:, None] - wb[None, :]))
@@ -424,12 +424,14 @@ def _run_replication(m, cum_rows, accept_rows, flow_rows, params, cfg, seed):
         [matches, divorces, meetings, failed, rejected], dtype=np.int64), log or []
 
 
+# a memoryview of a block yields the same Python floats as its tolist(),
+# one at a time, without building a list of _BLOCK of them
 def _uniform_block(rng):
-    return rng.random(_BLOCK).tolist()
+    return memoryview(rng.random(_BLOCK))
 
 
 def _exponential_block(rng):
-    return rng.standard_exponential(_BLOCK).tolist()
+    return memoryview(rng.standard_exponential(_BLOCK))
 
 
 def pooled_deviations(mean, se, target) -> np.ndarray:

@@ -48,6 +48,8 @@ from .core import (
     Platform,
     ProductionFunction,
     SearchParams,
+    _accepts,
+    _row_blocks,
     acceptance,
 )
 
@@ -177,16 +179,20 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     n, k = grid.n, platform.cutoff
     rho, alpha, theta = params.rho, params.alpha, params.theta
 
-    F = f.values(grid)
-    Fb = F[k:, k:]
+    # the closed form reads the outputs f(x_i, x_i) of the included nodes
+    # alone, the loop the included block Fb; the acceptance sets of all node
+    # pairs take the rest of the table a row block at a time
+    xb = grid.nodes[k:]
+    Fb = None
     if platform.is_diagonal:
-        g, fdiag = np.diagonal(platform.kernel), np.diagonal(Fb)
+        g, fdiag = np.diagonal(platform.kernel), np.asarray(f.eval(xb, xb), dtype=float)
         w = diagonal_wage_coefficient(params, g) * fdiag
         u = alpha / (alpha + rho * g)
         au = g * u
         bell = float(np.max(np.abs(w - theta * (fdiag - 2.0 * w) * au)))
         iterations = solves = fallbacks = 0
     else:
+        Fb = f.values(grid, slice(k, n), slice(k, n))
         w0 = np.zeros(n - k) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
         w, u, au, bell, iterations, solves, fallbacks = _iterate(
             platform.kernel, Fb, params, cfg, w0, k)
@@ -217,7 +223,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     u_full = np.ones(n)
     u_full[k:] = u
 
-    return DSEState(w=w_full, u=u_full, M=acceptance(F, w_full),
+    return DSEState(w=w_full, u=u_full, M=acceptance(f, w_full, grid, held=Fb),
                     bellman_residual=bell, balance_residual=balance,
                     iterations=iterations, steady_state_solves=solves,
                     lu_fallbacks=fallbacks)
@@ -437,15 +443,15 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     where the residuals are max-norms over included nodes and the violation
     count covers every node pair whose acceptance flag disagrees with the
     sign of the surplus.
+
+    The output table is evaluated once, a row block at a time
+    (:func:`~matchlab.core._row_blocks`): each block is checked against the
+    acceptance rule, and its included part multiplies the acceptance-masked
+    kernel ``A`` in place, once ``A``'s own products are taken.  So no
+    n-by-n output table is held, and ``(A o F) u`` is still one product.
     """
-    return _state_residuals(platform, f.values(platform.grid), params, state)
-
-
-def _state_residuals(platform: Platform, F: np.ndarray, params: SearchParams,
-                     state: DSEState) -> tuple[float, float, int]:
-    """:func:`dse_residuals`, given the n-by-n output table ``F`` on the
-    platform's grid, so that a caller that holds it builds it once."""
-    n, k = platform.grid.n, platform.cutoff
+    grid = platform.grid
+    n, k = grid.n, platform.cutoff
     if state.w.shape != (n,) or state.u.shape != (n,) or state.M.shape != (n, n):
         raise ValueError("state shapes do not match the platform grid")
     w, u = state.w, state.u
@@ -453,9 +459,14 @@ def _state_residuals(platform: Platform, F: np.ndarray, params: SearchParams,
     wb, ub = w[k:], u[k:]
     au = A @ ub
     awu = A @ (wb * ub)
-    A *= F[k:, k:]  # A o F in place, once A's own products are taken
+    violations = 0
+    for rows in _row_blocks(k, n) + _row_blocks(n, n, k):
+        F = f.values(grid, rows)
+        if rows.start >= k:
+            A[rows.start - k:rows.stop - k] *= F[:, k:]  # A o F, a block of rows at a time
+        violations += int(np.count_nonzero(state.M[rows] != _accepts(F, w, rows, overwrite=True)))
+        del F  # before the next block is evaluated
     total = A @ ub - wb * au - awu
     bellman = float(np.max(np.abs(wb - params.theta * total)))
     balance = _balance_residual(ub, au, params)
-    violations = int(np.sum(state.M != acceptance(F, w)))
     return bellman, balance, violations

@@ -34,8 +34,8 @@ the n-by-n gain matrix is never built, adds the excluded report that
 forfeits search, and returns the worst deviation; ``audit`` calls it on a
 platform's included block, and the brute-force oracle on each masked
 configuration, with the pairing as a permutation kernel and every type at
-``u_star``.  ``audit`` builds the output table once, for the residuals and
-for this scan.
+``u_star``.  ``audit`` holds no output table: the residuals and this scan
+each evaluate the rows of one block at a time.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .core import (
     make_grid,
 )
 from .designer import _envelope, _involution, enumerate_involutions, involution_rent, pairing_wage
-from .solver import _state_residuals
+from .solver import dse_residuals
 
 __all__ = ["AuditReport", "audit", "masked_config_ic", "prop4_oracle", "involution_oracle"]
 
@@ -106,22 +106,25 @@ class AuditReport:
                 and self.acceptance_violations == 0)
 
 
-def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
+def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
                      M: np.ndarray, G: np.ndarray, t: np.ndarray,
-                     inc) -> tuple[float, tuple[int, int]]:
+                     inc, grid: TypeGrid | None = None) -> tuple[float, tuple[int, int]]:
     """The worst deviation over every report: its gain and its (true,
     reported) node pair.
 
-    ``F``, ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks
-    the ``m`` included ones (``slice(k, n)`` on a platform, so ``F[:, inc]``
-    is a view) and ``G`` is the ``(m, m)`` kernel over them.  Gains are
-    measured against the truthful net payoff ``w - t``, and a truthful
-    report gains zero.  The gains of reporting an included type are priced
-    a block of ``_GAIN_ROWS`` true types at a time, each block in the same
-    two buffers, so the n-by-m gain matrix is never held whole; the worst
-    of them is its first maximum in row-major order, as ``argmax`` finds it
-    (a NaN wins).  Reporting an excluded type forfeits search and pays
-    nothing; its pair names the highest excluded node.
+    ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks the
+    ``m`` included ones (``slice(k, n)`` on a platform) and ``G`` is the
+    ``(m, m)`` kernel over them.  ``F`` is the n-by-n output table, or the
+    :class:`~matchlab.core.ProductionFunction` whose table on ``grid`` it
+    is; the scan reads the included columns of one block of rows at a time,
+    evaluated then.  Gains are measured against the truthful net payoff
+    ``w - t``, and a truthful report gains zero.  The gains of reporting an
+    included type are priced a block of ``_GAIN_ROWS`` true types at a time,
+    each block in the same two buffers, so the n-by-m gain matrix is never
+    held whole; the worst of them is its first maximum in row-major order,
+    as ``argmax`` finds it (a NaN wins).  Reporting an excluded type
+    forfeits search and pays nothing; its pair names the highest excluded
+    node.
     """
     n, m = len(w), G.shape[0]
     w_inc, u_inc, t_inc = w[inc], u[inc], t[inc]
@@ -129,37 +132,57 @@ def _incentive_gains(theta: float, F: np.ndarray, w: np.ndarray, u: np.ndarray,
     excluded = np.ones(n, dtype=bool)
     excluded[inc] = False
     nodes = np.arange(n)[inc]                        # node of each included column
-    F_inc, M_inc = F[:, inc], M[:, inc]
+    M_inc = M[:, inc]
+
+    def outputs(rows):
+        """``F[rows, inc]``, a fresh array the block may overwrite."""
+        if grid is None:
+            return np.take(F[rows], nodes, axis=1)
+        return F.values(grid, rows, inc)
+
     height = min(_GAIN_ROWS, n)
-    surplus_rows, gain_rows = np.empty((height, m)), np.empty((height, m))
+    mu_rows, gain_rows = np.empty((height, m)), np.empty((height, m))
     worst_gain, worst = None, None
     for start in range(0, n, height):
         stop = min(start + height, n)
         gains = gain_rows[:stop - start]
         out = excluded[start:stop]
-        size = int(np.count_nonzero(~out))
-        mixed = size < stop - start
-        # included true types: theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k
-        # - t_j - U_i, one product whose left factor, the masked surplus
-        # times u, is built in place; a block with excluded rows prices its
-        # included rows apart
-        rows = start + np.flatnonzero(~out) if mixed else slice(start, stop)
-        surplus = np.subtract(F_inc[rows], w[rows, None], out=surplus_rows[:size])
-        surplus -= w_inc[None, :]
-        surplus *= M_inc[rows]
-        surplus *= u_inc
-        priced = np.matmul(surplus, G.T, out=None if mixed else gains)
-        priced *= theta
-        priced -= t_inc[None, :]
-        priced -= U[rows, None]
-        if mixed:
-            gains[~out] = priced
+        size = int(np.count_nonzero(out))
+        if size:
             # excluded true types: the self-consistent theta S1 / (1 + theta S0),
-            # S0 = sum_k M_ik G_jk u_k and S1 = sum_k M_ik (f_ik - w_k) G_jk u_k
-            Mu = M_inc[start:stop][out] * u_inc
-            S0 = Mu @ G.T
-            S1 = (Mu * (F_inc[start:stop][out] - w_inc)) @ G.T
-            gains[out] = theta * S1 / (1.0 + theta * S0) - t_inc[None, :]
+            # S0 = sum_k M_ik G_jk u_k and S1 = sum_k M_ik (f_ik - w_k) G_jk u_k,
+            # priced in the two block buffers and the block's outputs
+            rows = start + np.flatnonzero(out)
+            Mu = np.multiply(M_inc[rows], u_inc, out=mu_rows[:size])
+            S0 = np.matmul(Mu, G.T, out=gain_rows[:size])
+            S1 = outputs(rows)
+            S1 -= w_inc
+            S1 *= Mu
+            S1 = np.matmul(S1, G.T, out=Mu)
+            S1 *= theta
+            S0 *= theta
+            S0 += 1.0
+            S1 /= S0
+            S1 -= t_inc[None, :]
+            gains[out] = S1
+        if size < stop - start:
+            # included true types: theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k
+            # - t_j - U_i, one product whose left factor, the masked surplus
+            # times u, is built in place in the block's outputs; a block with
+            # excluded rows prices its included rows apart
+            rows = start + np.flatnonzero(~out) if size else slice(start, stop)
+            surplus = outputs(rows)
+            surplus -= w[rows, None]
+            surplus -= w_inc[None, :]
+            surplus *= M_inc[rows]
+            surplus *= u_inc
+            priced = np.matmul(surplus, G.T, out=None if size else gains)
+            del surplus  # before the next block is evaluated
+            priced *= theta
+            priced -= t_inc[None, :]
+            priced -= U[rows, None]
+            if size:
+                gains[~out] = priced
         truthful = np.flatnonzero((nodes >= start) & (nodes < stop))
         gains[nodes[truthful] - start, truthful] = 0.0
         bi, bj = np.unravel_index(int(gains.argmax()), gains.shape)
@@ -207,10 +230,9 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
     x = grid.nodes
     U = dse.w - platform.transfers
 
-    F = f.values(grid)
-    bell, bal, violations = _state_residuals(platform, F, params, dse)
-    ic_max, (wi, wj) = _incentive_gains(params.theta, F, dse.w, dse.u, dse.M,
-                                        platform.kernel, platform.transfers, slice(k, n))
+    bell, bal, violations = dse_residuals(platform, f, params, dse)
+    ic_max, (wi, wj) = _incentive_gains(params.theta, f, dse.w, dse.u, dse.M,
+                                        platform.kernel, platform.transfers, slice(k, n), grid)
 
     return AuditReport(
         consistency_defect=platform.consistency_defect(),

@@ -1,13 +1,17 @@
 """The dense layers against their one-shot forms, and their memory budgets.
 
-``acceptance``, ``Platform.consistency_defect`` and the verifier's row
-smoothness run in row blocks, and ``glitch`` builds its mixture in place; each
-must give the bits of the one-shot expression kept here as its reference.
-The incentive scan prices included rows by one product over the masked
-surplus; its worst deviation must be the worst entry of the full two-product
-``S0``/``S1`` gain matrix (``conftest.two_product_gains``), the same pair
-with the gain within 1e-12 of the gains' scale.  The budget test bounds each layer's peak
-traced allocation above its inputs on a glitched n = 1000 platform.
+``ProductionFunction.values`` and ``dx_values`` evaluate any block of the
+output table; ``acceptance``, ``dse_residuals``,
+``Platform.consistency_defect`` and the verifier's row smoothness run in row
+blocks, and ``glitch`` builds its mixture in place; each must give the bits
+of the one-shot expression kept here as its reference.  The incentive scan
+prices included rows by one product over the masked surplus; its worst
+deviation must be the worst entry of the full two-product ``S0``/``S1`` gain
+matrix (``conftest.two_product_gains``), the same pair with the gain within
+1e-12 of the gains' scale, and it must find the same deviation whether it
+reads a held output table or evaluates each block.  The budget tests bound
+each layer's peak traced allocation above its inputs at n = 1000, and that
+of the assortative ``design`` and ``verify`` commands.
 """
 
 import itertools
@@ -15,22 +19,26 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matchlab import (
+    DSEState,
     Platform,
     ProductionFunction,
     SearchParams,
     audit,
     design,
+    dse_residuals,
     enumerate_involutions,
     make_grid,
     solve_dse,
 )
-from matchlab import core, verifier
+from matchlab import cli, core, designer, verifier
 from matchlab.core import acceptance
-from matchlab.designer import first_best_platform, glitch
+from matchlab.designer import first_best_platform, glitch, misreport_value_slope
 
-from conftest import gain_args, mixture_kernel, one_shot_worst, two_product_gains
+from conftest import cubic_production, gain_args, mixture_kernel, one_shot_worst, two_product_gains
 
 #: Rows per block in the blocked-pass tests.
 _ROWS = 4
@@ -72,6 +80,98 @@ def test_blocked_acceptance_is_the_one_shot_rule(four_row_blocks, n):
     w = rng.integers(0, 8, n) / 16.0
     reference = (F - w[:, None]) - w[None, :] >= 0.0
     assert np.array_equal(acceptance(F, w), reference)
+
+
+def _productions(grid):
+    """One output of each kind on ``grid``: ``xy``, ``xy+c``, and the table
+    ``xy (x + y) / 2`` with its derivative table and without, when its
+    derivative is a central difference."""
+    x = grid.nodes
+    table = x[:, None] * x[None, :] * (x[:, None] + x[None, :]) / 2.0
+    return (ProductionFunction.multiplicative(),
+            ProductionFunction.multiplicative_plus_constant(0.3),
+            cubic_production(grid), ProductionFunction.tabulated(grid, table))
+
+
+@st.composite
+def table_blocks(draw):
+    """A grid of up to 600 nodes, a cutoff, and a block of rows that
+    straddles the cutoff or an edge of the incentive scan's ``_GAIN_ROWS``
+    blocks, with a slice or an index array of columns."""
+    n = draw(st.integers(2, 600))
+    k = draw(st.integers(0, n - 1))
+    edge = draw(st.sampled_from([k] + [e for e in range(0, n, verifier._GAIN_ROWS)]))
+    lo = max(0, edge - draw(st.integers(0, 40)))
+    rows = slice(lo, min(n, edge + draw(st.integers(1, 40))))
+    cols = draw(st.one_of(
+        st.just(slice(k, n)),
+        st.builds(lambda a, b: slice(min(a, b), max(a, b) + 1),
+                  st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=12, unique=True).map(
+            lambda idx: np.array(sorted(idx)))))
+    return n, rows, cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=table_blocks())
+def test_table_blocks_are_slices_of_the_whole_table(drawn):
+    n, rows, cols = drawn
+    grid = make_grid(n)
+    for f in _productions(grid):
+        assert _bits(f.values(grid, rows, cols)) == _bits(f.values(grid)[rows][:, cols])
+        assert _bits(f.dx_values(grid, rows, cols)) == _bits(f.dx_values(grid)[rows][:, cols])
+        index = np.arange(n)[rows]
+        assert _bits(f.values(grid, index, cols)) == _bits(f.values(grid)[rows][:, cols])
+
+
+@pytest.mark.parametrize("n, k", [(3, 0), (5, 0), (5, 2), (10, 4), (10, 6), (10, 9)])
+def test_acceptance_from_f_is_the_held_table_rule(four_row_blocks, n, k):
+    """The acceptance sets from ``f`` a row block at a time, with and
+    without the included block held, are those of the whole table, in
+    blocks that the cutoff falls inside or on the edge of."""
+    four_row_blocks(n)
+    grid = make_grid(n)
+    w = np.zeros(n)
+    w[k:] = np.random.default_rng(n + k).integers(0, 8, n - k) / 16.0
+    for f in _productions(grid):
+        F = f.values(grid)
+        reference = (F - w[:, None]) - w[None, :] >= 0.0
+        assert np.array_equal(acceptance(f, w, grid), reference)
+        assert np.array_equal(acceptance(f, w, grid, held=F[k:, k:].copy()), reference)
+
+
+@pytest.mark.parametrize("n, k", [(5, 0), (10, 6), (50, 17)])
+def test_blocked_residuals_and_slope_are_the_one_shot_ones(four_row_blocks, params, n, k):
+    """``dse_residuals`` and ``misreport_value_slope`` on a dense kernel
+    above a cutoff, with some acceptance flags flipped, against the
+    one-shot ``A o F`` and ``A o F_x`` products and rule, in blocks of four
+    rows of n columns (at n = 50, six rows of the 33 included ones)."""
+    four_row_blocks(n)
+    grid = make_grid(n)
+    platform = Platform(grid=grid, cutoff=k, kernel=_symmetric_kernel(n - k, n),
+                        transfers=np.zeros(n))
+    rng = np.random.default_rng(n + k)
+    w, u = np.zeros(n), np.ones(n)
+    w[k:], u[k:] = rng.random(n - k) / 4.0, rng.random(n - k)
+    for f in _productions(grid):
+        F = f.values(grid)
+        M = (F - w[:, None]) - w[None, :] >= 0.0
+        M[k, k:] = ~M[k, k:]
+        M[0, 0] = not M[0, 0]
+        state = DSEState(w=w, u=u, M=M, bellman_residual=0.0, balance_residual=0.0)
+        A = platform.kernel * M[k:, k:]
+        wb, ub = w[k:], u[k:]
+        au = A @ ub
+        total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
+        bellman = float(np.max(np.abs(wb - params.theta * total)))
+        balance = float(np.max(np.abs(params.alpha * (1.0 - ub) - params.rho * au)))
+        violations = int(np.sum(M != ((F - w[:, None]) - w[None, :] >= 0.0)))
+        assert violations >= 1
+        got = dse_residuals(platform, f, params, state)
+        assert _bits(got[:2]) == _bits((bellman, balance)) and got[2] == violations
+        wprime = designer._derivative(wb, 1.0 / n)
+        slope = params.theta * ((A * f.dx_values(grid)[k:, k:]) @ ub - wprime * au)
+        assert _bits(misreport_value_slope(platform, f, params, state)[k:]) == _bits(slope)
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -154,6 +254,9 @@ def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy, monkeypatch
     _assert_matches_two_products(args)
     monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
     _assert_matches_two_products(args)
+    # the scan evaluating each block of f finds what it finds in the held table
+    assert (verifier._incentive_gains(args[0], f_xy, *args[2:], grid)
+            == verifier._incentive_gains(*args))
 
 
 def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
@@ -259,7 +362,10 @@ def test_fused_gains_match_two_products_on_designed_platforms(params, f_xy, cuto
     designed = design(make_grid(1000), f_xy, params, cutoff=cutoff)
     k = designed.platform.cutoff
     assert k == {"auto": 500, 999: 999}[cutoff] and k % verifier._GAIN_ROWS
-    _assert_matches_two_products(gain_args(designed.platform, f_xy, params, designed.dse))
+    args = gain_args(designed.platform, f_xy, params, designed.dse)
+    _assert_matches_two_products(args)
+    assert (verifier._incentive_gains(args[0], f_xy, *args[2:], designed.platform.grid)
+            == verifier._incentive_gains(*args))
 
 
 # ---------------------------------------------------------------------------
@@ -290,21 +396,47 @@ def glitched_state():
     return platform, f, params, solve_dse(platform, f, params)
 
 
-# the bool result of acceptance counts as an eighth of an array
+@pytest.fixture(scope="module")
+def designed():
+    """The ``design --n 1000 --cutoff auto`` result: 500 nodes excluded."""
+    f, params = ProductionFunction.multiplicative(), SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    return design(make_grid(_N), f, params, "auto")
+
+
+# the bool result of acceptance counts as an eighth of an array; no layer
+# but the dense solve holds an n-by-n output table
 @pytest.mark.parametrize("layer, bound", [
-    ("audit", 2.6),
+    ("audit", 1.5),
+    ("audit_designed", 0.5),
     ("solve_dse", 2.75),
+    ("solve_dse_identity", 0.5),
+    ("misreport_value_slope", 1.25),
     ("glitch", 1.5),
     ("consistency_defect", 0.5),
     ("acceptance", 0.5),
 ])
-def test_dense_layer_memory_budget(glitched_state, layer, bound):
+def test_dense_layer_memory_budget(glitched_state, designed, layer, bound):
     platform, f, params, dse = glitched_state
     call = {
         "audit": (audit, platform, f, params, dse),
+        "audit_designed": (audit, designed.platform, f, params, designed.dse),
         "solve_dse": (solve_dse, platform, f, params),
+        "solve_dse_identity": (solve_dse, first_best_platform(platform.grid, 0), f, params),
+        "misreport_value_slope": (misreport_value_slope, platform, f, params, dse),
         "glitch": (glitch, first_best_platform(platform.grid, 0), 0.5),
         "consistency_defect": (platform.consistency_defect,),
         "acceptance": (acceptance, f.values(platform.grid), dse.w),
     }[layer]
     assert _peak_arrays(*call) <= bound
+
+
+def test_assortative_commands_hold_no_output_table(tmp_path):
+    """``design --n 1000 --cutoff auto`` and ``verify`` on its output, run
+    through ``cli.run``, allocate less than one n-by-n float array at their
+    peak: neither holds the output table, its derivative table or a full
+    gain matrix."""
+    rates = ["--rho", "1", "--alpha", "0.5", "--r", "0.05", "--f", "xy"]
+    for argv in (["design", "--n", str(_N), "--cutoff", "auto", *rates, "--out", str(tmp_path)],
+                 ["verify", "--platform", str(tmp_path), "--out", str(tmp_path / "v")]):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert _peak_arrays(cli.run, cfg) < 1.0

@@ -379,8 +379,8 @@ def test_policy_steps_shrink_the_acceptance_sets(epsilon, params, f_xy, monkeypa
     to the returned state's, and no step hands over to the damped loop."""
     seen = []
 
-    def recording(F, w):
-        seen.append(acceptance(F, w))
+    def recording(*args, **kwargs):
+        seen.append(acceptance(*args, **kwargs))
         return seen[-1]
 
     monkeypatch.setattr(solver, "acceptance", recording)
