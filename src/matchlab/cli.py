@@ -8,7 +8,7 @@ shortest text that reads back to the same bits, with LF line endings, so
 identical runs are byte-identical.
 
 Exit codes: 0 success / certified, 1 certification failure, 2 configuration
-error, 3 numerical non-convergence.
+error or a failed allocation, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -204,6 +204,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"table file not found: {cfg.table}")
     if cfg.jobs < 0:
         raise ConfigError(f"jobs must be 0 (every available CPU) or more, got {cfg.jobs}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     # a file in the way of --out fails the run before any work
     ancestor = os.path.abspath(cfg.out)
     while not os.path.exists(ancestor):
@@ -516,7 +518,8 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     # a bad point, solver setting, production, cutoff or platform artifact
     # fails the sweep before anything is written.  An artifact is parsed once
     # here and handed to every point; the built-in platform costs less to build
-    # in each point than to pickle (a dense n-by-n kernel) to a worker.
+    # in each point than to pickle (under --epsilon, a dense n-by-n kernel) to a
+    # worker.
     for point in points:
         _search_params(*point)
     _solver_config(cfg)
@@ -638,6 +641,11 @@ def run(cfg: RunConfig) -> int:
         # the message already names the residuals
         print(f"matchlab: no convergence: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate; a --jobs
+        # worker's error is raised here again
+        print(f"matchlab: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -305,6 +305,13 @@ class Platform:
     distribution of that node.  Inclusion is an upper set by construction;
     arbitrary exclusion masks are not representable here on purpose (the
     brute-force oracle in the verifier enumerates masks on its own path).
+
+    A diagonal kernel, every nonzero entry on the diagonal (with rows summing
+    to one, the identity kernel of the assortative platform), is stored as
+    its length-m diagonal; every other kernel as the dense ``(m, m)``
+    matrix.  The constructor takes either form and keeps a dense kernel
+    whose nonzeros are all diagonal as the vector, so each kernel has one
+    representation and ``kernel.ndim`` tells them apart.
     """
 
     grid: TypeGrid
@@ -318,13 +325,15 @@ class Platform:
             raise ValueError(f"cutoff must leave at least one included node, got {self.cutoff}")
         m = n - self.cutoff
         kernel = np.asarray(self.kernel, dtype=float)
-        if kernel.shape != (m, m):
+        if kernel.shape not in ((m, m), (m,)):
             raise ValueError(f"kernel shape {kernel.shape} does not match {m} included nodes")
         if not np.all(np.isfinite(kernel)):
             raise ValueError("kernel entries must be finite")
         if np.any(kernel < 0):
             raise ValueError("kernel entries must be nonnegative")
-        row_err = float(np.max(np.abs(kernel.sum(axis=1) - 1.0)))
+        # a row of a diagonal kernel sums to its one entry
+        row_sums = kernel if kernel.ndim == 1 else kernel.sum(axis=1)
+        row_err = float(np.max(np.abs(row_sums - 1.0)))
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"kernel rows must sum to 1 (max deviation {row_err:g})")
         transfers = np.asarray(self.transfers, dtype=float)
@@ -334,6 +343,13 @@ class Platform:
             raise ValueError("transfers must be finite")
         if np.any(transfers[: self.cutoff] != 0.0):
             raise ValueError("transfers must be zero on excluded nodes")
+        if kernel.ndim == 2:
+            diagonal = np.diagonal(kernel)
+            # entries are nonnegative, so a row with mass off the diagonal sums
+            # past its diagonal entry, unless that mass is below its rounding
+            if (np.array_equal(row_sums, diagonal)
+                    and np.count_nonzero(kernel) == np.count_nonzero(diagonal)):
+                kernel = diagonal.copy()
         kernel.setflags(write=False)
         transfers.setflags(write=False)
         object.__setattr__(self, "kernel", kernel)
@@ -347,13 +363,15 @@ class Platform:
     @property
     def is_diagonal(self) -> bool:
         """Every nonzero kernel entry sits on the diagonal: each node meets
-        only its own type (with rows summing to one, the identity kernel)."""
-        return bool(np.count_nonzero(self.kernel)
-                    == np.count_nonzero(np.diagonal(self.kernel)))
+        only its own type (with rows summing to one, the identity kernel).
+        Such a kernel is stored as its diagonal."""
+        return self.kernel.ndim == 1
 
     def consistency_defect(self) -> float:
         """Max asymmetry of the kernel; zero means meetings balance exactly."""
         G = self.kernel
+        if G.ndim == 1:
+            return 0.0  # a diagonal matrix is symmetric
         m = G.shape[0]
         # square tiles of _BLOCK_BYTES, each pair compared once from the upper
         # triangle: |a - b| is |b - a| exactly, so the max keeps its bits
@@ -418,6 +436,14 @@ def _row_blocks(nrows: int, ncols: int, start: int = 0) -> list[slice]:
     rows of ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one."""
     step = max(1, _BLOCK_BYTES // (8 * max(ncols, 1)))
     return [slice(lo, min(lo + step, nrows)) for lo in range(start, nrows, step)]
+
+
+def _kernel_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``A v`` for a kernel-shaped ``A``, a diagonal stored as a vector (see
+    :class:`Platform`) or a dense matrix.  On a diagonal the product is
+    elementwise, with the bits of the product with the diagonal matrix: a
+    sum of products starts at +0.0, so adding it turns a -0.0 into +0.0."""
+    return A * v + 0.0 if A.ndim == 1 else A @ v
 
 
 def _accepts(F: np.ndarray, w: np.ndarray, rows: slice, out: np.ndarray | None = None,
@@ -508,7 +534,11 @@ def save_platform(platform: Platform, production: ProductionFunction, outdir: st
     """Write a platform and its production function as CSV artifacts."""
     os.makedirs(outdir, exist_ok=True)
     n, k = platform.grid.n, platform.cutoff
-    rows, cols, lasts, values = row_runs(platform.kernel)
+    if platform.is_diagonal:  # one run per row, its diagonal entry
+        rows = cols = lasts = np.arange(len(platform.kernel))
+        values = platform.kernel
+    else:
+        rows, cols, lasts, values = row_runs(platform.kernel)
     write_columns(os.path.join(outdir, "platform.csv"), _RUN_HEADER,
                   [rows + k, cols + k, lasts + k, values])
     write_columns(os.path.join(outdir, "transfers.csv"), "i,t",
@@ -552,8 +582,9 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
 
 
 def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
-    """The ``(n - k, n - k)`` kernel that ``platform.csv`` at ``path`` holds,
-    in either layout, chosen by its header.
+    """The kernel on ``n - k`` included nodes that ``platform.csv`` at
+    ``path`` holds, in either layout, chosen by its header: its diagonal
+    when every run is one diagonal entry, else the dense matrix.
 
     The runs are checked before they are expanded, so a damaged file can
     never ask for more than the kernel's entries.
@@ -576,6 +607,10 @@ def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
     stop = start + (j_last - j) + 1
     if np.any(start[1:] < stop[:-1]):
         raise ValueError(f"{path}: runs must be in row-major order and must not overlap")
+    if np.array_equal(i, j) and np.array_equal(j, j_last):
+        diagonal = np.zeros(m)  # at most one run per row, by the order check
+        diagonal[i - k] = g
+        return diagonal
     # the kernel, flat, is a zero gap before each run, the run, and a last zero gap
     values = np.zeros(2 * len(g) + 1)
     values[1::2] = g

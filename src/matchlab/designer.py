@@ -25,6 +25,7 @@ from .core import (
     ProductionFunction,
     SearchParams,
     TypeGrid,
+    _kernel_product,
     _row_blocks,
 )
 from .solver import diagonal_wage_coefficient, dse_residuals, solve_dse
@@ -75,11 +76,12 @@ def transfer_coefficient(params: SearchParams) -> float:
 
 
 def first_best_platform(grid: TypeGrid, cutoff_index: int) -> Platform:
-    """Identity kernel on the included block; transfers left at zero."""
+    """Identity kernel on the included block, stored as its diagonal of
+    ones; transfers left at zero."""
     m = grid.n - cutoff_index
     if m < 1:
         raise ValueError(f"cutoff {cutoff_index} leaves no included node")
-    return Platform(grid=grid, cutoff=cutoff_index, kernel=np.eye(m),
+    return Platform(grid=grid, cutoff=cutoff_index, kernel=np.ones(m),
                     transfers=np.zeros(grid.n))
 
 
@@ -112,19 +114,25 @@ def misreport_value_slope(platform: Platform, f: ProductionFunction,
     with an analytic production derivative and a finite-difference wage slope.
     Zero on excluded nodes.  The derivative table is evaluated a row block
     at a time into the acceptance-masked kernel ``A``, once ``A u`` is taken,
-    so no second m-by-m matrix is held.
+    so no second m-by-m matrix is held.  On a diagonal kernel ``A`` is a
+    vector, and only the diagonal of the table is evaluated.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     theta = params.theta
-    A = np.where(dse.M[k:, k:], platform.kernel, 0.0)
+    G = platform.kernel
+    A = np.where(dse.M[k:, k:] if G.ndim == 2 else np.diagonal(dse.M)[k:], G, 0.0)
     ub = dse.u[k:]
-    au = A @ ub
-    for rows in _row_blocks(n - k, n - k):
-        A[rows] *= f.dx_values(grid, slice(k + rows.start, k + rows.stop), slice(k, n))
+    au = _kernel_product(A, ub)
+    if A.ndim == 1:
+        xb = grid.nodes[k:]
+        A *= np.asarray(f.d_dx(xb, xb), dtype=float)
+    else:
+        for rows in _row_blocks(n - k, n - k):
+            A[rows] *= f.dx_values(grid, slice(k + rows.start, k + rows.stop), slice(k, n))
     wprime = _derivative(dse.w[k:], 1.0 / n)
     slope = np.zeros(n)
-    slope[k:] = theta * (A @ ub - wprime * au)
+    slope[k:] = theta * (_kernel_product(A, ub) - wprime * au)
     return slope
 
 
@@ -334,7 +342,10 @@ def glitch(platform: Platform, epsilon: float) -> Platform:
     platform.require_consistent()
     n, k = platform.grid.n, platform.cutoff
     mixed = np.eye(n)
-    mixed[k:, k:] = platform.kernel
+    if platform.is_diagonal:
+        mixed.flat[k * (n + 1)::n + 1] = platform.kernel
+    else:
+        mixed[k:, k:] = platform.kernel
     mixed *= 1.0 - epsilon  # in place: the bits of (1 - eps) G + eps/n * ones
     mixed += epsilon / n
     return Platform(grid=platform.grid, cutoff=0, kernel=mixed,

@@ -49,6 +49,7 @@ from .core import (
     ProductionFunction,
     SearchParams,
     _accepts,
+    _kernel_product,
     _row_blocks,
     acceptance,
 )
@@ -185,7 +186,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     xb = grid.nodes[k:]
     Fb = None
     if platform.is_diagonal:
-        g, fdiag = np.diagonal(platform.kernel), np.asarray(f.eval(xb, xb), dtype=float)
+        g, fdiag = platform.kernel, np.asarray(f.eval(xb, xb), dtype=float)
         w = diagonal_wage_coefficient(params, g) * fdiag
         u = alpha / (alpha + rho * g)
         au = g * u
@@ -449,24 +450,29 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     acceptance rule, and its included part multiplies the acceptance-masked
     kernel ``A`` in place, once ``A``'s own products are taken.  So no
     n-by-n output table is held, and ``(A o F) u`` is still one product.
+    On a diagonal kernel ``A`` is the vector ``g * diag(M)``, each block
+    multiplies it by its diagonal outputs, and each product is elementwise.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     if state.w.shape != (n,) or state.u.shape != (n,) or state.M.shape != (n, n):
         raise ValueError("state shapes do not match the platform grid")
     w, u = state.w, state.u
-    A = np.multiply(platform.kernel, state.M[k:, k:])
+    G = platform.kernel
+    diagonal = G.ndim == 1
+    A = np.multiply(G, np.diagonal(state.M)[k:] if diagonal else state.M[k:, k:])
     wb, ub = w[k:], u[k:]
-    au = A @ ub
-    awu = A @ (wb * ub)
+    au = _kernel_product(A, ub)
+    awu = _kernel_product(A, wb * ub)
     violations = 0
     for rows in _row_blocks(k, n) + _row_blocks(n, n, k):
         F = f.values(grid, rows)
         if rows.start >= k:
-            A[rows.start - k:rows.stop - k] *= F[:, k:]  # A o F, a block of rows at a time
+            # A o F, a block of rows at a time
+            A[rows.start - k:rows.stop - k] *= np.diagonal(F, rows.start) if diagonal else F[:, k:]
         violations += int(np.count_nonzero(state.M[rows] != _accepts(F, w, rows, overwrite=True)))
         del F  # before the next block is evaluated
-    total = A @ ub - wb * au - awu
+    total = _kernel_product(A, ub) - wb * au - awu
     bellman = float(np.max(np.abs(wb - params.theta * total)))
     balance = _balance_residual(ub, au, params)
     return bellman, balance, violations

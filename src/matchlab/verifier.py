@@ -114,19 +114,21 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
 
     ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks the
     ``m`` included ones (``slice(k, n)`` on a platform) and ``G`` is the
-    ``(m, m)`` kernel over them.  ``F`` is the n-by-n output table, or the
+    kernel over them: the ``(m, m)`` matrix, or the length-m diagonal of a
+    diagonal kernel, on which each product with ``G`` is a scaling of the
+    columns.  ``F`` is the n-by-n output table, or the
     :class:`~matchlab.core.ProductionFunction` whose table on ``grid`` it
     is; the scan reads the included columns of one block of rows at a time,
     evaluated then.  Gains are measured against the truthful net payoff
     ``w - t``, and a truthful report gains zero.  The gains of reporting an
     included type are priced a block of ``_GAIN_ROWS`` true types at a time,
-    each block in the same two buffers, so the n-by-m gain matrix is never
-    held whole; the worst of them is its first maximum in row-major order,
-    as ``argmax`` finds it (a NaN wins).  Reporting an excluded type
-    forfeits search and pays nothing; its pair names the highest excluded
-    node.
+    each block in the same two buffers (one on a diagonal kernel, where each
+    product is in place), so the n-by-m gain matrix is never held whole;
+    the worst of them is its first maximum in row-major order, as
+    ``argmax`` finds it (a NaN wins).  Reporting an excluded type forfeits
+    search and pays nothing; its pair names the highest excluded node.
     """
-    n, m = len(w), G.shape[0]
+    n, m = len(w), len(G)
     w_inc, u_inc, t_inc = w[inc], u[inc], t[inc]
     U = w - t                                        # truthful net payoff
     excluded = np.ones(n, dtype=bool)
@@ -140,8 +142,22 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
             return np.take(F[rows], nodes, axis=1)
         return F.values(grid, rows, inc)
 
+    diagonal = G.ndim == 1
+
+    def times_kernel(X, out):
+        """``X G^T`` into ``out``, or a new array for None.  On a diagonal
+        ``G`` it scales the columns, so ``out`` may be ``X`` itself, and
+        adds zero: a sum of products gives +0.0 where ``X`` holds -0.0."""
+        if not diagonal:
+            return np.matmul(X, G.T, out=out)
+        out = np.multiply(X, G, out=out)
+        out += 0.0
+        return out
+
     height = min(_GAIN_ROWS, n)
-    mu_rows, gain_rows = np.empty((height, m)), np.empty((height, m))
+    gain_rows = np.empty((height, m))
+    # on a diagonal G every product is in place, so Mu can take S0's rows
+    mu_rows = gain_rows if diagonal else np.empty((height, m))
     worst_gain, worst = None, None
     for start in range(0, n, height):
         stop = min(start + height, n)
@@ -154,17 +170,18 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
             # priced in the two block buffers and the block's outputs
             rows = start + np.flatnonzero(out)
             Mu = np.multiply(M_inc[rows], u_inc, out=mu_rows[:size])
-            S0 = np.matmul(Mu, G.T, out=gain_rows[:size])
             S1 = outputs(rows)
             S1 -= w_inc
             S1 *= Mu
-            S1 = np.matmul(S1, G.T, out=Mu)
+            S0 = times_kernel(Mu, gain_rows[:size])
+            S1 = times_kernel(S1, S1 if diagonal else Mu)
             S1 *= theta
             S0 *= theta
             S0 += 1.0
             S1 /= S0
             S1 -= t_inc[None, :]
             gains[out] = S1
+            del S1  # before the included rows are evaluated
         if size < stop - start:
             # included true types: theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k
             # - t_j - U_i, one product whose left factor, the masked surplus
@@ -176,7 +193,9 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
             surplus -= w_inc[None, :]
             surplus *= M_inc[rows]
             surplus *= u_inc
-            priced = np.matmul(surplus, G.T, out=None if size else gains)
+            # a block of included rows alone is priced into the gains' buffer,
+            # the included rows of a split block in place on a diagonal G
+            priced = times_kernel(surplus, (surplus if diagonal else None) if size else gains)
             del surplus  # before the next block is evaluated
             priced *= theta
             priced -= t_inc[None, :]
@@ -204,16 +223,25 @@ def _row_smoothness(platform: Platform) -> float:
 
     The ground metric is the type distance, so W1 equals the L1 distance of
     the row CDFs times the node spacing; dividing by the spacing between the
-    adjacent types leaves the dimensionless modulus reported here.
+    adjacent types leaves the dimensionless modulus reported here.  On a
+    diagonal kernel each block of CDF gaps is built from the diagonal.
     """
     G = platform.kernel
-    m = G.shape[0]
+    m = len(G)
     worst = 0.0
     # a block of the m - 1 row differences reads one kernel row past its end;
     # each row's cumulative sum is the same whatever block it lies in
     for diffs in _row_blocks(m - 1, m):
-        gap = np.diff(np.cumsum(G[diffs.start:diffs.stop + 1], axis=1), axis=0)
-        worst = max(worst, float(np.max(np.sum(np.abs(gap, out=gap), axis=1))))
+        if G.ndim == 2:
+            gap = np.diff(np.cumsum(G[diffs.start:diffs.stop + 1], axis=1), axis=0)
+            np.abs(gap, out=gap)
+        else:
+            # the CDF of diagonal row r is g_r from column r on: the gap to
+            # row r + 1 is g_r at column r and |g_{r+1} - g_r| right of it
+            r = np.arange(diffs.start, diffs.stop)
+            gap = np.where(np.arange(m) > r[:, None], np.abs(G[r + 1] - G[r])[:, None], 0.0)
+            gap[np.arange(len(r)), r] = G[r]
+        worst = max(worst, float(np.max(np.sum(gap, axis=1))))
     return worst
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import matchlab
-from matchlab import ProductionFunction, SearchParams
+from matchlab import Platform, ProductionFunction, SearchParams
 from matchlab.core import format_float
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -30,6 +30,24 @@ def mixture_kernel(n: int, a: float, b: float) -> np.ndarray:
     return a * np.eye(n) + (b / n) * np.ones((n, n)) + c * np.eye(n)[::-1]
 
 
+def dense_kernel(kernel):
+    """A platform kernel as the dense matrix: a diagonal kernel, which a
+    platform stores as its diagonal, on the diagonal of zeros."""
+    return np.diag(kernel) if kernel.ndim == 1 else kernel
+
+
+def dense_platform(platform):
+    """``platform`` with its kernel held as the dense matrix, which the
+    constructor stores as the diagonal when that is all it has: every layer
+    takes its dense path on it, the reference for its diagonal path."""
+    held = Platform(grid=platform.grid, cutoff=platform.cutoff, kernel=platform.kernel,
+                    transfers=platform.transfers)
+    kernel = dense_kernel(platform.kernel)
+    kernel.setflags(write=False)
+    object.__setattr__(held, "kernel", kernel)
+    return held
+
+
 def gain_args(platform, f, params, dse):
     """The incentive-scan arguments ``audit`` passes for a platform and its
     equilibrium: ``(theta, F, w, u, M, G, t, inc)``."""
@@ -44,6 +62,7 @@ def two_product_gains(theta, F, w, u, M, G, t, inc):
     ``theta S1 / (1 + theta S0)`` on excluded ones, less ``t_j`` and the
     truthful payoff, with truthful reports at zero."""
     n = len(w)
+    G = dense_kernel(G)
     U = w - t
     M_inc = M[:, inc]
     GU = (G * u[inc][None, :]).T
@@ -86,9 +105,10 @@ def reference_runs(matrix, k=0, header="i,j,j_last,G", values=True):
     """The bytes of a run-layout artifact of ``matrix``, found entry by entry:
     ``header``, then one line per maximal run of equal nonzero entries in a
     row, ``i,j,j_last`` with indices offset by the cutoff ``k``, and the run's
-    value through ``format_float`` when ``values`` is set."""
+    value through ``format_float`` when ``values`` is set.  A diagonal kernel
+    stored as its diagonal is read as the dense matrix."""
     lines = [header]
-    for r, row in enumerate(matrix.tolist()):
+    for r, row in enumerate(dense_kernel(matrix).tolist()):
         c = 0
         while c < len(row):
             last = c

@@ -28,7 +28,7 @@ from matchlab import (
     simulate,
     solve_dse,
 )
-from matchlab import solver
+from matchlab import cli, solver
 from matchlab.cli import (
     COMMANDS,
     RunConfig,
@@ -775,6 +775,11 @@ def _nan_table(tmp_path):
     ("sweep", ["--f", "xy+c", "--c", "nan"], {"sweep_rho": "1,2"}),
     ("solve", [], {"f": "table", "table": _nan_table}),
     ("simulate", ["--seed", "-1"], {}),
+    ("solve", ["--seed", "-1"], {}),
+    ("design", ["--seed", "-1"], {}),
+    ("verify", ["--seed", "-1"], {}),
+    ("sweep", ["--seed", "-1"], {"sweep_rho": "1,2"}),
+    ("oracle", ["--seed", "-1"], {}),
     ("oracle", [], {"oracle_n": "7"}),
     ("oracle", [], {"oracle_n": "1"}),
     ("oracle", [], {"involution_block": "0"}),
@@ -789,7 +794,9 @@ def _nan_table(tmp_path):
         "simulate-truncation", "simulate-burn-in-past-horizon", "simulate-infinite-horizon",
         "simulate-no-agents", "tol-u-nan", "tol-w-nan", "sweep-tol-w-negative",
         "max-outer-zero", "jobs-negative", "c-nan", "c-inf", "c-negative", "sweep-c-nan", "table-nan",
-        "seed-negative", "oracle-n-above-6", "oracle-n-below-2",
+        "seed-negative", "solve-seed-negative", "design-seed-negative",
+        "verify-seed-negative", "sweep-seed-negative", "oracle-seed-negative",
+        "oracle-n-above-6", "oracle-n-below-2",
         "involution-block-zero", "involution-block-one", "involution-block-above-12",
         "solve-cutoff-above-top-node",
         "design-cutoff-above-top-node", "simulate-cutoff-above-top-node",
@@ -804,6 +811,51 @@ def test_bad_numeric_input_is_a_config_error(tmp_path, capsys, command, flags, k
     assert err.startswith("matchlab: config error: ")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_negative_seed_is_refused_by_every_command(tmp_path, capsys, command):
+    """Every command refuses a negative seed with the one line ``simulate``
+    gives, so no JSON artifact records one."""
+    out = tmp_path / "o"
+    assert main([command, "--n", "4", "--seed", "-1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "matchlab: config error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+#: numpy's message for an array too large to allocate.
+_TOO_LARGE = ("Unable to allocate 8.88 PiB for an array with shape (100000000, 100000000) "
+              "and data type bool")
+
+
+def _allocation_fails(*args):
+    """A layer that runs out of memory; module level, so a worker process
+    can run it."""
+    raise MemoryError(_TOO_LARGE)
+
+
+def _allocation_fails_silently(*args):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("layer, expected", [
+    (_allocation_fails, _TOO_LARGE), (_allocation_fails_silently, "an allocation failed")])
+def test_failed_allocation_exits_2_with_one_line(tmp_path, capsys, monkeypatch, layer, expected):
+    """A layer that cannot allocate its arrays ends the run with exit 2 and
+    one line naming the allocation, never with a traceback or exit 1."""
+    monkeypatch.setattr(cli, "solve_dse", layer)
+    assert main(["solve", "--n", "4", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"matchlab: out of memory: {expected}\n"
+
+
+def test_failed_allocation_in_a_worker_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    """A ``--jobs`` worker's MemoryError comes back to the parent, which
+    exits 2 with the worker's one line."""
+    monkeypatch.setattr(cli, "_run_sweep_point", _allocation_fails)
+    cfg = write_config(tmp_path / "c.cfg", sweep_rho="0.5,1")
+    assert main(["sweep", "--n", "4", "--jobs", "2", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"matchlab: out of memory: {_TOO_LARGE}\n"
 
 
 @pytest.mark.parametrize("damage", TABLE_DAMAGES)

@@ -35,10 +35,18 @@ from matchlab import (
     solve_dse,
 )
 from matchlab import cli, core, designer, verifier
-from matchlab.core import acceptance
+from matchlab.core import acceptance, format_float, load_platform, save_platform
 from matchlab.designer import first_best_platform, glitch, misreport_value_slope
 
-from conftest import cubic_production, gain_args, mixture_kernel, one_shot_worst, two_product_gains
+from conftest import (
+    cubic_production,
+    dense_kernel,
+    dense_platform,
+    gain_args,
+    mixture_kernel,
+    one_shot_worst,
+    two_product_gains,
+)
 
 #: Rows per block in the blocked-pass tests.
 _ROWS = 4
@@ -226,7 +234,152 @@ def test_glitch_is_the_one_shot_mixture(n, cutoff, epsilon):
     padded = np.eye(n)
     padded[cutoff:, cutoff:] = platform.kernel
     reference = (1.0 - epsilon) * padded + epsilon / n * np.ones((n, n))
-    assert _bits(glitch(platform, epsilon).kernel) == _bits(reference)
+    assert _bits(dense_kernel(glitch(platform, epsilon).kernel)) == _bits(reference)
+
+
+# ---------------------------------------------------------------------------
+# diagonal kernels, stored as their diagonal, against the dense identity
+# ---------------------------------------------------------------------------
+
+#: Grid sizes and cutoffs of the diagonal-path tests: n = 7 takes one
+#: block, n = 50 several blocks of four rows, and a cutoff of 17 falls
+#: inside the block of rows 16 to 19.
+_DIAGONAL_CASES = [(7, 0), (7, 3), (50, 0), (50, 17)]
+
+
+def _diagonal_platforms(n, k, transfers=None):
+    """The identity platform above cutoff ``k`` and one whose diagonal
+    entries lie a few ulp off one, so adjacent rows differ: each stored as
+    its diagonal, with its dense reference (``conftest.dense_platform``)."""
+    grid = make_grid(n)
+    transfers = np.zeros(n) if transfers is None else transfers
+    wobble = 1.0 + np.random.default_rng(n + k).integers(-4, 5, n - k) * 2.0 ** -45
+    for kernel in (np.ones(n - k), wobble):
+        platform = Platform(grid=grid, cutoff=k, kernel=kernel, transfers=transfers)
+        assert platform.is_diagonal and platform.kernel.shape == (n - k,)
+        yield platform, dense_platform(platform)
+
+
+def _flipped_state(platform, f, params):
+    """The closed-form equilibrium with the acceptance flags of the first
+    included node's own pair and of pair (n - 1, 0) flipped, so ``A`` has a
+    zero on its diagonal and two pairs break the acceptance rule."""
+    dse = solve_dse(platform, f, params)
+    k = platform.cutoff
+    M = dse.M.copy()
+    M[k, k] = not M[k, k]
+    M[-1, 0] = not M[-1, 0]
+    return DSEState(w=dse.w, u=dse.u, M=M, bellman_residual=0.0, balance_residual=0.0)
+
+
+@pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
+def test_diagonal_residuals_and_slope_are_the_dense_ones(four_row_blocks, params, n, k):
+    """``dse_residuals`` and ``misreport_value_slope`` on a diagonal kernel
+    give the bits of their dense paths on the same kernel held dense.  The
+    last output's derivative table is negated, so the masked diagonal entry
+    of ``A o F_x`` is -0.0, which the dense product sums to +0.0."""
+    four_row_blocks(n)
+    for platform, dense in _diagonal_platforms(n, k):
+        grid = platform.grid
+        falling = ProductionFunction.tabulated(grid, cubic_production(grid).values(grid),
+                                               dx_table=-cubic_production(grid).dx_values(grid))
+        for f in _productions(grid) + (falling,):
+            state = _flipped_state(platform, f, params)
+            got = dse_residuals(platform, f, params, state)
+            assert got[2] == 2
+            assert _bits(got[:2]) == _bits(dse_residuals(dense, f, params, state)[:2])
+            assert got[2] == dse_residuals(dense, f, params, state)[2]
+            assert (_bits(misreport_value_slope(platform, f, params, state))
+                    == _bits(misreport_value_slope(dense, f, params, state)))
+
+
+@pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
+def test_diagonal_gains_are_the_dense_ones(monkeypatch, params, n, k):
+    """The incentive scan on a diagonal kernel finds the worst pair and the
+    bits of its gain that the dense product finds, with zero and with
+    designed transfers, from the held table and from ``f``, in one block
+    and in blocks of four rows."""
+    f = ProductionFunction.multiplicative()
+    designed = design(make_grid(n), f, params, cutoff=k).platform.transfers
+    for rows in (verifier._GAIN_ROWS, _ROWS):
+        monkeypatch.setattr(verifier, "_GAIN_ROWS", rows)
+        for transfers in (None, designed):
+            for platform, dense in _diagonal_platforms(n, k, transfers):
+                dse = solve_dse(platform, f, params)
+                args = gain_args(platform, f, params, dse)
+                reference = verifier._incentive_gains(*gain_args(dense, f, params, dse))
+                for got in (verifier._incentive_gains(*args),
+                            verifier._incentive_gains(args[0], f, *args[2:], platform.grid)):
+                    assert got[1] == reference[1] and _bits(got[0]) == _bits(reference[0])
+
+
+def test_diagonal_gains_keep_the_products_positive_zero():
+    """An excluded type that rejects every included one, at zero transfers:
+    each of its gains is a masked -0.0 times the kernel, which the dense
+    product sums to +0.0, and the scan on the diagonal reports that +0.0."""
+    n, k = 3, 1
+    w = np.array([0.0, 0.5, 0.5])
+    F = np.full((n, n), 0.1)
+    args = [0.5, F, w, np.full(n, 0.5), acceptance(F, w), np.eye(n - k), np.zeros(n),
+            slice(k, n)]
+    assert not args[4][:, k:].any()
+    reference = verifier._incentive_gains(*args)
+    args[5] = np.ones(n - k)
+    got = verifier._incentive_gains(*args)
+    assert got == reference == (0.0, (0, 1))
+    assert _bits(got[0]) == _bits(reference[0]) == _bits(0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6, 50])
+def test_diagonal_smoothness_and_defect_are_the_dense_ones(four_row_blocks, n):
+    """Row smoothness and the consistency defect of a diagonal kernel have
+    the bits of the dense blocked passes, in blocks that the m - 1 row
+    differences fill or overrun."""
+    four_row_blocks(n)
+    for k in (0, 1):
+        for platform, dense in _diagonal_platforms(n, k):
+            assert (_bits(verifier._row_smoothness(platform))
+                    == _bits(verifier._row_smoothness(dense)))
+            assert _bits(platform.consistency_defect()) == _bits(dense.consistency_defect()) \
+                == _bits(0.0)
+
+
+@pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
+def test_diagonal_platform_files_are_the_dense_ones(tmp_path, f_xy, n, k):
+    """``save_platform`` writes the bytes of the dense kernel's runs for a
+    diagonal one, and ``load_platform`` reads them, and the older one-entry
+    ``i,j,G`` layout of the same kernel, back to the diagonal, bit for bit."""
+    for at, (platform, dense) in enumerate(_diagonal_platforms(n, k)):
+        diagonal_dir, dense_dir = tmp_path / f"g{at}", tmp_path / f"dense{at}"
+        save_platform(platform, f_xy, str(diagonal_dir))
+        save_platform(dense, f_xy, str(dense_dir))
+        for name in ("platform.csv", "transfers.csv", "manifest.txt"):
+            assert (diagonal_dir / name).read_bytes() == (dense_dir / name).read_bytes()
+        loaded, _ = load_platform(str(diagonal_dir))
+        assert loaded.is_diagonal and _bits(loaded.kernel) == _bits(platform.kernel)
+        entries = "".join(f"{k + i},{k + i},{format_float(g)}\n"
+                          for i, g in enumerate(platform.kernel))
+        (diagonal_dir / "platform.csv").write_text("i,j,G\n" + entries)
+        loaded, _ = load_platform(str(diagonal_dir))
+        assert loaded.is_diagonal and _bits(loaded.kernel) == _bits(platform.kernel)
+
+
+def test_dense_diagonal_kernels_are_stored_as_their_diagonal():
+    """The constructor keeps a dense kernel whose nonzeros are all diagonal
+    as the vector, including the ``glitch`` of weight zero; one with any
+    off-diagonal mass stays dense, even mass too small to move a row sum."""
+    grid = make_grid(6)
+    platform = Platform(grid=grid, cutoff=2, kernel=np.eye(4), transfers=np.zeros(6))
+    assert platform.is_diagonal and _bits(platform.kernel) == _bits(np.ones(4))
+    assert _bits(glitch(platform, 0.0).kernel) == _bits(np.ones(6))
+    assert not glitch(platform, 0.5).is_diagonal
+    assert not Platform(grid=grid, cutoff=0, kernel=mixture_kernel(6, 0.5, 0.5),
+                        transfers=np.zeros(6)).is_diagonal
+    speck = np.eye(4)
+    speck[0, 1] = speck[1, 0] = 1e-300
+    assert speck.sum(axis=1)[0] == 1.0
+    held = Platform(grid=grid, cutoff=2, kernel=speck, transfers=np.zeros(6))
+    assert not held.is_diagonal and _bits(held.kernel) == _bits(speck)
 
 
 def _assert_matches_two_products(args):
@@ -404,14 +557,16 @@ def designed():
 
 
 # the bool result of acceptance counts as an eighth of an array; no layer
-# but the dense solve holds an n-by-n output table
+# but the dense solve holds an n-by-n output table, and the identity solve
+# holds the acceptance sets and one block of f; glitch holds its mixture
+# and the validation's eighth-array bool masks
 @pytest.mark.parametrize("layer, bound", [
     ("audit", 1.5),
     ("audit_designed", 0.5),
     ("solve_dse", 2.75),
-    ("solve_dse_identity", 0.5),
+    ("solve_dse_identity", 0.3),
     ("misreport_value_slope", 1.25),
-    ("glitch", 1.5),
+    ("glitch", 1.25),
     ("consistency_defect", 0.5),
     ("acceptance", 0.5),
 ])
@@ -431,12 +586,20 @@ def test_dense_layer_memory_budget(glitched_state, designed, layer, bound):
 
 
 def test_assortative_commands_hold_no_output_table(tmp_path):
-    """``design --n 1000 --cutoff auto`` and ``verify`` on its output, run
-    through ``cli.run``, allocate less than one n-by-n float array at their
-    peak: neither holds the output table, its derivative table or a full
-    gain matrix."""
+    """The identity ``solve --n 1000``, ``design --n 1000 --cutoff auto``,
+    ``verify`` on the design and a one-process ``sweep``, run through
+    ``cli.run``, allocate less than half an n-by-n float array at their
+    peak: none holds the output table, its derivative table, a full gain
+    matrix or the identity kernel as a matrix."""
     rates = ["--rho", "1", "--alpha", "0.5", "--r", "0.05", "--f", "xy"]
-    for argv in (["design", "--n", str(_N), "--cutoff", "auto", *rates, "--out", str(tmp_path)],
-                 ["verify", "--platform", str(tmp_path), "--out", str(tmp_path / "v")]):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("sweep_rho=0.5,1\n")
+    statuses = []
+    for argv in (["solve", "--n", str(_N), *rates, "--out", str(tmp_path / "s")],
+                 ["design", "--n", str(_N), "--cutoff", "auto", *rates, "--out", str(tmp_path)],
+                 ["verify", "--platform", str(tmp_path), "--out", str(tmp_path / "v")],
+                 ["sweep", "--n", str(_N), *rates, "--jobs", "1", "--config", str(sweep),
+                  "--out", str(tmp_path / "w")]):
         cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
-        assert _peak_arrays(cli.run, cfg) < 1.0
+        assert _peak_arrays(lambda: statuses.append(cli.run(cfg))) < 0.5, argv[0]
+    assert statuses == [0, 0, 0, 0]

@@ -28,7 +28,7 @@ from matchlab import (
 from matchlab import designer
 from matchlab.core import RESIDUAL_TOL
 
-from conftest import cubic_production
+from conftest import cubic_production, dense_platform
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +38,13 @@ from conftest import cubic_production
 
 def test_first_best_platform_is_identity():
     p = first_best_platform(make_grid(4), 0)
-    assert np.array_equal(p.kernel, np.eye(4))
+    assert p.is_diagonal and np.array_equal(p.kernel, np.ones(4))
     assert p.consistency_defect() == 0.0
 
 
 def test_first_best_platform_with_cutoff():
     p = first_best_platform(make_grid(4), 2)
-    assert np.array_equal(p.kernel, np.eye(2))
+    assert p.is_diagonal and np.array_equal(p.kernel, np.ones(2))
     assert np.arange(p.cutoff, p.grid.n).tolist() == [2, 3]
 
 
@@ -58,13 +58,11 @@ def test_first_best_dse_reference_values(params, f_xy):
 
 def test_first_best_dse_agrees_with_solver(params, f_xy):
     """The closed form against an iterative reference: the same identity
-    platform solved by the dense path, which runs once ``is_diagonal`` reads
-    False."""
+    platform solved by the dense path, which runs on its kernel held as the
+    dense identity matrix."""
     g = make_grid(64)
     closed = solve_dse(first_best_platform(g, 5), f_xy, params)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Platform, "is_diagonal", False)
-        solved = solve_dse(first_best_platform(g, 5), f_xy, params)
+    solved = solve_dse(dense_platform(first_best_platform(g, 5)), f_xy, params)
     assert solved.iterations > 0 and solved.steady_state_solves > 0
     assert np.max(np.abs(closed.w - solved.w)) < 1e-15
     assert np.max(np.abs(closed.u - solved.u)) < 1e-15
@@ -347,8 +345,8 @@ def test_strictly_increasing_virtual_output_unique_cutoff():
 def test_glitch_limits(f_xy):
     g = make_grid(4)
     base = first_best_platform(g, 2)
-    padded = np.eye(4)  # excluded nodes keep self-search rows
-    assert np.array_equal(glitch(base, 0.0).kernel, padded)
+    # excluded nodes keep self-search rows: the identity, stored as its diagonal
+    assert np.array_equal(glitch(base, 0.0).kernel, np.ones(4))
     assert np.array_equal(glitch(base, 1.0).kernel, np.full((4, 4), 0.25))
 
 
