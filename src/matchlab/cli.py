@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import get_type_hints
 
 # ``--jobs`` worker processes are matchlab's one parallelism, so each process
@@ -467,19 +467,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     certified = report.certified()
     outdir = cfg.out
     _output_dir(outdir)
-    payload = {
-        "consistency_defect": report.consistency_defect,
-        "ir_min_slack": report.ir_min_slack,
-        "ic_max_violation": report.ic_max_violation,
-        "worst_misreport": list(report.worst_misreport),
-        "bellman_residual": report.bellman_residual,
-        "balance_residual": report.balance_residual,
-        "acceptance_violations": report.acceptance_violations,
-        "row_smoothness": report.row_smoothness,
-        "certified": certified,
-        "seed": cfg.seed,
-    }
-    _write_json(os.path.join(outdir, "audit.json"), payload)
+    _write_json(os.path.join(outdir, "audit.json"),
+                {**asdict(report), "certified": certified, "seed": cfg.seed})
     # record the audited rates and the build's requests, so the manifest says
     # how the audited platform was built; in place it keeps its source too
     keys = ("n_request", "cutoff_request")

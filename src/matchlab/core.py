@@ -133,7 +133,8 @@ class TypeGrid:
 
     Node ``i`` sits at ``(i + 0.5) / n`` and carries mass ``1 / n``; the cell
     structure keeps every node strictly inside (0, 1) and makes the kernel
-    consistency condition equivalent to kernel symmetry.
+    consistency condition equivalent to kernel symmetry.  The constructor
+    marks the ``nodes`` array it is given read-only, without a copy.
     """
 
     n: int
@@ -274,19 +275,6 @@ class ProductionFunction:
                + wx * wy * (v11 - v10 - v01 + v00))
         return out if out.ndim else float(out)
 
-    # -- diagnostics -------------------------------------------------------
-
-    def is_strictly_supermodular(self, grid: TypeGrid) -> bool:
-        """True when output gains from raising both types exceed the sum of
-        single-type gains for every ordered quadruple of grid nodes.
-
-        Checked through adjacent-cell second differences, which is equivalent
-        to the full quadruple condition by telescoping.
-        """
-        F = self.values(grid)
-        d2 = F[1:, 1:] - F[1:, :-1] - F[:-1, 1:] + F[:-1, :-1]
-        return bool(np.all(d2 > 0))
-
 
 def _locate(nodes: np.ndarray, q: np.ndarray):
     """Cell index and interpolation weight for query points, edge-clamped."""
@@ -304,7 +292,8 @@ class Platform:
     ``kernel`` is indexed by included nodes only and each row is the partner
     distribution of that node.  Inclusion is an upper set by construction;
     arbitrary exclusion masks are not representable here on purpose (the
-    brute-force oracle in the verifier enumerates masks on its own path).
+    brute-force oracle in the verifier relabels the nodes of each mask so
+    that the mask is the top of the grid).
 
     A diagonal kernel, every nonzero entry on the diagonal (with rows summing
     to one, the identity kernel of the assortative platform), is stored as
@@ -312,6 +301,13 @@ class Platform:
     matrix.  The constructor takes either form and keeps a dense kernel
     whose nonzeros are all diagonal as the vector, so each kernel has one
     representation and ``kernel.ndim`` tells them apart.
+
+    The constructor marks the float64 ``kernel`` and ``transfers`` arrays it
+    is given read-only, without a copy: a copy of a dense kernel would cost
+    m² floats, 8 MB at n = 1000.  A caller who writes to them afterwards
+    passes copies.  Other input is converted to new float64 arrays, and a
+    dense diagonal kernel is stored as a new vector, leaving the caller's
+    arrays writable.
     """
 
     grid: TypeGrid
@@ -407,7 +403,8 @@ class DSEState:
     steady-state solve of the call, both 0 for the closed form of a diagonal
     kernel (see :func:`~matchlab.solver.solve_dse`).  ``lu_fallbacks`` counts
     the linear solves of policy steps that conjugate gradients handed to the
-    dense LU.
+    dense LU.  The constructor marks the ``w``, ``u`` and ``M`` arrays it is
+    given read-only, without a copy.
     """
 
     w: np.ndarray
@@ -431,11 +428,13 @@ class DSEState:
 _BLOCK_BYTES = 1 << 20
 
 
-def _row_blocks(nrows: int, ncols: int, start: int = 0) -> list[slice]:
-    """Consecutive slices covering ``range(start, nrows)``, each of as many
-    rows of ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one."""
+def _row_blocks(nrows: int, ncols: int, cutoff: int = 0) -> list[slice]:
+    """Consecutive slices covering ``range(nrows)``, each of as many rows of
+    ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one; the rows
+    below ``cutoff`` and those from it on never share a slice."""
     step = max(1, _BLOCK_BYTES // (8 * max(ncols, 1)))
-    return [slice(lo, min(lo + step, nrows)) for lo in range(start, nrows, step)]
+    return [slice(lo, min(lo + step, end)) for begin, end in ((0, cutoff), (cutoff, nrows))
+            for lo in range(begin, end, step)]
 
 
 def _kernel_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -473,7 +472,7 @@ def acceptance(F, w: np.ndarray, grid: TypeGrid | None = None,
     n = len(w)
     k = n if held is None else n - len(held)
     accept = np.empty((n, n), dtype=bool)
-    for rows in _row_blocks(k, n) + _row_blocks(n, n, k):
+    for rows in _row_blocks(n, n, k):
         if grid is None:
             block = F[rows]
         elif rows.start < k:
@@ -495,8 +494,7 @@ def acceptance(F, w: np.ndarray, grid: TypeGrid | None = None,
 # platform.csv   header i,j,j_last,G  one row per maximal run of equal nonzero entries within
 #                                     a kernel row (see row_runs): G[i, j..j_last] = G
 #                                     (inclusive, global ids), runs in row-major order; zero
-#                                     runs are omitted.  The older layout, header i,j,G with
-#                                     one row per nonzero entry, loads as runs with j_last = j.
+#                                     runs are omitted
 # transfers.csv  header i,t           one row per node, nodes 0..n-1 in order
 # manifest.txt   key=value lines      n, cutoff, f.kind, f.c
 # table.csv      header i,j,f         only for tabulated production, every entry, row-major
@@ -504,9 +502,8 @@ def acceptance(F, w: np.ndarray, grid: TypeGrid | None = None,
 
 #: Lines ``write_columns`` builds and writes at a time.
 _BLOCK_ROWS = 1 << 16
-#: ``platform.csv`` headers: the run layout ``save_platform`` writes, and the
-#: one-entry-per-row layout of older artifacts.
-_RUN_HEADER, _ENTRY_HEADER = "i,j,j_last,G", "i,j,G"
+#: ``platform.csv`` header: the run layout ``save_platform`` writes.
+_RUN_HEADER = "i,j,j_last,G"
 
 
 def row_runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -583,22 +580,18 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
 
 def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
     """The kernel on ``n - k`` included nodes that ``platform.csv`` at
-    ``path`` holds, in either layout, chosen by its header: its diagonal
-    when every run is one diagonal entry, else the dense matrix.
+    ``path`` holds: its diagonal when every run is one diagonal entry, else
+    the dense matrix.
 
     The runs are checked before they are expanded, so a damaged file can
     never ask for more than the kernel's entries.
     """
     with open(path, "rb") as fh:
         header = fh.readline().strip()
-    if header == _RUN_HEADER.encode():
-        i, j, j_last, g = read_columns(path, 4, 3, k, n)
-    elif header == _ENTRY_HEADER.encode():
-        i, j, g = read_columns(path, 3, 2, k, n)
-        j_last = j
-    else:
-        raise ValueError(f"{path}: header must be {_RUN_HEADER} (or the older "
-                         f"{_ENTRY_HEADER}), found {header.decode('utf-8', 'replace')!r}")
+    if header != _RUN_HEADER.encode():
+        raise ValueError(f"{path}: header must be {_RUN_HEADER}, "
+                         f"found {header.decode('utf-8', 'replace')!r}")
+    i, j, j_last, g = read_columns(path, 4, 3, k, n)
     if np.any(j_last < j):
         raise ValueError(f"{path}: a run ends before it starts (j_last < j)")
     m = n - k

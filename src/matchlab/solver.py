@@ -465,7 +465,7 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     au = _kernel_product(A, ub)
     awu = _kernel_product(A, wb * ub)
     violations = 0
-    for rows in _row_blocks(k, n) + _row_blocks(n, n, k):
+    for rows in _row_blocks(n, n, k):
         F = f.values(grid, rows)
         if rows.start >= k:
             # A o F, a block of rows at a time

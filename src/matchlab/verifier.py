@@ -28,12 +28,14 @@ finds the assortative pairing rent-minimal unless some pairing's rent lies
 more than ``RENT_TOL`` below it.
 
 Both flavors are priced in one scan, ``_incentive_gains``, a block of true
-types at a time: included rows by the surplus product alone, excluded rows
-by the S0/S1 form alone.  It keeps a running maximum over the blocks, so
-the n-by-n gain matrix is never built, adds the excluded report that
-forfeits search, and returns the worst deviation; ``audit`` calls it on a
-platform's included block, and the brute-force oracle on each masked
-configuration, with the pairing as a permutation kernel and every type at
+types at a time.  Inclusion is a cutoff there too, and no block holds rows
+on both sides of it, so each block is priced one way: included rows by the
+surplus product, excluded rows by the S0/S1 form.  It keeps a running
+maximum over the blocks, so the n-by-n gain matrix is never built, adds the
+excluded report that forfeits search, and returns the worst deviation;
+``audit`` calls it with a platform's cutoff, and the brute-force oracle on
+each masked configuration, its nodes relabelled so that the mask lies above
+a cutoff, with the pairing as a permutation kernel and every type at
 ``u_star``.  ``audit`` holds no output table: the residuals and this scan
 each evaluate the rows of one block at a time.
 """
@@ -108,46 +110,43 @@ class AuditReport:
 
 def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
                      M: np.ndarray, G: np.ndarray, t: np.ndarray,
-                     inc, grid: TypeGrid | None = None) -> tuple[float, tuple[int, int]]:
+                     k: int, grid: TypeGrid | None = None) -> tuple[float, tuple[int, int]]:
     """The worst deviation over every report: its gain and its (true,
     reported) node pair.
 
-    ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes; ``inc`` picks the
-    ``m`` included ones (``slice(k, n)`` on a platform) and ``G`` is the
-    kernel over them: the ``(m, m)`` matrix, or the length-m diagonal of a
-    diagonal kernel, on which each product with ``G`` is a scaling of the
-    columns.  ``F`` is the n-by-n output table, or the
+    ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes, of which those from
+    the cutoff ``k`` on are included, and ``G`` is the kernel over the
+    ``m = n - k`` included ones: the ``(m, m)`` matrix, or the length-m
+    diagonal of a diagonal kernel, on which each product with ``G`` is a
+    scaling of the columns.  ``F`` is the n-by-n output table, or the
     :class:`~matchlab.core.ProductionFunction` whose table on ``grid`` it
     is; the scan reads the included columns of one block of rows at a time,
     evaluated then.  Gains are measured against the truthful net payoff
     ``w - t``, and a truthful report gains zero.  The gains of reporting an
-    included type are priced a block of ``_GAIN_ROWS`` true types at a time,
-    each block in the same two buffers (one on a diagonal kernel, where each
-    product is in place), so the n-by-m gain matrix is never held whole;
-    the worst of them is its first maximum in row-major order, as
-    ``argmax`` finds it (a NaN wins).  Reporting an excluded type forfeits
-    search and pays nothing; its pair names the highest excluded node.
+    included type are priced a block of at most ``_GAIN_ROWS`` true types
+    at a time, the blocks of excluded types (below ``k``) first, so each
+    block takes one of the two pricings.  Each block is priced in the same
+    two buffers (one on a diagonal kernel, where each product is in place),
+    so the n-by-m gain matrix is never held whole; the worst of them is its
+    first maximum in row-major order, as ``argmax`` finds it (a NaN wins).
+    Reporting an excluded type forfeits search and pays nothing; its pair
+    names the highest excluded node, ``k - 1``.
     """
     n, m = len(w), len(G)
-    w_inc, u_inc, t_inc = w[inc], u[inc], t[inc]
+    w_inc, u_inc, t_inc = w[k:], u[k:], t[k:]
     U = w - t                                        # truthful net payoff
-    excluded = np.ones(n, dtype=bool)
-    excluded[inc] = False
-    nodes = np.arange(n)[inc]                        # node of each included column
-    M_inc = M[:, inc]
+    M_inc = M[:, k:]
 
     def outputs(rows):
-        """``F[rows, inc]``, a fresh array the block may overwrite."""
-        if grid is None:
-            return np.take(F[rows], nodes, axis=1)
-        return F.values(grid, rows, inc)
+        """``F[rows, k:]``, a fresh array the block may overwrite."""
+        return F[rows, k:].copy() if grid is None else F.values(grid, rows, slice(k, n))
 
     diagonal = G.ndim == 1
 
     def times_kernel(X, out):
-        """``X G^T`` into ``out``, or a new array for None.  On a diagonal
-        ``G`` it scales the columns, so ``out`` may be ``X`` itself, and
-        adds zero: a sum of products gives +0.0 where ``X`` holds -0.0."""
+        """``X G^T`` into ``out``.  On a diagonal ``G`` it scales the
+        columns, so ``out`` may be ``X`` itself, and adds zero: a sum of
+        products gives +0.0 where ``X`` holds -0.0."""
         if not diagonal:
             return np.matmul(X, G.T, out=out)
         out = np.multiply(X, G, out=out)
@@ -159,62 +158,51 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
     # on a diagonal G every product is in place, so Mu can take S0's rows
     mu_rows = gain_rows if diagonal else np.empty((height, m))
     worst_gain, worst = None, None
-    for start in range(0, n, height):
-        stop = min(start + height, n)
-        gains = gain_rows[:stop - start]
-        out = excluded[start:stop]
-        size = int(np.count_nonzero(out))
-        if size:
+    for rows in [slice(lo, min(lo + height, end)) for begin, end in ((0, k), (k, n))
+                 for lo in range(begin, end, height)]:
+        size = rows.stop - rows.start
+        if rows.start < k:
             # excluded true types: the self-consistent theta S1 / (1 + theta S0),
             # S0 = sum_k M_ik G_jk u_k and S1 = sum_k M_ik (f_ik - w_k) G_jk u_k,
             # priced in the two block buffers and the block's outputs
-            rows = start + np.flatnonzero(out)
             Mu = np.multiply(M_inc[rows], u_inc, out=mu_rows[:size])
             S1 = outputs(rows)
             S1 -= w_inc
             S1 *= Mu
-            S0 = times_kernel(Mu, gain_rows[:size])
+            gains = times_kernel(Mu, gain_rows[:size])
             S1 = times_kernel(S1, S1 if diagonal else Mu)
             S1 *= theta
-            S0 *= theta
-            S0 += 1.0
-            S1 /= S0
-            S1 -= t_inc[None, :]
-            gains[out] = S1
-            del S1  # before the included rows are evaluated
-        if size < stop - start:
+            gains *= theta
+            gains += 1.0
+            np.divide(S1, gains, out=gains)
+            del S1  # before the next block is evaluated
+            gains -= t_inc
+        else:
             # included true types: theta sum_k M_ik (f_ik - w_i - w_k) G_jk u_k
             # - t_j - U_i, one product whose left factor, the masked surplus
-            # times u, is built in place in the block's outputs; a block with
-            # excluded rows prices its included rows apart
-            rows = start + np.flatnonzero(~out) if size else slice(start, stop)
+            # times u, is built in place in the block's outputs
             surplus = outputs(rows)
             surplus -= w[rows, None]
-            surplus -= w_inc[None, :]
+            surplus -= w_inc
             surplus *= M_inc[rows]
             surplus *= u_inc
-            # a block of included rows alone is priced into the gains' buffer,
-            # the included rows of a split block in place on a diagonal G
-            priced = times_kernel(surplus, (surplus if diagonal else None) if size else gains)
+            gains = times_kernel(surplus, gain_rows[:size])
             del surplus  # before the next block is evaluated
-            priced *= theta
-            priced -= t_inc[None, :]
-            priced -= U[rows, None]
-            if size:
-                gains[~out] = priced
-        truthful = np.flatnonzero((nodes >= start) & (nodes < stop))
-        gains[nodes[truthful] - start, truthful] = 0.0
+            gains *= theta
+            gains -= t_inc
+            gains -= U[rows, None]
+            truthful = np.arange(size)
+            gains[truthful, rows.start - k + truthful] = 0.0
         bi, bj = np.unravel_index(int(gains.argmax()), gains.shape)
         gain = float(gains[bi, bj])
         # a later block takes over on a larger gain, or on a NaN over a number
         if worst_gain is None or (worst_gain == worst_gain and not gain <= worst_gain):
-            worst_gain, worst = gain, (start + int(bi), int(nodes[bj]))
-    if len(nodes) < n:
-        exc_gain = -U[inc]                           # less the truthful net payoff
+            worst_gain, worst = gain, (rows.start + int(bi), k + int(bj))
+    if k:
+        exc_gain = -U[k:]                            # less the truthful net payoff
         best = int(exc_gain.argmax())
         if float(exc_gain[best]) > worst_gain:
-            worst_gain, worst = float(exc_gain[best]), (int(nodes[best]),
-                                                        int(np.flatnonzero(excluded)[-1]))
+            worst_gain, worst = float(exc_gain[best]), (k + best, k - 1)
     return worst_gain, worst
 
 
@@ -254,13 +242,13 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
     (deviating to an excluded report forfeits search and pays nothing).
     """
     grid = platform.grid
-    n, k = grid.n, platform.cutoff
+    k = platform.cutoff
     x = grid.nodes
     U = dse.w - platform.transfers
 
     bell, bal, violations = dse_residuals(platform, f, params, dse)
     ic_max, (wi, wj) = _incentive_gains(params.theta, f, dse.w, dse.u, dse.M,
-                                        platform.kernel, platform.transfers, slice(k, n), grid)
+                                        platform.kernel, platform.transfers, k, grid)
 
     return AuditReport(
         consistency_defect=platform.consistency_defect(),
@@ -328,7 +316,13 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
 
     G = np.zeros((m, m))
     G[np.arange(m), perm] = 1.0
-    ic_max, _ = _incentive_gains(theta, F, w, np.full(n, u_star), accept, G, t, nodes)
+    # the scan takes inclusion as a cutoff: relabel the nodes, the others
+    # first and the mask last, each in grid order, so the mask columns keep
+    # their order; the gain does not depend on the labels, the pair does
+    order = np.append(np.setdiff1d(np.arange(n), nodes), nodes)
+    pairs = np.ix_(order, order)
+    ic_max, _ = _incentive_gains(theta, F[pairs], w[order], np.full(n, u_star), accept[pairs],
+                                 G, t[order], n - m)
     return ic_max, float(np.max(w_mask))
 
 

@@ -50,30 +50,28 @@ def dense_platform(platform):
 
 def gain_args(platform, f, params, dse):
     """The incentive-scan arguments ``audit`` passes for a platform and its
-    equilibrium: ``(theta, F, w, u, M, G, t, inc)``."""
+    equilibrium: ``(theta, F, w, u, M, G, t, k)``, ``k`` the cutoff."""
     return (params.theta, f.values(platform.grid), dse.w, dse.u, dse.M, platform.kernel,
-            platform.transfers, slice(platform.cutoff, platform.grid.n))
+            platform.transfers, platform.cutoff)
 
 
-def two_product_gains(theta, F, w, u, M, G, t, inc):
+def two_product_gains(theta, F, w, u, M, G, t, k):
     """The full gain matrix, row = true type, column = included report, by
     the two products ``S0 = sum_k M_ik G_jk u_k`` and ``S1 = sum_k M_ik
     (f_ik - w_k) G_jk u_k``: ``theta (S1 - w_i S0)`` on included rows and
     ``theta S1 / (1 + theta S0)`` on excluded ones, less ``t_j`` and the
-    truthful payoff, with truthful reports at zero."""
+    truthful payoff, with truthful reports at zero; the nodes from the
+    cutoff ``k`` on are included."""
     n = len(w)
     G = dense_kernel(G)
     U = w - t
-    M_inc = M[:, inc]
-    GU = (G * u[inc][None, :]).T
+    M_inc = M[:, k:]
+    GU = (G * u[k:][None, :]).T
     S0 = M_inc.astype(float) @ GU
-    S1 = (M_inc * (F[:, inc] - w[inc][None, :])) @ GU
-    gains = theta * (S1 - w[:, None] * S0) - t[inc][None, :] - U[:, None]
-    excluded = np.ones(n, dtype=bool)
-    excluded[inc] = False
-    gains[excluded] = theta * S1[excluded] / (1.0 + theta * S0[excluded]) - t[inc][None, :]
-    rows = np.arange(n)[inc]
-    gains[rows, np.arange(len(rows))] = 0.0
+    S1 = (M_inc * (F[:, k:] - w[k:][None, :])) @ GU
+    gains = theta * (S1 - w[:, None] * S0) - t[k:][None, :] - U[:, None]
+    gains[:k] = theta * S1[:k] / (1.0 + theta * S0[:k]) - t[k:][None, :]
+    gains[np.arange(k, n), np.arange(n - k)] = 0.0
     return gains
 
 
@@ -81,15 +79,12 @@ def one_shot_worst(gains, args):
     """The worst deviation read off the full gain matrix of the scan
     arguments ``args``: its first maximum in row-major order, unless
     reporting an excluded type, which pays nothing, gains more."""
-    w, t, inc = args[2], args[6], args[7]
-    nodes = np.arange(len(w))[inc]
+    w, t, k = args[2], args[6], args[7]
     i, j = divmod(int(gains.argmax()), gains.shape[1])
-    worst_gain, worst = float(gains[i, j]), (i, int(nodes[j]))
-    exc_gain = -(w[inc] - t[inc])
-    if len(nodes) < len(w) and exc_gain.max() > worst_gain:
-        excluded = np.setdiff1d(np.arange(len(w)), nodes)
-        worst_gain, worst = float(exc_gain.max()), (int(nodes[exc_gain.argmax()]),
-                                                    int(excluded[-1]))
+    worst_gain, worst = float(gains[i, j]), (i, k + j)
+    exc_gain = -(w[k:] - t[k:])
+    if k and exc_gain.max() > worst_gain:
+        worst_gain, worst = float(exc_gain.max()), (k + int(exc_gain.argmax()), k - 1)
     return worst_gain, worst
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from typing import get_type_hints
 
 import numpy as np
@@ -39,6 +40,7 @@ from matchlab.cli import (
     resolve_config,
 )
 from matchlab.core import DSEState, ProductionFunction, acceptance, format_float
+from matchlab.verifier import AuditReport
 
 from conftest import (
     TABLE_DAMAGES,
@@ -431,10 +433,12 @@ def test_design_reproduces_exclusion_example(tmp_path):
 
 
 def test_verify_certifies_design_output(tmp_path):
+    """``audit.json`` holds the report's fields, ``certified`` and ``seed``."""
     d, v = tmp_path / "d", tmp_path / "v"
     assert main(["design", "--n", "200", "--cutoff", "auto", "--out", str(d)]) == 0
     assert main(["verify", "--platform", str(d), "--out", str(v)]) == 0
     report = json.loads((v / "audit.json").read_text())
+    assert set(report) == {f.name for f in fields(AuditReport)} | {"certified", "seed"}
     assert report["certified"] is True
     assert report["ic_max_violation"] <= 1e-8
     assert report["ir_min_slack"] >= -1e-12
@@ -510,7 +514,7 @@ def test_verify_flags_corrupted_transfers(tmp_path):
 
 
 def _corrupt_platform_csv(d):
-    (d / "platform.csv").write_text("i,j,G\n0,0,1\n1,1\n")
+    (d / "platform.csv").write_text("i,j,j_last,G\n0,0,0,1\n1,1,1\n")
 
 
 def _drop_dse_csv(d):
@@ -518,12 +522,6 @@ def _drop_dse_csv(d):
 
 
 def _asymmetric_platform_csv(d):
-    rows = ["0,0,0.999", "0,1,0.001", "1,1,1"] + [f"{i},{i},1" for i in range(2, 6)]
-    (d / "platform.csv").write_text("i,j,G\n" + "\n".join(rows) + "\n")
-
-
-def _asymmetric_runs_platform_csv(d):
-    """The kernel of ``_asymmetric_platform_csv`` in the run layout ``solve`` writes."""
     rows = ["0,0,0,0.999", "0,1,1,0.001", "1,1,1,1"] + [f"{i},{i},{i},1" for i in range(2, 6)]
     (d / "platform.csv").write_text("i,j,j_last,G\n" + "\n".join(rows) + "\n")
 
@@ -582,8 +580,6 @@ def test_solve_mixture_artifact_exits_cleanly(n, a, b, rho, alpha, r, max_outer,
     ("simulate", _corrupt_platform_csv),
     ("solve", _asymmetric_platform_csv),
     ("simulate", _asymmetric_platform_csv),
-    ("solve", _asymmetric_runs_platform_csv),
-    ("simulate", _asymmetric_runs_platform_csv),
     ("sweep", _corrupt_platform_csv),
     ("sweep", _asymmetric_platform_csv),
     ("sweep", _manifest_only_n),

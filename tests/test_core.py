@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from matchlab import core
 from matchlab import (
+    DSEState,
     Platform,
     ProductionFunction,
     SearchParams,
+    TypeGrid,
     load_platform,
     make_grid,
     save_platform,
@@ -169,25 +171,16 @@ def test_surplus_index_check(f_xy):
     lambda: ProductionFunction.multiplicative_plus_constant(0.2),
 ])
 def test_builtin_supermodularity(n, make):
-    assert make().is_strictly_supermodular(make_grid(n))
-
-
-def test_supermodularity_matches_quadruple_enumeration(f_xy):
-    # direct check of every ordered quadruple on a small grid as the oracle
-    g = make_grid(8)
-    F = f_xy.values(g)
-    ok = all(
-        F[i, j] + F[ip, jp] > F[i, jp] + F[ip, j]
-        for i in range(8) for ip in range(i)
-        for j in range(8) for jp in range(j)
-    )
-    assert ok == f_xy.is_strictly_supermodular(g)
+    """Every adjacent-cell cross difference of a built-in output table is
+    positive: strict supermodularity on the grid, each ordered quadruple of
+    nodes being a sum of such cells."""
+    F = make().values(make_grid(n))
+    assert np.all(F[1:, 1:] - F[1:, :-1] - F[:-1, 1:] + F[:-1, :-1] > 0)
 
 
 def test_zero_table_is_weakly_monotone_not_supermodular():
     g = make_grid(3)
     f0 = ProductionFunction.tabulated(g, np.zeros((3, 3)))
-    assert not f0.is_strictly_supermodular(g)
     assert float(f0.eval(0.3, 0.8)) == 0.0
 
 
@@ -308,6 +301,25 @@ def test_is_diagonal_reads_kernel_support():
     with pytest.raises(ValueError, match="sum to 1"):
         Platform(grid=make_grid(3), cutoff=0, kernel=np.diag([1.0, 0.0, 1.0]),
                  transfers=np.zeros(3))
+
+
+def test_constructors_freeze_the_callers_arrays_without_a_copy():
+    """``TypeGrid``, ``Platform`` and ``DSEState`` hold the arrays they are
+    given and mark them read-only; a dense diagonal kernel is stored as a new
+    vector, so the caller's matrix stays writable."""
+    nodes = (np.arange(3) + 0.5) / 3
+    grid = TypeGrid(n=3, nodes=nodes, mass=1 / 3)
+    kernel, transfers = np.full((3, 3), 1 / 3), np.zeros(3)
+    platform = Platform(grid=grid, cutoff=0, kernel=kernel, transfers=transfers)
+    w, u, M = np.zeros(3), np.ones(3), np.ones((3, 3), dtype=bool)
+    state = DSEState(w=w, u=u, M=M, bellman_residual=0.0, balance_residual=0.0)
+    for given, held in ((nodes, grid.nodes), (kernel, platform.kernel),
+                        (transfers, platform.transfers), (w, state.w), (u, state.u),
+                        (M, state.M)):
+        assert held is given and not given.flags.writeable
+    eye = np.eye(3)
+    assert Platform(grid=grid, cutoff=0, kernel=eye, transfers=np.zeros(3)).is_diagonal
+    assert eye.flags.writeable
 
 
 def test_inclusion_is_an_upper_set_by_construction():
@@ -604,8 +616,8 @@ def test_platform_in_17_digit_text_loads_and_resaves_short(tmp_path):
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
     rows, cols = np.nonzero(p.kernel)
-    (old / "platform.csv").write_text("i,j,G\n" + "".join(
-        f"{i},{j},{p.kernel[i, j]:.17g}\n" for i, j in zip(rows, cols)))
+    (old / "platform.csv").write_text("i,j,j_last,G\n" + "".join(
+        f"{i},{j},{j},{p.kernel[i, j]:.17g}\n" for i, j in zip(rows, cols)))
     (old / "transfers.csv").write_text(
         "i,t\n" + "".join(f"{i},{t:.17g}\n" for i, t in enumerate(transfers)))
     (old / "manifest.txt").write_text("n=5\ncutoff=0\nf.kind=xy\nf.c=0\n")
@@ -637,12 +649,17 @@ def test_transfers_csv_golden_with_negative_zero(tmp_path, f_xy):
 
 
 @pytest.mark.parametrize("name, text", [
-    ("platform.csv", "i,j,G\n2,2,0.5\n2.5,3,0.5\n"),      # index not an integer
-    ("platform.csv", "i,j,G\n1,2,1\n2,2,1\n3,3,1\n4,4,1\n"),  # below the cutoff
-    ("platform.csv", "i,j,G\n2,5,1\n3,3,1\n4,4,1\n"),     # at n
-    ("platform.csv", "i,j,G\n2,2,1\n3,3\n4,4,1\n"),       # short row
-    ("platform.csv", "i,j\n2,2\n3,3\n4,4\n"),             # a column missing throughout
-    ("platform.csv", "i,j,G\n2,x,1\n"),                    # not a number
+    pytest.param("platform.csv", "i,j,j_last,G\n2,2,2,0.5\n2.5,3,3,0.5\n",
+                 id="platform.csv-index-not-an-integer"),
+    pytest.param("platform.csv", "i,j,j_last,G\n1,2,2,1\n2,2,2,1\n3,3,3,1\n4,4,4,1\n",
+                 id="platform.csv-below-the-cutoff"),
+    pytest.param("platform.csv", "i,j,j_last,G\n2,5,5,1\n3,3,3,1\n4,4,4,1\n",
+                 id="platform.csv-at-n"),
+    pytest.param("platform.csv", "i,j,j_last,G\n2,2,2,1\n3,3,3\n4,4,4,1\n",
+                 id="platform.csv-short-row"),
+    pytest.param("platform.csv", "i,j,j_last,G\n2,2,2\n3,3,3\n4,4,4\n",
+                 id="platform.csv-a-column-missing-throughout"),
+    pytest.param("platform.csv", "i,j,j_last,G\n2,x,2,1\n", id="platform.csv-not-a-number"),
     ("transfers.csv", "i,t\n-1,0\n"),
     ("transfers.csv", "i,t\n5,0\n"),
     ("transfers.csv", "i,t\n0,0,0\n"),
@@ -674,11 +691,10 @@ _ORDER = "runs must be in row-major order and must not overlap"
     (_RUNS + "3,3,3,1\n2,2,2,1\n4,4,4,1\n", _ORDER),
     (_RUNS + "2,2,1\n3,3,1\n4,4,1\n", "expected 4 columns per row, found 3"),
     (_RUNS + "2,2,2,1\n3,3,3\n4,4,4,1\n", ""),          # short row
-    ("i,j,G\n3,3,1\n2,2,1\n4,4,1\n", _ORDER),          # the older layout too
-    ("i,j,G\n2,2,1\n3,3,1\n3,3,1\n4,4,1\n", _ORDER),
+    ("i,j,G\n2,2,1\n3,3,1\n4,4,1\n", "header must be i,j,j_last,G, found 'i,j,G'"),
     ("i,j,G,x\n2,2,2,1\n3,3,3,1\n4,4,4,1\n", "header must be i,j,j_last,G"),
 ], ids=["j_last-below-j", "j_last-at-n", "overlap", "out-of-order", "three-columns",
-        "short-row", "entries-out-of-order", "entries-repeated", "unknown-header"])
+        "short-row", "entry-layout", "unknown-header"])
 def test_load_platform_rejects_bad_runs(tmp_path, f_xy, text, message):
     g = make_grid(5)
     save_platform(Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=np.zeros(5)),

@@ -35,7 +35,7 @@ from matchlab import (
     solve_dse,
 )
 from matchlab import cli, core, designer, verifier
-from matchlab.core import acceptance, format_float, load_platform, save_platform
+from matchlab.core import acceptance, load_platform, save_platform
 from matchlab.designer import first_best_platform, glitch, misreport_value_slope
 
 from conftest import (
@@ -45,6 +45,7 @@ from conftest import (
     gain_args,
     mixture_kernel,
     one_shot_worst,
+    reference_runs,
     two_product_gains,
 )
 
@@ -320,8 +321,7 @@ def test_diagonal_gains_keep_the_products_positive_zero():
     n, k = 3, 1
     w = np.array([0.0, 0.5, 0.5])
     F = np.full((n, n), 0.1)
-    args = [0.5, F, w, np.full(n, 0.5), acceptance(F, w), np.eye(n - k), np.zeros(n),
-            slice(k, n)]
+    args = [0.5, F, w, np.full(n, 0.5), acceptance(F, w), np.eye(n - k), np.zeros(n), k]
     assert not args[4][:, k:].any()
     reference = verifier._incentive_gains(*args)
     args[5] = np.ones(n - k)
@@ -347,19 +347,15 @@ def test_diagonal_smoothness_and_defect_are_the_dense_ones(four_row_blocks, n):
 @pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
 def test_diagonal_platform_files_are_the_dense_ones(tmp_path, f_xy, n, k):
     """``save_platform`` writes the bytes of the dense kernel's runs for a
-    diagonal one, and ``load_platform`` reads them, and the older one-entry
-    ``i,j,G`` layout of the same kernel, back to the diagonal, bit for bit."""
+    diagonal one, one run per row found entry by entry, and
+    ``load_platform`` reads them back to the diagonal, bit for bit."""
     for at, (platform, dense) in enumerate(_diagonal_platforms(n, k)):
         diagonal_dir, dense_dir = tmp_path / f"g{at}", tmp_path / f"dense{at}"
         save_platform(platform, f_xy, str(diagonal_dir))
         save_platform(dense, f_xy, str(dense_dir))
         for name in ("platform.csv", "transfers.csv", "manifest.txt"):
             assert (diagonal_dir / name).read_bytes() == (dense_dir / name).read_bytes()
-        loaded, _ = load_platform(str(diagonal_dir))
-        assert loaded.is_diagonal and _bits(loaded.kernel) == _bits(platform.kernel)
-        entries = "".join(f"{k + i},{k + i},{format_float(g)}\n"
-                          for i, g in enumerate(platform.kernel))
-        (diagonal_dir / "platform.csv").write_text("i,j,G\n" + entries)
+        assert (diagonal_dir / "platform.csv").read_bytes() == reference_runs(platform.kernel, k)
         loaded, _ = load_platform(str(diagonal_dir))
         assert loaded.is_diagonal and _bits(loaded.kernel) == _bits(platform.kernel)
 
@@ -396,14 +392,14 @@ def _assert_matches_two_products(args):
 def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy, monkeypatch):
     """A dense kernel above a cutoff of 17 on 50 nodes, with the designed
     transfers: the excluded rows take the self-consistent form.  In blocks
-    of four rows, the cutoff falls inside the block of rows 16 to 19."""
+    of four rows, the excluded rows end in the one-row block of row 16."""
     grid = make_grid(50)
     transfers = design(grid, f_xy, params, cutoff=17).platform.transfers
     platform = Platform(grid=grid, cutoff=17, kernel=mixture_kernel(33, 0.3, 0.3),
                         transfers=transfers)
     dse = solve_dse(platform, f_xy, params)
     args = (params.theta, f_xy.values(grid), dse.w, dse.u, dse.M,
-            platform.kernel, platform.transfers, slice(17, 50))
+            platform.kernel, platform.transfers, 17)
     _assert_matches_two_products(args)
     monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
     _assert_matches_two_products(args)
@@ -448,12 +444,12 @@ def _random_gain_args(n, cutoff, seed):
     t = rng.random(n) / 8.0
     t[:cutoff] = 0.0
     return (0.5, rng.random((n, n)), rng.random(n) / 4.0, rng.random(n),
-            rng.random((n, n)) < 0.7, raw / raw.sum(axis=1, keepdims=True), t,
-            slice(cutoff, n))
+            rng.random((n, n)) < 0.7, raw / raw.sum(axis=1, keepdims=True), t, cutoff)
 
 
 # in four-row blocks: 1 and 3 true types fit in one block, 4 fill it, 5 take
-# one row more, and a cutoff of 6 on 10 falls inside the block of rows 4 to 7
+# one row more, and a cutoff of 6 on 10 ends the excluded rows in the
+# two-row block of rows 4 and 5
 @pytest.mark.parametrize("n, cutoff", [(1, 0), (3, 0), (4, 0), (5, 0), (5, 2), (10, 6)])
 def test_blocked_worst_deviation_is_the_full_matrix_max(monkeypatch, n, cutoff):
     args = _random_gain_args(n, cutoff, n + cutoff)
@@ -469,7 +465,7 @@ def test_blocked_worst_deviation_keeps_argmax_ties_and_nans(monkeypatch):
     n, cutoff = 10, 6
     zero = np.zeros(n)
     args = [0.5, np.zeros((n, n)), zero, np.ones(n), np.ones((n, n), dtype=bool),
-            np.full((n - cutoff, n - cutoff), 1.0 / (n - cutoff)), zero, slice(cutoff, n)]
+            np.full((n - cutoff, n - cutoff), 1.0 / (n - cutoff)), zero, cutoff]
     assert verifier._incentive_gains(*args) == (0.0, (0, cutoff))
     args[1] = args[1].copy()
     args[1][9, cutoff:] = np.nan
@@ -479,9 +475,10 @@ def test_blocked_worst_deviation_keeps_argmax_ties_and_nans(monkeypatch):
 
 def test_blocked_worst_deviation_in_every_kind_of_row(monkeypatch):
     """Over random markets of 10 types above a cutoff of 6, in four-row
-    blocks, the worst deviation lands in a block of excluded rows, in the
-    excluded and in the included rows of the block the cutoff splits, in a
-    block of included rows, and on an excluded report; the scan finds each."""
+    blocks, the worst deviation lands in the full block of excluded rows 0
+    to 3, in the short block of excluded rows 4 and 5 that ends at the
+    cutoff, in the included rows 6 to 9, and on an excluded report; the
+    scan finds each."""
     monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
     n, cutoff = 10, 6
     kinds = set()
@@ -491,17 +488,18 @@ def test_blocked_worst_deviation_in_every_kind_of_row(monkeypatch):
         i, j = one_shot_worst(two_product_gains(*args), args)[1]
         if j < cutoff:
             kinds.add("excluded report")
+        elif i < cutoff:
+            kinds.add("short excluded row" if i >= _ROWS else "excluded row")
         else:
-            split = "split " if i // _ROWS == cutoff // _ROWS else ""
-            kinds.add(split + ("excluded row" if i < cutoff else "included row"))
-    assert kinds == {"excluded row", "split excluded row", "split included row",
-                     "included row", "excluded report"}
+            kinds.add("included row")
+    assert kinds == {"excluded row", "short excluded row", "included row", "excluded report"}
 
 
 def test_blocked_gains_at_the_default_block_size():
-    """300 true types take two blocks of the default size, the cutoff of 100
-    inside the first; a cutoff of 999 on 1000 leaves one included row in a
-    block of excluded rows.  The reference is one product."""
+    """A cutoff of 100 on 300 true types puts all excluded rows in one short
+    block and the included rows in another; a cutoff of 999 on 1000 ends the
+    excluded rows in a short block and leaves a one-row included block.
+    The reference is one product."""
     for n, cutoff in ((300, 100), (1000, 999)):
         assert verifier._GAIN_ROWS < n and cutoff % verifier._GAIN_ROWS
         _assert_matches_two_products(_random_gain_args(n, cutoff, 11))
@@ -510,8 +508,8 @@ def test_blocked_gains_at_the_default_block_size():
 @pytest.mark.parametrize("cutoff", ["auto", 999])
 def test_fused_gains_match_two_products_on_designed_platforms(params, f_xy, cutoff):
     """The designed n = 1000 platform that the benchmark verifies: ``auto``
-    puts the cutoff at 500, inside the block of rows 256 to 511, and a
-    cutoff of 999 leaves one included row in a block of excluded rows."""
+    puts the cutoff at 500, so the excluded rows end in the short block of
+    rows 256 to 499, and a cutoff of 999 leaves a one-row included block."""
     designed = design(make_grid(1000), f_xy, params, cutoff=cutoff)
     k = designed.platform.cutoff
     assert k == {"auto": 500, 999: 999}[cutoff] and k % verifier._GAIN_ROWS

@@ -275,16 +275,19 @@ def _reference_mask_ic(n, f, params, mask, perm):
 
 @pytest.mark.parametrize("kind, c", [("xy", 0.0), ("xy+c", 0.2)])
 def test_masked_config_ic_matches_pairwise_reference(params, kind, c):
-    """Every mask and pairing of a four-type market: the oracle's gain is the
-    pairwise reference with the truthful report counted as a gain of zero."""
+    """Every mask and pairing of a four-type and of a six-type market, the
+    largest the oracle scans: the oracle's gain, priced on the nodes
+    relabelled with the mask last, is the pairwise reference on the grid's
+    own labels, with the truthful report counted as a gain of zero."""
     f = ProductionFunction(kind, c=c)
-    for size in range(1, 5):
-        for mask in itertools.combinations(range(4), size):
-            for perm in enumerate_involutions(size):
-                gain = masked_config_ic(4, f, params, mask=mask, perm=perm)
-                reference = _reference_mask_ic(4, f, params, mask, perm)
-                assert gain >= 0.0
-                assert abs(gain - max(reference, 0.0)) <= 1e-15
+    for n in (4, 6):
+        for size in range(1, n + 1):
+            for mask in itertools.combinations(range(n), size):
+                for perm in enumerate_involutions(size):
+                    gain = masked_config_ic(n, f, params, mask=mask, perm=perm)
+                    reference = _reference_mask_ic(n, f, params, mask, perm)
+                    assert gain >= 0.0
+                    assert abs(gain - max(reference, 0.0)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
