@@ -361,7 +361,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
 
 
 def _solve(cfg: RunConfig, platform, production) -> int:
-    """``solve`` on a resolved platform, so a sweep loads an artifact once for all points."""
+    """``solve`` on a resolved platform, so a sweep resolves its platform once for all points."""
     grid = platform.grid
     params = _search_params(cfg.rho, cfg.alpha, cfg.r)
     state = solve_dse(platform, production, params, _solver_config(cfg))
@@ -492,11 +492,11 @@ def _sweep_values(raw: str, fallback: float) -> list:
     return values
 
 
-def _run_sweep_point(base: RunConfig, loaded, rho: float, alpha: float, r: float,
-                     outdir: str) -> int:
+def _run_sweep_point(base: RunConfig, platform, production, rho: float, alpha: float,
+                     r: float, outdir: str) -> int:
     point = replace(base, command="solve", rho=rho, alpha=alpha, r=r, out=outdir,
                     sweep_rho="", sweep_alpha="", sweep_r="")
-    return _solve(point, *loaded) if loaded else _cmd_solve(point)
+    return _solve(point, platform, production)
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
@@ -505,27 +505,20 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     rs = _sweep_values(cfg.sweep_r, cfg.r)
     points = [(rho, alpha, r) for rho in rhos for alpha in alphas for r in rs]
     # a bad point, solver setting, production, cutoff or platform artifact
-    # fails the sweep before anything is written.  An artifact is parsed once
-    # here and handed to every point; the built-in platform costs less to build
-    # in each point than to pickle (under --epsilon, a dense n-by-n kernel) to a
-    # worker.
+    # fails the sweep before anything is written; the platform is resolved
+    # once and handed to every point
     for point in points:
         _search_params(*point)
     _solver_config(cfg)
-    if cfg.platform:
-        loaded = _resolve_platform(cfg)
-    else:
-        loaded = None
-        grid = make_grid(cfg.n)
-        _production(cfg, grid)
-        _cutoff_index(cfg, grid)
+    platform, production = _resolve_platform(cfg)
     _output_dir(cfg.out)
 
     dirs = [f"point_{idx:04d}_rho{rho:g}_alpha{alpha:g}_r{r:g}"
             for idx, (rho, alpha, r) in enumerate(points)]
     statuses = ordered_map(
         _run_sweep_point,
-        [(cfg, loaded, *point, os.path.join(cfg.out, sub)) for point, sub in zip(points, dirs)],
+        [(cfg, platform, production, *point, os.path.join(cfg.out, sub))
+         for point, sub in zip(points, dirs)],
         _workers(cfg))
 
     rates = np.array(points, dtype=float).T

@@ -14,7 +14,8 @@ import concurrent.futures
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,71 +285,118 @@ def _locate(nodes: np.ndarray, q: np.ndarray):
     return idx, np.clip(w, 0.0, 1.0)
 
 
-@dataclass(frozen=True, eq=False)
+class _Runs(NamedTuple):
+    """A kernel as its canonical row runs (see :func:`row_runs`), local ids:
+    run ``p`` holds ``values[p]`` in columns ``cols[p]`` to ``lasts[p]``
+    (inclusive), and the runs of row ``r`` are ``starts[r]`` to
+    ``starts[r + 1]``."""
+
+    starts: np.ndarray
+    cols: np.ndarray
+    lasts: np.ndarray
+    values: np.ndarray
+
+
+def _canonical_runs(rows, cols, lasts, values, m: int) -> _Runs:
+    """The canonical runs of an ``m``-row kernel given as runs ``(rows,
+    cols, lasts, values)`` in row-major order that do not overlap: zero runs
+    are dropped and runs of equal values that touch within a row are
+    merged, so each run is maximal."""
+    nonzero = values != 0
+    rows, cols, lasts, values = rows[nonzero], cols[nonzero], lasts[nonzero], values[nonzero]
+    # a run is kept as the head of a merged one unless it continues the one before
+    head = np.ones(len(values), dtype=bool)
+    head[1:] = ((rows[1:] != rows[:-1]) | (cols[1:] != lasts[:-1] + 1)
+                | (values[1:] != values[:-1]))
+    heads = np.flatnonzero(head)
+    ends = np.append(heads[1:], len(values))[:len(heads)] - 1
+    runs = _Runs(starts=np.searchsorted(rows[heads], np.arange(m + 1)), cols=cols[heads],
+                 lasts=lasts[ends], values=values[heads])
+    for array in runs:
+        array.setflags(write=False)
+    return runs
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Platform:
     """A menu of search distributions plus flow payments on a type grid.
 
     Types below ``cutoff`` are excluded: they never search and are never met.
-    ``kernel`` is indexed by included nodes only and each row is the partner
+    The kernel is indexed by included nodes only and each row is the partner
     distribution of that node.  Inclusion is an upper set by construction;
     arbitrary exclusion masks are not representable here on purpose (the
     brute-force oracle in the verifier relabels the nodes of each mask so
     that the mask is the top of the grid).
 
-    A diagonal kernel, every nonzero entry on the diagonal (with rows summing
-    to one, the identity kernel of the assortative platform), is stored as
-    its length-m diagonal; every other kernel as the dense ``(m, m)``
-    matrix.  The constructor takes either form and keeps a dense kernel
-    whose nonzeros are all diagonal as the vector, so each kernel has one
-    representation and ``kernel.ndim`` tells them apart.
+    The kernel is stored as its canonical row runs, the maximal runs of
+    equal nonzero entries within a row, in row-major order
+    (:attr:`runs`, the layout of ``platform.csv``), with an index of where
+    each row's runs start.  The glitched kernel of the benchmark holds
+    2,998 runs at m = 1000 (about 80 KB), where the dense matrix holds
+    8 MB; a kernel with no two equal neighbours costs 24 bytes an entry,
+    against 8 dense.  A diagonal kernel (every nonzero entry on the
+    diagonal; with rows summing to one, the identity kernel of the
+    assortative platform) is one run per row.  Layers read a block of the
+    dense kernel at a time through :meth:`kernel_block`, which has the bits
+    of the dense block, so no layer holds the m-by-m kernel.
 
-    The constructor marks the float64 ``kernel`` and ``transfers`` arrays it
-    is given read-only, without a copy: a copy of a dense kernel would cost
-    m² floats, 8 MB at n = 1000.  A caller who writes to them afterwards
-    passes copies.  Other input is converted to new float64 arrays, and a
-    dense diagonal kernel is stored as a new vector, leaving the caller's
-    arrays writable.
+    ``kernel`` is the dense ``(m, m)`` matrix or the length-m diagonal; the
+    constructor converts either one to runs and leaves the caller's array
+    as it is.  It marks the float64 ``transfers`` array it is given
+    read-only, without a copy; other input is converted to a new float64
+    array.  The :attr:`kernel` accessor builds an array on each call.
     """
 
     grid: TypeGrid
     cutoff: int
-    kernel: np.ndarray
     transfers: np.ndarray
+    _runs: _Runs = field(repr=False)
+    _diagonal: bool = field(repr=False)
 
-    def __post_init__(self):
-        n = self.grid.n
-        if not 0 <= self.cutoff <= n - 1:
-            raise ValueError(f"cutoff must leave at least one included node, got {self.cutoff}")
-        m = n - self.cutoff
-        kernel = np.asarray(self.kernel, dtype=float)
-        if kernel.shape not in ((m, m), (m,)):
-            raise ValueError(f"kernel shape {kernel.shape} does not match {m} included nodes")
-        if not np.all(np.isfinite(kernel)):
+    def __init__(self, grid: TypeGrid, cutoff: int, kernel, transfers):
+        n = grid.n
+        if not 0 <= cutoff <= n - 1:
+            raise ValueError(f"cutoff must leave at least one included node, got {cutoff}")
+        m = n - cutoff
+        if isinstance(kernel, _Runs):  # canonical already (glitch, load_platform)
+            runs = kernel
+        else:
+            kernel = np.asarray(kernel, dtype=float)
+            if kernel.shape == (m,):  # one run per row, on the diagonal
+                own = np.arange(m)
+                runs = _canonical_runs(own, own, own, kernel, m)
+            elif kernel.shape == (m, m):
+                runs = _canonical_runs(*row_runs(kernel), m)
+            else:
+                raise ValueError(f"kernel shape {kernel.shape} does not match {m} included nodes")
+        rows = np.repeat(np.arange(m), np.diff(runs.starts))
+        diagonal = bool(np.array_equal(rows, runs.cols) and np.array_equal(runs.cols, runs.lasts))
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "_runs", runs)
+        object.__setattr__(self, "_diagonal", diagonal)
+        # zero entries are no runs: the checks on the values cover every entry
+        if not np.all(np.isfinite(runs.values)):
             raise ValueError("kernel entries must be finite")
-        if np.any(kernel < 0):
+        if np.any(runs.values < 0):
             raise ValueError("kernel entries must be nonnegative")
-        # a row of a diagonal kernel sums to its one entry
-        row_sums = kernel if kernel.ndim == 1 else kernel.sum(axis=1)
+        if diagonal:  # a row sums to its one entry, and a row with none to 0
+            row_sums = np.zeros(m)
+            row_sums[rows] = runs.values
+        else:
+            row_sums = np.concatenate([self.kernel_block(block).sum(axis=1)
+                                       for block in _row_blocks(m, m)])
         row_err = float(np.max(np.abs(row_sums - 1.0)))
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"kernel rows must sum to 1 (max deviation {row_err:g})")
-        transfers = np.asarray(self.transfers, dtype=float)
+        transfers = np.asarray(transfers, dtype=float)
         if transfers.shape != (n,):
             raise ValueError(f"transfers must have length {n}")
         if not np.all(np.isfinite(transfers)):
             raise ValueError("transfers must be finite")
-        if np.any(transfers[: self.cutoff] != 0.0):
+        if np.any(transfers[:cutoff] != 0.0):
             raise ValueError("transfers must be zero on excluded nodes")
-        if kernel.ndim == 2:
-            diagonal = np.diagonal(kernel)
-            # entries are nonnegative, so a row with mass off the diagonal sums
-            # past its diagonal entry, unless that mass is below its rounding
-            if (np.array_equal(row_sums, diagonal)
-                    and np.count_nonzero(kernel) == np.count_nonzero(diagonal)):
-                kernel = diagonal.copy()
-        kernel.setflags(write=False)
         transfers.setflags(write=False)
-        object.__setattr__(self, "kernel", kernel)
         object.__setattr__(self, "transfers", transfers)
 
     @property
@@ -360,15 +408,84 @@ class Platform:
     def is_diagonal(self) -> bool:
         """Every nonzero kernel entry sits on the diagonal: each node meets
         only its own type (with rows summing to one, the identity kernel).
-        Such a kernel is stored as its diagonal."""
-        return self.kernel.ndim == 1
+        Every run of such a kernel is one diagonal entry, so its run values
+        are the diagonal."""
+        return self._diagonal
+
+    @property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(i, j, j_last, value)`` of every run, local ids, as
+        :func:`row_runs` finds them in the dense kernel."""
+        runs = self._runs
+        rows = np.repeat(np.arange(len(runs.starts) - 1), np.diff(runs.starts))
+        return rows, runs.cols, runs.lasts, runs.values
+
+    @property
+    def kernel(self) -> np.ndarray:
+        """The kernel as a read-only array, built on each call: the length-m
+        diagonal of a diagonal kernel, the dense ``(m, m)`` matrix of any
+        other.  For API users and tests: matchlab's layers read the runs or
+        a block of rows (:meth:`kernel_block`) instead."""
+        kernel = (self._runs.values.copy() if self._diagonal
+                  else self.kernel_block(slice(None)))
+        kernel.setflags(write=False)
+        return kernel
+
+    def kernel_block(self, rows: slice, cols: slice = slice(None), mask: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """The block ``G[rows, cols]`` of the dense kernel ``G`` (unit-step
+        slices), or with a bool ``mask`` of the block's shape the product
+        ``G[rows, cols] * mask``, with the bits of that expression: each
+        entry of ``G`` is a run's value or +0.0.  The block is written into
+        ``out`` when given, else into a fresh array, which is returned.
+
+        In the block's row-major order the entries are segments: a zero gap
+        before each run, the run, and a last zero gap.  The block is filled
+        with the value of its longest segment, and the segments of any other
+        value are written over it: on the glitched kernel one entry a row.
+        """
+        starts, firsts, lasts, values = self._runs
+        m = len(starts) - 1
+        r0, r1, _ = rows.indices(m)
+        c0, c1, _ = cols.indices(m)
+        height, width = max(r1 - r0, 0), max(c1 - c0, 0)
+        lo, hi = starts[r0], starts[r0 + height]
+        # each run's row, as the flat offset of its first column in the block
+        offset = np.repeat(np.arange(height) * width, np.diff(starts[r0:r0 + height + 1]))
+        firsts, lasts, values = firsts[lo:hi], lasts[lo:hi], values[lo:hi]
+        if c0 or c1 < m:  # clip the runs to the block's columns, dropping those outside
+            firsts, lasts = np.maximum(firsts, c0), np.minimum(lasts, c1 - 1)
+            inside = firsts <= lasts
+            offset, firsts, lasts, values = offset[inside], firsts[inside], lasts[inside], values[inside]
+        # segment s covers the flat entries ends[s] to ends[s + 1]
+        ends = np.empty(2 * len(values) + 2, dtype=np.int64)
+        ends[0], ends[-1] = 0, height * width
+        ends[1:-1:2] = offset + (firsts - c0)
+        ends[2:-1:2] = offset + (lasts - c0) + 1
+        segments = np.zeros(2 * len(values) + 1)
+        segments[1::2] = values
+        lengths = np.diff(ends)
+        block = np.empty((height, width)) if out is None else out
+        fill = segments[np.argmax(lengths)]
+        other = segments != fill
+        if mask is None:
+            block.fill(fill)
+        else:
+            np.multiply(mask, fill, out=block)
+        # the flat positions of the other segments' entries, and their values
+        lengths = lengths[other]
+        at = np.arange(lengths.sum()) + np.repeat(ends[:-1][other] - np.cumsum(lengths) + lengths,
+                                                  lengths)
+        at = np.divmod(at, max(width, 1))
+        patch = np.repeat(segments[other], lengths)
+        block[at] = patch if mask is None else patch * mask[at]
+        return block
 
     def consistency_defect(self) -> float:
         """Max asymmetry of the kernel; zero means meetings balance exactly."""
-        G = self.kernel
-        if G.ndim == 1:
+        if self._diagonal:
             return 0.0  # a diagonal matrix is symmetric
-        m = G.shape[0]
+        m = len(self._runs.starts) - 1
         # square tiles of _BLOCK_BYTES, each pair compared once from the upper
         # triangle: |a - b| is |b - a| exactly, so the max keeps its bits
         side = max(1, math.isqrt(_BLOCK_BYTES // 8))
@@ -376,8 +493,10 @@ class Platform:
         defect = 0.0
         for at, rows in enumerate(tiles):
             for cols in tiles[at:]:
-                diff = G[rows, cols] - G[cols, rows].T
+                diff = self.kernel_block(rows, cols)
+                diff -= self.kernel_block(cols, rows).T
                 defect = max(defect, float(np.max(np.abs(diff, out=diff))))
+                del diff  # before the next tile is expanded
         return defect
 
     def require_consistent(self) -> None:
@@ -438,11 +557,28 @@ def _row_blocks(nrows: int, ncols: int, cutoff: int = 0) -> list[slice]:
 
 
 def _kernel_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``A v`` for a kernel-shaped ``A``, a diagonal stored as a vector (see
-    :class:`Platform`) or a dense matrix.  On a diagonal the product is
-    elementwise, with the bits of the product with the diagonal matrix: a
-    sum of products starts at +0.0, so adding it turns a -0.0 into +0.0."""
+    """``A v`` for an acceptance-masked kernel ``A`` from
+    :func:`_masked_kernel`: a vector on a diagonal kernel, where the product
+    is elementwise, with the bits of the product with the diagonal matrix (a
+    sum of products starts at +0.0, so adding it turns a -0.0 into +0.0),
+    and a dense matrix on any other."""
     return A * v + 0.0 if A.ndim == 1 else A @ v
+
+
+def _masked_kernel(platform: Platform, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The acceptance-masked kernel ``A = G o M`` of ``platform``, given the
+    acceptance sets ``M`` of its included nodes (m-by-m).  On a diagonal
+    kernel it is the vector ``g * diag(M)``; on any other it is the m-by-m
+    matrix, built into ``out`` when given, a row block of ``G`` at a time
+    (:meth:`Platform.kernel_block`), so the dense kernel is never held.
+    ``G >= 0``, so every pair off the sets holds +0.0."""
+    if platform.is_diagonal:
+        return np.multiply(platform._runs.values, np.diagonal(M))
+    m = len(M)
+    A = np.empty((m, m)) if out is None else out
+    for rows in _row_blocks(m, m):
+        platform.kernel_block(rows, mask=M[rows], out=A[rows])
+    return A
 
 
 def _accepts(F: np.ndarray, w: np.ndarray, rows: slice, out: np.ndarray | None = None,
@@ -531,11 +667,7 @@ def save_platform(platform: Platform, production: ProductionFunction, outdir: st
     """Write a platform and its production function as CSV artifacts."""
     os.makedirs(outdir, exist_ok=True)
     n, k = platform.grid.n, platform.cutoff
-    if platform.is_diagonal:  # one run per row, its diagonal entry
-        rows = cols = lasts = np.arange(len(platform.kernel))
-        values = platform.kernel
-    else:
-        rows, cols, lasts, values = row_runs(platform.kernel)
+    rows, cols, lasts, values = platform.runs
     write_columns(os.path.join(outdir, "platform.csv"), _RUN_HEADER,
                   [rows + k, cols + k, lasts + k, values])
     write_columns(os.path.join(outdir, "transfers.csv"), "i,t",
@@ -578,14 +710,11 @@ def load_platform(outdir: str) -> tuple[Platform, ProductionFunction]:
     return Platform(grid=grid, cutoff=k, kernel=kernel, transfers=transfers), production
 
 
-def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
-    """The kernel on ``n - k`` included nodes that ``platform.csv`` at
-    ``path`` holds: its diagonal when every run is one diagonal entry, else
-    the dense matrix.
-
-    The runs are checked before they are expanded, so a damaged file can
-    never ask for more than the kernel's entries.
-    """
+def _load_kernel(path: str, k: int, n: int) -> _Runs:
+    """The canonical runs of the kernel on ``n - k`` included nodes that
+    ``platform.csv`` at ``path`` holds: zero runs are dropped and equal
+    runs that touch are merged, so a file whose runs are split re-saves to
+    the maximal runs of its kernel."""
     with open(path, "rb") as fh:
         header = fh.readline().strip()
     if header != _RUN_HEADER.encode():
@@ -600,17 +729,7 @@ def _load_kernel(path: str, k: int, n: int) -> np.ndarray:
     stop = start + (j_last - j) + 1
     if np.any(start[1:] < stop[:-1]):
         raise ValueError(f"{path}: runs must be in row-major order and must not overlap")
-    if np.array_equal(i, j) and np.array_equal(j, j_last):
-        diagonal = np.zeros(m)  # at most one run per row, by the order check
-        diagonal[i - k] = g
-        return diagonal
-    # the kernel, flat, is a zero gap before each run, the run, and a last zero gap
-    values = np.zeros(2 * len(g) + 1)
-    values[1::2] = g
-    lengths = np.empty(2 * len(g) + 1, dtype=np.int64)
-    lengths[0::2] = np.append(start, m * m) - np.append(0, stop)
-    lengths[1::2] = stop - start
-    return np.repeat(values, lengths).reshape(m, m)
+    return _canonical_runs(i - k, j - k, j_last - k, g, m)
 
 
 def load_table(path: str, grid: TypeGrid) -> ProductionFunction:

@@ -25,7 +25,9 @@ from .core import (
     ProductionFunction,
     SearchParams,
     TypeGrid,
+    _canonical_runs,
     _kernel_product,
+    _masked_kernel,
     _row_blocks,
 )
 from .solver import diagonal_wage_coefficient, dse_residuals, solve_dse
@@ -75,14 +77,15 @@ def transfer_coefficient(params: SearchParams) -> float:
     return 0.5 * pairing_wage(params, 1.0)
 
 
-def first_best_platform(grid: TypeGrid, cutoff_index: int) -> Platform:
-    """Identity kernel on the included block, stored as its diagonal of
-    ones; transfers left at zero."""
+def first_best_platform(grid: TypeGrid, cutoff_index: int,
+                        transfers: np.ndarray | None = None) -> Platform:
+    """Identity kernel on the included block, one run of 1 per row, with
+    ``transfers``, zero when None."""
     m = grid.n - cutoff_index
     if m < 1:
         raise ValueError(f"cutoff {cutoff_index} leaves no included node")
     return Platform(grid=grid, cutoff=cutoff_index, kernel=np.ones(m),
-                    transfers=np.zeros(grid.n))
+                    transfers=np.zeros(grid.n) if transfers is None else transfers)
 
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -112,19 +115,20 @@ def misreport_value_slope(platform: Platform, f: ProductionFunction,
     For each included node ``i`` this is
     ``theta * sum_j M_ij (f_x(x_i, x_j) - w'(x_i)) G_ij u_j``
     with an analytic production derivative and a finite-difference wage slope.
-    Zero on excluded nodes.  The derivative table is evaluated a row block
-    at a time into the acceptance-masked kernel ``A``, once ``A u`` is taken,
-    so no second m-by-m matrix is held.  On a diagonal kernel ``A`` is a
-    vector, and only the diagonal of the table is evaluated.
+    Zero on excluded nodes.  The acceptance-masked kernel ``A`` is built a
+    row block at a time (:func:`~matchlab.core._masked_kernel`), and the
+    derivative table is evaluated a row block at a time into it, once
+    ``A u`` is taken, so no second m-by-m matrix is held.  On a diagonal
+    kernel ``A`` is a vector, and only the diagonal of the table is
+    evaluated.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     theta = params.theta
-    G = platform.kernel
-    A = np.where(dse.M[k:, k:] if G.ndim == 2 else np.diagonal(dse.M)[k:], G, 0.0)
+    A = _masked_kernel(platform, dse.M[k:, k:])
     ub = dse.u[k:]
     au = _kernel_product(A, ub)
-    if A.ndim == 1:
+    if platform.is_diagonal:
         xb = grid.nodes[k:]
         A *= np.asarray(f.d_dx(xb, xb), dtype=float)
     else:
@@ -336,19 +340,34 @@ def glitch(platform: Platform, epsilon: float) -> Platform:
     The mixture runs over the whole grid, so previously excluded nodes are
     re-included (self-search kernel rows, zero transfers) and the result has
     cutoff zero.  Mixing two symmetric kernels keeps the platform consistent.
+
+    The mixture is built as runs, never as an n-by-n matrix: in each row of
+    the kernel, padded to the grid, every run of value ``v`` becomes one of
+    ``v (1 - epsilon) + epsilon / n`` and every zero gap one of
+    ``epsilon / n``, the bits of ``(1 - epsilon) G + (epsilon / n) J`` taken
+    entry by entry; runs that end up equal merge and zero ones drop.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     platform.require_consistent()
     n, k = platform.grid.n, platform.cutoff
-    mixed = np.eye(n)
-    if platform.is_diagonal:
-        mixed.flat[k * (n + 1)::n + 1] = platform.kernel
-    else:
-        mixed[k:, k:] = platform.kernel
+    i, j, j_last, g = platform.runs
+    own = np.arange(k)  # an excluded node meets itself
+    rows, cols, lasts = (np.concatenate((own, ids + k)) for ids in (i, j, j_last))
+    values = np.concatenate((np.ones(k), g))
+    # each run with the gap before it and, after a row's last run, the gap to
+    # the row's end: (gap, run, gap) segments, row-major, empty ones dropped
+    row_start = np.append(True, rows[1:] != rows[:-1])
+    row_end = np.append(rows[1:] != rows[:-1], True)
+    first = np.stack((np.where(row_start, 0, np.roll(lasts, 1) + 1), cols, lasts + 1), axis=1)
+    last = np.stack((cols - 1, lasts, np.where(row_end, n - 1, lasts)), axis=1)
+    mixed = np.stack((np.zeros(len(values)), values, np.zeros(len(values))), axis=1)
     mixed *= 1.0 - epsilon  # in place: the bits of (1 - eps) G + eps/n * ones
     mixed += epsilon / n
-    return Platform(grid=platform.grid, cutoff=0, kernel=mixed,
+    kept = first <= last
+    runs = _canonical_runs(np.repeat(rows, 3)[kept.ravel()], first[kept], last[kept],
+                           mixed[kept], n)
+    return Platform(grid=platform.grid, cutoff=0, kernel=runs,
                     transfers=platform.transfers.copy())
 
 
@@ -384,11 +403,9 @@ def design(grid: TypeGrid, f: ProductionFunction, params: SearchParams,
         cutoff_index = optimal_exclusion(grid, f).cutoff_index
     else:
         cutoff_index = int(cutoff)
-    base = first_best_platform(grid, cutoff_index)
-    dse = solve_dse(base, f, params)
+    dse = solve_dse(first_best_platform(grid, cutoff_index), f, params)
     t = private_info_transfers(grid, f, params, cutoff_index)
-    platform = Platform(grid=grid, cutoff=cutoff_index, kernel=base.kernel,
-                        transfers=t)
+    platform = first_best_platform(grid, cutoff_index, t)
     profit = float(np.sum(t[cutoff_index:]) * grid.mass)
     rent, rent_total = informational_rent(platform, f, params, dse)
     return DesignResult(platform=platform, dse=dse, profit=profit, rent=rent,

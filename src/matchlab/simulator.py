@@ -71,6 +71,7 @@ from .core import (
     Platform,
     ProductionFunction,
     SearchParams,
+    _row_blocks,
     acceptance,
     ordered_map,
 )
@@ -161,15 +162,25 @@ def simulate(platform: Platform, f: ProductionFunction, params: SearchParams,
         raise ValueError(f"wage vector must have length {n}")
     check_discount_window(params, cfg)
 
-    Fb = f.values(grid, slice(k, n), slice(k, n))
     wb = w[k:]
-    accept = acceptance(Fb, wb)
-    flow = 0.5 * (Fb + (wb[:, None] - wb[None, :]))
-    accept_rows = [row.tolist() for row in accept]
-    flow_rows = [row.tolist() for row in flow]
-
-    cum_rows = (None if platform.is_diagonal
-                else [np.cumsum(row).tolist() for row in platform.kernel])
+    if platform.is_diagonal:
+        # a node meets only its own type, so the loop reads row i of each
+        # table at column i alone: every row is the one list of own-pair
+        # entries, with the bits of the m-by-m tables' diagonals
+        xb = grid.nodes[k:]
+        fdiag = np.asarray(f.eval(xb, xb), dtype=float)
+        accept_rows = [((fdiag - wb) - wb >= 0.0).tolist()] * m
+        flow_rows = [(0.5 * (fdiag + (wb - wb))).tolist()] * m
+        cum_rows = None
+    else:
+        Fb = f.values(grid, slice(k, n), slice(k, n))
+        accept = acceptance(Fb, wb)
+        flow = 0.5 * (Fb + (wb[:, None] - wb[None, :]))
+        accept_rows = [row.tolist() for row in accept]
+        flow_rows = [row.tolist() for row in flow]
+        del Fb, accept, flow
+        cum_rows = [np.cumsum(row).tolist() for rows in _row_blocks(m, m)
+                    for row in platform.kernel_block(rows)]
 
     reps = cfg.replications
     seeds = np.random.SeedSequence(cfg.seed).spawn(reps)

@@ -50,6 +50,7 @@ from .core import (
     SearchParams,
     _accepts,
     _kernel_product,
+    _masked_kernel,
     _row_blocks,
     acceptance,
 )
@@ -186,7 +187,8 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
     xb = grid.nodes[k:]
     Fb = None
     if platform.is_diagonal:
-        g, fdiag = platform.kernel, np.asarray(f.eval(xb, xb), dtype=float)
+        g = platform.runs[3]  # one run per row: the diagonal
+        fdiag = np.asarray(f.eval(xb, xb), dtype=float)
         w = diagonal_wage_coefficient(params, g) * fdiag
         u = alpha / (alpha + rho * g)
         au = g * u
@@ -196,7 +198,7 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
         Fb = f.values(grid, slice(k, n), slice(k, n))
         w0 = np.zeros(n - k) if w_start is None else np.asarray(w_start, dtype=float)[k:].copy()
         w, u, au, bell, iterations, solves, fallbacks = _iterate(
-            platform.kernel, Fb, params, cfg, w0, k)
+            platform, Fb, params, cfg, w0, k)
 
     balance = _balance_residual(u, au, params)
     if not bell <= cfg.tol_w:  # only the closed form gets here: the loop raises first
@@ -230,13 +232,13 @@ def solve_dse(platform: Platform, f: ProductionFunction, params: SearchParams,
                     lu_fallbacks=fallbacks)
 
 
-def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverConfig,
+def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: SolverConfig,
              w0: np.ndarray, k: int) -> tuple:
-    """Policy iteration, then the damped loop, from ``w0`` on the dense kernel
-    ``G`` and output ``Fb`` of the included block above cutoff ``k`` (see
-    :func:`solve_dse`): ``(w, u, A u, bellman residual, iterations,
-    steady-state solves, LU fallbacks)`` of the first state that passes
-    ``tol_w``."""
+    """Policy iteration, then the damped loop, from ``w0`` on the kernel of
+    ``platform``, not diagonal, and the output ``Fb`` of the included block
+    above cutoff ``k`` (see :func:`solve_dse`): ``(w, u, A u, bellman
+    residual, iterations, steady-state solves, LU fallbacks)`` of the first
+    state that passes ``tol_w``."""
     m = len(w0)
     theta = params.theta
     w = w0
@@ -244,8 +246,10 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
     # the acceptance set that A, u, au and afu were built from and the one
     # before it, as np.packbits bytes, a hash of the set of each recent sweep
     # for the stall diagnosis, the sets policy iteration solved, and the one
-    # m-by-m buffer, the acceptance-masked kernel A: it holds A o F while
-    # afu is taken and is then rebuilt, so no second m-by-m matrix is held
+    # m-by-m buffer, the acceptance-masked kernel A: it is built from the
+    # kernel's runs a row block at a time, holds A o F while afu is taken and
+    # is then rebuilt, so neither a second m-by-m matrix nor the dense kernel
+    # is held
     packed = packed_before = None
     solves = fallbacks = 0
     u = np.zeros(m)  # the start of the next policy step's density solve
@@ -262,7 +266,7 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
         packed_now = np.packbits(M).tobytes()
         if packed_now != packed:
             packed_before, packed = packed, packed_now
-            np.multiply(G, M, out=A)  # G >= 0, so every pair off the set holds +0.0
+            _masked_kernel(platform, M, out=A)
             if policy:
                 u, lu = _policy_density(A, params, u)
                 fallbacks += lu
@@ -270,7 +274,7 @@ def _iterate(G: np.ndarray, Fb: np.ndarray, params: SearchParams, cfg: SolverCon
                 u = steady_state_density(A, params)
             au = A @ u
             afu = np.multiply(A, Fb, out=A) @ u
-            np.multiply(G, M, out=A)  # A again, bit for bit
+            _masked_kernel(platform, M, out=A)  # A again, bit for bit
             solves += 1
         digests.append(hash(packed))  # bytes cache their hash
         numer = theta * (afu - A @ (w * u))
@@ -448,19 +452,21 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     The output table is evaluated once, a row block at a time
     (:func:`~matchlab.core._row_blocks`): each block is checked against the
     acceptance rule, and its included part multiplies the acceptance-masked
-    kernel ``A`` in place, once ``A``'s own products are taken.  So no
-    n-by-n output table is held, and ``(A o F) u`` is still one product.
-    On a diagonal kernel ``A`` is the vector ``g * diag(M)``, each block
-    multiplies it by its diagonal outputs, and each product is elementwise.
+    kernel ``A`` in place, once ``A``'s own products are taken.  ``A`` is
+    built from the kernel's runs a row block at a time
+    (:func:`~matchlab.core._masked_kernel`).  So neither an n-by-n output
+    table nor the dense kernel is held, and ``(A o F) u`` is still one
+    product.  On a diagonal kernel ``A`` is the vector ``g * diag(M)``, each
+    block multiplies it by its diagonal outputs, and each product is
+    elementwise.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     if state.w.shape != (n,) or state.u.shape != (n,) or state.M.shape != (n, n):
         raise ValueError("state shapes do not match the platform grid")
     w, u = state.w, state.u
-    G = platform.kernel
-    diagonal = G.ndim == 1
-    A = np.multiply(G, np.diagonal(state.M)[k:] if diagonal else state.M[k:, k:])
+    diagonal = platform.is_diagonal
+    A = _masked_kernel(platform, state.M[k:, k:])
     wb, ub = w[k:], u[k:]
     au = _kernel_product(A, ub)
     awu = _kernel_product(A, wb * ub)

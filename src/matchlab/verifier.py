@@ -109,16 +109,20 @@ class AuditReport:
 
 
 def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
-                     M: np.ndarray, G: np.ndarray, t: np.ndarray,
+                     M: np.ndarray, G, t: np.ndarray,
                      k: int, grid: TypeGrid | None = None) -> tuple[float, tuple[int, int]]:
     """The worst deviation over every report: its gain and its (true,
     reported) node pair.
 
     ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes, of which those from
     the cutoff ``k`` on are included, and ``G`` is the kernel over the
-    ``m = n - k`` included ones: the ``(m, m)`` matrix, or the length-m
+    ``m = n - k`` included ones: the ``(m, m)`` matrix, the length-m
     diagonal of a diagonal kernel, on which each product with ``G`` is a
-    scaling of the columns.  ``F`` is the n-by-n output table, or the
+    scaling of the columns, or the :class:`~matchlab.core.Platform` that
+    holds it.  A dense product with ``G`` is taken against a block of
+    kernel rows at a time, as many as a block of true types has rows, so a
+    platform's kernel is read a block at a time and never held whole.
+    ``F`` is the n-by-n output table, or the
     :class:`~matchlab.core.ProductionFunction` whose table on ``grid`` it
     is; the scan reads the included columns of one block of rows at a time,
     evaluated then.  Gains are measured against the truthful net payoff
@@ -132,7 +136,7 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
     Reporting an excluded type forfeits search and pays nothing; its pair
     names the highest excluded node, ``k - 1``.
     """
-    n, m = len(w), len(G)
+    n, m = len(w), len(w) - k
     w_inc, u_inc, t_inc = w[k:], u[k:], t[k:]
     U = w - t                                        # truthful net payoff
     M_inc = M[:, k:]
@@ -141,19 +145,27 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
         """``F[rows, k:]``, a fresh array the block may overwrite."""
         return F[rows, k:].copy() if grid is None else F.values(grid, rows, slice(k, n))
 
-    diagonal = G.ndim == 1
+    if isinstance(G, Platform):
+        diagonal, kernel_rows = G.is_diagonal, G.kernel_block
+        G = G.runs[3] if diagonal else None  # the diagonal, on a diagonal kernel
+    else:
+        diagonal, kernel_rows = G.ndim == 1, G.__getitem__
+    height = min(_GAIN_ROWS, n)
+    kernel_blocks = [slice(lo, min(lo + height, m)) for lo in range(0, m, height)]
 
     def times_kernel(X, out):
-        """``X G^T`` into ``out``.  On a diagonal ``G`` it scales the
+        """``X G^T`` into ``out``, its columns a block of kernel rows at a
+        time; ``out`` must not be ``X``.  On a diagonal ``G`` it scales the
         columns, so ``out`` may be ``X`` itself, and adds zero: a sum of
         products gives +0.0 where ``X`` holds -0.0."""
         if not diagonal:
-            return np.matmul(X, G.T, out=out)
+            for cols in kernel_blocks:
+                np.matmul(X, kernel_rows(cols).T, out=out[:, cols])
+            return out
         out = np.multiply(X, G, out=out)
         out += 0.0
         return out
 
-    height = min(_GAIN_ROWS, n)
     gain_rows = np.empty((height, m))
     # on a diagonal G every product is in place, so Mu can take S0's rows
     mu_rows = gain_rows if diagonal else np.empty((height, m))
@@ -211,24 +223,26 @@ def _row_smoothness(platform: Platform) -> float:
 
     The ground metric is the type distance, so W1 equals the L1 distance of
     the row CDFs times the node spacing; dividing by the spacing between the
-    adjacent types leaves the dimensionless modulus reported here.  On a
-    diagonal kernel each block of CDF gaps is built from the diagonal.
+    adjacent types leaves the dimensionless modulus reported here.  The rows
+    are read a block at a time (:meth:`~matchlab.core.Platform.kernel_block`);
+    on a diagonal kernel each block of CDF gaps is built from the diagonal.
     """
-    G = platform.kernel
-    m = len(G)
+    m = platform.grid.n - platform.cutoff
+    g = platform.runs[3]  # the diagonal, on a diagonal kernel
     worst = 0.0
     # a block of the m - 1 row differences reads one kernel row past its end;
     # each row's cumulative sum is the same whatever block it lies in
     for diffs in _row_blocks(m - 1, m):
-        if G.ndim == 2:
-            gap = np.diff(np.cumsum(G[diffs.start:diffs.stop + 1], axis=1), axis=0)
+        if not platform.is_diagonal:
+            rows = platform.kernel_block(slice(diffs.start, diffs.stop + 1))
+            gap = np.diff(np.cumsum(rows, axis=1), axis=0)
             np.abs(gap, out=gap)
         else:
             # the CDF of diagonal row r is g_r from column r on: the gap to
             # row r + 1 is g_r at column r and |g_{r+1} - g_r| right of it
             r = np.arange(diffs.start, diffs.stop)
-            gap = np.where(np.arange(m) > r[:, None], np.abs(G[r + 1] - G[r])[:, None], 0.0)
-            gap[np.arange(len(r)), r] = G[r]
+            gap = np.where(np.arange(m) > r[:, None], np.abs(g[r + 1] - g[r])[:, None], 0.0)
+            gap[np.arange(len(r)), r] = g[r]
         worst = max(worst, float(np.max(np.sum(gap, axis=1))))
     return worst
 
@@ -248,7 +262,7 @@ def audit(platform: Platform, f: ProductionFunction, params: SearchParams,
 
     bell, bal, violations = dse_residuals(platform, f, params, dse)
     ic_max, (wi, wj) = _incentive_gains(params.theta, f, dse.w, dse.u, dse.M,
-                                        platform.kernel, platform.transfers, k, grid)
+                                        platform, platform.transfers, k, grid)
 
     return AuditReport(
         consistency_defect=platform.consistency_defect(),

@@ -31,20 +31,18 @@ def mixture_kernel(n: int, a: float, b: float) -> np.ndarray:
 
 
 def dense_kernel(kernel):
-    """A platform kernel as the dense matrix: a diagonal kernel, which a
-    platform stores as its diagonal, on the diagonal of zeros."""
+    """A platform kernel as the dense matrix: a diagonal kernel, which the
+    ``kernel`` accessor gives as its diagonal, on the diagonal of zeros."""
     return np.diag(kernel) if kernel.ndim == 1 else kernel
 
 
 def dense_platform(platform):
-    """``platform`` with its kernel held as the dense matrix, which the
-    constructor stores as the diagonal when that is all it has: every layer
-    takes its dense path on it, the reference for its diagonal path."""
+    """``platform`` with its diagonal kernel taken for a dense one: the copy
+    reads ``is_diagonal`` False, so every layer takes its dense path on it,
+    the reference for its diagonal path."""
     held = Platform(grid=platform.grid, cutoff=platform.cutoff, kernel=platform.kernel,
                     transfers=platform.transfers)
-    kernel = dense_kernel(platform.kernel)
-    kernel.setflags(write=False)
-    object.__setattr__(held, "kernel", kernel)
+    object.__setattr__(held, "_diagonal", False)
     return held
 
 
@@ -101,7 +99,7 @@ def reference_runs(matrix, k=0, header="i,j,j_last,G", values=True):
     ``header``, then one line per maximal run of equal nonzero entries in a
     row, ``i,j,j_last`` with indices offset by the cutoff ``k``, and the run's
     value through ``format_float`` when ``values`` is set.  A diagonal kernel
-    stored as its diagonal is read as the dense matrix."""
+    given as its diagonal is read as the dense matrix."""
     lines = [header]
     for r, row in enumerate(dense_kernel(matrix).tolist()):
         c = 0

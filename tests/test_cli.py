@@ -1043,6 +1043,29 @@ def test_sweep_loads_its_platform_once(tmp_path, monkeypatch, jobs):
                 assert point[name] == data, name
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_glitches_its_platform_once(tmp_path, monkeypatch, jobs):
+    """A sweep of the built-in platform under --epsilon glitches it once and
+    hands the result to every point, which writes what a solve writes."""
+    glitches = []
+    mix = matchlab.cli.glitch
+    monkeypatch.setattr(matchlab.cli, "glitch",
+                        lambda platform, eps: glitches.append(eps) or mix(platform, eps))
+    cfg = write_config(tmp_path / "c.cfg", sweep_rho="0.5,2")
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", cfg, "--n", "8", "--epsilon", "0.3", "--jobs", jobs,
+                 "--out", str(out)]) == 0
+    assert glitches == [0.3]
+    for row in csv_rows(out / "sweep_manifest.csv"):
+        solo = tmp_path / f"solo{row['point']}"
+        assert main(["solve", "--n", "8", "--epsilon", "0.3", "--rho", row["rho"],
+                     "--out", str(solo)]) == 0
+        point = read_dir_bytes(out / row["dir"])
+        for name, data in read_dir_bytes(solo).items():
+            if name.endswith(".csv"):
+                assert point[name] == data, name
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     cfg = write_config(tmp_path / "c.cfg", n=6, sweep_rho="0.5,1,2")
     serial, parallel = tmp_path / "s", tmp_path / "p"

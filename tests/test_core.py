@@ -305,21 +305,25 @@ def test_is_diagonal_reads_kernel_support():
 
 def test_constructors_freeze_the_callers_arrays_without_a_copy():
     """``TypeGrid``, ``Platform`` and ``DSEState`` hold the arrays they are
-    given and mark them read-only; a dense diagonal kernel is stored as a new
-    vector, so the caller's matrix stays writable."""
+    given and mark them read-only, all but the kernel: a platform stores its
+    kernel as runs, so the caller's matrix or diagonal stays writable, and
+    the ``kernel`` accessor builds a new read-only array on each call."""
     nodes = (np.arange(3) + 0.5) / 3
     grid = TypeGrid(n=3, nodes=nodes, mass=1 / 3)
     kernel, transfers = np.full((3, 3), 1 / 3), np.zeros(3)
     platform = Platform(grid=grid, cutoff=0, kernel=kernel, transfers=transfers)
     w, u, M = np.zeros(3), np.ones(3), np.ones((3, 3), dtype=bool)
     state = DSEState(w=w, u=u, M=M, bellman_residual=0.0, balance_residual=0.0)
-    for given, held in ((nodes, grid.nodes), (kernel, platform.kernel),
-                        (transfers, platform.transfers), (w, state.w), (u, state.u),
-                        (M, state.M)):
+    for given, held in ((nodes, grid.nodes), (transfers, platform.transfers), (w, state.w),
+                        (u, state.u), (M, state.M)):
         assert held is given and not given.flags.writeable
-    eye = np.eye(3)
-    assert Platform(grid=grid, cutoff=0, kernel=eye, transfers=np.zeros(3)).is_diagonal
-    assert eye.flags.writeable
+    for given in (kernel, np.eye(3), np.ones(3)):
+        built = Platform(grid=grid, cutoff=0, kernel=given, transfers=np.zeros(3))
+        assert given.flags.writeable
+        assert built.kernel is not built.kernel and not built.kernel.flags.writeable
+        assert np.array_equal(built.kernel, given if given.ndim == 1 or not built.is_diagonal
+                              else np.diagonal(given))
+    assert Platform(grid=grid, cutoff=0, kernel=np.eye(3), transfers=np.zeros(3)).is_diagonal
 
 
 def test_inclusion_is_an_upper_set_by_construction():
@@ -494,6 +498,110 @@ def test_platform_runs_roundtrip_property(tmp_path_factory, drawn):
     assert np.array_equal(loaded.kernel.view(np.int64), p.kernel.view(np.int64))
     save_platform(loaded, production, str(d2))
     assert _read_all(d1) == _read_all(d2)
+
+
+def _glitch_reference(n, epsilon):
+    """The ``glitch`` of an identity platform, above any cutoff (excluded
+    nodes meet themselves), as the dense mixture built in place: the bits of
+    ``(1 - eps) G + eps/n``."""
+    mixed = np.eye(n)
+    mixed *= 1.0 - epsilon
+    mixed += epsilon / n
+    return mixed
+
+
+def _stored_platforms():
+    """(label, platform, its dense kernel, cutoff) for each way a kernel
+    enters a platform: a dense matrix, a diagonal, and ``glitch`` at four
+    weights above two cutoffs."""
+    grid = make_grid(7)
+    yield "dense", Platform(grid=grid, cutoff=2, kernel=mixture_kernel(5, 0.3, 0.3),
+                            transfers=np.zeros(7)), mixture_kernel(5, 0.3, 0.3), 2
+    wobble = 1.0 + np.array([0, 1, -1, 0, 2]) * 2.0 ** -45
+    yield "diagonal", Platform(grid=grid, cutoff=2, kernel=wobble,
+                               transfers=np.zeros(7)), np.diag(wobble), 2
+    for k in (0, 3):
+        for epsilon in (0.0, 0.01, 0.5, 1.0):
+            yield (f"glitch{epsilon}-k{k}", glitch(first_best_platform(grid, k), epsilon),
+                   _glitch_reference(7, epsilon), 0)
+
+
+def test_stored_runs_resave_to_the_dense_kernels_runs(tmp_path, f_xy):
+    """Every stored kernel saves to the runs of its dense kernel, found entry
+    by entry, loads back to the same runs and saves again byte for byte; its
+    ``kernel`` accessor and its full block are that dense kernel, bit for bit."""
+    for label, platform, dense, k in _stored_platforms():
+        first, again = tmp_path / label / "a", tmp_path / label / "b"
+        save_platform(platform, f_xy, str(first))
+        assert (first / "platform.csv").read_bytes() == reference_runs(dense, k), label
+        loaded, production = load_platform(str(first))
+        save_platform(loaded, production, str(again))
+        assert _read_all(first) == _read_all(again), label
+        for held in (platform, loaded):
+            assert held.kernel_block(slice(None)).tobytes() == dense.tobytes(), label
+            kernel = held.kernel
+            assert (np.diag(kernel) if held.is_diagonal else kernel).tobytes() == dense.tobytes()
+            assert held.is_diagonal == (np.count_nonzero(dense) == np.count_nonzero(
+                np.diagonal(dense)))
+
+
+def test_split_runs_in_a_file_merge_to_maximal_runs(tmp_path, f_xy):
+    """A hand-written ``platform.csv`` whose equal runs are split, with a
+    zero run, loads to the maximal runs of its kernel: it saves as the runs
+    ``row_runs`` finds in the dense kernel."""
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "platform.csv").write_text(
+        "i,j,j_last,G\n"
+        "1,1,2,0.25\n1,3,3,0.25\n1,4,4,0.25\n"   # one run split in three
+        "2,1,2,0.25\n2,3,4,0.25\n"                # and in two
+        "3,1,1,0.5\n3,2,2,0\n3,3,3,0.5\n"        # a zero run between two halves
+        "4,1,1,0.125\n4,2,3,0.25\n4,4,4,0.375\n")
+    (src / "transfers.csv").write_text("i,t\n0,0\n1,0\n2,0\n3,0\n4,0\n")
+    (src / "manifest.txt").write_text("n=5\ncutoff=1\nf.kind=xy\nf.c=0\n")
+    dense = np.array([[0.25] * 4, [0.25] * 4, [0.5, 0.0, 0.5, 0.0],
+                      [0.125, 0.25, 0.25, 0.375]])
+    loaded, production = load_platform(str(src))
+    assert loaded.kernel.tobytes() == dense.tobytes()
+    assert [len(a) for a in loaded.runs] == [7] * 4  # 1 + 1 + 2 + 3 runs
+    save_platform(loaded, production, str(tmp_path / "out"))
+    assert (tmp_path / "out" / "platform.csv").read_bytes() == reference_runs(dense, 1)
+
+
+@st.composite
+def kernel_blocks(draw):
+    """A kernel from ``run_kernels``, or a dense kernel with no equal
+    neighbours, and a block of it: row and column slices and a bool mask or
+    none."""
+    n, k, kernel = draw(run_kernels())
+    m = n - k
+    if draw(st.booleans()):
+        raw = np.random.default_rng(draw(st.integers(0, 99))).random((m, m)) + 0.5
+        kernel = raw / raw.sum(axis=1, keepdims=True)
+    bounds = [st.integers(0, m), st.integers(0, m)]
+    rows = slice(*sorted(draw(st.tuples(*bounds))))
+    cols = slice(*sorted(draw(st.tuples(*bounds))))
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    seed = draw(st.one_of(st.none(), st.integers(0, 99)))
+    mask = None if seed is None else np.random.default_rng(seed).random(shape) < 0.7
+    return n, k, kernel, rows, cols, mask
+
+
+@given(drawn=kernel_blocks())
+@settings(max_examples=150, deadline=None)
+def test_kernel_blocks_are_the_dense_blocks(drawn):
+    """Every block of the stored kernel, masked or not, into a fresh array
+    or into ``out``, has the bits of the same block of the dense kernel,
+    whether the block is written over its longest segment's value or
+    segment by segment."""
+    n, k, kernel, rows, cols, mask = drawn
+    p = Platform(grid=make_grid(n), cutoff=k, kernel=kernel, transfers=np.zeros(n))
+    reference = kernel[rows, cols] if mask is None else kernel[rows, cols] * mask
+    assert p.kernel_block(rows, cols, mask).tobytes() == reference.tobytes()
+    out = np.full((n - k + 1, n - k + 1), np.nan)
+    view = out[1:1 + reference.shape[0], 1:1 + reference.shape[1]]
+    assert p.kernel_block(rows, cols, mask, out=view) is view
+    assert view.tobytes() == reference.tobytes()
 
 
 def test_table_csv_golden_with_zero_entries(tmp_path):

@@ -3,15 +3,17 @@
 ``ProductionFunction.values`` and ``dx_values`` evaluate any block of the
 output table; ``acceptance``, ``dse_residuals``,
 ``Platform.consistency_defect`` and the verifier's row smoothness run in row
-blocks, and ``glitch`` builds its mixture in place; each must give the bits
+blocks, and ``glitch`` builds its mixture as runs; each must give the bits
 of the one-shot expression kept here as its reference.  The incentive scan
 prices included rows by one product over the masked surplus; its worst
 deviation must be the worst entry of the full two-product ``S0``/``S1`` gain
 matrix (``conftest.two_product_gains``), the same pair with the gain within
 1e-12 of the gains' scale, and it must find the same deviation whether it
-reads a held output table or evaluates each block.  The budget tests bound
-each layer's peak traced allocation above its inputs at n = 1000, and that
-of the assortative ``design`` and ``verify`` commands.
+reads a held output table or evaluates each block, and whether it reads a
+kernel matrix or a platform's kernel a block at a time.  The budget tests
+bound each layer's peak traced allocation above its inputs at n = 1000, and
+that of the assortative and glitched commands, none of which reads the dense
+kernel from ``Platform.kernel``.
 """
 
 import itertools
@@ -239,7 +241,7 @@ def test_glitch_is_the_one_shot_mixture(n, cutoff, epsilon):
 
 
 # ---------------------------------------------------------------------------
-# diagonal kernels, stored as their diagonal, against the dense identity
+# diagonal kernels, one run per row, against the dense identity
 # ---------------------------------------------------------------------------
 
 #: Grid sizes and cutoffs of the diagonal-path tests: n = 7 takes one
@@ -250,8 +252,9 @@ _DIAGONAL_CASES = [(7, 0), (7, 3), (50, 0), (50, 17)]
 
 def _diagonal_platforms(n, k, transfers=None):
     """The identity platform above cutoff ``k`` and one whose diagonal
-    entries lie a few ulp off one, so adjacent rows differ: each stored as
-    its diagonal, with its dense reference (``conftest.dense_platform``)."""
+    entries lie a few ulp off one, so adjacent rows differ: each one
+    diagonal run per row, with its dense reference
+    (``conftest.dense_platform``)."""
     grid = make_grid(n)
     transfers = np.zeros(n) if transfers is None else transfers
     wobble = 1.0 + np.random.default_rng(n + k).integers(-4, 5, n - k) * 2.0 ** -45
@@ -276,7 +279,8 @@ def _flipped_state(platform, f, params):
 @pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
 def test_diagonal_residuals_and_slope_are_the_dense_ones(four_row_blocks, params, n, k):
     """``dse_residuals`` and ``misreport_value_slope`` on a diagonal kernel
-    give the bits of their dense paths on the same kernel held dense.  The
+    give the bits of their dense paths on the same kernel taken for a dense
+    one.  The
     last output's derivative table is negated, so the masked diagonal entry
     of ``A o F_x`` is -0.0, which the dense product sums to +0.0."""
     four_row_blocks(n)
@@ -361,9 +365,10 @@ def test_diagonal_platform_files_are_the_dense_ones(tmp_path, f_xy, n, k):
 
 
 def test_dense_diagonal_kernels_are_stored_as_their_diagonal():
-    """The constructor keeps a dense kernel whose nonzeros are all diagonal
-    as the vector, including the ``glitch`` of weight zero; one with any
-    off-diagonal mass stays dense, even mass too small to move a row sum."""
+    """The constructor stores a dense kernel whose nonzeros are all diagonal
+    as one diagonal run per row, which the accessor gives as the vector,
+    and so does the ``glitch`` of weight zero; one with any off-diagonal
+    mass is not diagonal, even mass too small to move a row sum."""
     grid = make_grid(6)
     platform = Platform(grid=grid, cutoff=2, kernel=np.eye(4), transfers=np.zeros(6))
     assert platform.is_diagonal and _bits(platform.kernel) == _bits(np.ones(4))
@@ -556,15 +561,16 @@ def designed():
 
 # the bool result of acceptance counts as an eighth of an array; no layer
 # but the dense solve holds an n-by-n output table, and the identity solve
-# holds the acceptance sets and one block of f; glitch holds its mixture
-# and the validation's eighth-array bool masks
+# holds the acceptance sets and one block of f; glitch builds runs, and its
+# row-sum check expands an eighth-array block of the kernel at a time
+# (0.17 arrays measured)
 @pytest.mark.parametrize("layer, bound", [
     ("audit", 1.5),
     ("audit_designed", 0.5),
     ("solve_dse", 2.75),
     ("solve_dse_identity", 0.3),
     ("misreport_value_slope", 1.25),
-    ("glitch", 1.25),
+    ("glitch", 0.2),
     ("consistency_defect", 0.5),
     ("acceptance", 0.5),
 ])
@@ -601,3 +607,75 @@ def test_assortative_commands_hold_no_output_table(tmp_path):
         cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
         assert _peak_arrays(lambda: statuses.append(cli.run(cfg))) < 0.5, argv[0]
     assert statuses == [0, 0, 0, 0]
+
+
+def test_glitched_commands_hold_no_kernel_matrix(tmp_path):
+    """``solve --n 1000 --epsilon 0.5`` and ``verify`` on its directory, run
+    through ``cli.run``: the solve holds the output block and the masked
+    kernel ``A`` of its policy loop (2.49 n-by-n arrays measured), the
+    verify ``A`` or the incentive scan's blocks (1.32), and neither holds the
+    kernel matrix, which took each one n-by-n array more (3.48 and 2.31
+    while the kernel was stored dense)."""
+    rates = ["--rho", "1", "--alpha", "0.5", "--r", "0.05", "--f", "xy"]
+    solved = tmp_path / "s"
+    statuses = []
+    for argv, bound in (
+            (["solve", "--n", str(_N), "--epsilon", "0.5", *rates, "--out", str(solved)], 2.75),
+            (["verify", "--platform", str(solved), "--out", str(tmp_path / "v")], 1.5)):
+        cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
+        assert _peak_arrays(lambda: statuses.append(cli.run(cfg))) <= bound, argv[0]
+    assert statuses == [0, 1]  # the zero-transfer platform is not incentive compatible
+
+
+def test_commands_never_read_the_kernel_accessor(tmp_path, monkeypatch):
+    """Every command, on identity and glitched kernels, built or loaded, runs
+    with ``Platform.kernel`` refusing to build the dense kernel; the
+    zero-transfer solves are not incentive compatible, so their verify
+    exits 1."""
+    def refuse(platform):
+        raise AssertionError("a command read Platform.kernel")
+
+    monkeypatch.setattr(Platform, "kernel", property(refuse))
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("sweep_rho=0.5,1\n")
+    sim = tmp_path / "sim.cfg"
+    sim.write_text("agents_per_node=4\nhorizon=200\nburn_in=50\nreplications=1\n")
+    dirs = {name: str(tmp_path / name) for name in ("g", "i", "d")}
+    runs = [
+        (["solve", "--n", "30", "--epsilon", "0.5", "--out", dirs["g"]], 0),
+        (["solve", "--n", "30", "--cutoff", "0.3", "--out", dirs["i"]], 0),
+        (["design", "--n", "30", "--cutoff", "auto", "--out", dirs["d"]], 0),
+        (["verify", "--platform", dirs["g"], "--out", str(tmp_path / "vg")], 1),
+        (["verify", "--platform", dirs["i"], "--out", str(tmp_path / "vi")], 1),
+        (["verify", "--platform", dirs["d"], "--out", str(tmp_path / "vd")], 0),
+        (["solve", "--platform", dirs["g"], "--epsilon", "0.1", "--out", str(tmp_path / "gg")], 0),
+        (["sweep", "--n", "30", "--epsilon", "0.5", "--jobs", "1", "--config", str(sweep),
+          "--out", str(tmp_path / "sw")], 0),
+        (["sweep", "--platform", dirs["g"], "--jobs", "1", "--config", str(sweep),
+          "--out", str(tmp_path / "swp")], 0),
+        (["simulate", "--n", "6", "--epsilon", "0.5", "--jobs", "1", "--config", str(sim),
+          "--out", str(tmp_path / "sg")], 0),
+        (["simulate", "--n", "6", "--jobs", "1", "--config", str(sim),
+          "--out", str(tmp_path / "si")], 0),
+        (["oracle", "--out", str(tmp_path / "o")], 0),
+    ]
+    for argv, status in runs:
+        assert cli.run(cli.resolve_config(cli.build_parser().parse_args(argv))) == status, argv
+
+
+@pytest.mark.parametrize("n, cutoff", [(50, 17), (300, 0)])
+def test_gains_read_a_platform_as_its_kernel_matrix(monkeypatch, params, f_xy, n, cutoff):
+    """The incentive scan finds the same worst deviation, bit for bit, on a
+    platform, whose kernel it reads a block of rows at a time, as on its
+    kernel matrix, in blocks of the default size and of four rows."""
+    grid = make_grid(n)
+    transfers = design(grid, f_xy, params, cutoff=cutoff).platform.transfers
+    platform = Platform(grid=grid, cutoff=cutoff, kernel=mixture_kernel(n - cutoff, 0.3, 0.3),
+                        transfers=transfers)
+    dse = solve_dse(platform, f_xy, params)
+    args = list(gain_args(platform, f_xy, params, dse))
+    for rows in (verifier._GAIN_ROWS, _ROWS):
+        monkeypatch.setattr(verifier, "_GAIN_ROWS", rows)
+        reference = verifier._incentive_gains(*args)
+        got = verifier._incentive_gains(*args[:5], platform, *args[6:])
+        assert got[1] == reference[1] and _bits(got[0]) == _bits(reference[0])

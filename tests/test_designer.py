@@ -345,7 +345,7 @@ def test_strictly_increasing_virtual_output_unique_cutoff():
 def test_glitch_limits(f_xy):
     g = make_grid(4)
     base = first_best_platform(g, 2)
-    # excluded nodes keep self-search rows: the identity, stored as its diagonal
+    # excluded nodes keep self-search rows: the identity, one diagonal run a row
     assert np.array_equal(glitch(base, 0.0).kernel, np.ones(4))
     assert np.array_equal(glitch(base, 1.0).kernel, np.full((4, 4), 0.25))
 

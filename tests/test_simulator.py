@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from matchlab import (
 )
 from matchlab import simulator
 
-from conftest import mixture_kernel, search_value
+from conftest import dense_platform, mixture_kernel, search_value
 
 
 @pytest.fixture
@@ -195,6 +196,51 @@ def test_own_type_match_flow_is_half_the_output(monkeypatch, f_xy):
              small_cfg(agents_per_node=2, horizon=150.0, replications=1, collect_events=False))
     F = f_xy.values(g)
     assert [row[i] for i, row in enumerate(captured[0])] == (0.5 * np.diag(F)).tolist()
+
+
+def test_identity_tables_are_the_dense_diagonals(monkeypatch, f_xy):
+    """On a diagonal kernel every node's row of the acceptance and flow
+    tables is one shared list of own-pair entries, the diagonals, bit for
+    bit, of the m-by-m tables the same kernel builds taken for a dense one
+    (whose run draws a partner node for each call, so its events differ)."""
+    captured = []
+    run = simulator._run_replication
+
+    def recording(m, cum_rows, accept_rows, flow_rows, *rest):
+        captured.append((accept_rows, flow_rows))
+        return run(m, cum_rows, accept_rows, flow_rows, *rest)
+
+    monkeypatch.setattr(simulator, "_run_replication", recording)
+    params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    platform = first_best_platform(make_grid(12), 3)
+    w = solve_dse(platform, f_xy, params).w
+    cfg = small_cfg(agents_per_node=4, horizon=150.0, replications=1)
+    for held in (platform, dense_platform(platform)):
+        simulate(held, f_xy, params, w, cfg)
+    (accept, flow), (dense_accept, dense_flow) = captured
+    for rows, dense_rows in ((accept, dense_accept), (flow, dense_flow)):
+        assert all(row is rows[0] for row in rows)
+        assert rows[0] == [row[i] for i, row in enumerate(dense_rows)]
+    assert np.array(flow[0]).tobytes() == np.array([row[i] for i, row in enumerate(dense_flow)]).tobytes()
+
+
+def test_identity_simulation_holds_no_m_by_m_table(f_xy):
+    """An identity ``simulate`` at n = 1000, one agent a node, allocates
+    less than half an n-by-n float array at its peak: no output, flow or
+    acceptance table, nor their lists (over five arrays while it built
+    them)."""
+    n = 1000
+    params = SearchParams(rho=1.0, alpha=0.5, r=0.05)
+    platform = first_best_platform(make_grid(n), 0)
+    w = solve_dse(platform, f_xy, params).w
+    cfg = SimConfig(agents_per_node=1, horizon=150.0, burn_in=0.0, replications=1)
+    tracemalloc.start()
+    try:
+        simulate(platform, f_xy, params, w, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * n * n
 
 
 def test_unmatched_fraction_draws_toward_balance(f_xy):
