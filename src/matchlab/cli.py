@@ -546,10 +546,10 @@ def _cmd_oracle(cfg: RunConfig) -> int:
             raise ConfigError(f"oracle_n ({cfg.oracle_n}) and involution_block "
                               f"({cfg.involution_block}) must both equal the size of "
                               f"{cfg.table} ({size} nodes)")
-    productions = {key: _production(cfg, grid) for key, grid in grids.items()}
-    prop4_ok = prop4_oracle(cfg.oracle_n, productions["oracle_n"], params)
-    minimal, scanned, identity_rent = involution_oracle(
-        cfg.involution_block, productions["involution_block"], params)
+    # a table has both grids' size by now, and xy and xy+c read no grid
+    production = _production(cfg, grids["oracle_n"])
+    prop4_ok = prop4_oracle(cfg.oracle_n, production, params)
+    minimal, scanned, identity_rent = involution_oracle(cfg.involution_block, production, params)
     outdir = cfg.out
     _output_dir(outdir)
     payload = {

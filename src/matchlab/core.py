@@ -163,11 +163,11 @@ class ProductionFunction:
     plus a finite constant ``c >= 0``), both with analytic partial derivatives.
     ``"table"`` wraps an ``n x n`` matrix of finite values on a grid; evaluation uses
     bilinear interpolation and the derivative a central difference with step
-    ``1 / (4 n)`` unless an explicit derivative table is supplied.
+    ``1 / (4 n)``.
     """
 
     def __init__(self, kind: str, c: float = 0.0, grid: TypeGrid | None = None,
-                 table: np.ndarray | None = None, dx_table: np.ndarray | None = None):
+                 table: np.ndarray | None = None):
         if kind not in ("xy", "xy+c", "table"):
             raise ValueError(f"unknown production kind {kind!r}")
         if kind == "xy+c" and not (math.isfinite(c) and c >= 0):
@@ -176,7 +176,6 @@ class ProductionFunction:
         self.c = float(c) if kind == "xy+c" else 0.0
         self.grid = grid
         self._table = None
-        self._dx_table = None
         if kind == "table":
             if grid is None or table is None:
                 raise ValueError("tabulated production needs a grid and a value table")
@@ -195,15 +194,6 @@ class ProductionFunction:
             table = 0.5 * (table + table.T)  # kill roundoff-level asymmetry
             table.setflags(write=False)
             self._table = table
-            if dx_table is not None:
-                dx_table = np.asarray(dx_table, dtype=float)
-                if dx_table.shape != (grid.n, grid.n):
-                    raise ValueError("derivative table shape does not match grid")
-                if not np.all(np.isfinite(dx_table)):
-                    raise ValueError("derivative table values must be finite")
-                dx_table = dx_table.copy()
-                dx_table.setflags(write=False)
-                self._dx_table = dx_table
 
     # -- constructors ------------------------------------------------------
 
@@ -216,9 +206,8 @@ class ProductionFunction:
         return cls("xy+c", c=c)
 
     @classmethod
-    def tabulated(cls, grid: TypeGrid, table: np.ndarray,
-                  dx_table: np.ndarray | None = None) -> "ProductionFunction":
-        return cls("table", grid=grid, table=table, dx_table=dx_table)
+    def tabulated(cls, grid: TypeGrid, table: np.ndarray) -> "ProductionFunction":
+        return cls("table", grid=grid, table=table)
 
     # -- evaluation --------------------------------------------------------
 
@@ -235,9 +224,6 @@ class ProductionFunction:
         if self.kind in ("xy", "xy+c"):
             return np.broadcast_to(np.asarray(y, dtype=float), np.broadcast(x, y).shape).copy() \
                 if np.ndim(x) or np.ndim(y) else float(y)
-        if self._dx_table is not None:
-            return self._interp(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                                table=self._dx_table)
         h = 1.0 / (4 * self.grid.n)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -258,13 +244,13 @@ class ProductionFunction:
         x = grid.nodes
         return np.asarray(self.d_dx(x[rows, None], x[None, cols]), dtype=float)
 
-    def _interp(self, x: np.ndarray, y: np.ndarray, table: np.ndarray | None = None) -> np.ndarray:
+    def _interp(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Bilinear interpolation on the node lattice, clamped at the edges.
 
         Written in incremental form so flat tables interpolate (and
         difference) to exact values.
         """
-        tbl = self._table if table is None else table
+        tbl = self._table
         nodes = self.grid.nodes
         ix, wx = _locate(nodes, x)
         iy, wy = _locate(nodes, y)
@@ -336,9 +322,11 @@ class Platform:
     8 MB; a kernel with no two equal neighbours costs 24 bytes an entry,
     against 8 dense.  A diagonal kernel (every nonzero entry on the
     diagonal; with rows summing to one, the identity kernel of the
-    assortative platform) is one run per row.  Layers read a block of the
-    dense kernel at a time through :meth:`kernel_block`, which has the bits
-    of the dense block, so no layer holds the m-by-m kernel.
+    assortative platform) is one run per row.  The constructor checks each
+    row's sum on the runs, as the sum of each run's value times its length.
+    Layers read a block of the dense kernel at a time through
+    :meth:`kernel_block`, which has the bits of the dense block, so no layer
+    holds the m-by-m kernel.
 
     ``kernel`` is the dense ``(m, m)`` matrix or the length-m diagonal; the
     constructor converts either one to runs and leaves the caller's array
@@ -380,12 +368,9 @@ class Platform:
             raise ValueError("kernel entries must be finite")
         if np.any(runs.values < 0):
             raise ValueError("kernel entries must be nonnegative")
-        if diagonal:  # a row sums to its one entry, and a row with none to 0
-            row_sums = np.zeros(m)
-            row_sums[rows] = runs.values
-        else:
-            row_sums = np.concatenate([self.kernel_block(block).sum(axis=1)
-                                       for block in _row_blocks(m, m)])
+        # a row sums its runs' values times their lengths, and a row with none to 0
+        row_sums = np.bincount(rows, weights=runs.values * (runs.lasts - runs.cols + 1),
+                               minlength=m)
         row_err = float(np.max(np.abs(row_sums - 1.0)))
         if row_err > ROW_SUM_TOL:
             raise ValueError(f"kernel rows must sum to 1 (max deviation {row_err:g})")

@@ -369,7 +369,7 @@ def _policy_density(A: np.ndarray, params: SearchParams,
 
 
 def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
-                  theta: float, w0: np.ndarray | None = None) -> tuple[np.ndarray, bool] | None:
+                  theta: float, w0: np.ndarray) -> tuple[np.ndarray, bool] | None:
     """The wages that solve the Bellman equation exactly under a fixed
     acceptance-masked kernel ``A`` and density ``u``:
     ``(diag(1 + theta A u) + theta A diag(u)) w = theta (A o F) u``, with
@@ -378,18 +378,17 @@ def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
 
     With ``s = sqrt(u)`` and ``y = s w`` the system is the symmetric
     ``(diag(1 + theta A u) + theta S A S) y = s theta (A o F) u``, which
-    :func:`_pcg` solves from ``s w0`` (zero when None) when every ``u_i`` is
-    positive.  Otherwise, or when it fails, a dense LU solves the system as
-    given, its m-by-m matrix allocated only then; fewer than
-    ``_PCG_MIN_SIZE`` nodes go to the LU at once, with no fallback counted.
+    :func:`_pcg` solves from ``s w0`` when every ``u_i`` is positive.
+    Otherwise, or when it fails, a dense LU solves the system as given, its
+    m-by-m matrix allocated only then; fewer than ``_PCG_MIN_SIZE`` nodes go
+    to the LU at once, with no fallback counted.
     None when the system is singular."""
     d = 1.0 + theta * au
     direct = len(u) < _PCG_MIN_SIZE
     if not direct and np.all(u > 0.0):
         s = np.sqrt(u)
         y = _pcg(lambda v: d * v + theta * s * (A @ (s * v)), s * (theta * afu),
-                 d + theta * u * np.diagonal(A),
-                 np.zeros(len(u)) if w0 is None else s * w0, 1.0 / s)
+                 d + theta * u * np.diagonal(A), s * w0, 1.0 / s)
         if y is not None:
             return y / s, False
     lhs = np.multiply(A, theta * u)

@@ -116,13 +116,12 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
 
     ``w``, ``u``, ``M`` and ``t`` cover all ``n`` nodes, of which those from
     the cutoff ``k`` on are included, and ``G`` is the kernel over the
-    ``m = n - k`` included ones: the ``(m, m)`` matrix, the length-m
-    diagonal of a diagonal kernel, on which each product with ``G`` is a
-    scaling of the columns, or the :class:`~matchlab.core.Platform` that
-    holds it.  A dense product with ``G`` is taken against a block of
-    kernel rows at a time, as many as a block of true types has rows, so a
-    platform's kernel is read a block at a time and never held whole.
-    ``F`` is the n-by-n output table, or the
+    ``m = n - k`` included ones: the :class:`~matchlab.core.Platform` that
+    holds it, on whose diagonal kernel each product with ``G`` is a scaling
+    of the columns, or the ``(m, m)`` matrix.  A dense product with ``G`` is
+    taken against a block of kernel rows at a time, as many as a block of
+    true types has rows, so a platform's kernel is read a block at a time
+    and never held whole.  ``F`` is the n-by-n output table, or the
     :class:`~matchlab.core.ProductionFunction` whose table on ``grid`` it
     is; the scan reads the included columns of one block of rows at a time,
     evaluated then.  Gains are measured against the truthful net payoff
@@ -149,7 +148,7 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
         diagonal, kernel_rows = G.is_diagonal, G.kernel_block
         G = G.runs[3] if diagonal else None  # the diagonal, on a diagonal kernel
     else:
-        diagonal, kernel_rows = G.ndim == 1, G.__getitem__
+        diagonal, kernel_rows = False, G.__getitem__
     height = min(_GAIN_ROWS, n)
     kernel_blocks = [slice(lo, min(lo + height, m)) for lo in range(0, m, height)]
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import os
 import subprocess
@@ -31,8 +32,11 @@ def mixture_kernel(n: int, a: float, b: float) -> np.ndarray:
 
 
 def dense_kernel(kernel):
-    """A platform kernel as the dense matrix: a diagonal kernel, which the
-    ``kernel`` accessor gives as its diagonal, on the diagonal of zeros."""
+    """A platform kernel, or a platform's, as the dense matrix: a diagonal
+    kernel, which the ``kernel`` accessor gives as its diagonal, on the
+    diagonal of zeros."""
+    if isinstance(kernel, Platform):
+        kernel = kernel.kernel
     return np.diag(kernel) if kernel.ndim == 1 else kernel
 
 
@@ -48,8 +52,9 @@ def dense_platform(platform):
 
 def gain_args(platform, f, params, dse):
     """The incentive-scan arguments ``audit`` passes for a platform and its
-    equilibrium: ``(theta, F, w, u, M, G, t, k)``, ``k`` the cutoff."""
-    return (params.theta, f.values(platform.grid), dse.w, dse.u, dse.M, platform.kernel,
+    equilibrium: ``(theta, F, w, u, M, G, t, k)``, ``G`` the platform and
+    ``k`` its cutoff."""
+    return (params.theta, f.values(platform.grid), dse.w, dse.u, dse.M, platform,
             platform.transfers, platform.cutoff)
 
 
@@ -127,6 +132,21 @@ def search_value(hazard, phi, params):
     return hazard * phi / (params.r + params.alpha + hazard)
 
 
+class TabulatedWithDerivative(ProductionFunction):
+    """A tabulated output whose first-argument derivative is read from a
+    second table on the same grid, interpolated and clamped at the edges as
+    the values are: exact at the nodes, where a plain table's derivative is
+    a central difference."""
+
+    def __init__(self, grid, table, dx_table):
+        super().__init__("table", grid=grid, table=table)
+        self._derivative = copy.copy(self)
+        self._derivative._table = np.array(dx_table, dtype=float)
+
+    def d_dx(self, x, y):
+        return self._derivative.eval(x, y)
+
+
 def cubic_production(grid):
     """Tabulated f(x,y) = xy (x+y) / 2 with its exact derivative table.
 
@@ -137,7 +157,7 @@ def cubic_production(grid):
     x = grid.nodes
     table = x[:, None] * x[None, :] * (x[:, None] + x[None, :]) / 2.0
     dx_table = x[:, None] * x[None, :] + x[None, :] ** 2 / 2.0
-    return ProductionFunction.tabulated(grid, table, dx_table=dx_table)
+    return TabulatedWithDerivative(grid, table, dx_table)
 
 
 #: Ways a 4-node ``table.csv`` can fail to list every pair once, in row-major order.

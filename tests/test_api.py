@@ -1,5 +1,7 @@
 """The public names resolve, and the README's API example runs."""
 
+import dataclasses
+import inspect
 import os
 import re
 
@@ -22,6 +24,16 @@ def test_removed_names_are_gone():
                  "perfect_info_transfers"):
         assert name not in matchlab.__all__
         assert not hasattr(matchlab, name)
+    for constructor in (core.ProductionFunction.__init__, core.ProductionFunction.tabulated):
+        assert "dx_table" not in inspect.signature(constructor).parameters
+
+
+def test_option_counts():
+    """The number of fields of each config: an option added or removed
+    shows here."""
+    counts = {config.__name__: len(dataclasses.fields(config))
+              for config in (cli.RunConfig, solver.SolverConfig, simulator.SimConfig)}
+    assert counts == {"RunConfig": 27, "SolverConfig": 3, "SimConfig": 6}
 
 
 def test_import_loads_no_numpy():

@@ -209,8 +209,6 @@ def test_non_finite_production_data_rejected(bad):
     spoiled[1, 1] = bad
     with pytest.raises(ValueError, match="finite"):
         ProductionFunction.tabulated(g, spoiled)
-    with pytest.raises(ValueError, match="finite"):
-        ProductionFunction.tabulated(g, table, dx_table=spoiled)
 
 
 def test_tabulated_interpolation_matches_bilinear_source():
@@ -227,14 +225,6 @@ def test_tabulated_interpolation_matches_bilinear_source():
                        np.broadcast_to(interior[None, :], (9, 9)), atol=1e-9)
 
 
-def test_explicit_derivative_table_wins():
-    g = make_grid(6)
-    table = np.outer(g.nodes, g.nodes)
-    dx = np.full((6, 6), 7.0)
-    ft = ProductionFunction.tabulated(g, table, dx_table=dx)
-    assert float(ft.d_dx(0.3, 0.6)) == 7.0
-
-
 # ---------------------------------------------------------------------------
 # platforms
 # ---------------------------------------------------------------------------
@@ -246,6 +236,52 @@ def test_platform_row_sum_enforced():
     bad[0, 0] = 0.9
     with pytest.raises(ValueError, match="sum to 1"):
         Platform(grid=g, cutoff=0, kernel=bad, transfers=np.zeros(3))
+
+
+def _nudged_glitch(nudge):
+    """The dense eps = 0.5 glitched kernel on five nodes, with ``nudge``
+    added to one off-diagonal entry of its middle row."""
+    kernel = glitch(first_best_platform(make_grid(5), 0), 0.5).kernel.copy()
+    kernel[2, 4] += nudge
+    return kernel
+
+
+def _row_sum_deviation(kernel):
+    """The deviation that the ``Platform`` constructor refuses ``kernel``
+    with, read from its one-line message."""
+    with pytest.raises(ValueError) as refused:
+        Platform(grid=make_grid(len(kernel)), cutoff=0, kernel=kernel,
+                 transfers=np.zeros(len(kernel)))
+    match = re.fullmatch(r"kernel rows must sum to 1 \(max deviation (\S+)\)", str(refused.value))
+    assert match, str(refused.value)
+    return float(match[1])
+
+
+def test_platform_row_sum_tolerance_on_runs():
+    """A row sum is checked to ``ROW_SUM_TOL`` (1e-12) on every kind of
+    kernel: a glitched row 2e-12 over is refused and one 5e-13 over is
+    kept, a diagonal entry 2e-12 under 1 is refused, and so is a dense
+    kernel with a row of zeros."""
+    assert _row_sum_deviation(_nudged_glitch(2e-12)) == pytest.approx(2e-12, rel=1e-3)
+    kept = Platform(grid=make_grid(5), cutoff=0, kernel=_nudged_glitch(5e-13),
+                    transfers=np.zeros(5))
+    assert kept.kernel[2, 4] == 0.1 + 5e-13
+    assert _row_sum_deviation(np.array([1.0 - 2e-12, 1.0, 1.0, 1.0, 1.0])) \
+        == pytest.approx(2e-12, rel=1e-3)
+    zero_row = np.eye(5)
+    zero_row[3, 3] = 0.0
+    assert _row_sum_deviation(zero_row) == 1.0
+
+
+def test_platform_row_sum_of_length_one_runs():
+    """A kernel with no two equal neighbours in a row is one run an entry,
+    and rows that sum to 1 to rounding are kept."""
+    raw = np.random.default_rng(5).random((6, 6))
+    kernel = raw / raw.sum(axis=1, keepdims=True)
+    p = Platform(grid=make_grid(6), cutoff=0, kernel=kernel, transfers=np.zeros(6))
+    _, cols, lasts, _ = p.runs
+    assert len(cols) == 36 and np.array_equal(cols, lasts)
+    assert p.kernel.tobytes() == kernel.tobytes()
 
 
 def test_platform_rejects_negative_entries():

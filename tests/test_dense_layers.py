@@ -41,6 +41,7 @@ from matchlab.core import acceptance, load_platform, save_platform
 from matchlab.designer import first_best_platform, glitch, misreport_value_slope
 
 from conftest import (
+    TabulatedWithDerivative,
     cubic_production,
     dense_kernel,
     dense_platform,
@@ -286,8 +287,8 @@ def test_diagonal_residuals_and_slope_are_the_dense_ones(four_row_blocks, params
     four_row_blocks(n)
     for platform, dense in _diagonal_platforms(n, k):
         grid = platform.grid
-        falling = ProductionFunction.tabulated(grid, cubic_production(grid).values(grid),
-                                               dx_table=-cubic_production(grid).dx_values(grid))
+        falling = TabulatedWithDerivative(grid, cubic_production(grid).values(grid),
+                                          -cubic_production(grid).dx_values(grid))
         for f in _productions(grid) + (falling,):
             state = _flipped_state(platform, f, params)
             got = dse_residuals(platform, f, params, state)
@@ -328,7 +329,8 @@ def test_diagonal_gains_keep_the_products_positive_zero():
     args = [0.5, F, w, np.full(n, 0.5), acceptance(F, w), np.eye(n - k), np.zeros(n), k]
     assert not args[4][:, k:].any()
     reference = verifier._incentive_gains(*args)
-    args[5] = np.ones(n - k)
+    args[5] = Platform(grid=make_grid(n), cutoff=k, kernel=np.ones(n - k), transfers=args[6])
+    assert args[5].is_diagonal
     got = verifier._incentive_gains(*args)
     assert got == reference == (0.0, (0, 1))
     assert _bits(got[0]) == _bits(reference[0]) == _bits(0.0)
@@ -673,9 +675,9 @@ def test_gains_read_a_platform_as_its_kernel_matrix(monkeypatch, params, f_xy, n
     platform = Platform(grid=grid, cutoff=cutoff, kernel=mixture_kernel(n - cutoff, 0.3, 0.3),
                         transfers=transfers)
     dse = solve_dse(platform, f_xy, params)
-    args = list(gain_args(platform, f_xy, params, dse))
+    args = gain_args(platform, f_xy, params, dse)
     for rows in (verifier._GAIN_ROWS, _ROWS):
         monkeypatch.setattr(verifier, "_GAIN_ROWS", rows)
-        reference = verifier._incentive_gains(*args)
-        got = verifier._incentive_gains(*args[:5], platform, *args[6:])
+        reference = verifier._incentive_gains(*args[:5], platform.kernel, *args[6:])
+        got = verifier._incentive_gains(*args)
         assert got[1] == reference[1] and _bits(got[0]) == _bits(reference[0])

@@ -28,7 +28,7 @@ from matchlab import (
 from matchlab import designer
 from matchlab.core import RESIDUAL_TOL
 
-from conftest import cubic_production, dense_platform
+from conftest import TabulatedWithDerivative, cubic_production, dense_platform
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def test_strictly_increasing_virtual_output_unique_cutoff():
     x = g.nodes
     table = np.add.outer(x, x) / 2.0 + np.outer(x, x)
     dx = np.broadcast_to(x[None, :], (n, n)) + 0.5
-    f3 = ProductionFunction.tabulated(g, table, dx_table=dx)
+    f3 = TabulatedWithDerivative(g, table, dx)
     ex = optimal_exclusion(g, f3)
     assert ex.unique
     root = (np.sqrt(17.0) - 1.0) / 8.0
