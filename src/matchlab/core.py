@@ -526,9 +526,9 @@ class DSEState:
 
 
 #: Bytes of float temporaries a row-blocked pass over an n-by-n array holds
-#: at a time (see :func:`_row_blocks`), and of each square tile of
-#: ``Platform.consistency_defect``: an eighth of one n-by-n array at
-#: n = 1000, and a block stays in a core's cache.
+#: at a time (see :func:`_row_blocks` and :func:`_byte_row_blocks`), and of
+#: each square tile of ``Platform.consistency_defect``: an eighth of one
+#: n-by-n array at n = 1000, and a block stays in a core's cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -550,19 +550,36 @@ def _kernel_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return A * v + 0.0 if A.ndim == 1 else A @ v
 
 
-def _masked_kernel(platform: Platform, M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _byte_row_blocks(m: int, block_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``range(m)``, each of as many rows of
+    ``m`` floats as fit ``block_bytes``, rounded down to a multiple of 8
+    rows, and at least 8: over an m-by-m bool array, each slice's rows are
+    whole bytes of its ``np.packbits`` bytes (the last slice's, the rest)."""
+    step = 8 * max(1, block_bytes // (64 * max(m, 1)))
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _masked_kernel(platform: Platform, M, out: np.ndarray | None = None) -> np.ndarray:
     """The acceptance-masked kernel ``A = G o M`` of ``platform``, given the
-    acceptance sets ``M`` of its included nodes (m-by-m).  On a diagonal
-    kernel it is the vector ``g * diag(M)``; on any other it is the m-by-m
-    matrix, built into ``out`` when given, a row block of ``G`` at a time
-    (:meth:`Platform.kernel_block`), so the dense kernel is never held.
-    ``G >= 0``, so every pair off the sets holds +0.0."""
+    acceptance sets ``M`` of its included nodes: the m-by-m bool array, or
+    on a dense kernel also its ``np.packbits`` bytes.  On a diagonal kernel
+    it is the vector ``g * diag(M)``; on any other it is the m-by-m matrix,
+    built into ``out`` when given, a row block of ``G`` at a time
+    (:meth:`Platform.kernel_block`), so the dense kernel is never held, and
+    bytes are unpacked a row block at a time.  ``G >= 0``, so every pair off
+    the sets holds +0.0."""
     if platform.is_diagonal:
         return np.multiply(platform._runs.values, np.diagonal(M))
-    m = len(M)
+    m = platform.grid.n - platform.cutoff
     A = np.empty((m, m)) if out is None else out
-    for rows in _row_blocks(m, m):
-        platform.kernel_block(rows, mask=M[rows], out=A[rows])
+    bits = np.frombuffer(M, np.uint8) if isinstance(M, bytes) else None
+    for rows in _byte_row_blocks(m, _BLOCK_BYTES):
+        if bits is None:
+            mask = M[rows]
+        else:  # the block's flags start on a whole byte
+            lo, hi = rows.start * m, rows.stop * m
+            mask = np.unpackbits(bits[lo // 8:-(-hi // 8)], count=hi - lo).view(bool).reshape(-1, m)
+        platform.kernel_block(rows, mask=mask, out=A[rows])
     return A
 
 
@@ -574,6 +591,16 @@ def _accepts(F: np.ndarray, w: np.ndarray, rows: slice, out: np.ndarray | None =
     net = np.subtract(F, w[rows, None], out=F if overwrite else None)
     net -= w[None, :]
     return np.greater_equal(net, 0.0, out=out)
+
+
+def _packed_acceptance(F: np.ndarray, w: np.ndarray) -> bytes:
+    """``np.packbits(acceptance(F, w)).tobytes()`` for a square output table
+    ``F`` held whole, without the m-by-m bool array: the rule
+    (:func:`_accepts`) runs on blocks of a multiple of 8 rows, whose packed
+    bits are whole bytes of the set's, and each block's surplus takes about
+    an eighth of ``_BLOCK_BYTES`` (8 rows at least)."""
+    return b"".join(np.packbits(_accepts(F[rows], w, rows)).tobytes()
+                    for rows in _byte_row_blocks(len(w), _BLOCK_BYTES // 8))
 
 
 def acceptance(F, w: np.ndarray, grid: TypeGrid | None = None,

@@ -51,6 +51,7 @@ from .core import (
     _accepts,
     _kernel_product,
     _masked_kernel,
+    _packed_acceptance,
     _row_blocks,
     acceptance,
 )
@@ -244,12 +245,14 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
     w = w0
 
     # the acceptance set that A, u, au and afu were built from and the one
-    # before it, as np.packbits bytes, a hash of the set of each recent sweep
-    # for the stall diagnosis, the sets policy iteration solved, and the one
-    # m-by-m buffer, the acceptance-masked kernel A: it is built from the
-    # kernel's runs a row block at a time, holds A o F while afu is taken and
-    # is then rebuilt, so neither a second m-by-m matrix nor the dense kernel
-    # is held
+    # before it, held only as np.packbits bytes (each sweep packs its set
+    # from blocks of a multiple of 8 rows, 16 at m = 1000, so no m-by-m bool
+    # array is built), a hash of the set of each recent sweep for the stall
+    # diagnosis, the sets policy iteration solved, and the one m-by-m buffer
+    # beside Fb, the acceptance-masked kernel A: it is built from the
+    # kernel's runs and the packed set a row block at a time, holds A o F
+    # while afu is taken and is then rebuilt, so neither a second m-by-m
+    # matrix nor the dense kernel is held
     packed = packed_before = None
     solves = fallbacks = 0
     u = np.zeros(m)  # the start of the next policy step's density solve
@@ -262,11 +265,10 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
 
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
     for sweep in range(1, cfg.max_outer + 1):
-        M = acceptance(Fb, w)
-        packed_now = np.packbits(M).tobytes()
+        packed_now = _packed_acceptance(Fb, w)
         if packed_now != packed:
             packed_before, packed = packed, packed_now
-            _masked_kernel(platform, M, out=A)
+            _masked_kernel(platform, packed, out=A)
             if policy:
                 u, lu = _policy_density(A, params, u)
                 fallbacks += lu
@@ -274,7 +276,7 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
                 u = steady_state_density(A, params)
             au = A @ u
             afu = np.multiply(A, Fb, out=A) @ u
-            _masked_kernel(platform, M, out=A)  # A again, bit for bit
+            _masked_kernel(platform, packed, out=A)  # A again, bit for bit
             solves += 1
         digests.append(hash(packed))  # bytes cache their hash
         numer = theta * (afu - A @ (w * u))
@@ -424,9 +426,7 @@ def _stall_error(digests, packed: bytes | None, packed_before: bytes | None, m: 
         return NonConvergenceError(f"{prefix}{stale} {residuals}", bellman_residual=bell,
                                    balance_residual=balance, iterations=iterations,
                                    period=period)
-    flipped = np.bitwise_xor(np.frombuffer(packed, np.uint8),
-                             np.frombuffer(packed_before, np.uint8))
-    rows, cols = np.nonzero(np.triu(np.unpackbits(flipped, count=m * m).reshape(m, m)))
+    rows, cols = _flipped_pairs(packed, packed_before, m)
     pairs = tuple(zip((rows + k).tolist(), (cols + k).tolist()))
     shown = ", ".join(f"({i}, {j})" for i, j in pairs[:_CYCLE_PAIRS_SHOWN])
     more = len(pairs) - _CYCLE_PAIRS_SHOWN
@@ -437,6 +437,23 @@ def _stall_error(digests, packed: bytes | None, packed_before: bytes | None, m: 
         f"flipping pairs {shown} {residuals}",
         bellman_residual=bell, balance_residual=balance, iterations=iterations,
         period=period, flipping_pairs=pairs)
+
+
+def _flipped_pairs(packed: bytes, packed_before: bytes, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the pairs ``i <= j`` whose flags differ between
+    two ``m``-by-``m`` bool arrays given as ``np.packbits`` bytes, in
+    row-major order: the ``np.nonzero`` of the upper triangle (diagonal
+    included) of their unpacked xor, read from the bits of the xor's
+    nonzero bytes alone, so no m-by-m array is built."""
+    flipped = np.bitwise_xor(np.frombuffer(packed, np.uint8),
+                             np.frombuffer(packed_before, np.uint8))
+    at = np.flatnonzero(flipped)
+    byte, bit = np.nonzero(np.unpackbits(flipped[at]).reshape(-1, 8))
+    rows, cols = np.divmod(at[byte] * 8 + bit, m)
+    # a padding bit past the m * m flags falls in a row from m on, left of
+    # the diagonal
+    upper = rows <= cols
+    return rows[upper], cols[upper]
 
 
 def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParams,

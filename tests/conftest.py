@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import matchlab
-from matchlab import Platform, ProductionFunction, SearchParams
+from matchlab import Platform, ProductionFunction, SearchParams, make_grid, pairing_wage
 from matchlab.core import format_float
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -89,6 +89,36 @@ def one_shot_worst(gains, args):
     if k and exc_gain.max() > worst_gain:
         worst_gain, worst = float(exc_gain.max()), (k + int(exc_gain.argmax()), k - 1)
     return worst_gain, worst
+
+
+def mask_prices(n, f, params, mask, perm):
+    """The wages and transfers the masked-configuration oracle prices a
+    pairing ``perm`` of the ``mask`` nodes of an ``n``-node grid at, spelled
+    node by node on the grid's own labels: pairing wages on the mask, and
+    transfers by the trapezoid rule from the lowest mask node, where
+    participation binds; both zero off the mask."""
+    g = make_grid(n)
+    x, F, Fx = g.nodes, f.values(g), f.dx_values(g)
+    theta, u = params.theta, params.u_star
+    m = len(mask)
+    partner = [mask[p] for p in perm]
+    w = np.zeros(n)
+    for a in range(m):
+        w[mask[a]] = pairing_wage(params, F[mask[a], partner[a]])
+
+    def slope(a):
+        i, j = mask[a], partner[a]
+        lo, hi = max(a - 1, 0), min(a + 1, m - 1)
+        wprime = 0.0 if lo == hi else (w[mask[hi]] - w[mask[lo]]) / (x[mask[hi]] - x[mask[lo]])
+        return theta * u * (F[i, j] - w[i] - w[j] >= 0.0) * (Fx[i, j] - wprime)
+
+    t = np.zeros(n)
+    t[mask[0]] = w[mask[0]]
+    cum = 0.0
+    for a in range(1, m):
+        cum += 0.5 * (slope(a - 1) + slope(a)) * (x[mask[a]] - x[mask[a - 1]])
+        t[mask[a]] = w[mask[a]] - cum
+    return w, t
 
 
 def reference_csv(header, rows):

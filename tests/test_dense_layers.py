@@ -46,6 +46,7 @@ from conftest import (
     dense_kernel,
     dense_platform,
     gain_args,
+    mask_prices,
     mixture_kernel,
     one_shot_worst,
     reference_runs,
@@ -92,6 +93,31 @@ def test_blocked_acceptance_is_the_one_shot_rule(four_row_blocks, n):
     w = rng.integers(0, 8, n) / 16.0
     reference = (F - w[:, None]) - w[None, :] >= 0.0
     assert np.array_equal(acceptance(F, w), reference)
+
+
+# at the default block bytes, 2 to 17 rows sit in one partial block of each
+# pass, 131 and 257 take several surplus blocks; in blocks of 8 rows, 8 fill
+# one, 9, 15 and 17 end in a partial block, and 131 and 257 take many
+@pytest.mark.parametrize("eight_rows", [False, True], ids=["default", "eight_rows"])
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 15, 17, 131, 257])
+def test_packed_acceptance_and_its_masked_kernel_are_the_bool_arrays(monkeypatch, m,
+                                                                     eight_rows):
+    """The policy loop's acceptance sets, packed from blocks of rows, are the
+    ``np.packbits`` bytes of the whole bool array, and the masked kernel
+    built from those bytes is the one built from that array, bit for bit."""
+    if eight_rows:
+        monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * m)
+    rng = np.random.default_rng(m)
+    # sixteenths, so that some pairs sit at exactly zero surplus
+    F = rng.integers(0, 16, (m, m)) / 16.0
+    w = rng.integers(0, 8, m) / 16.0
+    F[0, 0] = 2.0 * w[0]
+    M = acceptance(F, w)
+    assert M[0, 0]  # zero surplus accepts
+    packed = core._packed_acceptance(F, w)
+    assert packed == np.packbits(M).tobytes()
+    platform = _random_platform(m, m)
+    assert _bits(core._masked_kernel(platform, packed)) == _bits(core._masked_kernel(platform, M))
 
 
 def _productions(grid):
@@ -418,8 +444,13 @@ def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy, monkeypatch
 def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
     """Every mask and pairing of a five-type market with output ``xy + 0.2``,
     each valued on the permutation kernel ``_mask_config_ic`` builds, in one
-    block and in blocks of two rows."""
+    block and in blocks of two rows.  The scan reads the nodes relabelled
+    with the others first and the mask last, each in grid order, which is
+    checked against that order built here and the pairwise wages and
+    transfers (``conftest.mask_prices``), so that the mask's columns stay in
+    step with the kernel's."""
     f = ProductionFunction.multiplicative_plus_constant(0.2)
+    F = f.values(make_grid(5))
     seen = []
     fused = verifier._incentive_gains
 
@@ -432,6 +463,13 @@ def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
         for mask in itertools.combinations(range(5), size):
             for perm in enumerate_involutions(size):
                 verifier.masked_config_ic(5, f, params, mask, perm)
+                order = [i for i in range(5) if i not in mask] + list(mask)
+                w, t = mask_prices(5, f, params, mask, perm)
+                _, F_seen, w_seen, _, _, _, t_seen, cutoff = seen[-1]
+                assert cutoff == 5 - size
+                assert _bits(F_seen) == _bits(F[np.ix_(order, order)])
+                assert _bits(w_seen) == _bits(w[order])
+                assert np.max(np.abs(t_seen - t[order])) <= 1e-15
     monkeypatch.undo()
     assert len(seen) == sum(len(list(enumerate_involutions(size))) * len(list(
         itertools.combinations(range(5), size))) for size in range(1, 6))
@@ -562,14 +600,15 @@ def designed():
 
 
 # the bool result of acceptance counts as an eighth of an array; no layer
-# but the dense solve holds an n-by-n output table, and the identity solve
-# holds the acceptance sets and one block of f; glitch builds runs, and its
-# row-sum check expands an eighth-array block of the kernel at a time
-# (0.17 arrays measured)
+# but the dense solve holds an n-by-n output table, and it holds besides only
+# the masked kernel of its policy loop, whose acceptance sets are packed bits
+# (2.13 arrays measured); the identity solve holds the acceptance sets and
+# one block of f; glitch builds runs, and its row-sum check expands an
+# eighth-array block of the kernel at a time (0.17 arrays measured)
 @pytest.mark.parametrize("layer, bound", [
     ("audit", 1.5),
     ("audit_designed", 0.5),
-    ("solve_dse", 2.75),
+    ("solve_dse", 2.25),
     ("solve_dse_identity", 0.3),
     ("misreport_value_slope", 1.25),
     ("glitch", 0.2),
@@ -614,15 +653,16 @@ def test_assortative_commands_hold_no_output_table(tmp_path):
 def test_glitched_commands_hold_no_kernel_matrix(tmp_path):
     """``solve --n 1000 --epsilon 0.5`` and ``verify`` on its directory, run
     through ``cli.run``: the solve holds the output block and the masked
-    kernel ``A`` of its policy loop (2.49 n-by-n arrays measured), the
-    verify ``A`` or the incentive scan's blocks (1.32), and neither holds the
-    kernel matrix, which took each one n-by-n array more (3.48 and 2.31
-    while the kernel was stored dense)."""
+    kernel ``A`` of its policy loop, whose acceptance sets are packed bits
+    (2.14 n-by-n arrays measured; 2.49 while the loop held them as bool
+    arrays), the verify ``A`` or the incentive scan's blocks (1.32), and
+    neither holds the kernel matrix, which took each one n-by-n array more
+    (3.48 and 2.31 while the kernel was stored dense)."""
     rates = ["--rho", "1", "--alpha", "0.5", "--r", "0.05", "--f", "xy"]
     solved = tmp_path / "s"
     statuses = []
     for argv, bound in (
-            (["solve", "--n", str(_N), "--epsilon", "0.5", *rates, "--out", str(solved)], 2.75),
+            (["solve", "--n", str(_N), "--epsilon", "0.5", *rates, "--out", str(solved)], 2.25),
             (["verify", "--platform", str(solved), "--out", str(tmp_path / "v")], 1.5)):
         cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
         assert _peak_arrays(lambda: statuses.append(cli.run(cfg))) <= bound, argv[0]

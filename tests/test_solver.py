@@ -22,7 +22,7 @@ from matchlab import (
     solve_dse,
 )
 from matchlab import solver
-from matchlab.core import acceptance
+from matchlab.core import _packed_acceptance, acceptance
 
 from conftest import cubic_production, fresh_python, mixture_kernel
 
@@ -259,6 +259,24 @@ def test_cycling_acceptance_sets_fail_fast(n, a, b, rho, alpha, r, period, f_xy)
     assert exc.bellman_residual > 1e-6
 
 
+@pytest.mark.parametrize("m", [3, 9, 17, 300])
+def test_flipped_pairs_are_the_upper_triangle_of_the_unpacked_xor(m):
+    """On random bytes, padding bits included, the pairs a cycle names are
+    the row-major nonzero upper-triangle entries of the unpacked xor."""
+    rng = np.random.default_rng(m)
+    size = -(-m * m // 8)
+    for density in (0.02, 0.5):
+        packed, packed_before = (np.packbits(rng.random(8 * size) < density).tobytes()
+                                 for _ in range(2))
+        flipped = np.bitwise_xor(np.frombuffer(packed, np.uint8),
+                                 np.frombuffer(packed_before, np.uint8))
+        reference = np.nonzero(np.triu(np.unpackbits(flipped, count=m * m).reshape(m, m)))
+        rows, cols = solver._flipped_pairs(packed, packed_before, m)
+        assert np.array_equal(rows, reference[0]) and np.array_equal(cols, reference[1])
+    rows, cols = solver._flipped_pairs(packed, packed, m)
+    assert len(rows) == len(cols) == 0
+
+
 # mixture kernels on which the damped loop alone cycles with this period, and
 # policy iteration reaches a certified state: the reference rates, and a
 # small case like those the equilibrium-contract property draws
@@ -376,13 +394,23 @@ def test_policy_iteration_selects_the_most_accepted_pairs(n, epsilon, params, f_
 @pytest.mark.parametrize("epsilon", [0.01, 0.5])
 def test_policy_steps_shrink_the_acceptance_sets(epsilon, params, f_xy, monkeypatch):
     """Each policy step's acceptance sets lie inside the previous step's, down
-    to the returned state's, and no step hands over to the damped loop."""
+    to the returned state's, and no step hands over to the damped loop.  The
+    loop holds each step's sets as packed bits, recorded here unpacked; the
+    returned state's are the full array."""
     seen = []
+
+    def recording_packed(Fb, w):
+        packed = _packed_acceptance(Fb, w)
+        m = len(w)
+        seen.append(np.unpackbits(np.frombuffer(packed, np.uint8), count=m * m)
+                    .view(bool).reshape(m, m))
+        return packed
 
     def recording(*args, **kwargs):
         seen.append(acceptance(*args, **kwargs))
         return seen[-1]
 
+    monkeypatch.setattr(solver, "_packed_acceptance", recording_packed)
     monkeypatch.setattr(solver, "acceptance", recording)
     st_ = solve_dse(glitch(first_best_platform(make_grid(200), 0), epsilon), f_xy, params)
     assert np.all(seen[0])  # zero wages accept every pair

@@ -14,7 +14,6 @@ from matchlab import (
     first_best_wage_coefficient,
     involution_oracle,
     make_grid,
-    pairing_wage,
     prop4_oracle,
     solve_dse,
 )
@@ -29,7 +28,7 @@ from matchlab.verifier import (
     masked_config_ic,
 )
 
-from conftest import gain_args, one_shot_worst, two_product_gains
+from conftest import gain_args, mask_prices, one_shot_worst, two_product_gains
 
 
 @pytest.fixture
@@ -228,30 +227,18 @@ def test_masked_config_ic_rejects_malformed_input(params, f_xy, mask, perm):
 
 def _reference_mask_ic(n, f, params, mask, perm):
     """The oracle's valuation spelled pair by pair: pairing wages, envelope
-    transfers by the trapezoid rule from the lowest mask node, then every
-    (true, reported) pair except the truthful one."""
-    g = make_grid(n)
-    x, F, Fx = g.nodes, f.values(g), f.dx_values(g)
+    transfers by the trapezoid rule from the lowest mask node
+    (``conftest.mask_prices``), then every (true, reported) pair except the
+    truthful one."""
+    F = f.values(make_grid(n))
     theta, u = params.theta, params.u_star
     m = len(mask)
     partner = [mask[p] for p in perm]
-    w = np.zeros(n)
-    for a in range(m):
-        w[mask[a]] = pairing_wage(params, F[mask[a], partner[a]])
+    w, transfers = mask_prices(n, f, params, mask, perm)
+    t = transfers[list(mask)]
 
     def accepts(i, j):
         return F[i, j] - w[i] - w[j] >= 0.0
-
-    def slope(a):
-        lo, hi = max(a - 1, 0), min(a + 1, m - 1)
-        wprime = 0.0 if lo == hi else (w[mask[hi]] - w[mask[lo]]) / (x[mask[hi]] - x[mask[lo]])
-        return theta * u * accepts(mask[a], partner[a]) * (Fx[mask[a], partner[a]] - wprime)
-
-    t = [w[mask[0]]]
-    cum = 0.0
-    for a in range(1, m):
-        cum += 0.5 * (slope(a - 1) + slope(a)) * (x[mask[a]] - x[mask[a - 1]])
-        t.append(w[mask[a]] - cum)
 
     excluded = [e for e in range(n) if e not in mask]
     worst = -np.inf
