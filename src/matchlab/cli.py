@@ -75,9 +75,6 @@ from .verifier import (
 
 __all__ = ["RunConfig", "ConfigError", "run", "main"]
 
-COMMANDS = ("solve", "simulate", "design", "verify", "sweep", "oracle")
-
-
 class ConfigError(Exception):
     """Bad configuration file or flag combination (exit code 2)."""
 
@@ -229,34 +226,38 @@ def _reading(path: str):
         raise ConfigError(f"cannot read {path}: {exc}") from None
 
 
+@contextmanager
+def _refused(prefix: str = ""):
+    """Report a value a layer refuses, its ValueError, as a config error
+    with the same message after ``prefix``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def _production(cfg: RunConfig, grid) -> ProductionFunction:
     """The production function; data it refuses is a config error."""
     if cfg.f == "table":
         with _reading(cfg.table):
             return load_table(cfg.table, grid)
-    try:
+    with _refused():
         return ProductionFunction(cfg.f, c=cfg.c)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _search_params(rho: float, alpha: float, r: float) -> SearchParams:
     """The rates as :class:`SearchParams`; rates it refuses are a config error."""
-    try:
+    with _refused():
         return SearchParams(rho=rho, alpha=alpha, r=r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _sim_config(cfg: RunConfig, params: SearchParams) -> SimConfig:
     """The simulation plan; a plan the simulator refuses is a config error."""
-    try:
+    with _refused():
         sim_cfg = SimConfig(agents_per_node=cfg.agents_per_node, horizon=cfg.horizon,
                             burn_in=cfg.burn_in, seed=cfg.seed,
                             replications=cfg.replications, collect_events=cfg.event_log)
         check_discount_window(params, sim_cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     return sim_cfg
 
 
@@ -277,10 +278,8 @@ def _cutoff_index(cfg: RunConfig, grid) -> int:
 
 def _solver_config(cfg: RunConfig) -> SolverConfig:
     """The solver settings; settings the solver refuses are a config error."""
-    try:
+    with _refused():
         return SolverConfig(tol_w=cfg.tol_w, tol_u=cfg.tol_u, max_outer=cfg.max_outer)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _resolve_platform(cfg: RunConfig):
@@ -533,10 +532,8 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     # both grid sizes are refused before either exhaustive scan runs
     grids = {}
     for key, cap in (("oracle_n", PROP4_MAX_N), ("involution_block", INVOLUTION_MAX_BLOCK)):
-        try:
+        with _refused(f"{key}: "):
             grids[key] = _scan_grid(getattr(cfg, key), cap)
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
     if cfg.f == "table":
         # one table serves both scans, so both grids must have its size
         with _reading(cfg.table):
@@ -610,6 +607,7 @@ _DISPATCH = {
     "sweep": _cmd_sweep,
     "oracle": _cmd_oracle,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run(cfg: RunConfig) -> int:

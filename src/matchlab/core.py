@@ -324,7 +324,7 @@ class Platform:
     diagonal; with rows summing to one, the identity kernel of the
     assortative platform) is one run per row.  The constructor checks each
     row's sum on the runs, as the sum of each run's value times its length.
-    Layers read a block of the dense kernel at a time through
+    Dense kernel entries are read a block at a time through
     :meth:`kernel_block`, which has the bits of the dense block, so no layer
     holds the m-by-m kernel.
 
@@ -332,7 +332,7 @@ class Platform:
     constructor converts either one to runs and leaves the caller's array
     as it is.  It marks the float64 ``transfers`` array it is given
     read-only, without a copy; other input is converted to a new float64
-    array.  The :attr:`kernel` accessor builds an array on each call.
+    array.
     """
 
     grid: TypeGrid
@@ -385,11 +385,6 @@ class Platform:
         object.__setattr__(self, "transfers", transfers)
 
     @property
-    def x_tilde(self) -> float:
-        """Type value of the lowest included node."""
-        return float(self.grid.nodes[self.cutoff])
-
-    @property
     def is_diagonal(self) -> bool:
         """Every nonzero kernel entry sits on the diagonal: each node meets
         only its own type (with rows summing to one, the identity kernel).
@@ -405,24 +400,14 @@ class Platform:
         rows = np.repeat(np.arange(len(runs.starts) - 1), np.diff(runs.starts))
         return rows, runs.cols, runs.lasts, runs.values
 
-    @property
-    def kernel(self) -> np.ndarray:
-        """The kernel as a read-only array, built on each call: the length-m
-        diagonal of a diagonal kernel, the dense ``(m, m)`` matrix of any
-        other.  For API users and tests: matchlab's layers read the runs or
-        a block of rows (:meth:`kernel_block`) instead."""
-        kernel = (self._runs.values.copy() if self._diagonal
-                  else self.kernel_block(slice(None)))
-        kernel.setflags(write=False)
-        return kernel
-
     def kernel_block(self, rows: slice, cols: slice = slice(None), mask: np.ndarray | None = None,
                      out: np.ndarray | None = None) -> np.ndarray:
-        """The block ``G[rows, cols]`` of the dense kernel ``G`` (unit-step
-        slices), or with a bool ``mask`` of the block's shape the product
-        ``G[rows, cols] * mask``, with the bits of that expression: each
-        entry of ``G`` is a run's value or +0.0.  The block is written into
-        ``out`` when given, else into a fresh array, which is returned.
+        """The block ``G[rows, cols]`` of the dense kernel ``G``, or with a
+        bool ``mask`` of the block's shape the product ``G[rows, cols] *
+        mask``, with the bits of that expression: each entry of ``G`` is a
+        run's value or +0.0.  The block is written into ``out`` when given,
+        else into a fresh array, which is returned.  Both slices must have
+        unit step; any other step raises ValueError.
 
         In the block's row-major order the entries are segments: a zero gap
         before each run, the run, and a last zero gap.  The block is filled
@@ -431,8 +416,11 @@ class Platform:
         """
         starts, firsts, lasts, values = self._runs
         m = len(starts) - 1
-        r0, r1, _ = rows.indices(m)
-        c0, c1, _ = cols.indices(m)
+        r0, r1, row_step = rows.indices(m)
+        c0, c1, col_step = cols.indices(m)
+        if row_step != 1 or col_step != 1:
+            raise ValueError(f"kernel_block reads unit-step slices, got rows step {row_step}, "
+                             f"cols step {col_step}")
         height, width = max(r1 - r0, 0), max(c1 - c0, 0)
         lo, hi = starts[r0], starts[r0 + height]
         # each run's row, as the flat offset of its first column in the block
@@ -473,8 +461,7 @@ class Platform:
         m = len(self._runs.starts) - 1
         # square tiles of _BLOCK_BYTES, each pair compared once from the upper
         # triangle: |a - b| is |b - a| exactly, so the max keeps its bits
-        side = max(1, math.isqrt(_BLOCK_BYTES // 8))
-        tiles = [slice(start, min(start + side, m)) for start in range(0, m, side)]
+        tiles = _slices(m, max(1, math.isqrt(_BLOCK_BYTES // 8)))
         defect = 0.0
         for at, rows in enumerate(tiles):
             for cols in tiles[at:]:
@@ -532,13 +519,20 @@ class DSEState:
 _BLOCK_BYTES = 1 << 20
 
 
+def _slices(stop: int, step: int, cutoff: int = 0) -> list[slice]:
+    """Consecutive slices of ``step`` indices covering ``range(stop)``, the
+    plan of every blocked pass: the indices below ``cutoff`` and those from
+    it on never share a slice, so the last slice on each side may be
+    shorter."""
+    return [slice(lo, min(lo + step, end)) for begin, end in ((0, cutoff), (cutoff, stop))
+            for lo in range(begin, end, step)]
+
+
 def _row_blocks(nrows: int, ncols: int, cutoff: int = 0) -> list[slice]:
     """Consecutive slices covering ``range(nrows)``, each of as many rows of
     ``ncols`` floats as fit ``_BLOCK_BYTES``, and at least one; the rows
     below ``cutoff`` and those from it on never share a slice."""
-    step = max(1, _BLOCK_BYTES // (8 * max(ncols, 1)))
-    return [slice(lo, min(lo + step, end)) for begin, end in ((0, cutoff), (cutoff, nrows))
-            for lo in range(begin, end, step)]
+    return _slices(nrows, max(1, _BLOCK_BYTES // (8 * max(ncols, 1))), cutoff)
 
 
 def _kernel_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -555,8 +549,7 @@ def _byte_row_blocks(m: int, block_bytes: int) -> list[slice]:
     ``m`` floats as fit ``block_bytes``, rounded down to a multiple of 8
     rows, and at least 8: over an m-by-m bool array, each slice's rows are
     whole bytes of its ``np.packbits`` bytes (the last slice's, the rest)."""
-    step = 8 * max(1, block_bytes // (64 * max(m, 1)))
-    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    return _slices(m, 8 * max(1, block_bytes // (64 * max(m, 1))))
 
 
 def _masked_kernel(platform: Platform, M, out: np.ndarray | None = None) -> np.ndarray:

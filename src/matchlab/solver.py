@@ -56,8 +56,7 @@ from .core import (
     acceptance,
 )
 
-__all__ = ["SolverConfig", "solve_dse", "dse_residuals", "steady_state_density",
-           "diagonal_wage_coefficient"]
+__all__ = ["SolverConfig", "solve_dse", "dse_residuals", "diagonal_wage_coefficient"]
 
 #: Weight of each closed-form row update in the next iterate; one half
 #: stabilizes acceptance-set flips.
@@ -107,7 +106,7 @@ class SolverConfig:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer}")
 
 
-def steady_state_density(A: np.ndarray, params: SearchParams) -> np.ndarray:
+def _steady_state_density(A: np.ndarray, params: SearchParams) -> np.ndarray:
     """Solve ``alpha (1 - u) = rho * A u`` for the unmatched density.
 
     ``A`` is the acceptance-masked kernel on included nodes.  The system is
@@ -273,7 +272,7 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
                 u, lu = _policy_density(A, params, u)
                 fallbacks += lu
             else:
-                u = steady_state_density(A, params)
+                u = _steady_state_density(A, params)
             au = A @ u
             afu = np.multiply(A, Fb, out=A) @ u
             _masked_kernel(platform, packed, out=A)  # A again, bit for bit
@@ -357,7 +356,7 @@ def _policy_density(A: np.ndarray, params: SearchParams,
                     u0: np.ndarray) -> tuple[np.ndarray, bool]:
     """The steady-state density of a policy step,
     ``(I + (rho/alpha) A) u = 1``, by :func:`_pcg` from ``u0``, and whether
-    it fell back to :func:`steady_state_density`.  Fewer than
+    it fell back to :func:`_steady_state_density`.  Fewer than
     ``_PCG_MIN_SIZE`` nodes go to that direct solve at once, with no
     fallback counted."""
     c = params.rho / params.alpha
@@ -366,7 +365,7 @@ def _policy_density(A: np.ndarray, params: SearchParams,
     u = None if direct else _pcg(lambda v: v + c * (A @ v), np.ones(m),
                                  1.0 + c * np.diagonal(A), u0)
     if u is None:
-        return steady_state_density(A, params), not direct
+        return _steady_state_density(A, params), not direct
     return u, False
 
 

@@ -56,13 +56,14 @@ from .core import (
     SearchParams,
     TypeGrid,
     _row_blocks,
+    _slices,
     acceptance,
     make_grid,
 )
-from .designer import _envelope, _involution, enumerate_involutions, involution_rent, pairing_wage
+from .designer import _envelope, enumerate_involutions, involution_rent, pairing_wage
 from .solver import dse_residuals
 
-__all__ = ["AuditReport", "audit", "masked_config_ic", "prop4_oracle", "involution_oracle"]
+__all__ = ["AuditReport", "audit", "prop4_oracle", "involution_oracle"]
 
 #: A certified state gives no misreport a gain above this; the inclusion
 #: oracle counts a masked configuration as truthful by the same bound.
@@ -150,7 +151,7 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
     else:
         diagonal, kernel_rows = False, G.__getitem__
     height = min(_GAIN_ROWS, n)
-    kernel_blocks = [slice(lo, min(lo + height, m)) for lo in range(0, m, height)]
+    kernel_blocks = _slices(m, height)
 
     def times_kernel(X, out):
         """``X G^T`` into ``out``, its columns a block of kernel rows at a
@@ -169,8 +170,7 @@ def _incentive_gains(theta: float, F, w: np.ndarray, u: np.ndarray,
     # on a diagonal G every product is in place, so Mu can take S0's rows
     mu_rows = gain_rows if diagonal else np.empty((height, m))
     worst_gain, worst = None, None
-    for rows in [slice(lo, min(lo + height, end)) for begin, end in ((0, k), (k, n))
-                 for lo in range(begin, end, height)]:
+    for rows in _slices(n, height, k):
         size = rows.stop - rows.start
         if rows.start < k:
             # excluded true types: the self-consistent theta S1 / (1 + theta S0),
@@ -309,7 +309,8 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
     Wages follow the deterministic-platform closed form; transfers come from
     the local truth-telling condition integrated over the mask nodes with the
     participation constraint binding at the lowest one.  The kernel is the
-    pairing's permutation matrix and every type sits at ``u_star``.
+    pairing's permutation matrix and every type sits at ``u_star``.  A
+    truthful report counts as a gain of zero, so the gain is never negative.
     """
     theta, u_star = params.theta, params.u_star
     n, m = len(x), len(mask)
@@ -337,29 +338,6 @@ def _mask_config_ic(x: np.ndarray, F: np.ndarray, Fx: np.ndarray,
     ic_max, _ = _incentive_gains(theta, F[pairs], w[order], np.full(n, u_star), accept[pairs],
                                  G, t[order], n - m)
     return ic_max, float(np.max(w_mask))
-
-
-def masked_config_ic(n_small: int, f: ProductionFunction, params: SearchParams,
-                     mask: tuple, perm: tuple) -> float:
-    """Max incentive gain of one masked deterministic configuration.
-
-    ``mask`` lists the included node indices of an ``n_small`` grid and
-    ``perm`` the self-inverse pairing of the mask positions.  Positive values
-    mean some type strictly prefers misreporting.  A truthful report counts
-    as a gain of zero, so the value is never negative.  Raises ValueError
-    unless ``mask`` is nonempty and strictly increasing within
-    ``range(n_small)`` and ``perm`` is an involution of ``range(len(mask))``.
-    """
-    mask = tuple(int(i) for i in mask)
-    if not (mask and 0 <= mask[0] and mask[-1] < n_small
-            and all(a < b for a, b in zip(mask, mask[1:]))):
-        raise ValueError(f"mask {mask} is not a nonempty strictly increasing "
-                         f"subset of range({n_small})")
-    perm = _involution(perm, len(mask))
-    grid = make_grid(n_small)
-    ic_max, _ = _mask_config_ic(grid.nodes, f.values(grid), f.dx_values(grid),
-                                params, mask, perm)
-    return ic_max
 
 
 def prop4_oracle(n_small: int, f: ProductionFunction, params: SearchParams) -> bool:

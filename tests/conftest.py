@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import matchlab
-from matchlab import Platform, ProductionFunction, SearchParams, make_grid, pairing_wage
+from matchlab import Platform, ProductionFunction, SearchParams, make_grid, pairing_wage, verifier
 from matchlab.core import format_float
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -32,19 +32,16 @@ def mixture_kernel(n: int, a: float, b: float) -> np.ndarray:
 
 
 def dense_kernel(kernel):
-    """A platform kernel, or a platform's, as the dense matrix: a diagonal
-    kernel, which the ``kernel`` accessor gives as its diagonal, on the
-    diagonal of zeros."""
-    if isinstance(kernel, Platform):
-        kernel = kernel.kernel
-    return np.diag(kernel) if kernel.ndim == 1 else kernel
+    """A platform's kernel as the dense matrix, read as one block
+    (``kernel_block``); a kernel given as an array is returned as it is."""
+    return kernel.kernel_block(slice(None)) if isinstance(kernel, Platform) else kernel
 
 
 def dense_platform(platform):
     """``platform`` with its diagonal kernel taken for a dense one: the copy
-    reads ``is_diagonal`` False, so every layer takes its dense path on it,
-    the reference for its diagonal path."""
-    held = Platform(grid=platform.grid, cutoff=platform.cutoff, kernel=platform.kernel,
+    is built from the dense block and reads ``is_diagonal`` False, so every
+    layer takes its dense path on it, the reference for its diagonal path."""
+    held = Platform(grid=platform.grid, cutoff=platform.cutoff, kernel=dense_kernel(platform),
                     transfers=platform.transfers)
     object.__setattr__(held, "_diagonal", False)
     return held
@@ -121,6 +118,13 @@ def mask_prices(n, f, params, mask, perm):
     return w, t
 
 
+def mask_config_ic(n, f, params, mask, perm):
+    """The inclusion oracle's max incentive gain of the pairing ``perm`` of
+    the ``mask`` nodes of an ``n``-node grid."""
+    g = make_grid(n)
+    return verifier._mask_config_ic(g.nodes, f.values(g), f.dx_values(g), params, mask, perm)[0]
+
+
 def reference_csv(header, rows):
     """Artifact text of ``rows``, one line each: floats through ``format_float``,
     everything else through ``str``."""
@@ -133,8 +137,8 @@ def reference_runs(matrix, k=0, header="i,j,j_last,G", values=True):
     """The bytes of a run-layout artifact of ``matrix``, found entry by entry:
     ``header``, then one line per maximal run of equal nonzero entries in a
     row, ``i,j,j_last`` with indices offset by the cutoff ``k``, and the run's
-    value through ``format_float`` when ``values`` is set.  A diagonal kernel
-    given as its diagonal is read as the dense matrix."""
+    value through ``format_float`` when ``values`` is set.  A platform is
+    read as its dense kernel."""
     lines = [header]
     for r, row in enumerate(dense_kernel(matrix).tolist()):
         c = 0

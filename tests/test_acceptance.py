@@ -225,7 +225,7 @@ def test_criterion_07_ic_ir_certification():
     result = design(grid, f, REFERENCE, cutoff=k)
     good = audit(result.platform, f, REFERENCE, result.dse)
 
-    grabby = Platform(grid=grid, cutoff=k, kernel=result.platform.kernel,
+    grabby = Platform(grid=grid, cutoff=k, kernel=result.platform.runs[3],
                       transfers=result.dse.w.copy())
     bad = audit(grabby, f, REFERENCE, result.dse)
 

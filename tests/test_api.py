@@ -26,6 +26,11 @@ def test_removed_names_are_gone():
         assert not hasattr(matchlab, name)
     for constructor in (core.ProductionFunction.__init__, core.ProductionFunction.tabulated):
         assert "dx_table" not in inspect.signature(constructor).parameters
+    assert "masked_config_ic" not in verifier.__all__
+    assert not hasattr(verifier, "masked_config_ic")
+    assert "steady_state_density" not in solver.__all__
+    for name in ("kernel", "x_tilde"):
+        assert not hasattr(core.Platform, name)
 
 
 def test_option_counts():

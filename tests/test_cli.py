@@ -45,6 +45,7 @@ from matchlab.verifier import AuditReport
 from conftest import (
     TABLE_DAMAGES,
     csv_rows,
+    dense_kernel,
     mixture_kernel,
     reference_csv,
     reference_runs,
@@ -300,7 +301,7 @@ def test_solve_glitched_platform(tmp_path):
     out = tmp_path / "o"
     assert main(["solve", "--n", "10", "--epsilon", "0.05", "--out", str(out)]) == 0
     platform, _ = load_platform(str(out))
-    assert np.count_nonzero(platform.kernel) == 100  # the glitched kernel is dense
+    assert np.count_nonzero(dense_kernel(platform)) == 100  # the glitched kernel is dense
     residuals = json.loads((out / "residuals.json").read_text())
     assert 1 <= residuals["steady_state_solves"] < residuals["iterations"]
 
@@ -1086,6 +1087,17 @@ def test_oracle_reports_results(tmp_path):
     assert payload["prop4_upper_set_ok"] is True
     assert payload["involution_identity_minimal"] is True
     assert payload["involutions_scanned"] == 10
+
+
+def test_oracle_names_the_refused_grid_size(tmp_path, capsys):
+    """A grid size an exhaustive scan refuses exits 2 with the scan's
+    message after the key's name."""
+    for key, size, cap in (("oracle_n", 7, 6), ("involution_block", 13, 12)):
+        cfg = write_config(tmp_path / "c.cfg", **{key: size})
+        assert main(["oracle", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"matchlab: config error: {key}: the exhaustive scan is limited to grids of "
+            f"at most {cap} nodes, got {size}\n")
 
 
 @pytest.mark.parametrize("oracle_n, involution_block", [(4, 5), (3, 3)],

@@ -25,7 +25,14 @@ from matchlab.core import (
 )
 from matchlab.designer import first_best_platform, glitch
 
-from conftest import TABLE_DAMAGES, mixture_kernel, reference_csv, reference_runs, write_table
+from conftest import (
+    TABLE_DAMAGES,
+    dense_kernel,
+    mixture_kernel,
+    reference_csv,
+    reference_runs,
+    write_table,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def test_platform_row_sum_enforced():
 def _nudged_glitch(nudge):
     """The dense eps = 0.5 glitched kernel on five nodes, with ``nudge``
     added to one off-diagonal entry of its middle row."""
-    kernel = glitch(first_best_platform(make_grid(5), 0), 0.5).kernel.copy()
+    kernel = dense_kernel(glitch(first_best_platform(make_grid(5), 0), 0.5))
     kernel[2, 4] += nudge
     return kernel
 
@@ -265,7 +272,7 @@ def test_platform_row_sum_tolerance_on_runs():
     assert _row_sum_deviation(_nudged_glitch(2e-12)) == pytest.approx(2e-12, rel=1e-3)
     kept = Platform(grid=make_grid(5), cutoff=0, kernel=_nudged_glitch(5e-13),
                     transfers=np.zeros(5))
-    assert kept.kernel[2, 4] == 0.1 + 5e-13
+    assert dense_kernel(kept)[2, 4] == 0.1 + 5e-13
     assert _row_sum_deviation(np.array([1.0 - 2e-12, 1.0, 1.0, 1.0, 1.0])) \
         == pytest.approx(2e-12, rel=1e-3)
     zero_row = np.eye(5)
@@ -281,7 +288,7 @@ def test_platform_row_sum_of_length_one_runs():
     p = Platform(grid=make_grid(6), cutoff=0, kernel=kernel, transfers=np.zeros(6))
     _, cols, lasts, _ = p.runs
     assert len(cols) == 36 and np.array_equal(cols, lasts)
-    assert p.kernel.tobytes() == kernel.tobytes()
+    assert dense_kernel(p).tobytes() == kernel.tobytes()
 
 
 def test_platform_rejects_negative_entries():
@@ -343,7 +350,7 @@ def test_constructors_freeze_the_callers_arrays_without_a_copy():
     """``TypeGrid``, ``Platform`` and ``DSEState`` hold the arrays they are
     given and mark them read-only, all but the kernel: a platform stores its
     kernel as runs, so the caller's matrix or diagonal stays writable, and
-    the ``kernel`` accessor builds a new read-only array on each call."""
+    its dense block is the matrix, or the diagonal on a diagonal of zeros."""
     nodes = (np.arange(3) + 0.5) / 3
     grid = TypeGrid(n=3, nodes=nodes, mass=1 / 3)
     kernel, transfers = np.full((3, 3), 1 / 3), np.zeros(3)
@@ -356,9 +363,7 @@ def test_constructors_freeze_the_callers_arrays_without_a_copy():
     for given in (kernel, np.eye(3), np.ones(3)):
         built = Platform(grid=grid, cutoff=0, kernel=given, transfers=np.zeros(3))
         assert given.flags.writeable
-        assert built.kernel is not built.kernel and not built.kernel.flags.writeable
-        assert np.array_equal(built.kernel, given if given.ndim == 1 or not built.is_diagonal
-                              else np.diagonal(given))
+        assert np.array_equal(dense_kernel(built), given if given.ndim == 2 else np.diag(given))
     assert Platform(grid=grid, cutoff=0, kernel=np.eye(3), transfers=np.zeros(3)).is_diagonal
 
 
@@ -366,7 +371,6 @@ def test_inclusion_is_an_upper_set_by_construction():
     g = make_grid(5)
     p = Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=np.zeros(5))
     assert np.arange(p.cutoff, g.n).tolist() == [2, 3, 4]
-    assert p.x_tilde == g.nodes[2]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +399,7 @@ def test_platform_roundtrip_bit_exact(tmp_path, f_xy):
     save_platform(p, f_xy, str(d1))
     loaded, production = load_platform(str(d1))
     assert loaded.cutoff == 2
-    assert np.array_equal(loaded.kernel, p.kernel)
+    assert np.array_equal(dense_kernel(loaded), dense_kernel(p))
     assert np.array_equal(loaded.transfers, p.transfers)
     assert production.kind == "xy"
     save_platform(loaded, production, str(d2))
@@ -426,7 +430,7 @@ def test_roundtrip_property(tmp_path_factory, a, b, n):
     outdir = tmp_path_factory.mktemp("plat")
     save_platform(p, ProductionFunction.multiplicative(), str(outdir))
     loaded, _ = load_platform(str(outdir))
-    assert np.array_equal(loaded.kernel, p.kernel)
+    assert np.array_equal(dense_kernel(loaded), dense_kernel(p))
 
 
 @pytest.mark.parametrize("x, text", [
@@ -471,9 +475,9 @@ def test_platform_csv_golden_all_distinct_with_cutoff(tmp_path, f_xy):
     kernel /= kernel.sum(axis=1, keepdims=True)
     p = Platform(grid=g, cutoff=k, kernel=kernel, transfers=np.zeros(9))
     save_platform(p, f_xy, str(tmp_path))
-    rows, cols = np.nonzero(p.kernel)
-    assert len(np.unique(p.kernel[rows, cols])) == len(rows) == 35
-    expected = reference_runs(p.kernel, k)
+    rows, cols = np.nonzero(kernel)
+    assert len(np.unique(kernel[rows, cols])) == len(rows) == 35
+    expected = reference_runs(p, k)
     assert expected.count(b"\n") == 36  # a run per nonzero entry
     assert (tmp_path / "platform.csv").read_bytes() == expected
 
@@ -485,7 +489,7 @@ def test_platform_csv_golden_over_two_write_blocks(tmp_path, f_xy):
     kernel /= kernel.sum(axis=1, keepdims=True)
     p = Platform(grid=make_grid(302), cutoff=2, kernel=kernel, transfers=np.zeros(302))
     save_platform(p, f_xy, str(tmp_path))
-    expected = reference_runs(p.kernel, 2)
+    expected = reference_runs(p, 2)
     assert expected.count(b"\n") - 1 == 88_800 > core._BLOCK_ROWS
     assert (tmp_path / "platform.csv").read_bytes() == expected
 
@@ -493,7 +497,7 @@ def test_platform_csv_golden_over_two_write_blocks(tmp_path, f_xy):
 def test_platform_csv_golden_glitched(tmp_path, f_xy):
     p = glitch(first_best_platform(make_grid(300), 0), 0.5)
     save_platform(p, f_xy, str(tmp_path))
-    expected = reference_runs(p.kernel, 0)
+    expected = reference_runs(p, 0)
     # at most three runs a row: left of the diagonal, the diagonal, right of it
     assert 600 < expected.count(b"\n") - 1 <= 900
     assert (tmp_path / "platform.csv").read_bytes() == expected
@@ -529,9 +533,9 @@ def test_platform_runs_roundtrip_property(tmp_path_factory, drawn):
     p = Platform(grid=make_grid(n), cutoff=k, kernel=kernel, transfers=np.zeros(n))
     d1, d2 = tmp_path_factory.mktemp("a"), tmp_path_factory.mktemp("b")
     save_platform(p, ProductionFunction.multiplicative(), str(d1))
-    assert (d1 / "platform.csv").read_bytes() == reference_runs(p.kernel, k)
+    assert (d1 / "platform.csv").read_bytes() == reference_runs(p, k)
     loaded, production = load_platform(str(d1))
-    assert np.array_equal(loaded.kernel.view(np.int64), p.kernel.view(np.int64))
+    assert np.array_equal(dense_kernel(loaded).view(np.int64), dense_kernel(p).view(np.int64))
     save_platform(loaded, production, str(d2))
     assert _read_all(d1) == _read_all(d2)
 
@@ -565,7 +569,8 @@ def _stored_platforms():
 def test_stored_runs_resave_to_the_dense_kernels_runs(tmp_path, f_xy):
     """Every stored kernel saves to the runs of its dense kernel, found entry
     by entry, loads back to the same runs and saves again byte for byte; its
-    ``kernel`` accessor and its full block are that dense kernel, bit for bit."""
+    full block is that dense kernel, bit for bit, and on a diagonal kernel
+    its run values are the diagonal."""
     for label, platform, dense, k in _stored_platforms():
         first, again = tmp_path / label / "a", tmp_path / label / "b"
         save_platform(platform, f_xy, str(first))
@@ -575,8 +580,8 @@ def test_stored_runs_resave_to_the_dense_kernels_runs(tmp_path, f_xy):
         assert _read_all(first) == _read_all(again), label
         for held in (platform, loaded):
             assert held.kernel_block(slice(None)).tobytes() == dense.tobytes(), label
-            kernel = held.kernel
-            assert (np.diag(kernel) if held.is_diagonal else kernel).tobytes() == dense.tobytes()
+            if held.is_diagonal:
+                assert held.runs[3].tobytes() == np.diagonal(dense).tobytes(), label
             assert held.is_diagonal == (np.count_nonzero(dense) == np.count_nonzero(
                 np.diagonal(dense)))
 
@@ -598,7 +603,7 @@ def test_split_runs_in_a_file_merge_to_maximal_runs(tmp_path, f_xy):
     dense = np.array([[0.25] * 4, [0.25] * 4, [0.5, 0.0, 0.5, 0.0],
                       [0.125, 0.25, 0.25, 0.375]])
     loaded, production = load_platform(str(src))
-    assert loaded.kernel.tobytes() == dense.tobytes()
+    assert dense_kernel(loaded).tobytes() == dense.tobytes()
     assert [len(a) for a in loaded.runs] == [7] * 4  # 1 + 1 + 2 + 3 runs
     save_platform(loaded, production, str(tmp_path / "out"))
     assert (tmp_path / "out" / "platform.csv").read_bytes() == reference_runs(dense, 1)
@@ -638,6 +643,20 @@ def test_kernel_blocks_are_the_dense_blocks(drawn):
     view = out[1:1 + reference.shape[0], 1:1 + reference.shape[1]]
     assert p.kernel_block(rows, cols, mask, out=view) is view
     assert view.tobytes() == reference.tobytes()
+
+
+def test_kernel_block_refuses_a_step():
+    """A row or column slice whose step is not 1 is refused, naming the
+    step, where it would give a block of other rows; a negative start still
+    counts from the end."""
+    kernel = mixture_kernel(6, 0.3, 0.3)
+    p = Platform(grid=make_grid(6), cutoff=0, kernel=kernel, transfers=np.zeros(6))
+    for rows, cols, refused in ((slice(0, 6, 2), slice(None), "rows step 2"),
+                                (slice(5, None, -1), slice(None), "rows step -1"),
+                                (slice(None), slice(1, 5, 3), "cols step 3")):
+        with pytest.raises(ValueError, match=refused):
+            p.kernel_block(rows, cols)
+    assert p.kernel_block(slice(-2, None)).tobytes() == kernel[4:].tobytes()
 
 
 def test_table_csv_golden_with_zero_entries(tmp_path):
@@ -759,19 +778,20 @@ def test_platform_in_17_digit_text_loads_and_resaves_short(tmp_path):
     transfers = np.array([0.0, 0.1, 1.0 / 3.0, -0.0, 2.5e-7])
     old, new = tmp_path / "old", tmp_path / "new"
     old.mkdir()
-    rows, cols = np.nonzero(p.kernel)
+    kernel = dense_kernel(p)
+    rows, cols = np.nonzero(kernel)
     (old / "platform.csv").write_text("i,j,j_last,G\n" + "".join(
-        f"{i},{j},{j},{p.kernel[i, j]:.17g}\n" for i, j in zip(rows, cols)))
+        f"{i},{j},{j},{kernel[i, j]:.17g}\n" for i, j in zip(rows, cols)))
     (old / "transfers.csv").write_text(
         "i,t\n" + "".join(f"{i},{t:.17g}\n" for i, t in enumerate(transfers)))
     (old / "manifest.txt").write_text("n=5\ncutoff=0\nf.kind=xy\nf.c=0\n")
     assert "0.10000000000000001" in (old / "platform.csv").read_text()
 
     loaded, production = load_platform(str(old))
-    assert np.array_equal(loaded.kernel.view(np.int64), p.kernel.view(np.int64))
+    assert np.array_equal(dense_kernel(loaded).view(np.int64), kernel.view(np.int64))
     assert np.array_equal(loaded.transfers.view(np.int64), transfers.view(np.int64))
     save_platform(loaded, production, str(new))
-    assert (new / "platform.csv").read_bytes() == reference_runs(p.kernel, 0)
+    assert (new / "platform.csv").read_bytes() == reference_runs(p, 0)
     assert (new / "transfers.csv").read_text() == reference_csv("i,t", enumerate(transfers))
     assert "\n1,0.1\n" in (new / "transfers.csv").read_text()
     assert len((new / "platform.csv").read_bytes()) < len((old / "platform.csv").read_bytes())

@@ -12,8 +12,7 @@ matrix (``conftest.two_product_gains``), the same pair with the gain within
 reads a held output table or evaluates each block, and whether it reads a
 kernel matrix or a platform's kernel a block at a time.  The budget tests
 bound each layer's peak traced allocation above its inputs at n = 1000, and
-that of the assortative and glitched commands, none of which reads the dense
-kernel from ``Platform.kernel``.
+that of the assortative and glitched commands.
 """
 
 import itertools
@@ -46,6 +45,7 @@ from conftest import (
     dense_kernel,
     dense_platform,
     gain_args,
+    mask_config_ic,
     mask_prices,
     mixture_kernel,
     one_shot_worst,
@@ -197,7 +197,7 @@ def test_blocked_residuals_and_slope_are_the_one_shot_ones(four_row_blocks, para
         M[k, k:] = ~M[k, k:]
         M[0, 0] = not M[0, 0]
         state = DSEState(w=w, u=u, M=M, bellman_residual=0.0, balance_residual=0.0)
-        A = platform.kernel * M[k:, k:]
+        A = dense_kernel(platform) * M[k:, k:]
         wb, ub = w[k:], u[k:]
         au = A @ ub
         total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
@@ -216,7 +216,7 @@ def test_blocked_residuals_and_slope_are_the_one_shot_ones(four_row_blocks, para
 def test_blocked_consistency_defect_is_the_one_shot_max(four_row_blocks, n):
     four_row_blocks(n)
     platform = _random_platform(n, n)
-    G = platform.kernel
+    G = dense_kernel(platform)
     assert _bits(platform.consistency_defect()) == _bits(np.max(np.abs(G - G.T)))
 
 
@@ -224,7 +224,7 @@ def test_blocked_consistency_defect_is_the_one_shot_max(four_row_blocks, n):
 def test_blocked_row_smoothness_is_the_one_shot_modulus(four_row_blocks, n):
     four_row_blocks(n)
     platform = _random_platform(n, n)
-    G = platform.kernel
+    G = dense_kernel(platform)
     reference = (0.0 if n < 2
                  else np.max(np.sum(np.abs(np.diff(np.cumsum(G, axis=1), axis=0)), axis=1)))
     assert _bits(verifier._row_smoothness(platform)) == _bits(reference)
@@ -234,7 +234,7 @@ def test_blocked_passes_at_the_default_block_size():
     """At n = 1000 a pass takes several blocks of the default size, the last
     one short."""
     platform = _random_platform(1000, 7)
-    G = platform.kernel
+    G = dense_kernel(platform)
     assert len(core._row_blocks(1000, 1000)) > 1
     assert _bits(platform.consistency_defect()) == _bits(np.max(np.abs(G - G.T)))
     cdf = np.cumsum(G, axis=1)
@@ -262,9 +262,9 @@ def test_glitch_is_the_one_shot_mixture(n, cutoff, epsilon):
     platform = Platform(grid=make_grid(n), cutoff=cutoff,
                         kernel=_symmetric_kernel(n - cutoff, n), transfers=np.zeros(n))
     padded = np.eye(n)
-    padded[cutoff:, cutoff:] = platform.kernel
+    padded[cutoff:, cutoff:] = dense_kernel(platform)
     reference = (1.0 - epsilon) * padded + epsilon / n * np.ones((n, n))
-    assert _bits(dense_kernel(glitch(platform, epsilon).kernel)) == _bits(reference)
+    assert _bits(dense_kernel(glitch(platform, epsilon))) == _bits(reference)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ def _diagonal_platforms(n, k, transfers=None):
     wobble = 1.0 + np.random.default_rng(n + k).integers(-4, 5, n - k) * 2.0 ** -45
     for kernel in (np.ones(n - k), wobble):
         platform = Platform(grid=grid, cutoff=k, kernel=kernel, transfers=transfers)
-        assert platform.is_diagonal and platform.kernel.shape == (n - k,)
+        assert platform.is_diagonal and len(platform.runs[3]) == n - k
         yield platform, dense_platform(platform)
 
 
@@ -387,20 +387,21 @@ def test_diagonal_platform_files_are_the_dense_ones(tmp_path, f_xy, n, k):
         save_platform(dense, f_xy, str(dense_dir))
         for name in ("platform.csv", "transfers.csv", "manifest.txt"):
             assert (diagonal_dir / name).read_bytes() == (dense_dir / name).read_bytes()
-        assert (diagonal_dir / "platform.csv").read_bytes() == reference_runs(platform.kernel, k)
+        assert (diagonal_dir / "platform.csv").read_bytes() == reference_runs(platform, k)
         loaded, _ = load_platform(str(diagonal_dir))
-        assert loaded.is_diagonal and _bits(loaded.kernel) == _bits(platform.kernel)
+        assert loaded.is_diagonal and _bits(loaded.runs[3]) == _bits(platform.runs[3])
 
 
 def test_dense_diagonal_kernels_are_stored_as_their_diagonal():
     """The constructor stores a dense kernel whose nonzeros are all diagonal
-    as one diagonal run per row, which the accessor gives as the vector,
-    and so does the ``glitch`` of weight zero; one with any off-diagonal
-    mass is not diagonal, even mass too small to move a row sum."""
+    as one diagonal run per row, whose values are the diagonal, and so does
+    the ``glitch`` of weight zero; one with any off-diagonal mass is not
+    diagonal, even mass too small to move a row sum."""
     grid = make_grid(6)
     platform = Platform(grid=grid, cutoff=2, kernel=np.eye(4), transfers=np.zeros(6))
-    assert platform.is_diagonal and _bits(platform.kernel) == _bits(np.ones(4))
-    assert _bits(glitch(platform, 0.0).kernel) == _bits(np.ones(6))
+    assert platform.is_diagonal and _bits(platform.runs[3]) == _bits(np.ones(4))
+    identity = glitch(platform, 0.0)
+    assert identity.is_diagonal and _bits(identity.runs[3]) == _bits(np.ones(6))
     assert not glitch(platform, 0.5).is_diagonal
     assert not Platform(grid=grid, cutoff=0, kernel=mixture_kernel(6, 0.5, 0.5),
                         transfers=np.zeros(6)).is_diagonal
@@ -408,7 +409,7 @@ def test_dense_diagonal_kernels_are_stored_as_their_diagonal():
     speck[0, 1] = speck[1, 0] = 1e-300
     assert speck.sum(axis=1)[0] == 1.0
     held = Platform(grid=grid, cutoff=2, kernel=speck, transfers=np.zeros(6))
-    assert not held.is_diagonal and _bits(held.kernel) == _bits(speck)
+    assert not held.is_diagonal and _bits(dense_kernel(held)) == _bits(speck)
 
 
 def _assert_matches_two_products(args):
@@ -432,7 +433,7 @@ def test_fused_gains_match_two_products_below_a_cutoff(params, f_xy, monkeypatch
                         transfers=transfers)
     dse = solve_dse(platform, f_xy, params)
     args = (params.theta, f_xy.values(grid), dse.w, dse.u, dse.M,
-            platform.kernel, platform.transfers, 17)
+            dense_kernel(platform), platform.transfers, 17)
     _assert_matches_two_products(args)
     monkeypatch.setattr(verifier, "_GAIN_ROWS", _ROWS)
     _assert_matches_two_products(args)
@@ -462,7 +463,7 @@ def test_fused_gains_match_two_products_on_masked_pairings(params, monkeypatch):
     for size in range(1, 6):
         for mask in itertools.combinations(range(5), size):
             for perm in enumerate_involutions(size):
-                verifier.masked_config_ic(5, f, params, mask, perm)
+                mask_config_ic(5, f, params, mask, perm)
                 order = [i for i in range(5) if i not in mask] + list(mask)
                 w, t = mask_prices(5, f, params, mask, perm)
                 _, F_seen, w_seen, _, _, _, t_seen, cutoff = seen[-1]
@@ -669,15 +670,12 @@ def test_glitched_commands_hold_no_kernel_matrix(tmp_path):
     assert statuses == [0, 1]  # the zero-transfer platform is not incentive compatible
 
 
-def test_commands_never_read_the_kernel_accessor(tmp_path, monkeypatch):
-    """Every command, on identity and glitched kernels, built or loaded, runs
-    with ``Platform.kernel`` refusing to build the dense kernel; the
-    zero-transfer solves are not incentive compatible, so their verify
+def test_commands_never_read_the_kernel_accessor(tmp_path):
+    """Every command, on identity and glitched kernels, built or loaded,
+    runs to its exit status; a platform has no accessor for its whole
+    kernel, so each reads the kernel through its runs and ``kernel_block``.
+    The zero-transfer solves are not incentive compatible, so their verify
     exits 1."""
-    def refuse(platform):
-        raise AssertionError("a command read Platform.kernel")
-
-    monkeypatch.setattr(Platform, "kernel", property(refuse))
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text("sweep_rho=0.5,1\n")
     sim = tmp_path / "sim.cfg"
@@ -718,6 +716,6 @@ def test_gains_read_a_platform_as_its_kernel_matrix(monkeypatch, params, f_xy, n
     args = gain_args(platform, f_xy, params, dse)
     for rows in (verifier._GAIN_ROWS, _ROWS):
         monkeypatch.setattr(verifier, "_GAIN_ROWS", rows)
-        reference = verifier._incentive_gains(*args[:5], platform.kernel, *args[6:])
+        reference = verifier._incentive_gains(*args[:5], dense_kernel(platform), *args[6:])
         got = verifier._incentive_gains(*args)
         assert got[1] == reference[1] and _bits(got[0]) == _bits(reference[0])

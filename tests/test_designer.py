@@ -28,7 +28,7 @@ from matchlab import (
 from matchlab import designer
 from matchlab.core import RESIDUAL_TOL
 
-from conftest import TabulatedWithDerivative, cubic_production, dense_platform
+from conftest import TabulatedWithDerivative, cubic_production, dense_kernel, dense_platform
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +38,13 @@ from conftest import TabulatedWithDerivative, cubic_production, dense_platform
 
 def test_first_best_platform_is_identity():
     p = first_best_platform(make_grid(4), 0)
-    assert p.is_diagonal and np.array_equal(p.kernel, np.ones(4))
+    assert p.is_diagonal and np.array_equal(p.runs[3], np.ones(4))
     assert p.consistency_defect() == 0.0
 
 
 def test_first_best_platform_with_cutoff():
     p = first_best_platform(make_grid(4), 2)
-    assert p.is_diagonal and np.array_equal(p.kernel, np.ones(2))
+    assert p.is_diagonal and np.array_equal(p.runs[3], np.ones(2))
     assert np.arange(p.cutoff, p.grid.n).tolist() == [2, 3]
 
 
@@ -80,7 +80,7 @@ def test_perfect_info_extracts_everything(params, f_xy):
     g = make_grid(16)
     base = first_best_platform(g, 0)
     st = solve_dse(base, f_xy, params)
-    grabby = Platform(grid=g, cutoff=0, kernel=base.kernel, transfers=st.w.copy())
+    grabby = Platform(grid=g, cutoff=0, kernel=base.runs[3], transfers=st.w.copy())
     assert audit(grabby, f_xy, params, st).ir_min_slack == 0.0
 
 
@@ -346,18 +346,20 @@ def test_glitch_limits(f_xy):
     g = make_grid(4)
     base = first_best_platform(g, 2)
     # excluded nodes keep self-search rows: the identity, one diagonal run a row
-    assert np.array_equal(glitch(base, 0.0).kernel, np.ones(4))
-    assert np.array_equal(glitch(base, 1.0).kernel, np.full((4, 4), 0.25))
+    identity = glitch(base, 0.0)
+    assert identity.is_diagonal and np.array_equal(identity.runs[3], np.ones(4))
+    assert np.array_equal(dense_kernel(glitch(base, 1.0)), np.full((4, 4), 0.25))
 
 
 def test_glitch_mixture_arithmetic():
     base = first_best_platform(make_grid(10), 0)
     mixed = glitch(base, 0.01)
-    assert mixed.kernel[0, 0] == pytest.approx(0.991, abs=1e-15)
-    assert mixed.kernel[0, 1] == pytest.approx(0.001, abs=1e-18)
+    kernel = dense_kernel(mixed)
+    assert kernel[0, 0] == pytest.approx(0.991, abs=1e-15)
+    assert kernel[0, 1] == pytest.approx(0.001, abs=1e-18)
     assert mixed.cutoff == 0
     mixed.require_consistent()
-    assert np.allclose(mixed.kernel.sum(axis=1), 1.0, atol=1e-14)
+    assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-14)
 
 
 def test_glitch_requires_consistency():

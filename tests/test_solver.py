@@ -24,7 +24,7 @@ from matchlab import (
 from matchlab import solver
 from matchlab.core import _packed_acceptance, acceptance
 
-from conftest import cubic_production, fresh_python, mixture_kernel
+from conftest import cubic_production, dense_kernel, fresh_python, mixture_kernel
 
 
 def uniform_platform(n):
@@ -145,7 +145,7 @@ def test_uniform_kernel_matches_newton_oracle(params, f_xy):
     platform = uniform_platform(n)
     g = platform.grid
     F = f_xy.values(g)
-    G = platform.kernel
+    G = dense_kernel(platform)
     theta, rho, alpha = params.theta, params.rho, params.alpha
 
     def system(z):

@@ -13,6 +13,7 @@ from matchlab import (
     first_best_platform,
     first_best_wage_coefficient,
     involution_oracle,
+    involution_rent,
     make_grid,
     prop4_oracle,
     solve_dse,
@@ -20,15 +21,9 @@ from matchlab import (
 from matchlab import verifier
 from matchlab.core import CONSISTENCY_TOL, RESIDUAL_TOL
 from matchlab.solver import DENSITY_TOL
-from matchlab.verifier import (
-    IC_TOL,
-    IR_TOL,
-    RENT_TOL,
-    AuditReport,
-    masked_config_ic,
-)
+from matchlab.verifier import IC_TOL, IR_TOL, RENT_TOL, AuditReport
 
-from conftest import gain_args, mask_prices, one_shot_worst, two_product_gains
+from conftest import gain_args, mask_config_ic, mask_prices, one_shot_worst, two_product_gains
 
 
 @pytest.fixture
@@ -65,7 +60,7 @@ def test_excluded_report_worth_nothing(params, f_xy):
     st = solve_dse(base, f_xy, params)
     t = st.w + 1.0
     t[:4] = 0.0
-    overcharged = Platform(grid=g, cutoff=4, kernel=base.kernel, transfers=t)
+    overcharged = Platform(grid=g, cutoff=4, kernel=base.runs[3], transfers=t)
     report = audit(overcharged, f_xy, params, st)
     loss = t[4:] - st.w[4:]                 # what the truthful report costs
     assert report.ic_max_violation == float(np.max(loss))
@@ -119,7 +114,7 @@ def test_designed_platform_certifies(designed, params, f_xy):
 
 def test_full_extraction_fails_under_hidden_types(designed, params, f_xy):
     grabby = Platform(grid=designed.platform.grid, cutoff=designed.platform.cutoff,
-                      kernel=designed.platform.kernel,
+                      kernel=designed.platform.runs[3],
                       transfers=designed.dse.w.copy())
     report = audit(grabby, f_xy, params, designed.dse)
     assert report.ic_max_violation > 1e-3
@@ -206,23 +201,26 @@ def test_involution_oracle_finds_a_cheaper_pairing_of_submodular_output(params):
 def test_non_upper_mask_with_surplus_violates_ic(params, f_xy):
     # include only the bottom type of a two-type market: the excluded top
     # type profitably mimics it
-    gain = masked_config_ic(2, f_xy, params, mask=(0,), perm=(0,))
+    gain = mask_config_ic(2, f_xy, params, (0,), (0,))
     assert gain > 1e-4
 
 
 def test_mixed_mask_violates_ic(params, f_xy):
     # keep nodes {0, 2} of a four-type market: node 3 mimics node 2
-    gain = masked_config_ic(4, f_xy, params, mask=(0, 2), perm=(0, 1))
+    gain = mask_config_ic(4, f_xy, params, (0, 2), (0, 1))
     assert gain > 1e-4
 
 
-@pytest.mark.parametrize("mask, perm", [((0, 2, 3), (1, 2, 0)), ((2, 0), (0, 1)),
-                                        ((0, 5), (0, 1)), ((0, 2), (0,))],
-                         ids=["not-an-involution", "unsorted-mask", "node-out-of-range",
-                              "perm-length"])
-def test_masked_config_ic_rejects_malformed_input(params, f_xy, mask, perm):
-    with pytest.raises(ValueError):
-        masked_config_ic(4, f_xy, params, mask=mask, perm=perm)
+@pytest.mark.parametrize("cutoff, perm, message",
+                         [(1, (1, 2, 0), "not an involution"),
+                          (2, (0,), "acts on 1 nodes, expected 2")],
+                         ids=["not-an-involution", "perm-length"])
+def test_masked_config_ic_rejects_malformed_input(params, f_xy, cutoff, perm, message):
+    """A pairing of the included nodes that is a cycle or of the wrong length
+    is refused by ``involution_rent``, through which the involution oracle
+    values its pairings."""
+    with pytest.raises(ValueError, match=message):
+        involution_rent(make_grid(4), f_xy, params, cutoff, perm)
 
 
 def _reference_mask_ic(n, f, params, mask, perm):
@@ -271,7 +269,7 @@ def test_masked_config_ic_matches_pairwise_reference(params, kind, c):
         for size in range(1, n + 1):
             for mask in itertools.combinations(range(n), size):
                 for perm in enumerate_involutions(size):
-                    gain = masked_config_ic(n, f, params, mask=mask, perm=perm)
+                    gain = mask_config_ic(n, f, params, mask, perm)
                     reference = _reference_mask_ic(n, f, params, mask, perm)
                     assert gain >= 0.0
                     assert abs(gain - max(reference, 0.0)) <= 1e-15
