@@ -567,13 +567,206 @@ def _masked_kernel(platform: Platform, M, out: np.ndarray | None = None) -> np.n
     A = np.empty((m, m)) if out is None else out
     bits = np.frombuffer(M, np.uint8) if isinstance(M, bytes) else None
     for rows in _byte_row_blocks(m, _BLOCK_BYTES):
-        if bits is None:
-            mask = M[rows]
-        else:  # the block's flags start on a whole byte
-            lo, hi = rows.start * m, rows.stop * m
-            mask = np.unpackbits(bits[lo // 8:-(-hi // 8)], count=hi - lo).view(bool).reshape(-1, m)
+        mask = M[rows] if bits is None else _unpacked_rows(bits, rows, m)
         platform.kernel_block(rows, mask=mask, out=A[rows])
     return A
+
+
+def _unpacked_rows(bits: np.ndarray, rows: slice, m: int) -> np.ndarray:
+    """The rows ``rows`` of an m-by-m bool array given as its
+    ``np.packbits`` bytes ``bits``, for a block of rows whose flags start on
+    a whole byte (a slice of :func:`_byte_row_blocks`)."""
+    lo, hi = rows.start * m, rows.stop * m
+    return np.unpackbits(bits[lo // 8:-(-hi // 8)], count=hi - lo).view(bool).reshape(-1, m)
+
+
+def _packed_flags(bits: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """The flags at the row-major positions ``flat`` of a bool array given
+    as its ``np.packbits`` bytes ``bits``, read without unpacking."""
+    return (bits[flat >> 3] >> (7 - (flat & 7)).astype(np.uint8) & 1).view(bool)
+
+
+#: The policy loop's products with a masked kernel come from runs (see
+#: :class:`_MaskedKernel`) while the entries they gather, the deviation
+#: entries of the kernel in the acceptance set and the set's row runs,
+#: number at most m² over this.  Measured on 2-core Xeon over one policy
+#: step (about 25 products and one ``(A o F) u``), the run form and the
+#: dense one cost the same near m²/20 gathers at m = 400 and m²/5 at
+#: m = 1000 (one product alone: near m²/30 at m = 1000); at m²/16 the run
+#: form's arrays take about half an m-by-m float array.
+_RUN_FORM_SHARE = 16
+
+
+class _KernelSplit(NamedTuple):
+    """A kernel's rows as a background value plus deviation entries (see
+    :func:`_kernel_split`), local ids: row ``r`` is ``background[r]``
+    except in the entries ``(rows[p], cols[p])``, in row-major order, which
+    exceed it by ``excess[p]``; ``diagonal`` is the kernel's diagonal."""
+
+    background: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    excess: np.ndarray
+    diagonal: np.ndarray
+
+
+def _run_segments(rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray,
+                  width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(firsts, lasts)``, each of shape ``(len(rows), 3)``, of the
+    segments of the rows of a kernel of ``width`` columns given as runs
+    ``(rows, cols, lasts)`` in row-major order, every row holding one at
+    least: each run with the zero gap before it and, after a row's last
+    run, the gap to the row's end, as inclusive (gap, run, gap) segments;
+    an empty gap ends before it starts."""
+    row_start = np.append(True, rows[1:] != rows[:-1])
+    row_end = np.append(rows[1:] != rows[:-1], True)
+    firsts = np.stack((np.where(row_start, 0, np.roll(lasts, 1) + 1), cols, lasts + 1), axis=1)
+    ends = np.stack((cols - 1, lasts, np.where(row_end, width - 1, lasts)), axis=1)
+    return firsts, ends
+
+
+def _kernel_split(platform: Platform) -> _KernelSplit | None:
+    """The kernel of ``platform``, not diagonal, with each row split into a
+    background value, the value of most of its entries (a zero gap counts
+    as a segment of zeros), and deviation entries, those of any other value:
+    on a glitched kernel the background is the gap value and the diagonal
+    the one deviation a row.  None when the deviation entries number more
+    than m² over ``_RUN_FORM_SHARE``; the kernel is then not split at all
+    once its runs alone imply as much, since a row of ``r`` runs deviates
+    in at least ``(r - 1) / 2`` entries whatever its background."""
+    starts, cols, lasts, values = platform._runs
+    m = len(starts) - 1
+    limit = m * m // _RUN_FORM_SHARE
+    if len(values) - m > 2 * limit:
+        return None
+    rows = np.repeat(np.arange(m), np.diff(starts))
+    # each row sums to one, so it holds a run; segments as [los, his)
+    los, his = _run_segments(rows, cols, lasts, m)
+    los, his = los.ravel(), his.ravel() + 1
+    segment_values = np.stack((np.zeros(len(values)), values, np.zeros(len(values))), axis=1).ravel()
+    segment_rows = np.repeat(rows, 3)
+    # the entries of each value in each row, and the most of them per row
+    order = np.lexsort((segment_values, segment_rows))
+    by_row, by_value = segment_rows[order], segment_values[order]
+    heads = np.flatnonzero(np.append(True, (by_row[1:] != by_row[:-1])
+                                     | (by_value[1:] != by_value[:-1])))
+    totals = np.add.reduceat((his - los)[order], heads)
+    best = np.lexsort((-totals, by_row[heads]))
+    best = best[np.searchsorted(by_row[heads][best], np.arange(m))]
+    if m * m - int(totals[best].sum()) > limit:
+        return None
+    background = by_value[heads][best]
+    on_diagonal = (los <= segment_rows) & (segment_rows < his)
+    diagonal = np.zeros(m)
+    diagonal[segment_rows[on_diagonal]] = segment_values[on_diagonal]
+    deviates = (segment_values != background[segment_rows]) & (his > los)
+    lengths = (his - los)[deviates]
+    firsts = np.repeat(los[deviates] - (np.cumsum(lengths) - lengths), lengths)
+    dev_rows = segment_rows[deviates]
+    return _KernelSplit(
+        background=background, rows=np.repeat(dev_rows, lengths),
+        cols=np.arange(len(firsts)) + firsts,
+        excess=np.repeat(segment_values[deviates] - background[dev_rows], lengths),
+        diagonal=diagonal)
+
+
+def _packed_runs(bits: np.ndarray, m: int, limit: int) -> tuple | None:
+    """``(rows, starts, stops)`` of the row runs of set flags, stops
+    exclusive and in row-major order, of an m-by-m bool array given as its
+    ``np.packbits`` bytes, which are unpacked a block of rows at a time
+    (:func:`_byte_row_blocks`); None once they number more than ``limit``."""
+    found, count = [], 0
+    for rows in _byte_row_blocks(m, _BLOCK_BYTES):
+        # the flags that differ from the one before them, a clear flag
+        # before and after each row: a run's start and the entry after its
+        # end, alternating in each row (flat, which np.flatnonzero finds
+        # far faster than np.nonzero finds rows and columns)
+        edges = np.diff(_unpacked_rows(bits, rows, m), axis=1, prepend=False, append=False)
+        at_row, at_col = np.divmod(np.flatnonzero(edges), m + 1)
+        count += len(at_row) // 2
+        if count > limit:
+            return None
+        found.append((at_row[::2] + rows.start, at_col[::2], at_col[1::2]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
+
+
+class _MaskedKernel:
+    """The acceptance-masked kernel ``A = G o M`` of a policy-loop step,
+    given its platform, whose kernel is not diagonal, and the
+    ``np.packbits`` bytes ``packed`` of the acceptance sets ``M`` of its
+    included nodes: ``A @ v``, :meth:`diagonal`, :meth:`output_product`
+    ``(A o F) u`` and :meth:`dense`, the m-by-m matrix for a dense LU.
+
+    Given the kernel's :func:`_kernel_split`, and while the entries its
+    products gather number at most m² over ``_RUN_FORM_SHARE``, ``A`` is
+    held as runs, and no m-by-m array: ``A v`` is the background times the
+    sums of ``v`` over ``M``'s row runs, differences of one cumulative sum,
+    plus the deviation entries in ``M``, each gathered as a product.  A
+    deviation is not summed by differences: its weight against the
+    background would carry the cumulative sum's rounding into the product.
+    Otherwise ``A`` is the dense matrix (:func:`_masked_kernel`), built into
+    ``out`` when given, and every product is a BLAS product; ``held`` is
+    that matrix, None for runs."""
+
+    def __init__(self, platform: Platform, packed: bytes, split: _KernelSplit | None,
+                 out: np.ndarray | None = None):
+        self._platform, self._packed = platform, packed
+        m = platform.grid.n - platform.cutoff
+        bits = np.frombuffer(packed, np.uint8)
+        self.held = runs = None
+        if split is not None:
+            inside = _packed_flags(bits, split.rows * m + split.cols)
+            runs = _packed_runs(bits, m, m * m // _RUN_FORM_SHARE - int(np.count_nonzero(inside)))
+        if runs is None:
+            self.held = _masked_kernel(platform, packed, out=out)
+            return
+        self._rows, self._starts, self._stops = runs
+        self._background = split.background
+        self._dev_rows, self._dev_cols = split.rows[inside], split.cols[inside]
+        self._excess = split.excess[inside]
+        self._diagonal = split.diagonal * _packed_flags(bits, np.arange(m) * (m + 1))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """``A v``."""
+        if self.held is not None:
+            return self.held @ v
+        m = len(v)
+        sums = np.empty(m + 1)
+        sums[0] = 0.0
+        np.cumsum(v, out=sums[1:])
+        on_runs = np.bincount(self._rows, sums[self._stops] - sums[self._starts], minlength=m)
+        return (self._background * on_runs
+                + np.bincount(self._dev_rows, self._excess * v[self._dev_cols], minlength=m))
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of ``A``, with its bits."""
+        return np.diagonal(self.held) if self.held is not None else self._diagonal
+
+    def dense(self) -> np.ndarray:
+        """``A`` as the m-by-m matrix: ``held``, or else built now."""
+        return self.held if self.held is not None else _masked_kernel(self._platform, self._packed)
+
+    def output_product(self, Fb: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``(A o Fb) u`` for the included block ``Fb`` of the output
+        table: in the held matrix, which is then rebuilt, or a block of
+        rows at a time in one block buffer."""
+        platform, packed = self._platform, self._packed
+        if self.held is not None:
+            A = self.held
+            product = np.multiply(A, Fb, out=A) @ u
+            _masked_kernel(platform, packed, out=A)  # A again, bit for bit
+            return product
+        m = len(u)
+        bits = np.frombuffer(packed, np.uint8)
+        blocks = _byte_row_blocks(m, _BLOCK_BYTES)
+        buffer = np.empty((blocks[0].stop, m))
+        product = np.empty(m)
+        for rows in blocks:
+            block = platform.kernel_block(rows, mask=_unpacked_rows(bits, rows, m),
+                                          out=buffer[:rows.stop - rows.start])
+            block *= Fb[rows]
+            product[rows] = block @ u
+        return product
 
 
 def _accepts(F: np.ndarray, w: np.ndarray, rows: slice, out: np.ndarray | None = None,

@@ -29,6 +29,7 @@ from .core import (
     _kernel_product,
     _masked_kernel,
     _row_blocks,
+    _run_segments,
 )
 from .solver import diagonal_wage_coefficient, dse_residuals, solve_dse
 
@@ -355,12 +356,8 @@ def glitch(platform: Platform, epsilon: float) -> Platform:
     own = np.arange(k)  # an excluded node meets itself
     rows, cols, lasts = (np.concatenate((own, ids + k)) for ids in (i, j, j_last))
     values = np.concatenate((np.ones(k), g))
-    # each run with the gap before it and, after a row's last run, the gap to
-    # the row's end: (gap, run, gap) segments, row-major, empty ones dropped
-    row_start = np.append(True, rows[1:] != rows[:-1])
-    row_end = np.append(rows[1:] != rows[:-1], True)
-    first = np.stack((np.where(row_start, 0, np.roll(lasts, 1) + 1), cols, lasts + 1), axis=1)
-    last = np.stack((cols - 1, lasts, np.where(row_end, n - 1, lasts)), axis=1)
+    # (gap, run, gap) segments, row-major, empty ones dropped
+    first, last = _run_segments(rows, cols, lasts, n)
     mixed = np.stack((np.zeros(len(values)), values, np.zeros(len(values))), axis=1)
     mixed *= 1.0 - epsilon  # in place: the bits of (1 - eps) G + eps/n * ones
     mixed += epsilon / n

@@ -50,7 +50,9 @@ from .core import (
     SearchParams,
     _accepts,
     _kernel_product,
+    _kernel_split,
     _masked_kernel,
+    _MaskedKernel,
     _packed_acceptance,
     _row_blocks,
     acceptance,
@@ -247,11 +249,14 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
     # before it, held only as np.packbits bytes (each sweep packs its set
     # from blocks of a multiple of 8 rows, 16 at m = 1000, so no m-by-m bool
     # array is built), a hash of the set of each recent sweep for the stall
-    # diagnosis, the sets policy iteration solved, and the one m-by-m buffer
-    # beside Fb, the acceptance-masked kernel A: it is built from the
-    # kernel's runs and the packed set a row block at a time, holds A o F
-    # while afu is taken and is then rebuilt, so neither a second m-by-m
-    # matrix nor the dense kernel is held
+    # diagnosis, the sets policy iteration solved, and the acceptance-masked
+    # kernel A of the current set (core._MaskedKernel).  A policy step takes
+    # its products with A from the kernel's runs and the set's row runs,
+    # so Fb is its one m-by-m array, unless the kernel deviates from its
+    # rows' background values in too many entries; then A is the dense
+    # matrix, built from the runs and the packed set a row block at a time,
+    # as it always is in the damped loop, and rebuilt in the same buffer at
+    # each new set.  The dense LU builds its matrix only when it runs
     packed = packed_before = None
     solves = fallbacks = 0
     u = np.zeros(m)  # the start of the next policy step's density solve
@@ -259,7 +264,8 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
     best, best_at = math.inf, 0
     policy = True  # policy iteration runs until it hands over
     solved = set()
-    A = np.empty((m, m))
+    split = _kernel_split(platform)
+    A = None
     start = 0  # sweeps spent before the damped loop took over
 
     # SolverConfig keeps max_outer >= 1: the loop always sets u, au and bell
@@ -267,15 +273,15 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
         packed_now = _packed_acceptance(Fb, w)
         if packed_now != packed:
             packed_before, packed = packed, packed_now
-            _masked_kernel(platform, packed, out=A)
+            A = _MaskedKernel(platform, packed, split if policy else None,
+                              out=None if A is None else A.held)
             if policy:
                 u, lu = _policy_density(A, params, u)
                 fallbacks += lu
             else:
-                u = _steady_state_density(A, params)
+                u = _steady_state_density(A.dense(), params)
             au = A @ u
-            afu = np.multiply(A, Fb, out=A) @ u
-            _masked_kernel(platform, packed, out=A)  # A again, bit for bit
+            afu = A.output_product(Fb, u)
             solves += 1
         digests.append(hash(packed))  # bytes cache their hash
         numer = theta * (afu - A @ (w * u))
@@ -352,7 +358,7 @@ def _pcg(matvec, b: np.ndarray, diag: np.ndarray, x: np.ndarray,
     return None
 
 
-def _policy_density(A: np.ndarray, params: SearchParams,
+def _policy_density(A: _MaskedKernel, params: SearchParams,
                     u0: np.ndarray) -> tuple[np.ndarray, bool]:
     """The steady-state density of a policy step,
     ``(I + (rho/alpha) A) u = 1``, by :func:`_pcg` from ``u0``, and whether
@@ -360,16 +366,16 @@ def _policy_density(A: np.ndarray, params: SearchParams,
     ``_PCG_MIN_SIZE`` nodes go to that direct solve at once, with no
     fallback counted."""
     c = params.rho / params.alpha
-    m = A.shape[0]
+    m = len(u0)
     direct = m < _PCG_MIN_SIZE
     u = None if direct else _pcg(lambda v: v + c * (A @ v), np.ones(m),
-                                 1.0 + c * np.diagonal(A), u0)
+                                 1.0 + c * A.diagonal(), u0)
     if u is None:
-        return _steady_state_density(A, params), not direct
+        return _steady_state_density(A.dense(), params), not direct
     return u, False
 
 
-def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
+def _policy_wages(A: _MaskedKernel, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
                   theta: float, w0: np.ndarray) -> tuple[np.ndarray, bool] | None:
     """The wages that solve the Bellman equation exactly under a fixed
     acceptance-masked kernel ``A`` and density ``u``:
@@ -389,10 +395,10 @@ def _policy_wages(A: np.ndarray, u: np.ndarray, au: np.ndarray, afu: np.ndarray,
     if not direct and np.all(u > 0.0):
         s = np.sqrt(u)
         y = _pcg(lambda v: d * v + theta * s * (A @ (s * v)), s * (theta * afu),
-                 d + theta * u * np.diagonal(A), s * w0, 1.0 / s)
+                 d + theta * u * A.diagonal(), s * w0, 1.0 / s)
         if y is not None:
             return y / s, False
-    lhs = np.multiply(A, theta * u)
+    lhs = np.multiply(A.dense(), theta * u)
     lhs.flat[::lhs.shape[0] + 1] += d
     try:
         return np.linalg.solve(lhs, theta * afu), not direct

@@ -368,9 +368,14 @@ def test_constructors_freeze_the_callers_arrays_without_a_copy():
 
 
 def test_inclusion_is_an_upper_set_by_construction():
+    """The kernel covers the included nodes alone, the top of the grid from
+    the cutoff on: its dense block is 3-by-3 under cutoff 2 on five nodes,
+    and a 5-by-5 kernel there is refused."""
     g = make_grid(5)
     p = Platform(grid=g, cutoff=2, kernel=np.eye(3), transfers=np.zeros(5))
-    assert np.arange(p.cutoff, g.n).tolist() == [2, 3, 4]
+    assert p.kernel_block(slice(None)).shape == (3, 3)
+    with pytest.raises(ValueError, match=r"kernel shape \(5, 5\) does not match 3 included nodes"):
+        Platform(grid=g, cutoff=2, kernel=np.eye(5), transfers=np.zeros(5))
 
 
 # ---------------------------------------------------------------------------

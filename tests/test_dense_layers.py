@@ -10,7 +10,11 @@ deviation must be the worst entry of the full two-product ``S0``/``S1`` gain
 matrix (``conftest.two_product_gains``), the same pair with the gain within
 1e-12 of the gains' scale, and it must find the same deviation whether it
 reads a held output table or evaluates each block, and whether it reads a
-kernel matrix or a platform's kernel a block at a time.  The budget tests
+kernel matrix or a platform's kernel a block at a time.  The policy loop's
+masked-kernel operator, taken from runs, must give the products of the
+dense masked kernel within 1e-14 of ``|A| |v|``, and its diagonal and
+dense matrix bit for bit; a kernel with no background value keeps the
+dense form and its solve's bits.  The budget tests
 bound each layer's peak traced allocation above its inputs at n = 1000, and
 that of the assortative and glitched commands.
 """
@@ -44,6 +48,7 @@ from conftest import (
     cubic_production,
     dense_kernel,
     dense_platform,
+    fresh_python,
     gain_args,
     mask_config_ic,
     mask_prices,
@@ -118,6 +123,106 @@ def test_packed_acceptance_and_its_masked_kernel_are_the_bool_arrays(monkeypatch
     assert packed == np.packbits(M).tobytes()
     platform = _random_platform(m, m)
     assert _bits(core._masked_kernel(platform, packed)) == _bits(core._masked_kernel(platform, M))
+
+
+# 45 included nodes, so the last byte of a packed set holds padding bits
+_OPERATOR_M = 45
+
+
+def _operator_platform(family):
+    """A platform of ``_OPERATOR_M`` included nodes whose kernel is of the
+    named family, all of them symmetric and row-stochastic and none taken
+    for diagonal."""
+    m = _OPERATOR_M
+    if family == "cutoff":  # the included block of a grid of m + 7 nodes
+        return Platform(grid=make_grid(m + 7), cutoff=7, kernel=mixture_kernel(m, 0.2, 0.5),
+                        transfers=np.zeros(m + 7))
+    if family.startswith("glitch"):
+        return glitch(first_best_platform(make_grid(m), 0), float(family[len("glitch"):]))
+    kernel = {
+        "identity": np.eye(m),
+        "mixture_b0": mixture_kernel(m, 0.3, 0.0),  # zero gaps under a zero background
+        "mixture": mixture_kernel(m, 0.3, 0.3),
+        # a zero gap, the diagonal, under a nonzero background
+        "off_diagonal": (np.ones((m, m)) - np.eye(m)) / (m - 1),
+    }[family]
+    return dense_platform(Platform(grid=make_grid(m), cutoff=0, kernel=kernel,
+                                   transfers=np.zeros(m)))
+
+
+def _acceptance_set(kind, m, rng):
+    i = np.arange(m)
+    return {
+        "full": np.ones((m, m), dtype=bool),
+        "empty": np.zeros((m, m), dtype=bool),
+        "interval": (i[None, :] >= i[:, None] // 3) & (i[None, :] < m - i[:, None] // 4),
+        "scattered": rng.random((m, m)) < 0.5,
+    }[kind]
+
+
+@pytest.mark.parametrize("runs_always", [False, True], ids=["default_share", "runs_always"])
+@pytest.mark.parametrize("kind", ["full", "empty", "interval", "scattered"])
+@pytest.mark.parametrize("family", ["glitch0.01", "glitch0.5", "glitch1", "identity",
+                                    "mixture_b0", "mixture", "off_diagonal", "cutoff"])
+def test_masked_kernel_operator_is_the_dense_masked_kernel(monkeypatch, family, kind,
+                                                           runs_always):
+    """The policy loop's masked-kernel operator against the dense ``A``
+    built from the same packed set: each product within 1e-14 of
+    ``|A| |v|`` in its row, ``(A o F) u`` within 1e-14 of
+    ``(|A| o |F|) |u|``, the diagonal and the dense matrix bit for bit.
+    With the share at 1 every set is taken as runs, scattered ones too."""
+    if runs_always:
+        monkeypatch.setattr(core, "_RUN_FORM_SHARE", 1)
+    platform = _operator_platform(family)
+    m = _OPERATOR_M
+    rng = np.random.default_rng(m)
+    packed = np.packbits(_acceptance_set(kind, m, rng)).tobytes()
+    A = core._masked_kernel(platform, packed)
+    op = core._MaskedKernel(platform, packed, core._kernel_split(platform))
+    if runs_always:
+        assert op.held is None
+    for v in rng.standard_normal((3, m)):
+        assert np.all(np.abs(op @ v - A @ v) <= 1e-14 * (np.abs(A) @ np.abs(v)))
+    F, u = rng.random((m, m)), rng.random(m)
+    assert np.all(np.abs(op.output_product(F, u) - (A * F) @ u) <= 1e-14 * ((A * F) @ u))
+    assert _bits(op.diagonal()) == _bits(np.diagonal(A))
+    assert _bits(op.dense()) == _bits(A)
+
+
+def _all_distinct_platform(m):
+    """A symmetric row-stochastic kernel on ``m`` nodes whose entries all
+    differ: a random symmetric matrix balanced by alternate row scaling and
+    symmetrizing."""
+    rng = np.random.default_rng(7)
+    kernel = rng.random((m, m))
+    kernel = kernel + kernel.T
+    for _ in range(500):
+        kernel /= kernel.sum(axis=1, keepdims=True)
+        kernel = (kernel + kernel.T) / 2
+    kernel /= kernel.sum(axis=1, keepdims=True)
+    kernel = (kernel + kernel.T) / 2
+    return Platform(grid=make_grid(m), cutoff=0, kernel=kernel, transfers=np.zeros(m))
+
+
+# SHA-256 of the state (tests/test_solver.py's digest) of the reference-rate
+# solve of _all_distinct_platform(300) on one BLAS thread: the dense form's
+# bits, which are those of the policy loop before it took products from runs
+_ALL_DISTINCT_DIGEST = "5450d802b3324162e5865864c0540eaba71a0988cc29bb3a9828e82bc6cc404b"
+
+
+def test_all_distinct_kernel_keeps_the_dense_form():
+    """A kernel with no background value deviates in every entry, so its
+    policy steps keep the dense ``A`` and its bits: the solve, in a fresh
+    interpreter on the CLI's one BLAS thread, has the pinned digest."""
+    platform = _all_distinct_platform(300)
+    assert core._kernel_split(platform) is None
+    out = fresh_python(
+        "import matchlab.cli, test_dense_layers, test_solver\n"
+        "from matchlab import ProductionFunction, SearchParams, solve_dse\n"
+        "state = solve_dse(test_dense_layers._all_distinct_platform(300),\n"
+        "                  ProductionFunction.multiplicative(), SearchParams(1.0, 0.5, 0.05))\n"
+        "print(test_solver._state_digest(state))")
+    assert out.strip() == _ALL_DISTINCT_DIGEST
 
 
 def _productions(grid):
@@ -601,15 +706,18 @@ def designed():
 
 
 # the bool result of acceptance counts as an eighth of an array; no layer
-# but the dense solve holds an n-by-n output table, and it holds besides only
-# the masked kernel of its policy loop, whose acceptance sets are packed bits
-# (2.13 arrays measured); the identity solve holds the acceptance sets and
+# but the dense solve holds an n-by-n output table, and its policy loop
+# takes its products with the masked kernel from runs, its acceptance sets
+# as packed bits, so it holds no other m-by-m array (1.27 arrays measured
+# on the glitched kernel and 1.28 on the mixture one, 2.13 while the loop
+# held the masked kernel); the identity solve holds the acceptance sets and
 # one block of f; glitch builds runs, and its row-sum check expands an
 # eighth-array block of the kernel at a time (0.17 arrays measured)
 @pytest.mark.parametrize("layer, bound", [
     ("audit", 1.5),
     ("audit_designed", 0.5),
-    ("solve_dse", 2.25),
+    ("solve_dse", 1.5),
+    ("solve_dse_mixture", 1.5),
     ("solve_dse_identity", 0.3),
     ("misreport_value_slope", 1.25),
     ("glitch", 0.2),
@@ -622,6 +730,9 @@ def test_dense_layer_memory_budget(glitched_state, designed, layer, bound):
         "audit": (audit, platform, f, params, dse),
         "audit_designed": (audit, designed.platform, f, params, designed.dse),
         "solve_dse": (solve_dse, platform, f, params),
+        "solve_dse_mixture": (solve_dse, Platform(grid=platform.grid, cutoff=0,
+                                                  kernel=mixture_kernel(_N, 0.3, 0.3),
+                                                  transfers=np.zeros(_N)), f, params),
         "solve_dse_identity": (solve_dse, first_best_platform(platform.grid, 0), f, params),
         "misreport_value_slope": (misreport_value_slope, platform, f, params, dse),
         "glitch": (glitch, first_best_platform(platform.grid, 0), 0.5),
@@ -653,17 +764,18 @@ def test_assortative_commands_hold_no_output_table(tmp_path):
 
 def test_glitched_commands_hold_no_kernel_matrix(tmp_path):
     """``solve --n 1000 --epsilon 0.5`` and ``verify`` on its directory, run
-    through ``cli.run``: the solve holds the output block and the masked
-    kernel ``A`` of its policy loop, whose acceptance sets are packed bits
-    (2.14 n-by-n arrays measured; 2.49 while the loop held them as bool
-    arrays), the verify ``A`` or the incentive scan's blocks (1.32), and
-    neither holds the kernel matrix, which took each one n-by-n array more
-    (3.48 and 2.31 while the kernel was stored dense)."""
+    through ``cli.run``: the solve holds the output block, and its policy
+    loop takes its products with the masked kernel ``A`` from runs and its
+    acceptance sets as packed bits (1.28 n-by-n arrays measured; 2.14 while
+    the loop held ``A``, 2.49 while it held the sets as bool arrays), the
+    verify ``A`` or the incentive scan's blocks (1.31), and neither holds
+    the kernel matrix, which took each one n-by-n array more (3.48 and 2.31
+    while the kernel was stored dense)."""
     rates = ["--rho", "1", "--alpha", "0.5", "--r", "0.05", "--f", "xy"]
     solved = tmp_path / "s"
     statuses = []
     for argv, bound in (
-            (["solve", "--n", str(_N), "--epsilon", "0.5", *rates, "--out", str(solved)], 2.25),
+            (["solve", "--n", str(_N), "--epsilon", "0.5", *rates, "--out", str(solved)], 1.5),
             (["verify", "--platform", str(solved), "--out", str(tmp_path / "v")], 1.5)):
         cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
         assert _peak_arrays(lambda: statuses.append(cli.run(cfg))) <= bound, argv[0]

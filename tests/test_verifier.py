@@ -6,7 +6,6 @@ import pytest
 from matchlab import (
     Platform,
     ProductionFunction,
-    SearchParams,
     audit,
     design,
     enumerate_involutions,
