@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -535,15 +535,6 @@ def _row_blocks(nrows: int, ncols: int, cutoff: int = 0) -> list[slice]:
     return _slices(nrows, max(1, _BLOCK_BYTES // (8 * max(ncols, 1))), cutoff)
 
 
-def _kernel_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``A v`` for an acceptance-masked kernel ``A`` from
-    :func:`_masked_kernel`: a vector on a diagonal kernel, where the product
-    is elementwise, with the bits of the product with the diagonal matrix (a
-    sum of products starts at +0.0, so adding it turns a -0.0 into +0.0),
-    and a dense matrix on any other."""
-    return A * v + 0.0 if A.ndim == 1 else A @ v
-
-
 def _byte_row_blocks(m: int, block_bytes: int) -> list[slice]:
     """Consecutive slices covering ``range(m)``, each of as many rows of
     ``m`` floats as fit ``block_bytes``, rounded down to a multiple of 8
@@ -552,23 +543,19 @@ def _byte_row_blocks(m: int, block_bytes: int) -> list[slice]:
     return _slices(m, 8 * max(1, block_bytes // (64 * max(m, 1))))
 
 
-def _masked_kernel(platform: Platform, M, out: np.ndarray | None = None) -> np.ndarray:
-    """The acceptance-masked kernel ``A = G o M`` of ``platform``, given the
-    acceptance sets ``M`` of its included nodes: the m-by-m bool array, or
-    on a dense kernel also its ``np.packbits`` bytes.  On a diagonal kernel
-    it is the vector ``g * diag(M)``; on any other it is the m-by-m matrix,
-    built into ``out`` when given, a row block of ``G`` at a time
-    (:meth:`Platform.kernel_block`), so the dense kernel is never held, and
-    bytes are unpacked a row block at a time.  ``G >= 0``, so every pair off
-    the sets holds +0.0."""
-    if platform.is_diagonal:
-        return np.multiply(platform._runs.values, np.diagonal(M))
+def _masked_kernel(platform: Platform, packed: bytes, out: np.ndarray | None = None) -> np.ndarray:
+    """The acceptance-masked kernel ``A = G o M`` of ``platform`` as the
+    m-by-m matrix, given the ``np.packbits`` bytes ``packed`` of the
+    acceptance sets ``M`` of its included nodes, built into ``out`` when
+    given, a row block of ``G`` at a time (:meth:`Platform.kernel_block`)
+    from a block of the bytes unpacked at a time, so neither the dense
+    kernel nor ``M`` is held.  ``G >= 0``, so every pair off the sets holds
+    +0.0."""
     m = platform.grid.n - platform.cutoff
     A = np.empty((m, m)) if out is None else out
-    bits = np.frombuffer(M, np.uint8) if isinstance(M, bytes) else None
+    bits = np.frombuffer(packed, np.uint8)
     for rows in _byte_row_blocks(m, _BLOCK_BYTES):
-        mask = M[rows] if bits is None else _unpacked_rows(bits, rows, m)
-        platform.kernel_block(rows, mask=mask, out=A[rows])
+        platform.kernel_block(rows, mask=_unpacked_rows(bits, rows, m), out=A[rows])
     return A
 
 
@@ -626,14 +613,16 @@ def _run_segments(rows: np.ndarray, cols: np.ndarray, lasts: np.ndarray,
 
 
 def _kernel_split(platform: Platform) -> _KernelSplit | None:
-    """The kernel of ``platform``, not diagonal, with each row split into a
-    background value, the value of most of its entries (a zero gap counts
-    as a segment of zeros), and deviation entries, those of any other value:
-    on a glitched kernel the background is the gap value and the diagonal
-    the one deviation a row.  None when the deviation entries number more
-    than m² over ``_RUN_FORM_SHARE``; the kernel is then not split at all
-    once its runs alone imply as much, since a row of ``r`` runs deviates
-    in at least ``(r - 1) / 2`` entries whatever its background."""
+    """The kernel of ``platform`` with each row split into a background
+    value, the value of most of its entries (a zero gap counts as a segment
+    of zeros), and deviation entries, those of any other value: on a
+    glitched kernel the background is the gap value and the diagonal the one
+    deviation a row, and on a diagonal kernel of more than one node the
+    background is 0 and the diagonal again the one deviation.  None when
+    the deviation entries number more than m² over ``_RUN_FORM_SHARE``; the
+    kernel is then not split at all once its runs alone imply as much,
+    since a row of ``r`` runs deviates in at least ``(r - 1) / 2`` entries
+    whatever its background."""
     starts, cols, lasts, values = platform._runs
     m = len(starts) - 1
     limit = m * m // _RUN_FORM_SHARE
@@ -691,11 +680,12 @@ def _packed_runs(bits: np.ndarray, m: int, limit: int) -> tuple | None:
 
 
 class _MaskedKernel:
-    """The acceptance-masked kernel ``A = G o M`` of a policy-loop step,
-    given its platform, whose kernel is not diagonal, and the
-    ``np.packbits`` bytes ``packed`` of the acceptance sets ``M`` of its
+    """The acceptance-masked kernel ``A = G o M`` of ``platform``, given
+    the ``np.packbits`` bytes ``packed`` of the acceptance sets ``M`` of its
     included nodes: ``A @ v``, :meth:`diagonal`, :meth:`output_product`
-    ``(A o F) u`` and :meth:`dense`, the m-by-m matrix for a dense LU.
+    ``(A o T) u`` and :meth:`dense`, the m-by-m matrix for a dense LU.  The
+    one holder of ``A`` for the policy loop, the residuals and the
+    misreport slope.
 
     Given the kernel's :func:`_kernel_split`, and while the entries its
     products gather number at most m² over ``_RUN_FORM_SHARE``, ``A`` is
@@ -746,25 +736,29 @@ class _MaskedKernel:
         """``A`` as the m-by-m matrix: ``held``, or else built now."""
         return self.held if self.held is not None else _masked_kernel(self._platform, self._packed)
 
-    def output_product(self, Fb: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``(A o Fb) u`` for the included block ``Fb`` of the output
-        table: in the held matrix, which is then rebuilt, or a block of
-        rows at a time in one block buffer."""
+    def output_product(self, table: Callable[[slice], np.ndarray], u: np.ndarray) -> np.ndarray:
+        """``(A o T) u`` for a table ``T`` of the included block, such as
+        the output table, given as ``table(rows)``, the rows ``rows`` of
+        ``T`` (every column), which is called once for each block of rows
+        in turn: in the held matrix, multiplied a block at a time and then
+        rebuilt, or a block of rows at a time in one block buffer."""
         platform, packed = self._platform, self._packed
+        m = len(u)
+        blocks = _byte_row_blocks(m, _BLOCK_BYTES)
         if self.held is not None:
             A = self.held
-            product = np.multiply(A, Fb, out=A) @ u
+            for rows in blocks:
+                A[rows] *= table(rows)
+            product = A @ u
             _masked_kernel(platform, packed, out=A)  # A again, bit for bit
             return product
-        m = len(u)
         bits = np.frombuffer(packed, np.uint8)
-        blocks = _byte_row_blocks(m, _BLOCK_BYTES)
         buffer = np.empty((blocks[0].stop, m))
         product = np.empty(m)
         for rows in blocks:
             block = platform.kernel_block(rows, mask=_unpacked_rows(bits, rows, m),
                                           out=buffer[:rows.stop - rows.start])
-            block *= Fb[rows]
+            block *= table(rows)
             product[rows] = block @ u
         return product
 

@@ -26,9 +26,8 @@ from .core import (
     SearchParams,
     TypeGrid,
     _canonical_runs,
-    _kernel_product,
-    _masked_kernel,
-    _row_blocks,
+    _kernel_split,
+    _MaskedKernel,
     _run_segments,
 )
 from .solver import diagonal_wage_coefficient, dse_residuals, solve_dse
@@ -116,28 +115,24 @@ def misreport_value_slope(platform: Platform, f: ProductionFunction,
     For each included node ``i`` this is
     ``theta * sum_j M_ij (f_x(x_i, x_j) - w'(x_i)) G_ij u_j``
     with an analytic production derivative and a finite-difference wage slope.
-    Zero on excluded nodes.  The acceptance-masked kernel ``A`` is built a
-    row block at a time (:func:`~matchlab.core._masked_kernel`), and the
-    derivative table is evaluated a row block at a time into it, once
-    ``A u`` is taken, so no second m-by-m matrix is held.  On a diagonal
-    kernel ``A`` is a vector, and only the diagonal of the table is
-    evaluated.
+    Zero on excluded nodes.  The acceptance-masked kernel ``A`` is
+    :class:`~matchlab.core._MaskedKernel`, built once from the kernel's
+    runs and the packed included block of ``M``, and the derivative table
+    is evaluated a row block at a time into ``(A o F_x) u``
+    (:meth:`~matchlab.core._MaskedKernel.output_product`), so no m-by-m
+    table is held, and no m-by-m ``A`` when the kernel splits into a
+    background and few deviations, as a diagonal one does.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
-    theta = params.theta
-    A = _masked_kernel(platform, dse.M[k:, k:])
+    A = _MaskedKernel(platform, np.packbits(dse.M[k:, k:]).tobytes(), _kernel_split(platform))
     ub = dse.u[k:]
-    au = _kernel_product(A, ub)
-    if platform.is_diagonal:
-        xb = grid.nodes[k:]
-        A *= np.asarray(f.d_dx(xb, xb), dtype=float)
-    else:
-        for rows in _row_blocks(n - k, n - k):
-            A[rows] *= f.dx_values(grid, slice(k + rows.start, k + rows.stop), slice(k, n))
+    au = A @ ub
+    afu = A.output_product(
+        lambda rows: f.dx_values(grid, slice(k + rows.start, k + rows.stop), slice(k, n)), ub)
     wprime = _derivative(dse.w[k:], 1.0 / n)
     slope = np.zeros(n)
-    slope[k:] = theta * (_kernel_product(A, ub) - wprime * au)
+    slope[k:] = params.theta * (afu - wprime * au)
     return slope
 
 

@@ -32,6 +32,10 @@ exceeds ``alpha``.  It depends on ``w`` only through ``M``, so it is solved
 again only when ``M`` changes.  When the Bellman residual stops setting new
 bests, because ``M`` cycles, never settles, or stays fixed while the damped
 update diverges, the solve fails fast.
+
+:func:`dse_residuals` recomputes both residuals of any state, on every
+kind of kernel, through the policy loop's acceptance-masked kernel
+operator (:class:`~matchlab.core._MaskedKernel`).
 """
 
 from __future__ import annotations
@@ -48,10 +52,7 @@ from .core import (
     Platform,
     ProductionFunction,
     SearchParams,
-    _accepts,
-    _kernel_product,
     _kernel_split,
-    _masked_kernel,
     _MaskedKernel,
     _packed_acceptance,
     _row_blocks,
@@ -281,7 +282,7 @@ def _iterate(platform: Platform, Fb: np.ndarray, params: SearchParams, cfg: Solv
             else:
                 u = _steady_state_density(A.dense(), params)
             au = A @ u
-            afu = A.output_product(Fb, u)
+            afu = A.output_product(Fb.__getitem__, u)
             solves += 1
         digests.append(hash(packed))  # bytes cache their hash
         numer = theta * (afu - A @ (w * u))
@@ -470,36 +471,48 @@ def dse_residuals(platform: Platform, f: ProductionFunction, params: SearchParam
     count covers every node pair whose acceptance flag disagrees with the
     sign of the surplus.
 
-    The output table is evaluated once, a row block at a time
-    (:func:`~matchlab.core._row_blocks`): each block is checked against the
-    acceptance rule, and its included part multiplies the acceptance-masked
-    kernel ``A`` in place, once ``A``'s own products are taken.  ``A`` is
-    built from the kernel's runs a row block at a time
-    (:func:`~matchlab.core._masked_kernel`).  So neither an n-by-n output
-    table nor the dense kernel is held, and ``(A o F) u`` is still one
-    product.  On a diagonal kernel ``A`` is the vector ``g * diag(M)``, each
-    block multiplies it by its diagonal outputs, and each product is
-    elementwise.
+    The output table is evaluated once, a block at a time, and each block
+    is checked against the acceptance rule, an eighth of a block of rows at
+    a time.  The blocks of the included block of ``F`` are those of
+    ``(A o F) u`` (:meth:`~matchlab.core._MaskedKernel.output_product`),
+    and the pairs that hold an excluded node take blocks of
+    :func:`~matchlab.core._row_blocks`.  The acceptance-masked kernel ``A``
+    is the policy loop's operator, built once from the kernel's runs and
+    the packed included block of ``M``: held as runs when the kernel
+    splits into a background and few deviations (a diagonal kernel does,
+    one deviation a row), else as the m-by-m matrix.  So neither an n-by-n
+    output table nor the dense kernel is held.
     """
     grid = platform.grid
     n, k = grid.n, platform.cutoff
     if state.w.shape != (n,) or state.u.shape != (n,) or state.M.shape != (n, n):
         raise ValueError("state shapes do not match the platform grid")
-    w, u = state.w, state.u
-    diagonal = platform.is_diagonal
-    A = _masked_kernel(platform, state.M[k:, k:])
+    w, u, M = state.w, state.u, state.M
+    A = _MaskedKernel(platform, np.packbits(M[k:, k:]).tobytes(), _kernel_split(platform))
     wb, ub = w[k:], u[k:]
-    au = _kernel_product(A, ub)
-    awu = _kernel_product(A, wb * ub)
+    au = A @ ub
+    awu = A @ (wb * ub)
     violations = 0
-    for rows in _row_blocks(n, n, k):
-        F = f.values(grid, rows)
-        if rows.start >= k:
-            # A o F, a block of rows at a time
-            A[rows.start - k:rows.stop - k] *= np.diagonal(F, rows.start) if diagonal else F[:, k:]
-        violations += int(np.count_nonzero(state.M[rows] != _accepts(F, w, rows, overwrite=True)))
-        del F  # before the next block is evaluated
-    total = _kernel_product(A, ub) - wb * au - awu
+
+    def checked(rows: slice, cols: slice) -> np.ndarray:
+        """The block ``F[rows, cols]`` of the output table, whose acceptance
+        violations are counted."""
+        nonlocal violations
+        F = f.values(grid, rows, cols)
+        for part in _row_blocks(len(F), 8 * F.shape[1]):  # an eighth of a block
+            at = slice(rows.start + part.start, rows.start + part.stop)
+            accepted = (F[part] - w[at, None]) - w[None, cols] >= 0.0
+            violations += int(np.count_nonzero(M[at, cols] != accepted))
+        return F
+
+    if k:
+        for rows in _row_blocks(n, k):
+            checked(rows, slice(0, k))
+        for rows in _row_blocks(k, n - k):
+            checked(rows, slice(k, n))
+    afu = A.output_product(lambda rows: checked(slice(k + rows.start, k + rows.stop),
+                                                slice(k, n)), ub)
+    total = afu - wb * au - awu
     bellman = float(np.max(np.abs(wb - params.theta * total)))
     balance = _balance_residual(ub, au, params)
     return bellman, balance, violations

@@ -223,26 +223,19 @@ def _row_smoothness(platform: Platform) -> float:
     The ground metric is the type distance, so W1 equals the L1 distance of
     the row CDFs times the node spacing; dividing by the spacing between the
     adjacent types leaves the dimensionless modulus reported here.  The rows
-    are read a block at a time (:meth:`~matchlab.core.Platform.kernel_block`);
-    on a diagonal kernel each block of CDF gaps is built from the diagonal.
+    are read a block at a time (:meth:`~matchlab.core.Platform.kernel_block`).
     """
     m = platform.grid.n - platform.cutoff
-    g = platform.runs[3]  # the diagonal, on a diagonal kernel
     worst = 0.0
     # a block of the m - 1 row differences reads one kernel row past its end;
     # each row's cumulative sum is the same whatever block it lies in
     for diffs in _row_blocks(m - 1, m):
-        if not platform.is_diagonal:
-            rows = platform.kernel_block(slice(diffs.start, diffs.stop + 1))
-            gap = np.diff(np.cumsum(rows, axis=1), axis=0)
-            np.abs(gap, out=gap)
-        else:
-            # the CDF of diagonal row r is g_r from column r on: the gap to
-            # row r + 1 is g_r at column r and |g_{r+1} - g_r| right of it
-            r = np.arange(diffs.start, diffs.stop)
-            gap = np.where(np.arange(m) > r[:, None], np.abs(g[r + 1] - g[r])[:, None], 0.0)
-            gap[np.arange(len(r)), r] = g[r]
+        cdf = platform.kernel_block(slice(diffs.start, diffs.stop + 1))
+        np.cumsum(cdf, axis=1, out=cdf)
+        gap = np.subtract(cdf[1:], cdf[:-1])
+        np.abs(gap, out=gap)
         worst = max(worst, float(np.max(np.sum(gap, axis=1))))
+        del cdf, gap  # before the next block is read
     return worst
 
 

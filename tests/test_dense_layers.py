@@ -10,11 +10,12 @@ deviation must be the worst entry of the full two-product ``S0``/``S1`` gain
 matrix (``conftest.two_product_gains``), the same pair with the gain within
 1e-12 of the gains' scale, and it must find the same deviation whether it
 reads a held output table or evaluates each block, and whether it reads a
-kernel matrix or a platform's kernel a block at a time.  The policy loop's
-masked-kernel operator, taken from runs, must give the products of the
-dense masked kernel within 1e-14 of ``|A| |v|``, and its diagonal and
-dense matrix bit for bit; a kernel with no background value keeps the
-dense form and its solve's bits.  The budget tests
+kernel matrix or a platform's kernel a block at a time.  The masked-kernel
+operator, taken from runs, must give the products of the dense masked
+kernel within 1e-14 of ``|A| |v|``, and its diagonal and dense matrix bit
+for bit; on a diagonal kernel its products have the bits of the
+elementwise ones, and a kernel with no background value keeps the dense
+form and its solve's bits.  The budget tests
 bound each layer's peak traced allocation above its inputs at n = 1000, and
 that of the assortative and glitched commands.
 """
@@ -109,7 +110,7 @@ def test_packed_acceptance_and_its_masked_kernel_are_the_bool_arrays(monkeypatch
                                                                      eight_rows):
     """The policy loop's acceptance sets, packed from blocks of rows, are the
     ``np.packbits`` bytes of the whole bool array, and the masked kernel
-    built from those bytes is the one built from that array, bit for bit."""
+    built from those bytes is ``G * M`` with that array, bit for bit."""
     if eight_rows:
         monkeypatch.setattr(core, "_BLOCK_BYTES", 64 * m)
     rng = np.random.default_rng(m)
@@ -122,7 +123,7 @@ def test_packed_acceptance_and_its_masked_kernel_are_the_bool_arrays(monkeypatch
     packed = core._packed_acceptance(F, w)
     assert packed == np.packbits(M).tobytes()
     platform = _random_platform(m, m)
-    assert _bits(core._masked_kernel(platform, packed)) == _bits(core._masked_kernel(platform, M))
+    assert _bits(core._masked_kernel(platform, packed)) == _bits(dense_kernel(platform) * M)
 
 
 # 45 included nodes, so the last byte of a packed set holds padding bits
@@ -131,9 +132,14 @@ _OPERATOR_M = 45
 
 def _operator_platform(family):
     """A platform of ``_OPERATOR_M`` included nodes whose kernel is of the
-    named family, all of them symmetric and row-stochastic and none taken
-    for diagonal."""
+    named family, all of them symmetric and row-stochastic: a diagonal one
+    whose entries lie a few ulp off one, and the rest taken for dense."""
     m = _OPERATOR_M
+    if family == "diagonal":
+        wobble = 1.0 + np.random.default_rng(m).integers(-4, 5, m) * 2.0 ** -45
+        platform = Platform(grid=make_grid(m), cutoff=0, kernel=wobble, transfers=np.zeros(m))
+        assert platform.is_diagonal
+        return platform
     if family == "cutoff":  # the included block of a grid of m + 7 nodes
         return Platform(grid=make_grid(m + 7), cutoff=7, kernel=mixture_kernel(m, 0.2, 0.5),
                         transfers=np.zeros(m + 7))
@@ -163,10 +169,11 @@ def _acceptance_set(kind, m, rng):
 @pytest.mark.parametrize("runs_always", [False, True], ids=["default_share", "runs_always"])
 @pytest.mark.parametrize("kind", ["full", "empty", "interval", "scattered"])
 @pytest.mark.parametrize("family", ["glitch0.01", "glitch0.5", "glitch1", "identity",
-                                    "mixture_b0", "mixture", "off_diagonal", "cutoff"])
+                                    "diagonal", "mixture_b0", "mixture", "off_diagonal",
+                                    "cutoff"])
 def test_masked_kernel_operator_is_the_dense_masked_kernel(monkeypatch, family, kind,
                                                            runs_always):
-    """The policy loop's masked-kernel operator against the dense ``A``
+    """The masked-kernel operator against the dense ``A``
     built from the same packed set: each product within 1e-14 of
     ``|A| |v|`` in its row, ``(A o F) u`` within 1e-14 of
     ``(|A| o |F|) |u|``, the diagonal and the dense matrix bit for bit.
@@ -184,9 +191,44 @@ def test_masked_kernel_operator_is_the_dense_masked_kernel(monkeypatch, family, 
     for v in rng.standard_normal((3, m)):
         assert np.all(np.abs(op @ v - A @ v) <= 1e-14 * (np.abs(A) @ np.abs(v)))
     F, u = rng.random((m, m)), rng.random(m)
-    assert np.all(np.abs(op.output_product(F, u) - (A * F) @ u) <= 1e-14 * ((A * F) @ u))
+    afu = (A * F) @ u
+    assert np.all(np.abs(op.output_product(F.__getitem__, u) - afu) <= 1e-14 * afu)
     assert _bits(op.diagonal()) == _bits(np.diagonal(A))
     assert _bits(op.dense()) == _bits(A)
+
+
+@pytest.mark.parametrize("cutoff", [0, "auto", "third"])
+def test_masked_kernel_operator_on_diagonal_kernels_is_the_vector_formula(params, cutoff):
+    """On the designed platforms of n = 2 to 59 nodes, a diagonal kernel
+    with the designed acceptance sets and with the first included node's
+    own pair flipped off, the operator's ``A u``, ``A (w o u)`` and
+    ``(A o T) u`` have the bits of the elementwise ``(g diag(M)) v + 0.0``
+    (a sum of products starts at +0.0), for the output table and the
+    negated derivative table, whose masked entry is -0.0.  The small
+    platforms take the held form, the larger ones runs."""
+    forms = set()
+    for n in range(2, 60):
+        grid = make_grid(n)
+        f = cubic_production(grid)
+        result = design(grid, f, params, n // 3 if cutoff == "third" else cutoff)
+        platform, dse = result.platform, result.dse
+        k = platform.cutoff
+        g, wb, ub = platform.runs[3], dse.w[k:], dse.u[k:]
+        assert platform.is_diagonal
+        tables = (f.values(grid)[k:, k:], -f.dx_values(grid)[k:, k:])
+        for flip in (False, True):
+            M = dse.M[k:, k:].copy()
+            M[0, 0] ^= flip
+            A = core._MaskedKernel(platform, np.packbits(M).tobytes(),
+                                   core._kernel_split(platform))
+            forms.add(A.held is None)
+            gm = np.multiply(g, np.diagonal(M))
+            assert _bits(A @ ub) == _bits(gm * ub + 0.0)
+            assert _bits(A @ (wb * ub)) == _bits(gm * (wb * ub) + 0.0)
+            for T in tables:
+                assert (_bits(A.output_product(T.__getitem__, ub))
+                        == _bits(gm * np.diagonal(T) * ub + 0.0))
+    assert forms == {False, True}
 
 
 def _all_distinct_platform(m):
@@ -302,19 +344,30 @@ def test_blocked_residuals_and_slope_are_the_one_shot_ones(four_row_blocks, para
         M[k, k:] = ~M[k, k:]
         M[0, 0] = not M[0, 0]
         state = DSEState(w=w, u=u, M=M, bellman_residual=0.0, balance_residual=0.0)
-        A = dense_kernel(platform) * M[k:, k:]
-        wb, ub = w[k:], u[k:]
-        au = A @ ub
-        total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
-        bellman = float(np.max(np.abs(wb - params.theta * total)))
-        balance = float(np.max(np.abs(params.alpha * (1.0 - ub) - params.rho * au)))
-        violations = int(np.sum(M != ((F - w[:, None]) - w[None, :] >= 0.0)))
-        assert violations >= 1
-        got = dse_residuals(platform, f, params, state)
-        assert _bits(got[:2]) == _bits((bellman, balance)) and got[2] == violations
-        wprime = designer._derivative(wb, 1.0 / n)
-        slope = params.theta * ((A * f.dx_values(grid)[k:, k:]) @ ub - wprime * au)
-        assert _bits(misreport_value_slope(platform, f, params, state)[k:]) == _bits(slope)
+        assert _assert_one_shot_residuals_and_slope(platform, f, params, state) >= 1
+
+
+def _assert_one_shot_residuals_and_slope(platform, f, params, state):
+    """Assert that ``dse_residuals`` and ``misreport_value_slope`` of
+    ``state`` have the bits of the one-shot ``A o F`` and ``A o F_x``
+    products with the dense masked kernel and of the one-shot rule, and
+    return the acceptance violations."""
+    grid, k = platform.grid, platform.cutoff
+    w, u, M = state.w, state.u, state.M
+    F = f.values(grid)
+    A = dense_kernel(platform) * M[k:, k:]
+    wb, ub = w[k:], u[k:]
+    au = A @ ub
+    total = (A * F[k:, k:]) @ ub - wb * au - A @ (wb * ub)
+    bellman = float(np.max(np.abs(wb - params.theta * total)))
+    balance = float(np.max(np.abs(params.alpha * (1.0 - ub) - params.rho * au)))
+    violations = int(np.sum(M != ((F - w[:, None]) - w[None, :] >= 0.0)))
+    got = dse_residuals(platform, f, params, state)
+    assert _bits(got[:2]) == _bits((bellman, balance)) and got[2] == violations
+    wprime = designer._derivative(wb, 1.0 / grid.n)
+    slope = params.theta * ((A * f.dx_values(grid)[k:, k:]) @ ub - wprime * au)
+    assert _bits(misreport_value_slope(platform, f, params, state)[k:]) == _bits(slope)
+    return violations
 
 
 @pytest.mark.parametrize("n", _SIZES)
@@ -327,12 +380,18 @@ def test_blocked_consistency_defect_is_the_one_shot_max(four_row_blocks, n):
 
 @pytest.mark.parametrize("n", _SIZES)
 def test_blocked_row_smoothness_is_the_one_shot_modulus(four_row_blocks, n):
+    """The row smoothness of ``n`` included nodes, on a dense kernel and on
+    the identity and wobbled diagonal ones (:func:`_diagonal_platforms`, on
+    a grid of at least two nodes), against the one-shot ``cumsum``
+    modulus."""
     four_row_blocks(n)
-    platform = _random_platform(n, n)
-    G = dense_kernel(platform)
-    reference = (0.0 if n < 2
-                 else np.max(np.sum(np.abs(np.diff(np.cumsum(G, axis=1), axis=0)), axis=1)))
-    assert _bits(verifier._row_smoothness(platform)) == _bits(reference)
+    size = max(n, 2)
+    diagonal = [platform for platform, _ in _diagonal_platforms(size, size - n)]
+    for platform in [_random_platform(n, n)] + diagonal:
+        G = dense_kernel(platform)
+        reference = (0.0 if n < 2
+                     else np.max(np.sum(np.abs(np.diff(np.cumsum(G, axis=1), axis=0)), axis=1)))
+        assert _bits(verifier._row_smoothness(platform)) == _bits(reference)
 
 
 def test_blocked_passes_at_the_default_block_size():
@@ -411,23 +470,20 @@ def _flipped_state(platform, f, params):
 @pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
 def test_diagonal_residuals_and_slope_are_the_dense_ones(four_row_blocks, params, n, k):
     """``dse_residuals`` and ``misreport_value_slope`` on a diagonal kernel
-    give the bits of their dense paths on the same kernel taken for a dense
-    one.  The
-    last output's derivative table is negated, so the masked diagonal entry
-    of ``A o F_x`` is -0.0, which the dense product sums to +0.0."""
+    give the bits of the one-shot products with the dense masked kernel.
+    The last output's derivative table is negated, so the masked diagonal
+    entry of ``A o F_x`` is -0.0, which the dense product sums to +0.0: the
+    slope of the node whose own pair is flipped off is +0.0."""
     four_row_blocks(n)
-    for platform, dense in _diagonal_platforms(n, k):
+    for platform, _ in _diagonal_platforms(n, k):
         grid = platform.grid
         falling = TabulatedWithDerivative(grid, cubic_production(grid).values(grid),
                                           -cubic_production(grid).dx_values(grid))
         for f in _productions(grid) + (falling,):
             state = _flipped_state(platform, f, params)
-            got = dse_residuals(platform, f, params, state)
-            assert got[2] == 2
-            assert _bits(got[:2]) == _bits(dse_residuals(dense, f, params, state)[:2])
-            assert got[2] == dse_residuals(dense, f, params, state)[2]
-            assert (_bits(misreport_value_slope(platform, f, params, state))
-                    == _bits(misreport_value_slope(dense, f, params, state)))
+            assert _assert_one_shot_residuals_and_slope(platform, f, params, state) == 2
+        state = _flipped_state(platform, falling, params)
+        assert _bits(misreport_value_slope(platform, falling, params, state)[k]) == _bits(0.0)
 
 
 @pytest.mark.parametrize("n, k", _DIAGONAL_CASES)
@@ -710,16 +766,21 @@ def designed():
 # takes its products with the masked kernel from runs, its acceptance sets
 # as packed bits, so it holds no other m-by-m array (1.27 arrays measured
 # on the glitched kernel and 1.28 on the mixture one, 2.13 while the loop
-# held the masked kernel); the identity solve holds the acceptance sets and
-# one block of f; glitch builds runs, and its row-sum check expands an
-# eighth-array block of the kernel at a time (0.17 arrays measured)
+# held the masked kernel); the residuals and the misreport slope take
+# theirs from runs too, so the audit holds the incentive scan's blocks
+# (1.04 arrays measured, 1.17 while the residuals held the masked kernel)
+# and the slope a block of the derivative table and of the kernel (0.28,
+# 1.13 while it held the masked kernel); the identity solve holds the
+# acceptance sets and one block of f; glitch builds runs, and its row-sum
+# check expands an eighth-array block of the kernel at a time (0.17 arrays
+# measured)
 @pytest.mark.parametrize("layer, bound", [
-    ("audit", 1.5),
+    ("audit", 1.15),
     ("audit_designed", 0.5),
     ("solve_dse", 1.5),
     ("solve_dse_mixture", 1.5),
     ("solve_dse_identity", 0.3),
-    ("misreport_value_slope", 1.25),
+    ("misreport_value_slope", 0.4),
     ("glitch", 0.2),
     ("consistency_defect", 0.5),
     ("acceptance", 0.5),
@@ -768,15 +829,16 @@ def test_glitched_commands_hold_no_kernel_matrix(tmp_path):
     loop takes its products with the masked kernel ``A`` from runs and its
     acceptance sets as packed bits (1.28 n-by-n arrays measured; 2.14 while
     the loop held ``A``, 2.49 while it held the sets as bool arrays), the
-    verify ``A`` or the incentive scan's blocks (1.31), and neither holds
-    the kernel matrix, which took each one n-by-n array more (3.48 and 2.31
-    while the kernel was stored dense)."""
+    verify the incentive scan's blocks, its residuals taking their products
+    with ``A`` from runs too (1.18; 1.31 while they held ``A``), and neither
+    holds the kernel matrix, which took each one n-by-n array more (3.48
+    and 2.31 while the kernel was stored dense)."""
     rates = ["--rho", "1", "--alpha", "0.5", "--r", "0.05", "--f", "xy"]
     solved = tmp_path / "s"
     statuses = []
     for argv, bound in (
             (["solve", "--n", str(_N), "--epsilon", "0.5", *rates, "--out", str(solved)], 1.5),
-            (["verify", "--platform", str(solved), "--out", str(tmp_path / "v")], 1.5)):
+            (["verify", "--platform", str(solved), "--out", str(tmp_path / "v")], 1.3)):
         cfg = cli.resolve_config(cli.build_parser().parse_args(argv))
         assert _peak_arrays(lambda: statuses.append(cli.run(cfg))) <= bound, argv[0]
     assert statuses == [0, 1]  # the zero-transfer platform is not incentive compatible
